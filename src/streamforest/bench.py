@@ -5,8 +5,11 @@ training time / model size, and post-process effect sizes."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from statistics import fmean
 
 import numpy as np
@@ -15,7 +18,7 @@ from . import __version__
 from .data import make_batches, make_folds
 from .forest import BatchForest, StreamForest
 from .stream import StreamTree
-from .tree import BYTES_PER_NODE, Dataset, DecisionTree, SplitCriteria
+from .tree import BYTES_PER_NODE, Dataset, DecisionTree
 
 __all__ = [
     "ALGORITHMS",
@@ -38,7 +41,11 @@ RESULTS_FORMAT = "streamforest-results-v1"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run: which models, how the stream is cut, and seeds."""
+    """One benchmark run: which models, how the stream is cut, and seeds.
+
+    threads is the number of worker processes that run repetitions (or
+    folds) side by side; it never changes the records apart from time.
+    """
 
     dataset: str
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -60,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("batch_size must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be positive")
         if self.n_trees < 1:
             raise ValueError("n_trees must be positive")
         if not 0 <= self.replace_count <= self.n_trees:
@@ -77,14 +86,6 @@ class BenchRecord:
     accuracy: float
     train_seconds: float
     nodes: int
-
-
-def _single_tree_criteria() -> SplitCriteria:
-    return SplitCriteria(max_features="all")
-
-
-def _forest_criteria() -> SplitCriteria:
-    return SplitCriteria(max_features="sqrt")
 
 
 def _accuracy(model, test: Dataset) -> float:
@@ -117,27 +118,23 @@ def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
             start = time.perf_counter()
             if algo == "sdt":
                 if bi == 0:
-                    models[algo] = StreamTree(batch, train.n_classes,
-                                              _single_tree_criteria(), seeds["tree"])
+                    models[algo] = StreamTree(batch, train.n_classes, seed=seeds["tree"])
                 else:
                     models[algo].update(batch)
             elif algo == "sdf":
                 if bi == 0:
                     models[algo] = StreamForest(
                         batch, train.n_classes, config.n_trees,
-                        config.replace_count, _forest_criteria(),
-                        seeds["forest"], threads=config.threads)
+                        config.replace_count, seed=seeds["forest"])
                 else:
                     models[algo].update(batch)
             elif algo == "dt":
                 cumulative = train.subset(plan.ordering[:seen])
-                models[algo] = DecisionTree(_single_tree_criteria(),
-                                            seeds["tree"]).fit(cumulative)
+                models[algo] = DecisionTree(seed=seeds["tree"]).fit(cumulative)
             else:
                 cumulative = train.subset(plan.ordering[:seen])
-                models[algo] = BatchForest(config.n_trees, _forest_criteria(),
-                                           seeds["forest"],
-                                           threads=config.threads).fit(cumulative)
+                models[algo] = BatchForest(config.n_trees,
+                                           seed=seeds["forest"]).fit(cumulative)
             cum_time[algo] += time.perf_counter() - start
             records.append(BenchRecord(
                 algorithm=algo,
@@ -149,6 +146,26 @@ def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
                 nodes=models[algo].node_count(),
             ))
     return records
+
+
+def _run_reps(config: ExperimentConfig, splits: list[tuple[Dataset, Dataset]],
+              seeds: list[dict[str, int]]) -> list[BenchRecord]:
+    """Run one repetition per (train, test) split on config.threads worker
+    processes; the records come back in repetition order.
+
+    Where the platform has fork, workers are forked: that starts in
+    milliseconds and does not re-import ``__main__``, so scripts that call
+    the experiment without a ``__main__`` guard still work. Forking is safe
+    here because the library starts no threads.
+    """
+    trains, tests = zip(*splits)
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    workers = min(config.threads, len(splits))
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        parts = pool.map(_stream_one_rep, repeat(config), trains, tests,
+                         range(len(splits)), seeds)
+        return [record for part in parts for record in part]
 
 
 def run_stream_experiment(config: ExperimentConfig, train: Dataset,
@@ -166,10 +183,8 @@ def run_stream_experiment(config: ExperimentConfig, train: Dataset,
     if test.n_classes != train.n_classes:
         raise ValueError("train and test disagree on class count")
     root_rng = np.random.default_rng(config.seed)
-    records = []
-    for rep in range(config.repetitions):
-        records.extend(_stream_one_rep(config, train, test, rep, _rep_seeds(root_rng)))
-    return records
+    seeds = [_rep_seeds(root_rng) for _ in range(config.repetitions)]
+    return _run_reps(config, [(train, test)] * config.repetitions, seeds)
 
 
 def run_cv_experiment(config: ExperimentConfig, data: Dataset) -> list[BenchRecord]:
@@ -180,12 +195,10 @@ def run_cv_experiment(config: ExperimentConfig, data: Dataset) -> list[BenchReco
     root_rng = np.random.default_rng(config.seed)
     folds = make_folds(data.n_samples, config.repetitions,
                        int(root_rng.integers(0, 2**63)))
-    records = []
-    for fold in range(folds.k):
-        train = data.subset(folds.train_indices(fold))
-        test = data.subset(folds.test_indices(fold))
-        records.extend(_stream_one_rep(config, train, test, fold, _rep_seeds(root_rng)))
-    return records
+    splits = [(data.subset(folds.train_indices(fold)),
+               data.subset(folds.test_indices(fold))) for fold in range(folds.k)]
+    seeds = [_rep_seeds(root_rng) for _ in range(folds.k)]
+    return _run_reps(config, splits, seeds)
 
 
 def effect_size(accs_a, accs_b) -> float:
@@ -226,10 +239,9 @@ def effect_series(records: list[BenchRecord], algo_a: str = "sdf",
 
 
 def has_substantial_shift(effects, low: float = -0.01, high: float = 0.01) -> bool:
-    """Whether an effect-size series swings through both thresholds:
+    """Whether a sequence of effect values swings through both thresholds:
     minimum <= low and maximum >= high."""
-    values = [e for _, e in effects] if effects and isinstance(effects[0], tuple) \
-        else list(effects)
+    values = list(effects)
     if not values:
         return False
     return min(values) <= low and max(values) >= high

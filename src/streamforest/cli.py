@@ -65,7 +65,8 @@ def _add_common(p: argparse.ArgumentParser, with_reps: bool) -> None:
         p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="results file to write")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes that run repetitions/folds side by side")
     p.add_argument("--synth-n", type=int, default=1000,
                    help="training samples for synthetic kinds")
     p.add_argument("--synth-test", type=int, default=500,
@@ -144,7 +145,7 @@ def _cmd_effect(args) -> int:
     report = {
         dataset: {
             "series": [[n, e] for n, e in points],
-            "substantial_shift": has_substantial_shift(points),
+            "substantial_shift": has_substantial_shift([e for _, e in points]),
         }
         for dataset, points in series.items()
     }

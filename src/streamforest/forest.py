@@ -3,39 +3,47 @@ replacement, and a batch forest baseline refit from scratch on demand."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .stream import StreamTree
+from .stream import StreamTree, _check_batch
 from .tree import BYTES_PER_NODE, Dataset, DecisionTree, SplitCriteria
 
-__all__ = ["StreamForest", "BatchForest", "model_size"]
+__all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
+
+# Default split rules of both forests; SplitCriteria is frozen, so sharing
+# one instance is safe.
+FOREST_CRITERIA = SplitCriteria(max_features="sqrt")
 
 
-def _default_forest_criteria() -> SplitCriteria:
-    return SplitCriteria(max_features="sqrt")
+def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
+    """Plurality class per row over an (n_trees, n_rows) array of tree
+    predictions, ties to the lowest class."""
+    cells = np.array(per_tree, dtype=np.int64)
+    n_rows = cells.shape[1]
+    cells += np.arange(n_rows) * n_classes
+    votes = np.bincount(cells.ravel(), minlength=n_rows * n_classes)
+    return votes.reshape(n_rows, n_classes).argmax(axis=1)
 
 
-def _majority_vote(per_tree: list[np.ndarray], n_classes: int) -> np.ndarray:
-    """Plurality class per row over tree predictions, ties to lowest class."""
-    votes = np.zeros((per_tree[0].shape[0], n_classes), dtype=np.int64)
-    rows = np.arange(votes.shape[0])
-    for preds in per_tree:
-        votes[rows, preds] += 1
-    return votes.argmax(axis=1)
+# Methods shared by both forests. Each class body binds them instead of
+# inheriting them, because the traced benchmark run (perfbench/tracing.py)
+# wraps only methods found in a class's own namespace.
+def _predict_one(self, x) -> int:
+    per_tree = np.array([tree.predict_one(x) for tree in self.trees])
+    return int(_majority_vote(per_tree[:, None], self.n_classes)[0])
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    """Apply fn over items, optionally on a thread pool; order preserved.
+def _predict(self, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != self.n_features:
+        raise ValueError(f"expected a matrix with {self.n_features} columns")
+    if X.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    return _majority_vote([tree.predict(X) for tree in self.trees], self.n_classes)
 
-    Workers touch disjoint state (each tree owns its generator), so the
-    results are identical to the serial path regardless of scheduling.
-    """
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+
+def _node_count(self) -> int:
+    return sum(tree.node_count() for tree in self.trees)
 
 
 class StreamForest:
@@ -49,13 +57,12 @@ class StreamForest:
     fit to a bootstrap of that batch only. Predictions are majority votes.
 
     The whole evolution is a pure function of (seed, batch sequence,
-    hyperparameters); per-tree generators make parallel updates match serial
-    ones exactly.
+    hyperparameters).
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
                  replace_count: int = 1, criteria: SplitCriteria | None = None,
-                 seed: int = 0, bootstrap: bool = True, threads: int = 1):
+                 seed: int = 0, bootstrap: bool = True):
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
         if not 0 <= replace_count <= n_trees:
@@ -67,10 +74,9 @@ class StreamForest:
         self.n_classes = n_classes
         self.n_trees = n_trees
         self.replace_count = replace_count
-        self.criteria = criteria if criteria is not None else _default_forest_criteria()
+        self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.master_seed = seed
         self.bootstrap = bootstrap
-        self.threads = threads
         self._seedseq = np.random.SeedSequence(seed)
         # Spawn order is part of the deterministic contract: forest-level
         # generator first, then one child per tree, then one per replacement.
@@ -90,17 +96,6 @@ class StreamForest:
             data = data.subset(rng.integers(0, data.n_samples, data.n_samples))
         return StreamTree(data, self.n_classes, self.criteria, rng)
 
-    def _check_batch(self, batch: Dataset) -> Dataset:
-        if batch.n_samples == 0:
-            raise ValueError("update batch must be nonempty")
-        if batch.n_features != self.n_features:
-            raise ValueError(
-                f"batch has {batch.n_features} features, forest expects {self.n_features}"
-            )
-        if batch.labels.max() >= self.n_classes:
-            raise ValueError(f"batch labels must lie below n_classes={self.n_classes}")
-        return batch.with_classes(self.n_classes)
-
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
         replace the worst trees.
@@ -110,14 +105,10 @@ class StreamForest:
         generator stream. Details of the draw and any replacement are kept
         in `last_replacement`.
         """
-        data = self._check_batch(batch)
+        data = _check_batch(batch, self.n_features, self.n_classes)
         n = data.n_samples
-
-        def update_one(tree: StreamTree) -> None:
-            sub = data.subset(tree.rng.integers(0, n, n)) if self.bootstrap else data
-            tree.update(sub)
-
-        _map_maybe_parallel(update_one, self.trees, self.threads)
+        for tree in self.trees:
+            tree.update(data.subset(tree.rng.integers(0, n, n)) if self.bootstrap else data)
         self.batches_seen += 1
 
         u = float(self.rng.random())
@@ -140,23 +131,9 @@ class StreamForest:
         self.last_replacement = info
         return self
 
-    def predict_one(self, x) -> int:
-        votes = np.bincount(
-            [tree.predict_one(x) for tree in self.trees], minlength=self.n_classes
-        )
-        return int(np.argmax(votes))
-
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected a matrix with {self.n_features} columns")
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        per_tree = _map_maybe_parallel(lambda t: t.predict(X), self.trees, self.threads)
-        return _majority_vote(per_tree, self.n_classes)
-
-    def node_count(self) -> int:
-        return sum(tree.node_count() for tree in self.trees)
+    predict_one = _predict_one
+    predict = _predict
+    node_count = _node_count
 
 
 class BatchForest:
@@ -168,14 +145,13 @@ class BatchForest:
     """
 
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,
-                 seed: int = 0, bootstrap: bool = True, threads: int = 1):
+                 seed: int = 0, bootstrap: bool = True):
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
         self.n_trees = n_trees
-        self.criteria = criteria if criteria is not None else _default_forest_criteria()
+        self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.seed = seed
         self.bootstrap = bootstrap
-        self.threads = threads
         self.trees: list[DecisionTree] = []
         self.data: Dataset | None = None
         self.n_classes: int | None = None
@@ -188,36 +164,20 @@ class BatchForest:
         self.data = data
         self.n_classes = data.n_classes
         self.n_features = data.n_features
-        children = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-
-        def fit_one(child) -> DecisionTree:
+        trees = []
+        for child in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(child)
             sub = data.subset(rng.integers(0, data.n_samples, data.n_samples)) \
                 if self.bootstrap else data
             tree = DecisionTree(self.criteria, self.seed)
             tree._fit_with_rng(sub, rng)
-            return tree
-
-        self.trees = _map_maybe_parallel(fit_one, children, self.threads)
+            trees.append(tree)
+        self.trees = trees
         return self
 
-    def predict_one(self, x) -> int:
-        votes = np.bincount(
-            [tree.predict_one(x) for tree in self.trees], minlength=self.n_classes
-        )
-        return int(np.argmax(votes))
-
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected a matrix with {self.n_features} columns")
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        per_tree = _map_maybe_parallel(lambda t: t.predict(X), self.trees, self.threads)
-        return _majority_vote(per_tree, self.n_classes)
-
-    def node_count(self) -> int:
-        return sum(tree.node_count() for tree in self.trees)
+    predict_one = _predict_one
+    predict = _predict
+    node_count = _node_count
 
 
 def model_size(model) -> tuple[int, int]:

@@ -68,6 +68,7 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
             "replace_count": forest.replace_count,
             "batches_seen": forest.batches_seen,
             "master_seed": forest.master_seed,
+            "bootstrap": forest.bootstrap,
             "criteria": asdict(forest.criteria),
             "bytes_per_node": BYTES_PER_NODE,
             "tree_batches_seen": [t.batches_seen for t in forest.trees],
@@ -83,6 +84,7 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
             "n_features": forest.n_features,
             "n_trees": forest.n_trees,
             "master_seed": forest.seed,
+            "bootstrap": forest.bootstrap,
             "criteria": asdict(forest.criteria),
             "bytes_per_node": BYTES_PER_NODE,
             "trees": [_tree_to_arrays(t.root) for t in forest.trees],
@@ -113,8 +115,7 @@ def load_forest(path) -> StreamForest | BatchForest:
         forest.replace_count = doc["replace_count"]
         forest.criteria = criteria
         forest.master_seed = doc["master_seed"]
-        forest.bootstrap = True
-        forest.threads = 1
+        forest.bootstrap = doc.get("bootstrap", True)
         forest._seedseq = np.random.SeedSequence(doc["master_seed"])
         forest.rng = np.random.default_rng(forest._seedseq.spawn(1)[0])
         forest.trees = [
@@ -128,7 +129,8 @@ def load_forest(path) -> StreamForest | BatchForest:
         return forest
 
     if doc["model"] == "batch_forest":
-        forest = BatchForest(doc["n_trees"], criteria, doc["master_seed"])
+        forest = BatchForest(doc["n_trees"], criteria, doc["master_seed"],
+                             doc.get("bootstrap", True))
         forest.n_classes = doc["n_classes"]
         forest.n_features = doc["n_features"]
         trees = []

@@ -16,6 +16,20 @@ from .tree import (
 __all__ = ["StreamTree"]
 
 
+def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
+    """Validate an update batch against the model's shape; returns the batch
+    under the model's class count."""
+    if batch.n_samples == 0:
+        raise ValueError("update batch must be nonempty")
+    if batch.n_features != n_features:
+        raise ValueError(
+            f"batch has {batch.n_features} features, model expects {n_features}"
+        )
+    if batch.labels.max() >= n_classes:
+        raise ValueError(f"batch labels must lie below n_classes={n_classes}")
+    return batch.with_classes(n_classes)
+
+
 class StreamTree:
     """Incrementally extended decision tree over a fixed set of classes.
 
@@ -50,20 +64,9 @@ class StreamTree:
     def n_features(self) -> int:
         return self.tree.n_features
 
-    def _check_batch(self, batch: Dataset) -> Dataset:
-        if batch.n_samples == 0:
-            raise ValueError("update batch must be nonempty")
-        if batch.n_features != self.n_features:
-            raise ValueError(
-                f"batch has {batch.n_features} features, tree expects {self.n_features}"
-            )
-        if batch.labels.max() >= self.n_classes:
-            raise ValueError(f"batch labels must lie below n_classes={self.n_classes}")
-        return batch.with_classes(self.n_classes)
-
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
-        data = self._check_batch(batch)
+        data = _check_batch(batch, self.n_features, self.n_classes)
         touched = _route_and_count(
             self.tree.root, data.features, data.labels, self.n_classes
         )

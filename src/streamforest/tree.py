@@ -51,6 +51,9 @@ class Dataset:
             )
         if self.features.shape[1] < 1:
             raise ValueError("need at least one feature")
+        if not np.isfinite(self.features).all():
+            row, col = np.argwhere(~np.isfinite(self.features))[0]
+            raise ValueError(f"non-finite feature value at row {row}, column {col}")
         if self.n_classes < 2:
             raise ValueError("n_classes must be at least 2")
         if self.labels.size and (
@@ -158,9 +161,10 @@ def best_split(data: Dataset, indices, candidate_features):
     """Exhaustive split search over the given features.
 
     Considers every midpoint between consecutive distinct sorted values of
-    each candidate feature and maximizes the weighted Gini decrease over the
-    samples in `indices`. Ties break toward the lowest feature index, then
-    the lowest threshold.
+    each candidate feature (or the lower value, where the midpoint does not
+    lie strictly below the upper one) and maximizes the weighted Gini
+    decrease over the samples in `indices`. Ties break toward the lowest
+    feature index, then the lowest threshold.
 
     Returns
     -------
@@ -219,7 +223,12 @@ def best_split(data: Dataset, indices, candidate_features):
             if num * n <= s_parent * den:  # decrease not positive
                 continue
             if best is None or num * best[1] > best[0] * den:
-                threshold = float((v[pos[j] - 1] + v[pos[j]]) / 2.0)
+                lo, hi = float(v[pos[j] - 1]), float(v[pos[j]])
+                threshold = (lo + hi) / 2.0
+                # The midpoint can round up to hi or overflow to +-inf, which
+                # would send both blocks to one side; lo still separates them.
+                if not lo <= threshold < hi:
+                    threshold = lo
                 best = (num, den, f, threshold)
 
     if best is None:

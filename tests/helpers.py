@@ -14,8 +14,9 @@ def brute_force_best_split(data: Dataset, indices, features):
     """Exhaustive reference split search in exact rational arithmetic.
 
     Re-partitions the samples from scratch at every candidate (feature,
-    midpoint) pair and compares weighted impurities as Fractions, so ties
-    are exact. Maximizing the decrease is equivalent to maximizing
+    threshold) pair, checking that the threshold sends exactly the values up
+    to the lower one left, and compares weighted impurities as Fractions, so
+    ties are exact. Maximizing the decrease is equivalent to maximizing
     q = S_l/n_l + S_r/n_r where S is the sum of squared class counts;
     candidates are scanned in (feature, threshold) order and only strict
     improvements win, which encodes the lowest-feature, lowest-threshold
@@ -34,12 +35,17 @@ def brute_force_best_split(data: Dataset, indices, features):
         vals = X[idx, f]
         distinct = np.unique(vals)
         for a, b in zip(distinct, distinct[1:]):
-            t = float((a + b) / 2.0)  # same float midpoint the library produces
+            # Same threshold rule as the library: the midpoint, or the lower
+            # value where the midpoint rounds up to b or overflows.
+            a, b = float(a), float(b)
+            t = (a + b) / 2.0
+            if not a <= t < b:
+                t = a
             mask = vals <= t
             n_l = int(mask.sum())
             n_r = n - n_l
-            if n_l == 0 or n_r == 0:
-                continue
+            assert n_l == int((vals <= a).sum()) and n_l > 0 and n_r > 0, (
+                "routing by the threshold must reproduce the scored partition")
             lc = np.bincount(labels[mask], minlength=k)
             rc = parent - lc
             s_l = int((lc.astype(object) ** 2).sum())

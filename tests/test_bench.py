@@ -1,5 +1,7 @@
 """Benchmark orchestration: record bookkeeping, effect sizes, results files."""
 
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -183,7 +185,7 @@ class TestEffectSize:
 class TestSubstantialShift:
     def test_fires_when_series_swings_past_both_thresholds(self):
         assert has_substantial_shift([0.02, -0.015, 0.0])
-        assert has_substantial_shift([(100, 0.011), (200, -0.03)])
+        assert has_substantial_shift([0.011, -0.03])
 
     def test_quiet_series_does_not_fire(self):
         assert not has_substantial_shift([0.005, -0.005])
@@ -212,7 +214,7 @@ class TestEffectSeries:
         points = series["d"]
         assert points[0] == (100, 0.125)
         assert points[1][0] == 200 and points[1][1] < 0
-        assert has_substantial_shift(points)
+        assert has_substantial_shift([e for _, e in points])
 
     def test_other_algorithms_ignored(self):
         records = [
@@ -258,9 +260,27 @@ class TestResultsFile:
 
     def test_threads_do_not_change_results(self):
         train, test = small_data()
-        serial = run_stream_experiment(small_config(), train, test)
-        threaded = run_stream_experiment(small_config(threads=3), train, test)
+        serial = run_stream_experiment(small_config(repetitions=3), train, test)
+        threaded = run_stream_experiment(small_config(repetitions=3, threads=3),
+                                         train, test)
         assert strip_times(serial) == strip_times(threaded)
+
+    def test_unguarded_script_runs_worker_processes(self, tmp_path):
+        # A script that calls the experiment at top level, with no
+        # ``if __name__ == "__main__"`` guard, must not break the workers.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from streamforest import ExperimentConfig, gen_synthetic, "
+            "run_stream_experiment\n"
+            "train = gen_synthetic('blobs', 150, noise=0.5, seed=1, n_classes=3)\n"
+            "test = gen_synthetic('blobs', 100, noise=0.5, seed=2, n_classes=3)\n"
+            "config = ExperimentConfig(dataset='blobs', batch_size=50, n_trees=5, "
+            "repetitions=2, threads=2, seed=3)\n"
+            "print(len(run_stream_experiment(config, train, test)))\n")
+        done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["24"]
 
 
 class TestConfigValidation:

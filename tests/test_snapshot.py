@@ -49,6 +49,25 @@ def test_stream_forest_metadata_round_trip(tmp_path):
     assert loaded.master_seed == f.master_seed
 
 
+def test_bootstrap_setting_round_trips(tmp_path):
+    data = gen_synthetic("blobs", 300, noise=0.6, seed=7, n_classes=3)
+    f = StreamForest(data.subset(range(100)), 3, n_trees=4, seed=8, bootstrap=False)
+    path = tmp_path / "forest.json"
+    save_forest(f, path)
+    loaded = load_forest(path)
+    before = [t.tree.root.class_counts.copy() for t in loaded.trees]
+    batch = data.subset(range(100, 200))
+    loaded.update(batch, force_replacement=False)
+    # Without bootstrap every tree takes the whole batch, each row once.
+    grown = np.bincount(batch.labels, minlength=3)
+    for tree, counts in zip(loaded.trees, before):
+        assert tree.tree.root.class_counts.tolist() == (counts + grown).tolist()
+
+    b = BatchForest(2, seed=9, bootstrap=False).fit(data)
+    save_forest(b, path)
+    assert load_forest(path).bootstrap is False
+
+
 def test_batch_forest_round_trip(tmp_path):
     data = gen_synthetic("blobs", 400, noise=0.6, seed=4, n_classes=3)
     f = BatchForest(4, SplitCriteria(max_features="sqrt"), seed=5).fit(data)

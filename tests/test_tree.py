@@ -1,15 +1,77 @@
 """Batch CART tree: impurity, split search, fitting, routing."""
 
+import math
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamforest import Dataset, DecisionTree, SplitCriteria, best_split, gini_impurity
 
-from helpers import brute_force_best_split, check_count_conservation, random_dataset, trees_equal
+from helpers import (
+    brute_force_best_split,
+    check_count_conservation,
+    iter_nodes,
+    random_dataset,
+    trees_equal,
+)
 
 
 def one_dim_example() -> Dataset:
     return Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 0, 1, 1]), 2)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail instead of hanging: a split search that never ends grows memory
+    for as long as it runs."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+ONE_ULP_ABOVE_ONE = math.nextafter(1.0, 2.0)
+# Value pairs whose float midpoint is not strictly between them: it rounds up
+# to the high value, or overflows to +inf or -inf.
+BAD_MIDPOINT_PAIRS = [
+    (ONE_ULP_ABOVE_ONE, math.nextafter(ONE_ULP_ABOVE_ONE, 2.0)),
+    (1e308, 1.5e308),
+    (-1.5e308, -1e308),
+]
+MAX = float(np.finfo(np.float64).max)
+TINY = float(np.finfo(np.float64).tiny)
+ADVERSARIAL_BASES = [0.0, 1.0, -1.0, 1e308, -1e308, 1.5e308, -1.5e308, MAX, -MAX,
+                     5e-324, -5e-324, TINY, -TINY]
+
+
+def ulp_steps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def adversarial_datasets(draw):
+    """Few distinct values from one or two bases, each a few ulps apart, so
+    rows repeat values heavily and neighbours are adjacent floats."""
+    bases = draw(st.lists(st.sampled_from(ADVERSARIAL_BASES), min_size=1, max_size=2))
+    pool = sorted({v for base in bases for v in
+                   (ulp_steps(base, k) for k in range(-2, 3)) if math.isfinite(v)})
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 2))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n * p, max_size=n * p))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Dataset(np.array(values).reshape(n, p), np.array(labels), 3)
 
 
 class TestGiniImpurity:
@@ -176,6 +238,36 @@ class TestFit:
                 stack.append(node.left)
                 stack.append(node.right)
 
+    @pytest.mark.parametrize("low, high", BAD_MIDPOINT_PAIRS)
+    def test_bad_midpoint_still_splits_both_ways(self, low, high):
+        data = Dataset(np.array([[low], [high]]), np.array([0, 1]), 2)
+        with time_limit(5):
+            tree = DecisionTree().fit(data)
+        assert tree.root.threshold == low
+        assert tree.root.left.class_counts.tolist() == [1, 0]
+        assert tree.root.right.class_counts.tolist() == [0, 1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(adversarial_datasets())
+    def test_adversarial_floats_fit_and_route_as_scored(self, data):
+        with time_limit(1):
+            tree = DecisionTree().fit(data)
+        assert tree.root.class_counts.tolist() == np.bincount(data.labels, minlength=3).tolist()
+        check_count_conservation(tree.root)
+        for node in iter_nodes(tree.root):
+            assert node.class_counts.sum() > 0
+        # The oracle scores each candidate by routing on its threshold and
+        # checks that this sends exactly the rows at or below the lower value
+        # left, so agreement means routing reproduces the scored partition.
+        all_rows, all_features = np.arange(data.n_samples), range(data.n_features)
+        got = best_split(data, all_rows, all_features)
+        expected = brute_force_best_split(data, all_rows, all_features)
+        if expected is None:
+            assert got is None and tree.root.is_leaf
+        else:
+            assert got[:2] == expected[:2] == (tree.root.feature, tree.root.threshold)
+            assert got[2] == pytest.approx(expected[2], abs=1e-12)
+
     def test_separable_blobs_training_accuracy(self):
         from streamforest import gen_synthetic
         data = gen_synthetic("blobs", 2000, noise=0.0, seed=5, n_classes=2)
@@ -280,6 +372,11 @@ class TestDataset:
     def test_too_few_classes_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.array([[0.0], [bad], [1.0]]), np.array([0, 1, 0]), 2)
 
     def test_subset_keeps_class_count(self):
         data = Dataset(np.arange(12.0).reshape(6, 2), np.array([0, 1, 2, 0, 1, 2]), 4)

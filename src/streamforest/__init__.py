@@ -12,6 +12,7 @@ from .tree import (
     BYTES_PER_NODE,
     Dataset,
     DecisionTree,
+    NodeTable,
     SplitCriteria,
     TreeNode,
     best_split,
@@ -48,6 +49,7 @@ __all__ = [
     "BYTES_PER_NODE",
     "Dataset",
     "DecisionTree",
+    "NodeTable",
     "SplitCriteria",
     "TreeNode",
     "best_split",

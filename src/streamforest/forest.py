@@ -1,18 +1,33 @@
 """Forest ensembles: a streaming forest with probabilistic worst-tree
-replacement, and a batch forest baseline refit from scratch on demand."""
+replacement, and a batch forest baseline refit from scratch on demand.
+
+Each forest keeps the nodes of all of its trees in one node table, so that
+a batch is routed through every tree at once, one depth level per step."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from .stream import StreamTree, _check_batch
-from .tree import BYTES_PER_NODE, Dataset, DecisionTree, SplitCriteria
+from .stream import StreamTree, _check_batch, _update_trees
+from .tree import (
+    BYTES_PER_NODE,
+    Dataset,
+    DecisionTree,
+    NodeTable,
+    SplitCriteria,
+    _descend,
+    _leaf_labels,
+)
 
 __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
 
 # Default split rules of both forests; SplitCriteria is frozen, so sharing
 # one instance is safe.
 FOREST_CRITERIA = SplitCriteria(max_features="sqrt")
+
+_PAIRS_PER_PASS = 1 << 15
 
 
 def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
@@ -25,12 +40,85 @@ def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
     return votes.reshape(n_rows, n_classes).argmax(axis=1)
 
 
+def _decision_tree(tree) -> DecisionTree:
+    return tree.tree if isinstance(tree, StreamTree) else tree
+
+
+def _hold(forest, table: NodeTable, trees: list) -> None:
+    """Make `trees`, all of them in `table`, the forest's trees."""
+    forest.trees = trees
+    forest._table = table
+    forest._held = list(trees)
+    forest._roots = np.array([_decision_tree(t).root_id for t in trees], dtype=np.intp)
+
+
 # Methods shared by both forests. Each class body binds them instead of
 # inheriting them, because the traced benchmark run (perfbench/tracing.py)
 # wraps only methods found in a class's own namespace.
+def _place(self) -> tuple[NodeTable, np.ndarray]:
+    """The forest's node table and the root id of each tree.
+
+    When `trees` has changed since the forest last placed it (a replacement,
+    or trees assigned from outside or moved into another forest), every
+    tree is first copied into a new table in preorder, so that the table
+    holds exactly the nodes of the current trees. A tree object listed
+    twice is split into two copies.
+    """
+    table = self._table
+    if self.trees == self._held and all(
+            _decision_tree(tree).table is table for tree in self.trees):
+        return table, self._roots
+    trees, seen = [], set()
+    for tree in self.trees:
+        if id(tree) in seen:
+            tree = copy.copy(tree)
+            if isinstance(tree, StreamTree):
+                tree.tree = copy.copy(tree.tree)
+        seen.add(id(tree))
+        trees.append(tree)
+    table = NodeTable(self.n_classes, capacity=0)
+    pending = [_decision_tree(tree) for tree in trees]
+    while pending:
+        # One copy per source table; a root held twice waits for a later pass.
+        by_source, held, later = {}, set(), []
+        for base in pending:
+            key = (id(base.table), base.root_id)
+            if key in held:
+                later.append(base)
+                continue
+            held.add(key)
+            by_source.setdefault(id(base.table), (base.table, []))[1].append(base)
+        for source, bases in by_source.values():
+            roots = table.copy_trees(source, [base.root_id for base in bases])
+            for base, root in zip(bases, roots.tolist()):
+                base.table, base.root_id = table, root
+        pending = later
+    _hold(self, table, trees)
+    return table, self._roots
+
+
+def _votes(self, X: np.ndarray) -> np.ndarray:
+    """(n_trees, n_rows) class predicted by each tree for each row of X.
+
+    Rows are routed in blocks of at most _PAIRS_PER_PASS (tree, row) pairs,
+    which bounds the routing arrays to a few MB however many rows come.
+    """
+    table, roots = self._place()
+    n, n_trees = X.shape[0], roots.size
+    out = np.empty((n_trees, n), dtype=np.intp)
+    step = max(1, _PAIRS_PER_PASS // n_trees)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(n, lo + step))
+        leaves = _descend(table, np.repeat(roots, rows.size), np.tile(rows, n_trees), X)
+        out[:, rows] = _leaf_labels(table, leaves).reshape(n_trees, rows.size)
+    return out
+
+
 def _predict_one(self, x) -> int:
-    per_tree = np.array([tree.predict_one(x) for tree in self.trees])
-    return int(_majority_vote(per_tree[:, None], self.n_classes)[0])
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] != self.n_features:
+        raise ValueError(f"expected a vector of {self.n_features} features")
+    return int(_majority_vote(self._votes(x[None, :]), self.n_classes)[0])
 
 
 def _predict(self, X) -> np.ndarray:
@@ -39,11 +127,14 @@ def _predict(self, X) -> np.ndarray:
         raise ValueError(f"expected a matrix with {self.n_features} columns")
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    return _majority_vote([tree.predict(X) for tree in self.trees], self.n_classes)
+    return _majority_vote(self._votes(X), self.n_classes)
 
 
 def _node_count(self) -> int:
-    return sum(tree.node_count() for tree in self.trees)
+    if not self.trees:
+        return 0
+    table, roots = self._place()
+    return table.count_nodes(roots)
 
 
 class StreamForest:
@@ -57,7 +148,8 @@ class StreamForest:
     fit to a bootstrap of that batch only. Predictions are majority votes.
 
     The whole evolution is a pure function of (seed, batch sequence,
-    hyperparameters).
+    hyperparameters). All trees live in one node table, which after every
+    update holds exactly the nodes of the current trees.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
@@ -81,7 +173,9 @@ class StreamForest:
         # Spawn order is part of the deterministic contract: forest-level
         # generator first, then one child per tree, then one per replacement.
         self.rng = np.random.default_rng(self._seedseq.spawn(1)[0])
-        self.trees = [self._fresh_tree(first_batch) for _ in range(n_trees)]
+        self._table = NodeTable(n_classes)
+        data = first_batch.with_classes(n_classes)
+        _hold(self, self._table, [self._fresh_tree(data) for _ in range(n_trees)])
         self.batches_seen = 1
         self.last_replacement: dict | None = None
 
@@ -89,12 +183,12 @@ class StreamForest:
     def n_features(self) -> int:
         return self.trees[0].n_features
 
-    def _fresh_tree(self, batch: Dataset) -> StreamTree:
+    def _fresh_tree(self, data: Dataset) -> StreamTree:
+        """A new tree fit to a bootstrap of `data`, grown in the forest's table."""
         rng = np.random.default_rng(self._seedseq.spawn(1)[0])
-        data = batch.with_classes(self.n_classes)
-        if self.bootstrap:
-            data = data.subset(rng.integers(0, data.n_samples, data.n_samples))
-        return StreamTree(data, self.n_classes, self.criteria, rng)
+        n = data.n_samples
+        rows = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
+        return StreamTree._grown(self._table, data, rows, self.criteria, rng)
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
@@ -107,8 +201,12 @@ class StreamForest:
         """
         data = _check_batch(batch, self.n_features, self.n_classes)
         n = data.n_samples
-        for tree in self.trees:
-            tree.update(data.subset(tree.rng.integers(0, n, n)) if self.bootstrap else data)
+        self._place()
+        if self.bootstrap:
+            rows = [tree.rng.integers(0, n, n) for tree in self.trees]
+        else:
+            rows = [np.arange(n)] * len(self.trees)
+        _update_trees(self.trees, data, rows)
         self.batches_seen += 1
 
         u = float(self.rng.random())
@@ -117,20 +215,20 @@ class StreamForest:
         info = {"u": u, "threshold": threshold, "fired": fired,
                 "scores": None, "replaced": []}
         if fired and self.replace_count > 0:
-            scores = np.array([
-                float(np.mean(tree.predict(data.features) == data.labels))
-                for tree in self.trees
-            ])
+            scores = np.mean(self._votes(data.features) == data.labels, axis=1)
             # Stable sort: equal scores keep index order, so the lowest
             # indices are replaced first on ties.
             worst = np.argsort(scores, kind="stable")[: self.replace_count]
             for i in worst:
                 self.trees[int(i)] = self._fresh_tree(data)
+            self._place()
             info["scores"] = scores
             info["replaced"] = [int(i) for i in worst]
         self.last_replacement = info
         return self
 
+    _place = _place
+    _votes = _votes
     predict_one = _predict_one
     predict = _predict
     node_count = _node_count
@@ -152,10 +250,10 @@ class BatchForest:
         self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.seed = seed
         self.bootstrap = bootstrap
-        self.trees: list[DecisionTree] = []
         self.data: Dataset | None = None
         self.n_classes: int | None = None
         self.n_features: int | None = None
+        _hold(self, None, [])
 
     def fit(self, data: Dataset) -> "BatchForest":
         """Refit every tree on bootstrap resamples of `data`."""
@@ -164,17 +262,20 @@ class BatchForest:
         self.data = data
         self.n_classes = data.n_classes
         self.n_features = data.n_features
+        table = NodeTable(data.n_classes)
         trees = []
         for child in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(child)
             sub = data.subset(rng.integers(0, data.n_samples, data.n_samples)) \
                 if self.bootstrap else data
             tree = DecisionTree(self.criteria, self.seed)
-            tree._fit_with_rng(sub, rng)
+            tree._fit_with_rng(sub, rng, table)
             trees.append(tree)
-        self.trees = trees
+        _hold(self, table, trees)
         return self
 
+    _place = _place
+    _votes = _votes
     predict_one = _predict_one
     predict = _predict
     node_count = _node_count

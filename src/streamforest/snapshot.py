@@ -1,63 +1,79 @@
 """Forest snapshots: a self-describing JSON document with per-tree node
-arrays; save -> load -> predict round-trips bit-exactly."""
+arrays in preorder; save -> load -> predict round-trips bit-exactly, and
+save -> load -> update continues the original run."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
+import secrets
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
-from .forest import BatchForest, StreamForest
+from .forest import BatchForest, StreamForest, _hold
 from .stream import StreamTree
-from .tree import BYTES_PER_NODE, DecisionTree, SplitCriteria, TreeNode
+from .tree import BYTES_PER_NODE, DecisionTree, NodeTable, SplitCriteria
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
 FORMAT = "streamforest-snapshot-v1"
 
 
-def _tree_to_arrays(root: TreeNode) -> dict:
-    """Flatten a tree in preorder; child links become node offsets, -1 at leaves."""
-    kind, feature, threshold, left, right, counts, pre_split = [], [], [], [], [], [], []
-    order: list[TreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if node.left is not None:
-            stack.append(node.right)
-            stack.append(node.left)
-    slot = {id(node): i for i, node in enumerate(order)}
-    for node in order:
-        is_leaf = node.left is None
-        kind.append("leaf" if is_leaf else "internal")
-        feature.append(-1 if is_leaf else int(node.feature))
-        threshold.append(0.0 if is_leaf else float(node.threshold))
-        left.append(-1 if is_leaf else slot[id(node.left)])
-        right.append(-1 if is_leaf else slot[id(node.right)])
-        counts.append([int(c) for c in node.class_counts])
-        pre_split.append(int(node.pre_split_total))
-    return {"kind": kind, "feature": feature, "threshold": threshold,
-            "left": left, "right": right, "class_counts": counts,
-            "pre_split_total": pre_split}
+def _trees_to_arrays(forest):
+    """Each tree in preorder, one at a time; child links are node offsets,
+    -1 at leaves."""
+    table, roots = forest._place()
+    _, starts, columns = table.export(roots)
+    for a, b in itertools.pairwise(starts.tolist()):
+        col = {name: values[a:b].tolist() for name, values in columns.items()}
+        yield {"kind": ["leaf" if link < 0 else "internal" for link in col["left"]],
+               "feature": col["feature"], "threshold": col["threshold"],
+               "left": col["left"], "right": col["right"],
+               "class_counts": col["counts"],
+               "pre_split_total": col["pre_split_total"]}
 
 
-def _tree_from_arrays(arrays: dict) -> TreeNode:
-    nodes = [TreeNode(np.asarray(c, dtype=np.int64)) for c in arrays["class_counts"]]
-    for i, node in enumerate(nodes):
-        node.pre_split_total = int(arrays["pre_split_total"][i])
-        if arrays["kind"][i] == "internal":
-            node.feature = int(arrays["feature"][i])
-            node.threshold = float(arrays["threshold"][i])
-            node.left = nodes[arrays["left"][i]]
-            node.right = nodes[arrays["right"][i]]
-    return nodes[0]
+def _table_from_arrays(trees: list[dict], n_classes: int) -> tuple[NodeTable, list[int]]:
+    """A node table holding the snapshot's trees, and their root ids."""
+    starts = np.zeros(len(trees) + 1, dtype=np.intp)
+    np.cumsum([len(tree["feature"]) for tree in trees], out=starts[1:])
+
+    def column(key, dtype):
+        return np.fromiter(itertools.chain.from_iterable(t[key] for t in trees),
+                           dtype=dtype, count=starts[-1])
+
+    counts = np.array([c for tree in trees for c in tree["class_counts"]], dtype=np.int64)
+    columns = {
+        "feature": column("feature", np.int64),
+        "threshold": column("threshold", np.float64),
+        "left": column("left", np.int64),
+        "right": column("right", np.int64),
+        "counts": counts.reshape(-1, n_classes),
+        "pre_split_total": column("pre_split_total", np.int64),
+    }
+    table = NodeTable(n_classes, capacity=0)
+    return table, table.append(starts, columns).tolist()
+
+
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    return rng
 
 
 def save_forest(forest: StreamForest | BatchForest, path) -> None:
     """Write a forest snapshot. JSON floats use repr, so thresholds survive
-    the round trip bit-exactly and reloaded predictions match."""
+    the round trip bit-exactly and reloaded predictions match. A stream
+    forest's generator states are saved too.
+
+    The document is written to a temporary file in the target directory and
+    then renamed over `path`, so `path` holds either the old snapshot or the
+    complete new one, also when writing fails midway.
+    """
     if isinstance(forest, StreamForest):
         doc = {
             "format": FORMAT,
@@ -72,7 +88,9 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
             "criteria": asdict(forest.criteria),
             "bytes_per_node": BYTES_PER_NODE,
             "tree_batches_seen": [t.batches_seen for t in forest.trees],
-            "trees": [_tree_to_arrays(t.tree.root) for t in forest.trees],
+            "seed_children_spawned": forest._seedseq.n_children_spawned,
+            "rng_state": forest.rng.bit_generator.state,
+            "tree_rng_states": [t.rng.bit_generator.state for t in forest.trees],
         }
     elif isinstance(forest, BatchForest):
         if not forest.trees:
@@ -87,43 +105,66 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
             "bootstrap": forest.bootstrap,
             "criteria": asdict(forest.criteria),
             "bytes_per_node": BYTES_PER_NODE,
-            "trees": [_tree_to_arrays(t.root) for t in forest.trees],
         }
     else:
         raise TypeError(f"cannot snapshot {type(forest).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            # The bytes of json.dump(doc | {"trees": [...]}, fh), written one
+            # tree at a time: a fraction of json.dump's time, and no tree's
+            # lists outlive its write.
+            fh.write(json.dumps(doc)[:-1] + ', "trees": [')
+            for i, tree in enumerate(_trees_to_arrays(forest)):
+                fh.write((", " if i else "") + json.dumps(tree))
+            fh.write("]}")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_forest(path) -> StreamForest | BatchForest:
-    """Rebuild a forest from a snapshot for inference and inspection.
+    """Rebuild a forest from a snapshot.
 
-    Generator state is not captured, so further updates of a loaded
-    StreamForest are deterministic but need not match the original run.
+    A stream forest gets back the generator states it was saved with, so
+    further updates continue exactly as the original run would have.
+    Documents written before those states were saved still load; their
+    generators are seeded afresh from the master seed, so further updates
+    are deterministic but need not match the original run.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     criteria = SplitCriteria(**doc["criteria"])
-    roots = [_tree_from_arrays(arrays) for arrays in doc["trees"]]
+    n_classes, n_features = doc["n_classes"], doc["n_features"]
+    table, roots = _table_from_arrays(doc["trees"], n_classes)
 
     if doc["model"] == "stream_forest":
         forest = StreamForest.__new__(StreamForest)
-        forest.n_classes = doc["n_classes"]
+        forest.n_classes = n_classes
         forest.n_trees = doc["n_trees"]
         forest.replace_count = doc["replace_count"]
         forest.criteria = criteria
         forest.master_seed = doc["master_seed"]
         forest.bootstrap = doc.get("bootstrap", True)
-        forest._seedseq = np.random.SeedSequence(doc["master_seed"])
-        forest.rng = np.random.default_rng(forest._seedseq.spawn(1)[0])
-        forest.trees = [
-            StreamTree._from_parts(root, doc["n_features"], doc["n_classes"],
-                                   criteria, batches,
-                                   seed=forest._seedseq.spawn(1)[0])
-            for root, batches in zip(roots, doc["tree_batches_seen"])
-        ]
+        if "rng_state" in doc:
+            forest._seedseq = np.random.SeedSequence(
+                doc["master_seed"], n_children_spawned=doc["seed_children_spawned"])
+            forest.rng = _generator(doc["rng_state"])
+            seeds = [_generator(state) for state in doc["tree_rng_states"]]
+        else:
+            forest._seedseq = np.random.SeedSequence(doc["master_seed"])
+            forest.rng = np.random.default_rng(forest._seedseq.spawn(1)[0])
+            seeds = forest._seedseq.spawn(len(roots))
+        _hold(forest, table, [
+            StreamTree._from_parts(table.view(root), n_features, n_classes,
+                                   criteria, batches, seed=seed)
+            for root, batches, seed in zip(roots, doc["tree_batches_seen"], seeds)
+        ])
         forest.batches_seen = doc["batches_seen"]
         forest.last_replacement = None
         return forest
@@ -131,16 +172,16 @@ def load_forest(path) -> StreamForest | BatchForest:
     if doc["model"] == "batch_forest":
         forest = BatchForest(doc["n_trees"], criteria, doc["master_seed"],
                              doc.get("bootstrap", True))
-        forest.n_classes = doc["n_classes"]
-        forest.n_features = doc["n_features"]
+        forest.n_classes = n_classes
+        forest.n_features = n_features
         trees = []
         for root in roots:
             tree = DecisionTree(criteria, doc["master_seed"])
-            tree.root = root
-            tree.n_classes = doc["n_classes"]
-            tree.n_features = doc["n_features"]
+            tree.table, tree.root_id = table, root
+            tree.n_classes = n_classes
+            tree.n_features = n_features
             trees.append(tree)
-        forest.trees = trees
+        _hold(forest, table, trees)
         return forest
 
     raise ValueError(f"unknown model kind {doc['model']!r}")

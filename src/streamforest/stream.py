@@ -8,7 +8,9 @@ import numpy as np
 from .tree import (
     Dataset,
     DecisionTree,
+    NodeTable,
     SplitCriteria,
+    TreeNode,
     _grow,
     _route_and_count,
 )
@@ -27,7 +29,38 @@ def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
         )
     if batch.labels.max() >= n_classes:
         raise ValueError(f"batch labels must lie below n_classes={n_classes}")
-    return batch.with_classes(n_classes)
+    return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
+
+
+def _update_trees(trees: list, data: Dataset, rows: list) -> None:
+    """Extend each stream tree ``trees[t]`` with the rows ``rows[t]`` of
+    `data`, a validated batch. The trees share one node table.
+
+    All (tree, row) pairs are routed and counted in one pass. Then each
+    touched leaf that can split, meaning it has at least min_samples_split
+    rows and more than one label among them, is regrown with its tree's
+    generator: tree by tree, and depth-first, left-first within a tree.
+    `_grow` returns at once on any other leaf without drawing from the
+    generator, so skipping those leaves leaves every tree unchanged.
+    """
+    table = trees[0].tree.table
+    pair_rows = np.concatenate(rows)
+    tree_of = np.repeat(np.arange(len(trees)), [r.size for r in rows])
+    roots = np.array([tree.tree.root_id for tree in trees])
+    touched = _route_and_count(table, roots, pair_rows, tree_of,
+                               data.features, data.labels)
+    leaf_rows = pair_rows[touched.pairs]
+    labels = data.labels[leaf_rows]
+    starts = touched.bounds[:-1]
+    mixed = np.minimum.reduceat(labels, starts) != np.maximum.reduceat(labels, starts)
+    min_split = np.array([tree.criteria.min_samples_split for tree in trees])
+    big = np.diff(touched.bounds) >= min_split[touched.tree]
+    for u in np.flatnonzero(mixed & big).tolist():
+        tree = trees[touched.tree[u]]
+        _grow(table.view(touched.leaves[u]), data,
+              leaf_rows[touched.bounds[u]: touched.bounds[u + 1]], tree.criteria, tree.rng)
+    for tree in trees:
+        tree.batches_seen += 1
 
 
 class StreamTree:
@@ -53,11 +86,26 @@ class StreamTree:
             raise ValueError("first batch must be nonempty")
         if first_batch.labels.max() >= n_classes:
             raise ValueError(f"batch labels must lie below n_classes={n_classes}")
-        self.n_classes = n_classes
-        self.criteria = criteria if criteria is not None else SplitCriteria()
-        self.rng = np.random.default_rng(seed)
-        self.tree = DecisionTree(self.criteria, seed)
-        self.tree._fit_with_rng(first_batch.with_classes(n_classes), self.rng)
+        data = first_batch.with_classes(n_classes)
+        self._start(NodeTable(n_classes), data, np.arange(data.n_samples),
+                    criteria if criteria is not None else SplitCriteria(),
+                    np.random.default_rng(seed))
+
+    @classmethod
+    def _grown(cls, table: NodeTable, data: Dataset, rows, criteria: SplitCriteria,
+               rng: np.random.Generator) -> "StreamTree":
+        """A new tree fit to `rows` of `data` (under the table's class count),
+        grown in `table`."""
+        tree = cls.__new__(cls)
+        tree._start(table, data, rows, criteria, rng)
+        return tree
+
+    def _start(self, table, data, rows, criteria, rng) -> None:
+        self.n_classes = table.n_classes
+        self.criteria = criteria
+        self.rng = rng
+        self.tree = DecisionTree(criteria, rng)
+        self.tree._fit_with_rng(data, rng, table, rows)
         self.batches_seen = 1
 
     @property
@@ -67,16 +115,10 @@ class StreamTree:
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
         data = _check_batch(batch, self.n_features, self.n_classes)
-        touched = _route_and_count(
-            self.tree.root, data.features, data.labels, self.n_classes
-        )
-        for leaf in touched:
-            indices = np.asarray(leaf.pending, dtype=np.intp)
-            _grow(leaf, data, indices, self.criteria, self.rng)
-        self.batches_seen += 1
+        _update_trees([self], data, [np.arange(data.n_samples)])
         return self
 
-    def apply(self, x):
+    def apply(self, x) -> TreeNode:
         return self.tree.apply(x)
 
     def predict_one(self, x) -> int:
@@ -89,17 +131,17 @@ class StreamTree:
         return self.tree.node_count()
 
     @classmethod
-    def _from_parts(cls, root, n_features: int, n_classes: int,
+    def _from_parts(cls, root: TreeNode, n_features: int, n_classes: int,
                     criteria: SplitCriteria, batches_seen: int, seed=0):
-        """Rebuild from snapshot pieces; generator state is freshly seeded,
-        so a loaded tree predicts exactly but further updates need not match
-        the original run."""
+        """Rebuild from snapshot pieces: the tree rooted at the node view
+        `root`, and a generator from `seed`. Passing a Generator restored to
+        the original run's state makes further updates match that run."""
         obj = cls.__new__(cls)
         obj.n_classes = n_classes
         obj.criteria = criteria
         obj.rng = np.random.default_rng(seed)
         obj.tree = DecisionTree(criteria, seed)
-        obj.tree.root = root
+        obj.tree.table, obj.tree.root_id = root._table, root._id
         obj.tree.n_classes = n_classes
         obj.tree.n_features = n_features
         obj.batches_seen = batches_seen

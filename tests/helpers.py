@@ -132,3 +132,42 @@ def is_same_or_descendant(ancestor, node) -> bool:
         if candidate is node:
             return True
     return False
+
+
+def walk_to_leaf(root, x):
+    """Scalar reference walk: the leaf view whose region contains x."""
+    node = root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
+
+
+def loop_route(roots, rows, tree_of, X, y, n_classes):
+    """Loop reference for the vectorized router.
+
+    Pair i is row ``rows[i]`` entering the tree whose root view is
+    ``roots[tree_of[i]]``. Each tree is walked recursively, left child
+    first, partitioning its pairs at every node. Returns (leaf view of each
+    pair, [(node view, bincount of the labels of the pairs that pass
+    through it)], [(touched leaf view, its pairs in increasing order)]),
+    the last tree by tree in that left-first order.
+    """
+    leaf_of = [None] * len(rows)
+    increments, touched = [], []
+
+    def visit(node, pairs):
+        if pairs.size == 0:
+            return
+        increments.append((node, np.bincount(y[rows[pairs]], minlength=n_classes)))
+        if node.is_leaf:
+            touched.append((node, pairs))
+            for p in pairs.tolist():
+                leaf_of[p] = node
+            return
+        goes_left = X[rows[pairs], node.feature] <= node.threshold
+        visit(node.left, pairs[goes_left])
+        visit(node.right, pairs[~goes_left])
+
+    for t, root in enumerate(roots):
+        visit(root, np.flatnonzero(tree_of == t))
+    return leaf_of, increments, touched

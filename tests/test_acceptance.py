@@ -15,10 +15,10 @@ from streamforest import (
     BatchForest,
     Dataset,
     DecisionTree,
+    NodeTable,
     SplitCriteria,
     StreamForest,
     StreamTree,
-    TreeNode,
     best_split,
     effect_size,
     gen_synthetic,
@@ -148,7 +148,9 @@ def test_criterion_5_replacement_mechanics():
     def degenerate(predicted_class):
         counts = np.zeros(3, dtype=np.int64)
         counts[predicted_class] = 1_000_000
-        return StreamTree._from_parts(TreeNode(counts), 2, 3, SplitCriteria(), 1)
+        table = NodeTable(3)
+        return StreamTree._from_parts(table.view(table.add_leaf(counts)), 2, 3,
+                                      SplitCriteria(), 1)
 
     pure = data.subset(np.nonzero(data.labels == 1)[0][:60])
 

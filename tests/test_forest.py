@@ -11,10 +11,10 @@ from streamforest import (
     BatchForest,
     Dataset,
     DecisionTree,
+    NodeTable,
     SplitCriteria,
     StreamForest,
     StreamTree,
-    TreeNode,
     gen_synthetic,
     model_size,
 )
@@ -30,8 +30,9 @@ def constant_tree(predicted_class, n_classes, n_features) -> StreamTree:
     """Single-leaf tree with overwhelming counts for one class."""
     counts = np.zeros(n_classes, dtype=np.int64)
     counts[predicted_class] = 1_000_000
-    return StreamTree._from_parts(TreeNode(counts), n_features, n_classes,
-                                  SplitCriteria(), batches_seen=1)
+    table = NodeTable(n_classes)
+    return StreamTree._from_parts(table.view(table.add_leaf(counts)), n_features,
+                                  n_classes, SplitCriteria(), batches_seen=1)
 
 
 def pure_class_batch(data: Dataset, cls: int, size: int) -> Dataset:
@@ -132,6 +133,27 @@ class TestUpdate:
             f.update(bad)
         assert f.batches_seen == 1
         assert all(a is b for a, b in zip(before, f.trees))
+
+    @pytest.mark.parametrize("n_trees", [3, 30])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_update_builds_at_most_two_datasets(self, monkeypatch, n_trees, bootstrap):
+        data = blobs(300, seed=23, noise=0.5)
+        f = StreamForest(data.subset(range(100)), 3, n_trees=n_trees, seed=24,
+                         bootstrap=bootstrap)
+        batches = [data.subset(range(100, 200)),
+                   Dataset(data.features[200:], data.labels[200:], 4)]  # other class count
+        built = []
+        original = Dataset.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        for batch, coin in zip(batches, (False, True)):
+            built.clear()
+            f.update(batch, force_replacement=coin)
+            assert len(built) <= 2
 
     def test_tree_count_conserved_across_stream(self):
         rng = np.random.default_rng(23)

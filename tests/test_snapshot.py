@@ -1,6 +1,7 @@
 """Forest snapshots: JSON round trip with bit-exact predictions."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from streamforest import (
     load_forest,
     save_forest,
 )
+from streamforest import snapshot
 
 from helpers import trees_equal
 
@@ -95,6 +97,16 @@ def test_snapshot_is_self_describing(tmp_path):
     assert doc["bytes_per_node"] > 0
 
 
+def test_file_is_the_json_dump_of_its_document(tmp_path):
+    path = tmp_path / "forest.json"
+    for model in (evolved_forest(), BatchForest(3, seed=4).fit(
+            gen_synthetic("blobs", 200, noise=0.6, seed=5, n_classes=3))):
+        save_forest(model, path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text))
+        assert list(json.loads(text))[-1] == "trees"
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"format": "something-else"}))
@@ -105,3 +117,86 @@ def test_unknown_format_rejected(tmp_path):
 def test_unfitted_batch_forest_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_forest(BatchForest(2), tmp_path / "nope.json")
+
+
+def _stream(data, forest, start, stop, coins):
+    for i, coin in zip(range(start, stop), coins):
+        forest.update(data.subset(range(60 * i, 60 * (i + 1))), force_replacement=coin)
+
+
+def test_save_load_update_continues_the_run(tmp_path):
+    data = gen_synthetic("blobs", 720, noise=0.8, seed=12, n_classes=3, n_features=4)
+    coins = (None, True, False, True, None, True, None, True, None, None, True)
+
+    def fresh():
+        return StreamForest(data.subset(range(60)), 3, n_trees=5, replace_count=2, seed=13)
+
+    whole = fresh()
+    _stream(data, whole, 1, 12, coins)
+
+    halted = fresh()
+    _stream(data, halted, 1, 5, coins[:4])
+    path = tmp_path / "halted.json"
+    save_forest(halted, path)
+    resumed = load_forest(path)
+    _stream(data, resumed, 5, 12, coins[4:])
+
+    assert resumed.last_replacement["replaced"]  # replacements happened after the load
+    a, b = tmp_path / "whole.json", tmp_path / "resumed.json"
+    save_forest(whole, a)
+    save_forest(resumed, b)
+    assert a.read_bytes() == b.read_bytes()
+    probes = data.features[::7]
+    assert np.array_equal(whole.predict(probes), resumed.predict(probes))
+
+
+def test_snapshot_without_generator_state_still_loads(tmp_path):
+    f = evolved_forest()
+    path = tmp_path / "forest.json"
+    save_forest(f, path)
+    doc = json.loads(path.read_text())
+    for key in ("seed_children_spawned", "rng_state", "tree_rng_states"):
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    loaded = load_forest(path)
+    probes = np.random.default_rng(3).uniform(-6, 6, (100, 2))
+    assert np.array_equal(f.predict(probes), loaded.predict(probes))
+    # Seeded afresh from the master seed: deterministic across loads.
+    again = load_forest(path)
+    data = gen_synthetic("blobs", 200, noise=0.6, seed=9, n_classes=3)
+    for model in (loaded, again):
+        model.update(data.subset(range(100)), force_replacement=True)
+    for ta, tb in zip(loaded.trees, again.trees):
+        assert trees_equal(ta.tree.root, tb.tree.root)
+
+
+def test_failed_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
+    path = tmp_path / "forest.json"
+    save_forest(evolved_forest(), path)
+    old = path.read_bytes()
+
+    class HalfWriter:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return HalfWriter(fh) if set(mode) & set("wxa") else fh
+
+    monkeypatch.setattr(snapshot, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_forest(evolved_forest(), path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["forest.json"]

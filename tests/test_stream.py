@@ -120,13 +120,6 @@ class TestUpdate:
             st.update(random_batch(rng, 20, 2, 2))
             assert st.batches_seen == expected
 
-    def test_pending_empty_between_updates(self):
-        rng = np.random.default_rng(5)
-        st = StreamTree(random_batch(rng, 50, 3, 3), n_classes=3, seed=9)
-        for _ in range(3):
-            st.update(random_batch(rng, 30, 3, 3))
-            assert all(node.pending == [] for node in iter_nodes(st.tree.root))
-
     def test_pure_pending_does_not_split_despite_mixed_history(self):
         first = Dataset(np.array([[1.0], [2.0], [9.0]]), np.array([0, 0, 1]), 2)
         st = StreamTree(first, n_classes=2, seed=0)

@@ -1,0 +1,143 @@
+"""The node table: forest-wide routing against a loop reference, tree
+copies, and the node count after forest updates."""
+
+import pickle
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamforest import BatchForest, Dataset, NodeTable, StreamForest, gen_synthetic
+from streamforest.tree import _descend, _route_and_count
+
+from helpers import iter_nodes, loop_route, random_dataset, trees_equal, walk_to_leaf
+
+
+def _forest_and_batch(seed: int):
+    """A small stream forest grown on random data, and a random batch with
+    (tree, row) pairs that repeat rows the way a bootstrap does."""
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n=int(rng.integers(30, 120)))
+    k, p = data.n_classes, data.n_features
+    n_trees = int(rng.integers(1, 5))
+    forest = StreamForest(data, k, n_trees=n_trees, seed=seed,
+                          bootstrap=bool(rng.integers(0, 2)))
+    for _ in range(int(rng.integers(0, 3))):
+        forest.update(random_dataset(rng, n=int(rng.integers(5, 40)), p=p, k=k))
+    batch = random_dataset(rng, n=int(rng.integers(1, 40)), p=p, k=k)
+    sizes = rng.integers(0, 2 * batch.n_samples + 1, n_trees)
+    tree_of = np.repeat(np.arange(n_trees), sizes)
+    rows = rng.integers(0, batch.n_samples, tree_of.size)
+    return forest, batch, rows, tree_of
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_router_matches_loop_reference(seed):
+    forest, batch, rows, tree_of = _forest_and_batch(seed)
+    table, roots = forest._place()
+    X, y = batch.features, batch.labels
+    root_views = [table.view(r) for r in roots]
+    leaf_of, increments, touched = loop_route(root_views, rows, tree_of, X, y,
+                                              batch.n_classes)
+
+    # The same leaf per (tree, row) as a scalar walk, also for prediction.
+    for i, (t, r) in enumerate(zip(tree_of, rows)):
+        assert leaf_of[i] is walk_to_leaf(root_views[t], X[r])
+    leaves = _descend(table, roots[tree_of], rows, X)
+    assert [table.view(i) for i in leaves] == leaf_of
+
+    before = table.counts[: table.size].copy()
+    got = _route_and_count(table, roots, rows, tree_of, X, y)
+
+    # The same per-node counts as a per-node bincount loop.
+    expected = before.copy()
+    for node, counts in increments:
+        expected[node._id] += counts
+    assert np.array_equal(table.counts[: table.size], expected)
+
+    # Touched leaves in recursive left-first order, tree by tree, each
+    # with its pairs in increasing order.
+    assert len(got) == len(touched)
+    assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
+    for u, (_, pairs) in enumerate(touched):
+        assert got.pairs[got.bounds[u]: got.bounds[u + 1]].tolist() == pairs.tolist()
+        assert root_views[got.tree[u]] is root_views[tree_of[pairs[0]]]
+
+
+def _assert_no_dead_nodes(forest):
+    table, _ = forest._place()
+    assert table.size == forest.node_count()
+    assert sum(t.node_count() for t in forest.trees) == forest.node_count()
+
+
+def test_table_holds_exactly_the_live_nodes():
+    data = gen_synthetic("blobs", 700, noise=0.8, seed=3, n_classes=3, n_features=3)
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=6, replace_count=2, seed=4)
+    _assert_no_dead_nodes(forest)
+    for i, coin in enumerate((True, False, None, True, True, None), start=1):
+        forest.update(data.subset(range(100 * i, 100 * (i + 1))), force_replacement=coin)
+        assert forest._table.size == forest.node_count()
+        _assert_no_dead_nodes(forest)
+
+
+def test_assigned_tree_is_copied_into_the_forest_table():
+    data = gen_synthetic("blobs", 400, noise=0.8, seed=5, n_classes=3)
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=4, seed=6)
+    other = StreamForest(data.subset(range(100, 200)), 3, n_trees=2, seed=7)
+    probes = data.features[200:300]
+    stranger = other.trees[1]
+    before = [stranger.predict(probes), other.predict(probes), stranger.node_count()]
+
+    forest.trees[2] = stranger
+    _assert_no_dead_nodes(forest)
+    assert forest.trees[2] is stranger and stranger.tree.table is forest._table
+    assert np.array_equal(stranger.predict(probes), before[0])
+    assert stranger.node_count() == before[2]
+    # The forest it came from takes it back on its next use.
+    assert np.array_equal(other.predict(probes), before[1])
+    assert stranger.tree.table is other._table
+
+    forest.update(data.subset(range(200, 300)), force_replacement=False)
+    assert forest.trees[2] is stranger and stranger.tree.table is forest._table
+    _assert_no_dead_nodes(forest)
+
+
+def test_copy_trees_keeps_structure_and_moves_views():
+    rng = np.random.default_rng(8)
+    data = random_dataset(rng, n=150, p=3, k=3)
+    forest = BatchForest(3, seed=9).fit(data)
+    source = forest._table
+    originals = [t.root for t in forest.trees]
+    leaf = forest.trees[1].apply(data.features[0])
+    target = NodeTable(3)
+    target.add_leaf([1, 2, 3])  # ids need not start at 0
+    roots = target.copy_trees(source, [t.root_id for t in forest.trees])
+    assert roots[0] == 1 and target.size == 1 + source.size
+    for root, original in zip(roots, originals):
+        # the original views moved to the copy
+        assert target.view(root) is original
+    assert leaf._table is target
+    assert all(trees_equal(target.view(r), o) for r, o in zip(roots, originals))
+
+
+def test_single_row_and_one_tree_paths_agree():
+    data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), 2)
+    forest = StreamForest(data, 2, n_trees=1, bootstrap=False, seed=0)
+    tree = forest.trees[0]
+    for x in ([-1.0], [0.5], [1.5], [2.5], [9.0]):
+        assert forest.predict_one(x) == tree.predict_one(x) == forest.predict([x])[0]
+    assert all(n.class_counts.flags.writeable is False for n in iter_nodes(tree.tree.root))
+
+
+def test_forest_survives_pickling():
+    data = gen_synthetic("blobs", 300, noise=0.8, seed=10, n_classes=3)
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=4, seed=11)
+    forest.update(data.subset(range(100, 200)))
+    copy = pickle.loads(pickle.dumps(forest))
+    assert np.array_equal(copy.predict(data.features), forest.predict(data.features))
+    batch = data.subset(range(200, 300))
+    for model in (forest, copy):
+        model.update(batch, force_replacement=True)
+    assert all(trees_equal(a.tree.root, b.tree.root)
+               for a, b in zip(forest.trees, copy.trees))

@@ -171,3 +171,144 @@ def loop_route(roots, rows, tree_of, X, y, n_classes):
     for t, root in enumerate(roots):
         visit(root, np.flatnonzero(tree_of == t))
     return leaf_of, increments, touched
+
+
+class RefNode:
+    """Plain node for the growth reference, readable like a node view:
+    ``left``/``right`` (None at leaves), ``feature``, ``threshold``,
+    ``class_counts`` and ``pre_split_total``."""
+
+    def __init__(self, class_counts):
+        self.class_counts = np.array(class_counts, dtype=np.int64)
+        self.left = self.right = None
+        self.feature, self.threshold, self.pre_split_total = -1, 0.0, 0
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def loop_best_split(data: Dataset, indices, candidate_features):
+    """Loop reference for the split search: one node, one feature at a time,
+    with a float (n+1, k) cumulative class count per feature. Floats rank
+    the thresholds; the candidates within 1e-9 of a feature's maximum are
+    re-compared exactly in Python ints, lowest feature then lowest threshold
+    first. Returns (feature, threshold, decrease) or None."""
+    idx = np.asarray(indices, dtype=np.intp)
+    feats = sorted({int(f) for f in candidate_features})
+    y = data.labels[idx]
+    n = idx.size
+    parent_counts = np.bincount(y, minlength=data.n_classes)
+    s_parent = int(np.dot(parent_counts, parent_counts))
+    parent_f = parent_counts.astype(np.float64)
+    best = None  # (q_numerator, q_denominator, feature, threshold)
+    for f in feats:
+        vals = data.features[idx, f]
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        pos = np.nonzero(v[1:] != v[:-1])[0] + 1
+        if pos.size == 0:
+            continue
+        cum = np.zeros((n + 1, data.n_classes), dtype=np.float64)
+        cum[np.arange(1, n + 1), y[order]] = 1.0
+        np.cumsum(cum, axis=0, out=cum)
+        left = cum[pos]
+        right = parent_f - left
+        nl = pos.astype(np.float64)
+        nr = float(n) - nl
+        s_left = (left * left).sum(axis=1)
+        s_right = (right * right).sum(axis=1)
+        q = s_left / nl + s_right / nr
+        for j in np.nonzero(q >= q.max() - 1e-9)[0].tolist():
+            n_l = int(pos[j])
+            n_r = n - n_l
+            num = int(s_left[j]) * n_r + int(s_right[j]) * n_l
+            den = n_l * n_r
+            if num * n <= s_parent * den:
+                continue
+            if best is None or num * best[1] > best[0] * den:
+                lo, hi = float(v[pos[j] - 1]), float(v[pos[j]])
+                threshold = (lo + hi) / 2.0
+                if not lo <= threshold < hi:
+                    threshold = lo
+                best = (num, den, f, threshold)
+    if best is None:
+        return None
+    num, den, feature, threshold = best
+    return feature, threshold, (num * n - s_parent * den) / (den * n * n)
+
+
+def loop_grow(node: RefNode, data: Dataset, indices, criteria, rng) -> None:
+    """Loop reference for growth: split `node` on the rows `indices` (already
+    in its counts), one node at a time, depth-first and left child first.
+    Every node with at least min_samples_split rows and more than one label
+    draws its feature subset from `rng` with ``rng.choice(p, m,
+    replace=False)`` (no draw when m = p) and calls `loop_best_split`."""
+    X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
+    m = criteria.resolve_max_features(p)
+    stack = [(node, np.asarray(indices, dtype=np.intp))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size < criteria.min_samples_split:
+            continue
+        labels = y[idx]
+        if (labels == labels[0]).all():
+            continue
+        cand = np.arange(p) if m == p else rng.choice(p, size=m, replace=False)
+        found = loop_best_split(data, idx, cand)
+        if found is None or found[2] < criteria.min_impurity_decrease:
+            continue
+        node.feature, node.threshold = found[0], found[1]
+        goes_left = X[idx, node.feature] <= node.threshold
+        node.left = RefNode(np.bincount(y[idx[goes_left]], minlength=k))
+        node.right = RefNode(np.bincount(y[idx[~goes_left]], minlength=k))
+        node.pre_split_total = int(node.class_counts.sum()) - idx.size
+        stack.append((node.right, idx[~goes_left]))
+        stack.append((node.left, idx[goes_left]))
+
+
+def loop_fit(data: Dataset, rows, criteria, rng) -> RefNode:
+    """A new reference tree grown on `rows` of `data`."""
+    rows = np.asarray(rows, dtype=np.intp)
+    root = RefNode(np.bincount(data.labels[rows], minlength=data.n_classes))
+    loop_grow(root, data, rows, criteria, rng)
+    return root
+
+
+def loop_update(roots, data: Dataset, rows, criteria, rngs) -> None:
+    """Loop reference for a stream update: tree by tree, walk each row of
+    ``rows[t]`` from ``roots[t]``, add its label along the path, then grow
+    the touched leaves leaf by leaf in depth-first, left-first order."""
+    for root, tree_rows, rng in zip(roots, rows, rngs):
+        reached = {}
+        for r in np.asarray(tree_rows).tolist():
+            node = root
+            node.class_counts[data.labels[r]] += 1
+            while node.left is not None:
+                node = node.left if data.features[r, node.feature] <= node.threshold \
+                    else node.right
+                node.class_counts[data.labels[r]] += 1
+            reached.setdefault(id(node), []).append(r)
+        leaves = [node for node in preorder_nodes(root)
+                  if node.left is None and id(node) in reached]
+        for leaf in leaves:
+            loop_grow(leaf, data, reached[id(leaf)], criteria, rng)
+
+
+def preorder_nodes(root):
+    """Nodes of a tree (views or RefNodes) in preorder, left child first."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.left is not None:
+            stack.append(node.right)
+            stack.append(node.left)
+
+
+def preorder(root) -> list[tuple]:
+    """A tree as its preorder list of (is_leaf, feature, threshold, class
+    counts, pre_split_total); equal lists mean bit-identical trees."""
+    return [(node.left is None, int(node.feature), float(node.threshold),
+             tuple(int(c) for c in node.class_counts), int(node.pre_split_total))
+            for node in preorder_nodes(root)]

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .data import make_batches, make_folds
 from .forest import BatchForest, StreamForest
+from .snapshot import _write_atomically
 from .stream import StreamTree
 from .tree import BYTES_PER_NODE, Dataset, DecisionTree
 
@@ -250,7 +251,8 @@ def has_substantial_shift(effects, low: float = -0.01, high: float = 0.01) -> bo
 def emit_results(records: list[BenchRecord], path,
                  config: ExperimentConfig | None = None) -> None:
     """Write results as JSON lines: one metadata header object, then one
-    record per line. Numeric fields round-trip bit-exactly through load."""
+    record per line. Numeric fields round-trip bit-exactly through load.
+    Like a snapshot, the file is replaced only once it is complete."""
     meta = {
         "format": RESULTS_FORMAT,
         "version": __version__,
@@ -260,7 +262,7 @@ def emit_results(records: list[BenchRecord], path,
         "columns": ["algorithm", "dataset", "rep", "n_samples",
                     "accuracy", "train_seconds", "nodes"],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _write_atomically(path) as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for r in records:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")

@@ -17,8 +17,10 @@ from .tree import (
     DecisionTree,
     NodeTable,
     SplitCriteria,
+    _PAIRS_PER_PASS,
     _descend,
     _leaf_labels,
+    _plant,
 )
 
 __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
@@ -26,8 +28,6 @@ __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
 # Default split rules of both forests; SplitCriteria is frozen, so sharing
 # one instance is safe.
 FOREST_CRITERIA = SplitCriteria(max_features="sqrt")
-
-_PAIRS_PER_PASS = 1 << 15
 
 
 def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
@@ -175,7 +175,7 @@ class StreamForest:
         self.rng = np.random.default_rng(self._seedseq.spawn(1)[0])
         self._table = NodeTable(n_classes)
         data = first_batch.with_classes(n_classes)
-        _hold(self, self._table, [self._fresh_tree(data) for _ in range(n_trees)])
+        _hold(self, self._table, self._fresh_trees(data, n_trees))
         self.batches_seen = 1
         self.last_replacement: dict | None = None
 
@@ -183,12 +183,15 @@ class StreamForest:
     def n_features(self) -> int:
         return self.trees[0].n_features
 
-    def _fresh_tree(self, data: Dataset) -> StreamTree:
-        """A new tree fit to a bootstrap of `data`, grown in the forest's table."""
-        rng = np.random.default_rng(self._seedseq.spawn(1)[0])
+    def _fresh_trees(self, data: Dataset, count: int) -> list:
+        """`count` new trees grown together in the forest's table, each on a
+        bootstrap of `data` drawn from its own new generator."""
+        rngs = [np.random.default_rng(seed) for seed in self._seedseq.spawn(count)]
         n = data.n_samples
-        rows = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
-        return StreamTree._grown(self._table, data, rows, self.criteria, rng)
+        rows = np.concatenate([rng.integers(0, n, n) for rng in rngs]) if self.bootstrap \
+            else np.tile(np.arange(n), count)
+        return StreamTree._grown(self._table, data, rows, np.arange(count + 1) * n,
+                                 self.criteria, rngs)
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
@@ -219,8 +222,8 @@ class StreamForest:
             # Stable sort: equal scores keep index order, so the lowest
             # indices are replaced first on ties.
             worst = np.argsort(scores, kind="stable")[: self.replace_count]
-            for i in worst:
-                self.trees[int(i)] = self._fresh_tree(data)
+            for i, tree in zip(worst.tolist(), self._fresh_trees(data, worst.size)):
+                self.trees[i] = tree
             self._place()
             info["scores"] = scores
             info["replaced"] = [int(i) for i in worst]
@@ -262,15 +265,16 @@ class BatchForest:
         self.data = data
         self.n_classes = data.n_classes
         self.n_features = data.n_features
+        n = data.n_samples
+        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rows = np.empty(self.n_trees * n, dtype=np.intp)
+        for t, rng in enumerate(rngs):
+            rows[t * n: (t + 1) * n] = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
         table = NodeTable(data.n_classes)
-        trees = []
-        for child in np.random.SeedSequence(self.seed).spawn(self.n_trees):
-            rng = np.random.default_rng(child)
-            sub = data.subset(rng.integers(0, data.n_samples, data.n_samples)) \
-                if self.bootstrap else data
-            tree = DecisionTree(self.criteria, self.seed)
-            tree._fit_with_rng(sub, rng, table)
-            trees.append(tree)
+        roots = _plant(table, data, rows, np.arange(self.n_trees + 1) * n, self.criteria, rngs)
+        trees = [DecisionTree._at(table, root, data.n_features, self.criteria, self.seed)
+                 for root in roots]
         _hold(self, table, trees)
         return self
 

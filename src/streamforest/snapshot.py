@@ -65,6 +65,23 @@ def _generator(state: dict) -> np.random.Generator:
     return rng
 
 
+@contextlib.contextmanager
+def _write_atomically(path):
+    """A text file to write in place of `path`: a temporary file in the same
+    directory, renamed over `path` once the block ends. If the block raises,
+    the temporary file is removed and `path` keeps its old contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_forest(forest: StreamForest | BatchForest, path) -> None:
     """Write a forest snapshot. JSON floats use repr, so thresholds survive
     the round trip bit-exactly and reloaded predictions match. A stream
@@ -108,22 +125,14 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
         }
     else:
         raise TypeError(f"cannot snapshot {type(forest).__name__}")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            # The bytes of json.dump(doc | {"trees": [...]}, fh), written one
-            # tree at a time: a fraction of json.dump's time, and no tree's
-            # lists outlive its write.
-            fh.write(json.dumps(doc)[:-1] + ', "trees": [')
-            for i, tree in enumerate(_trees_to_arrays(forest)):
-                fh.write((", " if i else "") + json.dumps(tree))
-            fh.write("]}")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with _write_atomically(path) as fh:
+        # The bytes of json.dump(doc | {"trees": [...]}, fh), written one
+        # tree at a time: a fraction of json.dump's time, and no tree's
+        # lists outlive its write.
+        fh.write(json.dumps(doc)[:-1] + ', "trees": [')
+        for i, tree in enumerate(_trees_to_arrays(forest)):
+            fh.write((", " if i else "") + json.dumps(tree))
+        fh.write("]}")
 
 
 def load_forest(path) -> StreamForest | BatchForest:
@@ -174,14 +183,8 @@ def load_forest(path) -> StreamForest | BatchForest:
                              doc.get("bootstrap", True))
         forest.n_classes = n_classes
         forest.n_features = n_features
-        trees = []
-        for root in roots:
-            tree = DecisionTree(criteria, doc["master_seed"])
-            tree.table, tree.root_id = table, root
-            tree.n_classes = n_classes
-            tree.n_features = n_features
-            trees.append(tree)
-        _hold(forest, table, trees)
+        _hold(forest, table, [DecisionTree._at(table, root, n_features, criteria,
+                                               doc["master_seed"]) for root in roots])
         return forest
 
     raise ValueError(f"unknown model kind {doc['model']!r}")

@@ -12,6 +12,7 @@ from .tree import (
     SplitCriteria,
     TreeNode,
     _grow,
+    _plant,
     _route_and_count,
 )
 
@@ -36,12 +37,10 @@ def _update_trees(trees: list, data: Dataset, rows: list) -> None:
     """Extend each stream tree ``trees[t]`` with the rows ``rows[t]`` of
     `data`, a validated batch. The trees share one node table.
 
-    All (tree, row) pairs are routed and counted in one pass. Then each
-    touched leaf that can split, meaning it has at least min_samples_split
-    rows and more than one label among them, is regrown with its tree's
-    generator: tree by tree, and depth-first, left-first within a tree.
-    `_grow` returns at once on any other leaf without drawing from the
-    generator, so skipping those leaves leaves every tree unchanged.
+    All (tree, row) pairs are routed and counted in one pass. Then one
+    `_grow` call per distinct split criteria grows the touched leaves that
+    can split, each tree with its own generator and its leaves in
+    depth-first, left-first order.
     """
     table = trees[0].tree.table
     pair_rows = np.concatenate(rows)
@@ -50,15 +49,17 @@ def _update_trees(trees: list, data: Dataset, rows: list) -> None:
     touched = _route_and_count(table, roots, pair_rows, tree_of,
                                data.features, data.labels)
     leaf_rows = pair_rows[touched.pairs]
-    labels = data.labels[leaf_rows]
-    starts = touched.bounds[:-1]
-    mixed = np.minimum.reduceat(labels, starts) != np.maximum.reduceat(labels, starts)
-    min_split = np.array([tree.criteria.min_samples_split for tree in trees])
-    big = np.diff(touched.bounds) >= min_split[touched.tree]
-    for u in np.flatnonzero(mixed & big).tolist():
-        tree = trees[touched.tree[u]]
-        _grow(table.view(touched.leaves[u]), data,
-              leaf_rows[touched.bounds[u]: touched.bounds[u + 1]], tree.criteria, tree.rng)
+    sizes = np.diff(touched.bounds)
+    rngs = [tree.rng for tree in trees]
+    groups = {}
+    for t, tree in enumerate(trees):
+        groups.setdefault(tree.criteria, []).append(t)
+    for criteria, members in groups.items():
+        mine = np.isin(touched.tree, members)
+        bounds = np.zeros(mine.sum() + 1, dtype=np.intp)
+        np.cumsum(sizes[mine], out=bounds[1:])
+        _grow(table, data, leaf_rows[np.repeat(mine, sizes)], bounds,
+              touched.leaves[mine], touched.tree[mine], criteria, rngs)
     for tree in trees:
         tree.batches_seen += 1
 
@@ -87,25 +88,31 @@ class StreamTree:
         if first_batch.labels.max() >= n_classes:
             raise ValueError(f"batch labels must lie below n_classes={n_classes}")
         data = first_batch.with_classes(n_classes)
-        self._start(NodeTable(n_classes), data, np.arange(data.n_samples),
-                    criteria if criteria is not None else SplitCriteria(),
-                    np.random.default_rng(seed))
+        n = data.n_samples
+        criteria = criteria if criteria is not None else SplitCriteria()
+        rng = np.random.default_rng(seed)
+        table = NodeTable(n_classes)
+        (root,) = _plant(table, data, np.arange(n), [0, n], criteria, [rng])
+        self._start(table, root, data.n_features, criteria, rng)
 
     @classmethod
-    def _grown(cls, table: NodeTable, data: Dataset, rows, criteria: SplitCriteria,
-               rng: np.random.Generator) -> "StreamTree":
-        """A new tree fit to `rows` of `data` (under the table's class count),
-        grown in `table`."""
-        tree = cls.__new__(cls)
-        tree._start(table, data, rows, criteria, rng)
-        return tree
+    def _grown(cls, table: NodeTable, data: Dataset, rows: np.ndarray, bounds,
+               criteria: SplitCriteria, rngs) -> list:
+        """New trees grown in `table` by one `_grow` call, tree t on
+        ``rows[bounds[t]:bounds[t + 1]]`` of `data` (under the table's class
+        count) with the generator ``rngs[t]``."""
+        trees = []
+        for root, rng in zip(_plant(table, data, rows, bounds, criteria, rngs).tolist(), rngs):
+            tree = cls.__new__(cls)
+            tree._start(table, root, data.n_features, criteria, rng)
+            trees.append(tree)
+        return trees
 
-    def _start(self, table, data, rows, criteria, rng) -> None:
+    def _start(self, table, root, n_features, criteria, rng) -> None:
         self.n_classes = table.n_classes
         self.criteria = criteria
         self.rng = rng
-        self.tree = DecisionTree(criteria, rng)
-        self.tree._fit_with_rng(data, rng, table, rows)
+        self.tree = DecisionTree._at(table, root, n_features, criteria, rng)
         self.batches_seen = 1
 
     @property
@@ -134,15 +141,10 @@ class StreamTree:
     def _from_parts(cls, root: TreeNode, n_features: int, n_classes: int,
                     criteria: SplitCriteria, batches_seen: int, seed=0):
         """Rebuild from snapshot pieces: the tree rooted at the node view
-        `root`, and a generator from `seed`. Passing a Generator restored to
-        the original run's state makes further updates match that run."""
+        `root`, whose table has `n_classes` classes, and a generator from
+        `seed`. Passing a Generator restored to the original run's state
+        makes further updates match that run."""
         obj = cls.__new__(cls)
-        obj.n_classes = n_classes
-        obj.criteria = criteria
-        obj.rng = np.random.default_rng(seed)
-        obj.tree = DecisionTree(criteria, seed)
-        obj.tree.table, obj.tree.root_id = root._table, root._id
-        obj.tree.n_classes = n_classes
-        obj.tree.n_features = n_features
+        obj._start(root._table, root._id, n_features, criteria, np.random.default_rng(seed))
         obj.batches_seen = batches_seen
         return obj

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,27 +167,35 @@ class NodeTable:
 
     def add_leaf(self, class_counts) -> int:
         """Append a leaf with these class counts; returns its id."""
-        self._reserve(1)
-        i = self.size
-        self.size += 1
-        self.feature[i] = self.left[i] = self.right[i] = -1
-        self.threshold[i] = 0.0
-        self.counts[i] = class_counts
-        self.pre_split_total[i] = 0
-        return i
+        return int(self.add_leaves(np.asarray(class_counts)[None, :])[0])
 
-    def split(self, i: int, feature: int, threshold: float,
-              left_counts, right_counts, n_routed: int) -> tuple[int, int]:
-        """Turn leaf i into an internal node over two new leaves holding
-        the class counts of the `n_routed` samples routed to them; returns
-        their ids."""
-        left = self.add_leaf(left_counts)
-        right = self.add_leaf(right_counts)
-        self.feature[i] = feature
-        self.threshold[i] = threshold
-        self.left[i] = left
-        self.right[i] = right
-        self.pre_split_total[i] = self.counts[i].sum() - n_routed
+    def add_leaves(self, class_counts) -> np.ndarray:
+        """Append one leaf per row of the (n, k) `class_counts`; returns their ids."""
+        n = len(class_counts)
+        self._reserve(n)
+        new = slice(self.size, self.size + n)
+        self.size += n
+        self.feature[new] = self.left[new] = self.right[new] = -1
+        self.threshold[new] = 0.0
+        self.counts[new] = class_counts
+        self.pre_split_total[new] = 0
+        return np.arange(new.start, new.stop)
+
+    def split(self, ids, features, thresholds, left_counts, right_counts,
+              n_routed) -> tuple[np.ndarray, np.ndarray]:
+        """Turn the leaves `ids` into internal nodes, leaf ``ids[i]`` over two
+        new leaves holding the class counts of the ``n_routed[i]`` samples
+        routed to them; returns the ids of the left and of the right leaves."""
+        ids = np.asarray(ids, dtype=np.intp)
+        counts = np.empty((2 * ids.size, self.n_classes), dtype=np.int64)
+        counts[0::2], counts[1::2] = left_counts, right_counts
+        children = self.add_leaves(counts)
+        left, right = children[0::2], children[1::2]
+        self.feature[ids] = features
+        self.threshold[ids] = thresholds
+        self.left[ids] = left
+        self.right[ids] = right
+        self.pre_split_total[ids] = self.counts[ids].sum(axis=1) - n_routed
         return left, right
 
     def view(self, i) -> "TreeNode":
@@ -347,14 +356,20 @@ def gini_impurity(class_counts) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-def best_split(data: Dataset, indices, candidate_features):
+def best_split(data: Dataset, indices, candidate_features, starts=None):
     """Exhaustive split search over the given features.
 
     Considers every midpoint between consecutive distinct sorted values of
     each candidate feature (or the lower value, where the midpoint does not
     lie strictly below the upper one) and maximizes the weighted Gini
     decrease over the samples in `indices`. Ties break toward the lowest
-    feature index, then the lowest threshold.
+    feature index, then the lowest threshold. Only the multiset of rows
+    matters, not their order.
+
+    With `starts`, one call searches many nodes: `indices` holds their rows
+    back to back, node u's from ``starts[u]`` up to the next start (or the
+    end), and row u of the 2-D `candidate_features` lists node u's
+    features. The result is then a list with one entry per node.
 
     Returns
     -------
@@ -362,112 +377,223 @@ def best_split(data: Dataset, indices, candidate_features):
     decrease (pure node, or all candidate features constant).
     """
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("indices must be nonempty")
-    feats = sorted({int(f) for f in candidate_features})
-    if not feats:
-        raise ValueError("candidate_features must be nonempty")
-    if feats[0] < 0 or feats[-1] >= data.n_features:
+    if starts is None:
+        if idx.size == 0:
+            raise ValueError("indices must be nonempty")
+        feats = sorted({int(f) for f in candidate_features})
+        if not feats:
+            raise ValueError("candidate_features must be nonempty")
+        cand, bounds = np.array([feats]), np.array([0, idx.size])
+    else:
+        cand = np.asarray(candidate_features)
+        bounds = np.append(np.asarray(starts, dtype=np.intp), idx.size)
+        if cand.ndim != 2 or cand.shape[0] != bounds.size - 1 or cand.shape[1] == 0:
+            raise ValueError("need one nonempty row of candidate features per node")
+        if bounds[0] != 0 or (bounds[1:] <= bounds[:-1]).any():
+            raise ValueError("starts must begin at 0 and leave every node nonempty")
+    if cand.min() < 0 or cand.max() >= data.n_features:
         raise ValueError("candidate feature index out of range")
+    found = _search(data, idx, np.sort(cand, axis=1), bounds)
+    return found if starts is not None else found[0]
 
-    y = data.labels[idx]
-    n = idx.size
-    parent_counts = np.bincount(y, minlength=data.n_classes)
-    s_parent = int(np.dot(parent_counts, parent_counts))
-    parent_f = parent_counts.astype(np.float64)
+
+def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarray) -> list:
+    """`best_split` over nodes laid out back to back in `rows`, node u in
+    ``rows[bounds[u]:bounds[u + 1]]`` with the features ``cand[u]``
+    (sorted); one result per node."""
+    X, y, k = data.features, data.labels, data.n_classes
+    n_nodes, m = cand.shape
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    labels = y[rows]
+    parent = np.bincount(np.repeat(np.arange(n_nodes) * k, sizes) + labels,
+                         minlength=n_nodes * k).reshape(n_nodes, k)
+
+    # Segment s = u * m + j holds node u's rows under its j-th feature. Rows
+    # are ordered by segment, then value: the value order is ranked once
+    # over all segments (ties in any order, as only the multiset of each
+    # block of equal values matters), and a sort of the integer keys
+    # segment * e + rank groups it by segment.
+    seg_size = np.repeat(sizes, m)
+    seg_start = np.zeros(seg_size.size + 1, dtype=np.intp)
+    np.cumsum(seg_size, out=seg_start[1:])
+    e = int(seg_start[-1])
+    seg = np.repeat(np.arange(seg_size.size), seg_size)
+    elem = rows[np.repeat(np.repeat(starts, m) - seg_start[:-1], seg_size) + np.arange(e)]
+    vals = X[elem, cand.reshape(-1)[seg]]
+    rank = np.empty(e, dtype=np.int64)
+    rank[np.argsort(vals)] = np.arange(e)
+    order = np.argsort(seg * e + rank)
+    v = vals[order]
+    lab = y[elem[order]]
 
     # Maximizing the weighted gini decrease is equivalent to maximizing
     # q = S_l/n_l + S_r/n_r, with S the sum of squared child class counts.
-    # Floats rank the candidates; the few within NEAR_TIE of a feature's
+    # Walking a segment in value order moves one row of class c at a time
+    # to the left: S_l grows by 2 * left_c + 1 and S_r shrinks by
+    # 2 * right_c - 1, with left_c and right_c counted before the move.
+    # left_c is the row's rank among its segment's rows of class c, found
+    # by sorting on (segment, class, position).
+    key = seg * k + lab
+    by_class = np.argsort(key * e + np.arange(e))
+    group_start = np.zeros(seg_size.size * k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=seg_size.size * k), out=group_start[1:])
+    before = np.empty(e, dtype=np.int64)
+    before[by_class] = np.arange(e) - group_start[key[by_class]]
+    node = seg // m
+    after = parent[node, lab] - before
+    grow_l = np.zeros(e + 1, dtype=np.int64)
+    np.cumsum(2 * before + 1, out=grow_l[1:])
+    shrink_r = np.zeros(e + 1, dtype=np.int64)
+    np.cumsum(2 * after - 1, out=shrink_r[1:])
+
+    # Value boundaries: position p starts a new value inside its segment,
+    # and the left block is the segment's rows before p.
+    p = np.flatnonzero((seg[1:] == seg[:-1]) & (v[1:] != v[:-1])) + 1
+    results = [None] * n_nodes
+    if p.size == 0:
+        return results
+    s = seg[p]
+    first = seg_start[s]
+    u = node[p]
+    s_parent = (parent * parent).sum(axis=1)
+    n_l = p - first
+    n_r = sizes[u] - n_l
+    s_l = grow_l[p] - grow_l[first]
+    s_r = s_parent[u] - (shrink_r[p] - shrink_r[first])
+
+    # Floats rank the candidates; the few within NEAR_TIE of a segment's
     # maximum are re-compared exactly by integer cross-multiplication, so
     # exact ties resolve by the (feature, threshold) rule instead of by
     # rounding noise. Float error per candidate is a few ulps, far inside
     # the reselection band.
     NEAR_TIE = 1e-9
-    best = None  # (q_numerator, q_denominator, feature, threshold)
-    fn = float(n)
-    for f in feats:
-        vals = data.features[idx, f]
-        order = np.argsort(vals, kind="stable")
-        v = vals[order]
-        pos = np.nonzero(v[1:] != v[:-1])[0] + 1  # left-block sizes at value boundaries
-        if pos.size == 0:
+    nl = n_l.astype(np.float64)
+    q = s_l.astype(np.float64) / nl + s_r.astype(np.float64) / (sizes[u] - nl)
+    new_seg = np.ones(s.size, dtype=bool)
+    new_seg[1:] = s[1:] != s[:-1]
+    q_max = np.maximum.reduceat(q, np.flatnonzero(new_seg))[np.cumsum(new_seg) - 1]
+    near = np.flatnonzero(q >= q_max - NEAR_TIE)
+
+    # Candidates come in (node, feature, threshold) order, so keeping only
+    # strict improvements encodes the tie rule.
+    s_parent, feature = s_parent.tolist(), cand.reshape(-1)
+    best = [None] * n_nodes  # (q_numerator, q_denominator, segment, position)
+    for u_, n_l_, n_r_, s_l_, s_r_, s_, p_ in zip(
+            u[near].tolist(), n_l[near].tolist(), n_r[near].tolist(), s_l[near].tolist(),
+            s_r[near].tolist(), s[near].tolist(), p[near].tolist()):
+        num = s_l_ * n_r_ + s_r_ * n_l_
+        den = n_l_ * n_r_
+        if num * (n_l_ + n_r_) <= s_parent[u_] * den:  # decrease not positive
             continue
-        cum = np.zeros((n + 1, data.n_classes), dtype=np.float64)
-        cum[np.arange(1, n + 1), y[order]] = 1.0
-        np.cumsum(cum, axis=0, out=cum)
-        left = cum[pos]
-        right = parent_f - left
-        nl = pos.astype(np.float64)
-        nr = fn - nl
-        s_left = (left * left).sum(axis=1)  # exact: integer-valued floats
-        s_right = (right * right).sum(axis=1)
-        q = s_left / nl + s_right / nr
-        near = np.nonzero(q >= q.max() - NEAR_TIE)[0]
-        for j in near:
-            j = int(j)
-            n_l = int(pos[j])
-            n_r = n - n_l
-            num = int(s_left[j]) * n_r + int(s_right[j]) * n_l
-            den = n_l * n_r
-            if num * n <= s_parent * den:  # decrease not positive
-                continue
-            if best is None or num * best[1] > best[0] * den:
-                lo, hi = float(v[pos[j] - 1]), float(v[pos[j]])
-                threshold = (lo + hi) / 2.0
-                # The midpoint can round up to hi or overflow to +-inf, which
-                # would send both blocks to one side; lo still separates them.
-                if not lo <= threshold < hi:
-                    threshold = lo
-                best = (num, den, f, threshold)
-
-    if best is None:
-        return None
-    num, den, feature, threshold = best
-    decrease = (num * n - s_parent * den) / (den * n * n)
-    return feature, threshold, decrease
+        b = best[u_]
+        if b is None or num * b[1] > b[0] * den:
+            best[u_] = (num, den, s_, p_)
+    for u_, b in enumerate(best):
+        if b is None:
+            continue
+        num, den, s_, p_ = b
+        lo, hi = float(v[p_ - 1]), float(v[p_])
+        threshold = (lo + hi) / 2.0
+        # The midpoint can round up to hi or overflow to +-inf, which would
+        # send both blocks to one side; lo still separates them.
+        if not lo <= threshold < hi:
+            threshold = lo
+        n = int(sizes[u_])
+        results[u_] = (int(feature[s_]), threshold,
+                       (num * n - s_parent[u_] * den) / (den * n * n))
+    return results
 
 
-def _grow(node: TreeNode, data: Dataset, indices, criteria: SplitCriteria,
-          rng: np.random.Generator) -> None:
-    """Recursively split `node` on the rows `indices` of `data`, extending
-    leaves in place.
+# Largest number of (tree, row) pairs one routing pass holds, and the row
+# budget of one growth round: bounds the temporary arrays to a few MB.
+_PAIRS_PER_PASS = 1 << 15
 
-    The node's class_counts must already include the labels of `indices`
-    (plus any history); indices may repeat a row, as a bootstrap resample
-    does. Children are created with counts of the samples routed to them and
-    are grown further in depth-first, left-first order, which also fixes the
-    order of feature-subset draws from `rng`.
+
+def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes, tree_of,
+          criteria: SplitCriteria, rngs) -> None:
+    """Grow leaves of `table` on rows of `data`, any number of trees at once.
+
+    Leaf ``nodes[u]`` of tree ``tree_of[u]`` holds the rows
+    ``rows[bounds[u]:bounds[u + 1]]``, already in its counts; indices may
+    repeat a row, as a bootstrap resample does. `rows` is one buffer for the
+    whole call: a node is a range of it, and a split reorders its range in
+    place, left rows first. Only leaves with at least min_samples_split rows
+    and more than one label are split, children the same.
+
+    Growth goes in rounds, each one batched `best_split` call. Tree t gives a
+    round the next node of its own depth-first, left-first stack (its
+    leaves in the listed order), drawing that node's feature subset from
+    ``rngs[t]``, so each generator advances exactly as if its tree grew one
+    node at a time. When the subset is every feature nothing is drawn, and
+    a tree gives all its pending nodes. A round takes nodes until it holds
+    _PAIRS_PER_PASS rows.
     """
-    table = node._table
-    X, y, k = data.features, data.labels, data.n_classes
-    m = criteria.resolve_max_features(data.n_features)
-    stack = [(node._id, np.asarray(indices, dtype=np.intp))]
-    while stack:
-        i, idx = stack.pop()
-        if idx.size < criteria.min_samples_split:
-            continue
-        labels = y[idx]
-        if (labels == labels[0]).all():
-            continue
-        if m == data.n_features:
-            cand = np.arange(data.n_features)
+    X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
+    m = criteria.resolve_max_features(p)
+    draws = m < p
+    min_split = criteria.min_samples_split
+    bounds = np.asarray(bounds, dtype=np.intp)
+    sizes = np.diff(bounds)
+    present = np.bincount(np.repeat(np.arange(sizes.size) * k, sizes) + y[rows],
+                          minlength=sizes.size * k).reshape(-1, k) > 0
+    stacks = {}
+    for u in np.flatnonzero((sizes >= min_split) & (present.sum(axis=1) > 1))[::-1].tolist():
+        stacks.setdefault(int(tree_of[u]), []).append(
+            (int(nodes[u]), int(bounds[u]), int(bounds[u + 1])))
+    lanes = deque(stacks.items())
+    while lanes:
+        taken, total = [], 0
+        for _ in range(len(lanes)):
+            if total >= _PAIRS_PER_PASS:
+                break
+            tree, stack = lanes.popleft()
+            while stack and total < _PAIRS_PER_PASS:
+                node, start, stop = stack.pop()
+                taken.append((tree, node, start, stop))
+                total += stop - start
+                if draws:
+                    break
+            lanes.append((tree, stack))
+        tree, node, start, stop = (np.array(col, dtype=np.intp) for col in zip(*taken))
+        size = stop - start
+        offset = np.zeros(size.size + 1, dtype=np.intp)
+        np.cumsum(size, out=offset[1:])
+        if not draws:
+            cand = np.broadcast_to(np.arange(p), (size.size, p))
+        elif m == 1:  # the same value and generator state as choice(p, 1, replace=False)
+            cand = np.array([[rngs[t].integers(0, p)] for t in tree.tolist()])
         else:
-            cand = rng.choice(data.n_features, size=m, replace=False)
-        found = best_split(data, idx, cand)
-        if found is None:
-            continue
-        feature, threshold, decrease = found
-        if decrease < criteria.min_impurity_decrease:
-            continue
-        goes_left = X[idx, feature] <= threshold
-        left_idx = idx[goes_left]
-        right_idx = idx[~goes_left]
-        left, right = table.split(i, feature, threshold,
-                                  np.bincount(y[left_idx], minlength=k),
-                                  np.bincount(y[right_idx], minlength=k), idx.size)
-        stack.append((right, right_idx))
-        stack.append((left, left_idx))
+            cand = np.array([rngs[t].choice(p, size=m, replace=False) for t in tree.tolist()])
+        at = np.repeat(start - offset[:-1], size) + np.arange(total)
+        node_rows = rows[at]
+        found = best_split(data, node_rows, cand, offset[:-1])
+
+        feature = np.zeros(size.size, dtype=np.intp)
+        threshold = np.full(size.size, np.inf)  # sends every row of an unsplit node left
+        splits = [u for u, f in enumerate(found)
+                  if f is not None and f[2] >= criteria.min_impurity_decrease]
+        for u in splits:
+            feature[u], threshold[u] = found[u][0], found[u][1]
+        if splits:
+            owner = np.repeat(np.arange(size.size), size)
+            side = owner * 2 + (X[node_rows, feature[owner]] > threshold[owner])
+            rows[at] = node_rows[np.argsort(side)]  # row order inside a node is free
+            counts = np.bincount(side * k + y[node_rows],
+                                 minlength=size.size * 2 * k).reshape(-1, 2, k)[splits]
+            left, right = table.split(node[splits], feature[splits], threshold[splits],
+                                      counts[:, 0], counts[:, 1], size[splits])
+            n_left = counts[:, 0].sum(axis=1)
+            grows = ((counts > 0).sum(axis=2) > 1) & \
+                (np.stack((n_left, size[splits] - n_left), axis=1) >= min_split)
+            for u, l_id, r_id, n_l, (grow_l, grow_r) in zip(
+                    splits, left.tolist(), right.tolist(), n_left.tolist(), grows.tolist()):
+                stack = stacks[int(tree[u])]
+                mid = int(start[u]) + n_l
+                if grow_r:
+                    stack.append((r_id, mid, int(stop[u])))
+                if grow_l:
+                    stack.append((l_id, int(start[u]), mid))
+        lanes = deque(lane for lane in lanes if lane[1])
 
 
 def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndarray:
@@ -550,6 +676,20 @@ def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
     return table.counts[leaves].argmax(axis=1)
 
 
+def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, bounds,
+           criteria: SplitCriteria, rngs) -> np.ndarray:
+    """New trees in `table`, tree t grown on ``rows[bounds[t]:bounds[t + 1]]``
+    of `data` with the generator ``rngs[t]``, all by one `_grow` call, which
+    reorders `rows`; returns their root ids."""
+    bounds = np.asarray(bounds, dtype=np.intp)
+    n_trees, k = bounds.size - 1, data.n_classes
+    counts = np.bincount(np.repeat(np.arange(n_trees) * k, np.diff(bounds)) + data.labels[rows],
+                         minlength=n_trees * k).reshape(n_trees, k)
+    roots = table.add_leaves(counts)
+    _grow(table, data, rows, bounds, roots, np.arange(n_trees), criteria, rngs)
+    return roots
+
+
 class DecisionTree:
     """CART classifier: recursive Gini splits down to pure or tiny leaves.
 
@@ -572,24 +712,26 @@ class DecisionTree:
     def root(self) -> TreeNode | None:
         return None if self.table is None else self.table.view(self.root_id)
 
+    @classmethod
+    def _at(cls, table: NodeTable, root_id: int, n_features: int,
+            criteria: SplitCriteria, seed) -> "DecisionTree":
+        """The fitted tree rooted at node `root_id` of `table`."""
+        tree = cls(criteria, seed)
+        tree.table, tree.root_id = table, int(root_id)
+        tree.n_classes, tree.n_features = table.n_classes, n_features
+        return tree
+
     def fit(self, data: Dataset) -> "DecisionTree":
         """Fit on the full dataset; class-count vectors sized data.n_classes."""
         if data.n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
-        rng = np.random.default_rng(self.seed)
-        self._fit_with_rng(data, rng)
+        table = NodeTable(data.n_classes)
+        n = data.n_samples
+        (root,) = _plant(table, data, np.arange(n), [0, n], self.criteria,
+                         [np.random.default_rng(self.seed)])
+        self.table, self.root_id = table, int(root)
+        self.n_classes, self.n_features = data.n_classes, data.n_features
         return self
-
-    def _fit_with_rng(self, data: Dataset, rng: np.random.Generator,
-                      table: NodeTable | None = None, rows=None) -> None:
-        """Grow on `rows` of `data` (all rows by default), in `table` (a new
-        one by default)."""
-        rows = np.arange(data.n_samples) if rows is None else rows
-        self.n_classes = data.n_classes
-        self.n_features = data.n_features
-        self.table = NodeTable(data.n_classes) if table is None else table
-        self.root_id = self.table.add_leaf(np.bincount(data.labels[rows], minlength=data.n_classes))
-        _grow(self.root, data, rows, self.criteria, rng)
 
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

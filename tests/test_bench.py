@@ -1,5 +1,6 @@
 """Benchmark orchestration: record bookkeeping, effect sizes, results files."""
 
+import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -23,6 +24,7 @@ from streamforest import (
     run_cv_experiment,
     run_stream_experiment,
 )
+from streamforest import snapshot
 from streamforest.bench import _rep_seeds
 
 
@@ -244,6 +246,41 @@ class TestResultsFile:
         meta, records = load_results(path)
         assert records == []
         assert meta["format"] == "streamforest-results-v1"
+
+    def test_failed_write_keeps_the_old_results(self, tmp_path, monkeypatch):
+        config = small_config()
+        records = run_stream_experiment(config, *small_data())
+        path = tmp_path / "results.jsonl"
+        emit_results(records, path, config)
+        old = path.read_bytes()
+
+        class FailingWriter:
+            """A file that fails on the second write, after the header."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def failing_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return FailingWriter(fh) if set(mode) & set("wxa") else fh
+
+        monkeypatch.setattr(snapshot, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            emit_results(records[:1], path, config)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["results.jsonl"]
 
     def test_non_results_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -155,6 +155,23 @@ class TestUpdate:
             f.update(batch, force_replacement=coin)
             assert len(built) <= 2
 
+    @pytest.mark.parametrize("n_trees", [1, 30])
+    def test_growth_builds_no_per_tree_dataset(self, monkeypatch, n_trees):
+        data = blobs(300, seed=25, noise=0.5)
+        first = data.subset(range(100))
+        built = []
+        original = Dataset.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        BatchForest(n_trees, seed=26).fit(data)
+        assert built == []
+        StreamForest(first, 3, n_trees=n_trees, seed=27)
+        assert len(built) <= 1
+
     def test_tree_count_conserved_across_stream(self):
         rng = np.random.default_rng(23)
         data = blobs(1000, seed=24, noise=0.5)

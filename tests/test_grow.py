@@ -4,12 +4,21 @@ forests, and stream forests built and updated batch by batch."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamforest import BatchForest, Dataset, DecisionTree, SplitCriteria, StreamForest
+import streamforest.tree
+from streamforest import (
+    BatchForest,
+    Dataset,
+    DecisionTree,
+    SplitCriteria,
+    StreamForest,
+    best_split,
+)
 
-from helpers import loop_fit, loop_update, preorder
+from helpers import brute_force_best_split, loop_best_split, loop_fit, loop_update, preorder
 
 BASES = [0.0, 1.0, -2.5, 3.0, 1e6]
 
@@ -42,14 +51,29 @@ def _case(seed: int):
     return rng, criteria, data
 
 
+# Row budgets of a growth round; None keeps the library's.
+BUDGETS = st.sampled_from([None, None, 1, 7, 40])
+
+
+def _with_budget(budget, check, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
+        check(seed)
+
+
 def _forest_trees(forest) -> list:
     table, roots = forest._place()
     return [preorder(table.view(root)) for root in roots.tolist()]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1))
-def test_stream_forest_grows_like_the_loop_reference(seed):
+@given(st.integers(0, 2**32 - 1), BUDGETS)
+def test_stream_forest_grows_like_the_loop_reference(seed, budget):
+    _with_budget(budget, _check_stream_forest, seed)
+
+
+def _check_stream_forest(seed):
     rng, criteria, make = _case(seed)
     first = make(int(rng.integers(10, 80)))
     k = first.n_classes
@@ -80,8 +104,12 @@ def test_stream_forest_grows_like_the_loop_reference(seed):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1))
-def test_batch_forest_and_tree_fit_like_the_loop_reference(seed):
+@given(st.integers(0, 2**32 - 1), BUDGETS)
+def test_batch_forest_and_tree_fit_like_the_loop_reference(seed, budget):
+    _with_budget(budget, _check_batch_fits, seed)
+
+
+def _check_batch_fits(seed):
     rng, criteria, make = _case(seed)
     data = make(int(rng.integers(10, 150)))
     n = data.n_samples
@@ -111,3 +139,51 @@ def test_one_feature_draw_is_choice_of_one():
                 assert int(by_choice.choice(p, 1, replace=False)[0]) == \
                     int(by_integers.integers(0, p))
             assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_batched_search_matches_single_node_search_and_oracle(seed):
+    """One batched call over nodes with a constant feature, pure labels, a
+    single row, one row repeated and heavy duplicates returns, node by node,
+    the single-node result and the oracle's."""
+    rng = np.random.default_rng(seed)
+    n, p, k = int(rng.integers(8, 60)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+    features = _values(rng, (n, p))
+    features[:, int(rng.integers(0, p))] = 1.0  # one constant feature
+    data = Dataset(features, rng.integers(0, k, n), k)
+    pure = np.flatnonzero(data.labels == data.labels[0])
+    nodes = [
+        rng.integers(0, n, int(rng.integers(2, 3 * n))),  # many duplicates
+        rng.choice(pure, int(rng.integers(1, 2 * pure.size + 1))),  # one label
+        np.array([int(rng.integers(0, n))]),  # a single row
+        np.full(int(rng.integers(2, 9)), int(rng.integers(0, n))),  # one row repeated
+        rng.permutation(n),
+    ]
+    order = rng.permutation(len(nodes))
+    nodes = [nodes[i] for i in order]
+    m = int(rng.integers(1, p + 1))
+    cand = np.array([rng.choice(p, m, replace=False) for _ in nodes])
+    starts = np.cumsum([0] + [node.size for node in nodes[:-1]])
+    batched = best_split(data, np.concatenate(nodes), cand, starts)
+    assert len(batched) == len(nodes)
+    for got, rows, features in zip(batched, nodes, cand):
+        assert got == best_split(data, rows, features)
+        assert got == loop_best_split(data, rows, features)
+        oracle = brute_force_best_split(data, rows, features)
+        if oracle is None:
+            assert got is None
+        else:
+            assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], abs=1e-12)
+
+
+def test_batched_search_rejects_bad_layouts():
+    data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]), 2)
+    with pytest.raises(ValueError):
+        best_split(data, [0, 1, 2], [[0], [0]], [0, 0])  # an empty node
+    with pytest.raises(ValueError):
+        best_split(data, [0, 1, 2], [[0]], [1])  # rows before the first node
+    with pytest.raises(ValueError):
+        best_split(data, [0, 1, 2], [0], [0])  # not one row of features per node
+    with pytest.raises(ValueError):
+        best_split(data, [0, 1, 2], [[1]], [0])  # no such feature

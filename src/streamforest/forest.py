@@ -40,6 +40,15 @@ def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
     return votes.reshape(n_rows, n_classes).argmax(axis=1)
 
 
+def _samples(rngs: list, n: int, bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One row buffer for growing new trees on n rows, and its bounds: tree
+    t's rows are a bootstrap drawn from ``rngs[t]``, or every row once."""
+    rows = np.empty(len(rngs) * n, dtype=np.intp)
+    for t, rng in enumerate(rngs):
+        rows[t * n: (t + 1) * n] = rng.integers(0, n, n) if bootstrap else np.arange(n)
+    return rows, np.arange(len(rngs) + 1) * n
+
+
 def _decision_tree(tree) -> DecisionTree:
     return tree.tree if isinstance(tree, StreamTree) else tree
 
@@ -187,11 +196,8 @@ class StreamForest:
         """`count` new trees grown together in the forest's table, each on a
         bootstrap of `data` drawn from its own new generator."""
         rngs = [np.random.default_rng(seed) for seed in self._seedseq.spawn(count)]
-        n = data.n_samples
-        rows = np.concatenate([rng.integers(0, n, n) for rng in rngs]) if self.bootstrap \
-            else np.tile(np.arange(n), count)
-        return StreamTree._grown(self._table, data, rows, np.arange(count + 1) * n,
-                                 self.criteria, rngs)
+        rows, bounds = _samples(rngs, data.n_samples, self.bootstrap)
+        return StreamTree._grown(self._table, data, rows, bounds, self.criteria, rngs)
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
@@ -265,14 +271,11 @@ class BatchForest:
         self.data = data
         self.n_classes = data.n_classes
         self.n_features = data.n_features
-        n = data.n_samples
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        rows = np.empty(self.n_trees * n, dtype=np.intp)
-        for t, rng in enumerate(rngs):
-            rows[t * n: (t + 1) * n] = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
+        rows, bounds = _samples(rngs, data.n_samples, self.bootstrap)
         table = NodeTable(data.n_classes)
-        roots = _plant(table, data, rows, np.arange(self.n_trees + 1) * n, self.criteria, rngs)
+        roots = _plant(table, data, rows, bounds, self.criteria, rngs)
         trees = [DecisionTree._at(table, root, data.n_features, self.criteria, self.seed)
                  for root in roots]
         _hold(self, table, trees)

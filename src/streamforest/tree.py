@@ -1,5 +1,6 @@
 """Batch CART decision tree: Gini impurity, exhaustive midpoint threshold
-search, recursive growth with per-split feature subsampling."""
+search, per-split feature subsampling, and one grower that grows many trees
+at once in rounds of batched split searches."""
 
 from __future__ import annotations
 

@@ -462,47 +462,65 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
     s_l = grow_l[p] - grow_l[first]
     s_r = s_parent[u] - (shrink_r[p] - shrink_r[first])
 
-    # Floats rank the candidates; the few within NEAR_TIE of a segment's
-    # maximum are re-compared exactly by integer cross-multiplication, so
-    # exact ties resolve by the (feature, threshold) rule instead of by
-    # rounding noise. Float error per candidate is a few ulps, far inside
-    # the reselection band.
-    NEAR_TIE = 1e-9
-    nl = n_l.astype(np.float64)
-    q = s_l.astype(np.float64) / nl + s_r.astype(np.float64) / (sizes[u] - nl)
-    new_seg = np.ones(s.size, dtype=bool)
-    new_seg[1:] = s[1:] != s[:-1]
-    q_max = np.maximum.reduceat(q, np.flatnonzero(new_seg))[np.cumsum(new_seg) - 1]
-    near = np.flatnonzero(q >= q_max - NEAR_TIE)
-
-    # Candidates come in (node, feature, threshold) order, so keeping only
-    # strict improvements encodes the tie rule.
-    s_parent, feature = s_parent.tolist(), cand.reshape(-1)
-    best = [None] * n_nodes  # (q_numerator, q_denominator, segment, position)
-    for u_, n_l_, n_r_, s_l_, s_r_, s_, p_ in zip(
-            u[near].tolist(), n_l[near].tolist(), n_r[near].tolist(), s_l[near].tolist(),
-            s_r[near].tolist(), s[near].tolist(), p[near].tolist()):
-        num = s_l_ * n_r_ + s_r_ * n_l_
-        den = n_l_ * n_r_
-        if num * (n_l_ + n_r_) <= s_parent[u_] * den:  # decrease not positive
-            continue
-        b = best[u_]
-        if b is None or num * b[1] > b[0] * den:
-            best[u_] = (num, den, s_, p_)
-    for u_, b in enumerate(best):
-        if b is None:
-            continue
-        num, den, s_, p_ = b
+    # Candidates come in (node, feature, threshold) order, the tie rule's.
+    feature = cand.reshape(-1)
+    for u_, i in _best_candidates(u, n_l, n_r, s_l, s_r, s_parent).items():
+        s_, p_ = int(s[i]), int(p[i])
+        a, b, n = int(n_l[i]), int(n_r[i]), int(sizes[u_])
+        num, den = int(s_l[i]) * b + int(s_r[i]) * a, a * b
         lo, hi = float(v[p_ - 1]), float(v[p_])
         threshold = (lo + hi) / 2.0
         # The midpoint can round up to hi or overflow to +-inf, which would
         # send both blocks to one side; lo still separates them.
         if not lo <= threshold < hi:
             threshold = lo
-        n = int(sizes[u_])
         results[u_] = (int(feature[s_]), threshold,
-                       (num * n - s_parent[u_] * den) / (den * n * n))
+                       (num * n - int(s_parent[u_]) * den) / (den * n * n))
     return results
+
+
+# Width of the float prefilter of `_best_candidates`, relative to a node's
+# best float score. Each q is a sum of two positive quotients of exact
+# integers, so its float error is a few ulps (about 1e-15 relative) at any
+# node size; the band covers thousands of them and still admits only
+# near-ties.
+_NEAR_TIE = 1e-12
+
+
+def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
+    """The best split candidate of each node, chosen exactly.
+
+    Candidate i belongs to node ``node[i]`` (candidates grouped by node, and
+    in tie-rule order within a node: feature, then threshold). It sends
+    n_l[i] rows whose squared class counts sum to s_l[i] left, and n_r[i]
+    rows with s_r[i] right; ``s_parent[u]`` is that sum over all of node
+    u's rows. Maximizing the weighted Gini decrease is maximizing
+    q = s_l/n_l + s_r/n_r. Floats rank the candidates; those within
+    _NEAR_TIE of their node's best float q are compared exactly by integer
+    cross-multiplication, so ties resolve by the tie rule, not by rounding.
+
+    Returns {node: index of its first candidate with the largest q}, for the
+    nodes whose largest q beats the parent's s_parent / (n_l + n_r).
+    """
+    nl = np.asarray(n_l, dtype=np.float64)
+    q = np.asarray(s_l, dtype=np.float64) / nl + \
+        np.asarray(s_r, dtype=np.float64) / np.asarray(n_r, dtype=np.float64)
+    node = np.asarray(node)
+    first = np.ones(node.size, dtype=bool)
+    first[1:] = node[1:] != node[:-1]
+    q_max = np.maximum.reduceat(q, np.flatnonzero(first))[np.cumsum(first) - 1]
+    near = np.flatnonzero(q >= q_max * (1.0 - _NEAR_TIE))
+    best = {}  # node: (index, q numerator, q denominator)
+    for i, u, a, b, c, d in zip(near.tolist(), node[near].tolist(),
+                                np.asarray(n_l)[near].tolist(), np.asarray(n_r)[near].tolist(),
+                                np.asarray(s_l)[near].tolist(), np.asarray(s_r)[near].tolist()):
+        num, den = c * b + d * a, a * b
+        if num * (a + b) <= int(s_parent[u]) * den:  # decrease not positive
+            continue
+        old = best.get(u)
+        if old is None or num * old[2] > old[1] * den:
+            best[u] = (i, num, den)
+    return {u: i for u, (i, _, _) in best.items()}
 
 
 # Largest number of (tree, row) pairs one routing pass holds, and the row

@@ -3,6 +3,7 @@
 import math
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamforest import Dataset, DecisionTree, SplitCriteria, best_split, gini_impurity
+from streamforest.tree import _best_candidates
 
 from helpers import (
     brute_force_best_split,
@@ -160,6 +162,76 @@ class TestBestSplit:
         feature, threshold, _ = best_split(data, range(4), [0])
         assert feature == 0 and threshold == 1.5
 
+
+def _candidate_arrays(seed: int):
+    """Split candidates of 1-3 nodes with up to 1e8 rows each, as the
+    integer arrays `_best_candidates` takes, and each node's exact q of
+    every candidate. Left counts near the parent's class proportions give
+    near-ties a float cannot order; repeated candidates give exact ties."""
+    rng = np.random.default_rng(seed)
+    node, n_l, n_r, s_l, s_r, s_parent, exact = [], [], [], [], [], [], []
+    for u in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(2, 5))
+        parent = rng.integers(0, 10**8 // k + 1, k)
+        parent[0] = max(int(parent[0]), 2)
+        s_parent.append(int((parent.astype(object) ** 2).sum()))
+        cands = []
+        while len(cands) < int(rng.integers(1, 7)):
+            if cands and rng.random() < 0.2:
+                left = cands[int(rng.integers(0, len(cands)))]
+            elif rng.random() < 0.5:
+                left = np.floor(parent * rng.uniform(0.1, 0.9)).astype(np.int64) + \
+                    rng.integers(-3, 4, k)
+            else:
+                left = rng.integers(0, parent + 1)
+            left = np.clip(left, 0, parent)
+            if 0 < left.sum() < parent.sum():
+                cands.append(left)
+        for left in cands:
+            right = parent - left
+            a, b = int(left.sum()), int(right.sum())
+            c, d = int((left.astype(object) ** 2).sum()), int((right.astype(object) ** 2).sum())
+            node.append(u)
+            n_l.append(a)
+            n_r.append(b)
+            s_l.append(c)
+            s_r.append(d)
+        exact.append([Fraction(c, a) + Fraction(d, b) for a, b, c, d in
+                      zip(n_l[-len(cands):], n_r[-len(cands):], s_l[-len(cands):],
+                          s_r[-len(cands):])])
+    arrays = [np.array(x, dtype=np.int64) for x in (node, n_l, n_r, s_l, s_r, s_parent)]
+    return arrays, exact
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_choice_matches_fractions(seed):
+    arrays, exact = _candidate_arrays(seed)
+    node, n_l, n_r, _, _, s_parent = arrays
+    expected, offset = {}, 0
+    for u, q in enumerate(exact):
+        best = max(q)
+        if best > Fraction(int(s_parent[u]), int(n_l[offset] + n_r[offset])):
+            expected[u] = offset + q.index(best)
+        offset += len(q)
+    assert _best_candidates(*arrays) == expected
+
+
+def test_exact_choice_orders_a_near_tie_that_floats_misorder():
+    """Two thresholds of one feature at 80M rows (found by search): the
+    first is exactly better, but its float q is 7.5e-9 lower, more than an
+    absolute band of 1e-9 would admit."""
+    parent = np.array([38301592, 41776557])
+    lefts = np.array([[10287707, 11221074], [26129041, 28499635]])
+    rights = parent - lefts
+    s_l, s_r = (lefts ** 2).sum(axis=1), (rights ** 2).sum(axis=1)
+    n_l, n_r = lefts.sum(axis=1), rights.sum(axis=1)
+    q = [Fraction(int(c), int(a)) + Fraction(int(d), int(b))
+         for a, b, c, d in zip(n_l, n_r, s_l, s_r)]
+    assert q[0] > q[1] > Fraction(int(parent @ parent), int(parent.sum()))
+    assert s_l[1] / n_l[1] + s_r[1] / n_r[1] > s_l[0] / n_l[0] + s_r[0] / n_r[0] + 1e-9
+    assert _best_candidates(np.zeros(2, dtype=np.int64), n_l, n_r, s_l, s_r,
+                            [int(parent @ parent)]) == {0: 0}
 
 class TestFit:
     def test_one_dim_example_builds_depth_one_tree(self):

@@ -463,19 +463,20 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
     s_r = s_parent[u] - (shrink_r[p] - shrink_r[first])
 
     # Candidates come in (node, feature, threshold) order, the tie rule's.
-    feature = cand.reshape(-1)
-    for u_, i in _best_candidates(u, n_l, n_r, s_l, s_r, s_parent).items():
-        s_, p_ = int(s[i]), int(p[i])
-        a, b, n = int(n_l[i]), int(n_r[i]), int(sizes[u_])
-        num, den = int(s_l[i]) * b + int(s_r[i]) * a, a * b
-        lo, hi = float(v[p_ - 1]), float(v[p_])
+    best = _best_candidates(u, n_l, n_r, s_l, s_r, s_parent)
+    i = np.fromiter(best.values(), dtype=np.intp, count=len(best))
+    w = np.fromiter(best.keys(), dtype=np.intp, count=len(best))
+    for u_, f, lo, hi, a, b, c, d, sp in zip(
+            w.tolist(), cand.reshape(-1)[s[i]].tolist(), v[p[i] - 1].tolist(),
+            v[p[i]].tolist(), n_l[i].tolist(), n_r[i].tolist(), s_l[i].tolist(),
+            s_r[i].tolist(), s_parent[w].tolist()):
         threshold = (lo + hi) / 2.0
         # The midpoint can round up to hi or overflow to +-inf, which would
         # send both blocks to one side; lo still separates them.
         if not lo <= threshold < hi:
             threshold = lo
-        results[u_] = (int(feature[s_]), threshold,
-                       (num * n - int(s_parent[u_]) * den) / (den * n * n))
+        num, den, n = c * b + d * a, a * b, a + b
+        results[u_] = (f, threshold, (num * n - sp * den) / (den * n * n))
     return results
 
 
@@ -510,12 +511,13 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
     first[1:] = node[1:] != node[:-1]
     q_max = np.maximum.reduceat(q, np.flatnonzero(first))[np.cumsum(first) - 1]
     near = np.flatnonzero(q >= q_max * (1.0 - _NEAR_TIE))
+    s_parent = np.asarray(s_parent).tolist()
     best = {}  # node: (index, q numerator, q denominator)
     for i, u, a, b, c, d in zip(near.tolist(), node[near].tolist(),
                                 np.asarray(n_l)[near].tolist(), np.asarray(n_r)[near].tolist(),
                                 np.asarray(s_l)[near].tolist(), np.asarray(s_r)[near].tolist()):
         num, den = c * b + d * a, a * b
-        if num * (a + b) <= int(s_parent[u]) * den:  # decrease not positive
+        if num * (a + b) <= s_parent[u] * den:  # decrease not positive
             continue
         old = best.get(u)
         if old is None or num * old[2] > old[1] * den:
@@ -658,34 +660,40 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     the counts of every node on its path.
 
     Pair i is row ``rows[i]`` of (X, y) entering the tree rooted at
-    ``roots[tree_of[i]]``; a row may enter a tree more than once.
+    ``roots[tree_of[i]]``; a row may enter a tree more than once, as in a
+    bootstrap, and each distinct (tree, row) pair is routed once.
     """
-    start = np.asarray(roots, dtype=np.intp)[tree_of]
+    rows = np.asarray(rows, dtype=np.intp)
+    tree_of = np.asarray(tree_of, dtype=np.intp)
+    cell = tree_of * X.shape[0] + rows
+    repeats = np.bincount(cell)
+    distinct = np.flatnonzero(repeats)
+    weight = repeats[distinct]
+    start = np.asarray(roots, dtype=np.intp)[distinct // X.shape[0]]
+    distinct_rows = distinct % X.shape[0]
     path = []
-    leaf = _descend(table, start, rows, X, path)
-    labels = y[rows]
+    leaf = _descend(table, start, distinct_rows, X, path)
+    labels = y[distinct_rows]
     nodes = np.concatenate([start] + [reached for _, _, reached in path])
-    pair_labels = np.concatenate([labels] + [labels[live] for live, _, _ in path])
-    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + pair_labels, 1)
+    np.add.at(table.counts.reshape(-1),
+              nodes * table.n_classes + np.concatenate([labels] + [labels[live] for live, _, _ in path]),
+              np.concatenate([weight] + [weight[live] for live, _, _ in path]))
 
-    # Depth-first, left-first order of the touched leaves: sort by tree,
-    # then by the branch taken at each depth (left first). No touched leaf
-    # lies on another's path, so padding short paths with "left" is safe.
-    leaves, first, inverse = np.unique(leaf, return_index=True, return_inverse=True)
-    keys = [np.asarray(tree_of)[first]]
-    went_right = np.zeros(leaf.size, dtype=np.int8)
-    for live, goes_left, _ in path:
-        went_right[:] = 0
-        went_right[live] = ~goes_left
-        keys.append(went_right[first])
-    order = np.lexsort(keys[::-1])
-    rank = np.empty(leaves.size, dtype=np.intp)
-    rank[order] = np.arange(leaves.size)
-    pair_rank = rank[inverse]
-    bounds = np.zeros(leaves.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(pair_rank, minlength=leaves.size), out=bounds[1:])
-    return _Touched(leaves[order], keys[0][order], bounds,
-                    np.argsort(pair_rank, kind="stable"))
+    # Depth-first, left-first order of the touched leaves: sort the pairs by
+    # tree, then by the branches taken (left first), packed most significant
+    # first, 63 levels to a word. No touched leaf lies on another's path, so
+    # padding short paths with "left" is safe. The sort is stable, so each
+    # leaf's pairs keep their order.
+    words = np.zeros(((len(path) + 62) // 63, distinct.size), dtype=np.int64)
+    for depth, (live, goes_left, _) in enumerate(path):
+        words[depth // 63, live[~goes_left]] |= 1 << (62 - depth % 63)
+    pair_of = np.cumsum(repeats > 0) - 1  # cell -> its distinct pair
+    of_pair = pair_of[cell]
+    order = np.lexsort(tuple(words[::-1, of_pair]) + (tree_of,))
+    pair_leaf = leaf[of_pair[order]]
+    first = np.flatnonzero(np.diff(pair_leaf, prepend=-1))
+    return _Touched(pair_leaf[first], tree_of[order[first]], np.append(first, order.size),
+                    order)
 
 
 def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:

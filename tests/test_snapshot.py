@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from streamforest import (
 from streamforest import snapshot
 
 from helpers import trees_equal
+
+DATA = Path(__file__).parent / "data"
 
 
 def evolved_forest(tmp_path=None):
@@ -200,3 +203,30 @@ def test_failed_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
         save_forest(evolved_forest(), path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["forest.json"]
+
+
+def _v1_fixture():
+    """A 4-tree stream forest saved in the v1 format by streamforest 0.1.0
+    after five updates (one forced replacement), and its predictions on
+    fixed probes at that time."""
+    expected = json.loads((DATA / "v1_stream_forest_predictions.json").read_text())
+    return load_forest(DATA / "v1_stream_forest.json"), expected
+
+
+def test_v1_snapshot_loads_and_predicts_as_saved():
+    forest, expected = _v1_fixture()
+    probes = np.array(expected["probes"])
+    assert forest.predict(probes).tolist() == expected["predictions"]
+    assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]
+
+
+def test_v1_snapshot_loads_update_alike(tmp_path):
+    data = gen_synthetic("blobs", 240, noise=0.8, seed=73, n_classes=3, n_features=3)
+    paths = []
+    for name in ("a", "b"):
+        forest, _ = _v1_fixture()
+        for i, coin in enumerate((None, True, False, True)):
+            forest.update(data.subset(range(60 * i, 60 * (i + 1))), force_replacement=coin)
+        paths.append(tmp_path / f"{name}.json")
+        save_forest(forest, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

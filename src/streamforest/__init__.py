@@ -6,7 +6,7 @@ occasionally replace their worst members. A benchmark harness streams
 datasets through all four model families under fixed seeds.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .tree import (
     BYTES_PER_NODE,

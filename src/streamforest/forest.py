@@ -40,13 +40,13 @@ def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
     return votes.reshape(n_rows, n_classes).argmax(axis=1)
 
 
-def _samples(rngs: list, n: int, bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One row buffer for growing new trees on n rows, and its bounds: tree
-    t's rows are a bootstrap drawn from ``rngs[t]``, or every row once."""
-    rows = np.empty(len(rngs) * n, dtype=np.intp)
-    for t, rng in enumerate(rngs):
-        rows[t * n: (t + 1) * n] = rng.integers(0, n, n) if bootstrap else np.arange(n)
-    return rows, np.arange(len(rngs) + 1) * n
+def _samples(rng: np.random.Generator, count: int, n: int,
+             bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One row buffer for growing `count` new trees on n rows, and its
+    bounds: tree t's rows are its bootstrap, all drawn by one call, or
+    every row once."""
+    rows = rng.integers(0, n, (count, n)).reshape(-1) if bootstrap else np.tile(np.arange(n), count)
+    return rows, np.arange(count + 1) * n
 
 
 def _decision_tree(tree) -> DecisionTree:
@@ -150,15 +150,20 @@ class StreamForest:
     """Ensemble of streaming trees with bootstrap resampling per batch.
 
     Every tree updates on its own bootstrap resample of each batch (size n,
-    with replacement, drawn from the tree's generator) under sqrt feature
-    limiting by default. After each update, with probability 1/b where b
-    counts batches including the initial one, the `replace_count` trees with
-    the lowest accuracy on the raw current batch are replaced by fresh trees
-    fit to a bootstrap of that batch only. Predictions are majority votes.
+    with replacement) under sqrt feature limiting by default. After each
+    update, with probability 1/b where b counts batches including the
+    initial one, the `replace_count` trees with the lowest accuracy on the
+    raw current batch are replaced by fresh trees fit to a bootstrap of that
+    batch only. Predictions are majority votes.
 
     The whole evolution is a pure function of (seed, batch sequence,
-    hyperparameters). All trees live in one node table, which after every
-    update holds exactly the nodes of the current trees.
+    hyperparameters). The forest draws from one generator, seeded by
+    `seed`; an update draws, in this order, every tree's bootstrap in one
+    call, the growth draws of all trees together (see `tree._grow`), the
+    replacement coin, and then the replacements' bootstraps and growth
+    draws. The constructor draws the bootstraps, then the growth draws. All
+    trees live in one node table, which after every update holds exactly
+    the nodes of the current trees.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
@@ -178,10 +183,7 @@ class StreamForest:
         self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.master_seed = seed
         self.bootstrap = bootstrap
-        self._seedseq = np.random.SeedSequence(seed)
-        # Spawn order is part of the deterministic contract: forest-level
-        # generator first, then one child per tree, then one per replacement.
-        self.rng = np.random.default_rng(self._seedseq.spawn(1)[0])
+        self.rng = np.random.default_rng(seed)
         self._table = NodeTable(n_classes)
         data = first_batch.with_classes(n_classes)
         _hold(self, self._table, self._fresh_trees(data, n_trees))
@@ -194,10 +196,9 @@ class StreamForest:
 
     def _fresh_trees(self, data: Dataset, count: int) -> list:
         """`count` new trees grown together in the forest's table, each on a
-        bootstrap of `data` drawn from its own new generator."""
-        rngs = [np.random.default_rng(seed) for seed in self._seedseq.spawn(count)]
-        rows, bounds = _samples(rngs, data.n_samples, self.bootstrap)
-        return StreamTree._grown(self._table, data, rows, bounds, self.criteria, rngs)
+        bootstrap of `data`."""
+        rows, bounds = _samples(self.rng, count, data.n_samples, self.bootstrap)
+        return StreamTree._grown(self._table, data, rows, bounds, self.criteria, self.rng)
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
@@ -212,10 +213,10 @@ class StreamForest:
         n = data.n_samples
         self._place()
         if self.bootstrap:
-            rows = [tree.rng.integers(0, n, n) for tree in self.trees]
+            rows = self.rng.integers(0, n, (len(self.trees), n))
         else:
             rows = [np.arange(n)] * len(self.trees)
-        _update_trees(self.trees, data, rows)
+        _update_trees(self.trees, data, rows, self.rng)
         self.batches_seen += 1
 
         u = float(self.rng.random())
@@ -247,8 +248,10 @@ class BatchForest:
     """Bagged CART forest refit from scratch on the full data it is given.
 
     Each fit draws one bootstrap resample per tree (size n, with
-    replacement) and keeps a reference to the training data; refitting on
-    the same data and seed reproduces the same forest.
+    replacement), all in one call, then grows the trees together, from a
+    generator seeded afresh by `seed`; refitting on the same data and seed
+    reproduces the same forest. The fit keeps a reference to the training
+    data.
     """
 
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,
@@ -271,11 +274,10 @@ class BatchForest:
         self.data = data
         self.n_classes = data.n_classes
         self.n_features = data.n_features
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        rows, bounds = _samples(rngs, data.n_samples, self.bootstrap)
+        rng = np.random.default_rng(self.seed)
+        rows, bounds = _samples(rng, self.n_trees, data.n_samples, self.bootstrap)
         table = NodeTable(data.n_classes)
-        roots = _plant(table, data, rows, bounds, self.criteria, rngs)
+        roots = _plant(table, data, rows, bounds, self.criteria, rng)
         trees = [DecisionTree._at(table, root, data.n_features, self.criteria, self.seed)
                  for root in roots]
         _hold(self, table, trees)

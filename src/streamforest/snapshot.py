@@ -20,7 +20,10 @@ from .tree import BYTES_PER_NODE, DecisionTree, NodeTable, SplitCriteria
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
-FORMAT = "streamforest-snapshot-v1"
+FORMAT = "streamforest-snapshot-v2"
+# v1 documents differ only in carrying per-tree generator states as well,
+# which the one-generator draw rule of v2 no longer uses.
+_READS = (FORMAT, "streamforest-snapshot-v1")
 
 
 def _trees_to_arrays(forest):
@@ -85,7 +88,7 @@ def _write_atomically(path):
 def save_forest(forest: StreamForest | BatchForest, path) -> None:
     """Write a forest snapshot. JSON floats use repr, so thresholds survive
     the round trip bit-exactly and reloaded predictions match. A stream
-    forest's generator states are saved too.
+    forest's generator state is saved too.
 
     The document is written to a temporary file in the target directory and
     then renamed over `path`, so `path` holds either the old snapshot or the
@@ -105,9 +108,7 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
             "criteria": asdict(forest.criteria),
             "bytes_per_node": BYTES_PER_NODE,
             "tree_batches_seen": [t.batches_seen for t in forest.trees],
-            "seed_children_spawned": forest._seedseq.n_children_spawned,
             "rng_state": forest.rng.bit_generator.state,
-            "tree_rng_states": [t.rng.bit_generator.state for t in forest.trees],
         }
     elif isinstance(forest, BatchForest):
         if not forest.trees:
@@ -138,15 +139,20 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
 def load_forest(path) -> StreamForest | BatchForest:
     """Rebuild a forest from a snapshot.
 
-    A stream forest gets back the generator states it was saved with, so
+    A stream forest gets back the generator state it was saved with, so
     further updates continue exactly as the original run would have.
-    Documents written before those states were saved still load; their
-    generators are seeded afresh from the master seed, so further updates
-    are deterministic but need not match the original run.
+    Documents without that state still load; their generator is seeded
+    afresh from the master seed, so further updates are deterministic but
+    need not match the original run.
+
+    v1 documents, written before the forest drew from one generator, load
+    and predict exactly as saved. Their per-tree generator states are
+    ignored: updates continue under the v2 draw rule from the forest-level
+    state, so they are deterministic but differ from a v1 run.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != FORMAT:
+    if doc.get("format") not in _READS:
         raise ValueError(f"not a {FORMAT} document")
     criteria = SplitCriteria(**doc["criteria"])
     n_classes, n_features = doc["n_classes"], doc["n_features"]
@@ -161,18 +167,13 @@ def load_forest(path) -> StreamForest | BatchForest:
         forest.master_seed = doc["master_seed"]
         forest.bootstrap = doc.get("bootstrap", True)
         if "rng_state" in doc:
-            forest._seedseq = np.random.SeedSequence(
-                doc["master_seed"], n_children_spawned=doc["seed_children_spawned"])
             forest.rng = _generator(doc["rng_state"])
-            seeds = [_generator(state) for state in doc["tree_rng_states"]]
         else:
-            forest._seedseq = np.random.SeedSequence(doc["master_seed"])
-            forest.rng = np.random.default_rng(forest._seedseq.spawn(1)[0])
-            seeds = forest._seedseq.spawn(len(roots))
+            forest.rng = np.random.default_rng(doc["master_seed"])
         _hold(forest, table, [
             StreamTree._from_parts(table.view(root), n_features, n_classes,
-                                   criteria, batches, seed=seed)
-            for root, batches, seed in zip(roots, doc["tree_batches_seen"], seeds)
+                                   criteria, batches, seed=forest.rng)
+            for root, batches in zip(roots, doc["tree_batches_seen"])
         ])
         forest.batches_seen = doc["batches_seen"]
         forest.last_replacement = None

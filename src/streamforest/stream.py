@@ -33,14 +33,15 @@ def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
     return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
 
 
-def _update_trees(trees: list, data: Dataset, rows: list) -> None:
+def _update_trees(trees: list, data: Dataset, rows, rng: np.random.Generator) -> None:
     """Extend each stream tree ``trees[t]`` with the rows ``rows[t]`` of
     `data`, a validated batch. The trees share one node table.
 
     All (tree, row) pairs are routed and counted in one pass. Then one
-    `_grow` call per distinct split criteria grows the touched leaves that
-    can split, each tree with its own generator and its leaves in
-    depth-first, left-first order.
+    `_grow` call per distinct split criteria, in order of first use, grows
+    the touched leaves that can split, drawing from `rng`; its queue starts
+    with the leaves tree by tree, each tree's in depth-first, left-first
+    order.
     """
     table = trees[0].tree.table
     pair_rows = np.concatenate(rows)
@@ -50,7 +51,6 @@ def _update_trees(trees: list, data: Dataset, rows: list) -> None:
                                data.features, data.labels)
     leaf_rows = pair_rows[touched.pairs]
     sizes = np.diff(touched.bounds)
-    rngs = [tree.rng for tree in trees]
     groups = {}
     for t, tree in enumerate(trees):
         groups.setdefault(tree.criteria, []).append(t)
@@ -59,7 +59,7 @@ def _update_trees(trees: list, data: Dataset, rows: list) -> None:
         bounds = np.zeros(mine.sum() + 1, dtype=np.intp)
         np.cumsum(sizes[mine], out=bounds[1:])
         _grow(table, data, leaf_rows[np.repeat(mine, sizes)], bounds,
-              touched.leaves[mine], touched.tree[mine], criteria, rngs)
+              touched.leaves[mine], criteria, rng)
     for tree in trees:
         tree.batches_seen += 1
 
@@ -77,8 +77,11 @@ class StreamTree:
     partition only ever refines.
 
     Replaying the same batch sequence with the same seed reproduces the same
-    tree exactly: the generator state advances deterministically, and
-    touched leaves regrow in depth-first tree order.
+    tree exactly. The tree draws from one generator, seeded by `seed`: the
+    touched leaves regrow breadth-first, generation by generation from the
+    leaves in depth-first order, and each searched node draws its feature
+    subset in that order (see `tree._grow`). A tree of a forest draws from
+    its forest's generator instead.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int,
@@ -92,17 +95,17 @@ class StreamTree:
         criteria = criteria if criteria is not None else SplitCriteria()
         rng = np.random.default_rng(seed)
         table = NodeTable(n_classes)
-        (root,) = _plant(table, data, np.arange(n), [0, n], criteria, [rng])
+        (root,) = _plant(table, data, np.arange(n), [0, n], criteria, rng)
         self._start(table, root, data.n_features, criteria, rng)
 
     @classmethod
     def _grown(cls, table: NodeTable, data: Dataset, rows: np.ndarray, bounds,
-               criteria: SplitCriteria, rngs) -> list:
+               criteria: SplitCriteria, rng: np.random.Generator) -> list:
         """New trees grown in `table` by one `_grow` call, tree t on
         ``rows[bounds[t]:bounds[t + 1]]`` of `data` (under the table's class
-        count) with the generator ``rngs[t]``."""
+        count), all drawing from `rng`."""
         trees = []
-        for root, rng in zip(_plant(table, data, rows, bounds, criteria, rngs).tolist(), rngs):
+        for root in _plant(table, data, rows, bounds, criteria, rng).tolist():
             tree = cls.__new__(cls)
             tree._start(table, root, data.n_features, criteria, rng)
             trees.append(tree)
@@ -122,7 +125,7 @@ class StreamTree:
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
         data = _check_batch(batch, self.n_features, self.n_classes)
-        _update_trees([self], data, [np.arange(data.n_samples)])
+        _update_trees([self], data, [np.arange(data.n_samples)], self.rng)
         return self
 
     def apply(self, x) -> TreeNode:
@@ -142,8 +145,8 @@ class StreamTree:
                     criteria: SplitCriteria, batches_seen: int, seed=0):
         """Rebuild from snapshot pieces: the tree rooted at the node view
         `root`, whose table has `n_classes` classes, and a generator from
-        `seed`. Passing a Generator restored to the original run's state
-        makes further updates match that run."""
+        `seed`. Passing a Generator uses it as it is: restored to the
+        original run's state, further updates match that run."""
         obj = cls.__new__(cls)
         obj._start(root._table, root._id, n_features, criteria, np.random.default_rng(seed))
         obj.batches_seen = batches_seen

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -530,91 +529,70 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
 _PAIRS_PER_PASS = 1 << 15
 
 
-def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes, tree_of,
-          criteria: SplitCriteria, rngs) -> None:
+def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes,
+          criteria: SplitCriteria, rng: np.random.Generator) -> None:
     """Grow leaves of `table` on rows of `data`, any number of trees at once.
 
-    Leaf ``nodes[u]`` of tree ``tree_of[u]`` holds the rows
-    ``rows[bounds[u]:bounds[u + 1]]``, already in its counts; indices may
-    repeat a row, as a bootstrap resample does. `rows` is one buffer for the
-    whole call: a node is a range of it, and a split reorders its range in
-    place, left rows first. Only leaves with at least min_samples_split rows
-    and more than one label are split, children the same.
+    Leaf ``nodes[u]`` holds the rows ``rows[bounds[u]:bounds[u + 1]]``,
+    already in its counts; indices may repeat a row, as a bootstrap resample
+    does. `rows` is one buffer for the whole call: a node is a range of it,
+    and a split reorders its range in place, left rows first. Only leaves
+    with at least min_samples_split rows and more than one label are split,
+    children the same.
 
-    Growth goes in rounds, each one batched `best_split` call. Tree t gives a
-    round the next node of its own depth-first, left-first stack (its
-    leaves in the listed order), drawing that node's feature subset from
-    ``rngs[t]``, so each generator advances exactly as if its tree grew one
-    node at a time. When the subset is every feature nothing is drawn, and
-    a tree gives all its pending nodes. A round takes nodes until it holds
-    _PAIRS_PER_PASS rows.
+    Growth is breadth-first over one queue: first the listed leaves that can
+    split, in the listed order, then the children that can split of each
+    node in queue order, left child first. A round is one batched
+    `best_split` over a prefix of the queue holding at most _PAIRS_PER_PASS
+    rows (at least one node). Each searched node, in queue order, takes p
+    doubles from `rng` and searches the features of the m smallest; nothing
+    is drawn when m = p. A double is one 64-bit word of the generator, so
+    neither the cut into rounds nor node ids change the trees.
     """
     X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
     m = criteria.resolve_max_features(p)
-    draws = m < p
     min_split = criteria.min_samples_split
     bounds = np.asarray(bounds, dtype=np.intp)
     sizes = np.diff(bounds)
     present = np.bincount(np.repeat(np.arange(sizes.size) * k, sizes) + y[rows],
                           minlength=sizes.size * k).reshape(-1, k) > 0
-    stacks = {}
-    for u in np.flatnonzero((sizes >= min_split) & (present.sum(axis=1) > 1))[::-1].tolist():
-        stacks.setdefault(int(tree_of[u]), []).append(
-            (int(nodes[u]), int(bounds[u]), int(bounds[u + 1])))
-    lanes = deque(stacks.items())
-    while lanes:
-        taken, total = [], 0
-        for _ in range(len(lanes)):
-            if total >= _PAIRS_PER_PASS:
-                break
-            tree, stack = lanes.popleft()
-            while stack and total < _PAIRS_PER_PASS:
-                node, start, stop = stack.pop()
-                taken.append((tree, node, start, stop))
-                total += stop - start
-                if draws:
-                    break
-            lanes.append((tree, stack))
-        tree, node, start, stop = (np.array(col, dtype=np.intp) for col in zip(*taken))
+    can = (sizes >= min_split) & (present.sum(axis=1) > 1)
+    queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:]), axis=1)[can]
+    while queue.size:
+        take = max(1, int(np.searchsorted(np.cumsum(queue[:, 2] - queue[:, 1]),
+                                          _PAIRS_PER_PASS, side="right")))
+        (node, start, stop), queue = queue[:take].T, queue[take:]
         size = stop - start
-        offset = np.zeros(size.size + 1, dtype=np.intp)
+        offset = np.zeros(take + 1, dtype=np.intp)
         np.cumsum(size, out=offset[1:])
-        if not draws:
-            cand = np.broadcast_to(np.arange(p), (size.size, p))
-        elif m == 1:  # the same value and generator state as choice(p, 1, replace=False)
-            cand = np.array([[rngs[t].integers(0, p)] for t in tree.tolist()])
+        if m == p:
+            cand = np.broadcast_to(np.arange(p), (take, p))
         else:
-            cand = np.array([rngs[t].choice(p, size=m, replace=False) for t in tree.tolist()])
-        at = np.repeat(start - offset[:-1], size) + np.arange(total)
+            cand = np.argsort(rng.random((take, p)), axis=1, kind="stable")[:, :m]
+        at = np.repeat(start - offset[:-1], size) + np.arange(offset[-1])
         node_rows = rows[at]
         found = best_split(data, node_rows, cand, offset[:-1])
 
-        feature = np.zeros(size.size, dtype=np.intp)
-        threshold = np.full(size.size, np.inf)  # sends every row of an unsplit node left
+        feature = np.zeros(take, dtype=np.intp)
+        threshold = np.full(take, np.inf)  # sends every row of an unsplit node left
         splits = [u for u, f in enumerate(found)
                   if f is not None and f[2] >= criteria.min_impurity_decrease]
+        if not splits:
+            continue
         for u in splits:
             feature[u], threshold[u] = found[u][0], found[u][1]
-        if splits:
-            owner = np.repeat(np.arange(size.size), size)
-            side = owner * 2 + (X[node_rows, feature[owner]] > threshold[owner])
-            rows[at] = node_rows[np.argsort(side)]  # row order inside a node is free
-            counts = np.bincount(side * k + y[node_rows],
-                                 minlength=size.size * 2 * k).reshape(-1, 2, k)[splits]
-            left, right = table.split(node[splits], feature[splits], threshold[splits],
-                                      counts[:, 0], counts[:, 1], size[splits])
-            n_left = counts[:, 0].sum(axis=1)
-            grows = ((counts > 0).sum(axis=2) > 1) & \
-                (np.stack((n_left, size[splits] - n_left), axis=1) >= min_split)
-            for u, l_id, r_id, n_l, (grow_l, grow_r) in zip(
-                    splits, left.tolist(), right.tolist(), n_left.tolist(), grows.tolist()):
-                stack = stacks[int(tree[u])]
-                mid = int(start[u]) + n_l
-                if grow_r:
-                    stack.append((r_id, mid, int(stop[u])))
-                if grow_l:
-                    stack.append((l_id, int(start[u]), mid))
-        lanes = deque(lane for lane in lanes if lane[1])
+        owner = np.repeat(np.arange(take), size)
+        side = owner * 2 + (X[node_rows, feature[owner]] > threshold[owner])
+        rows[at] = node_rows[np.argsort(side)]  # row order inside a node is free
+        counts = np.bincount(side * k + y[node_rows],
+                             minlength=take * 2 * k).reshape(-1, 2, k)[splits]
+        left, right = table.split(node[splits], feature[splits], threshold[splits],
+                                  counts[:, 0], counts[:, 1], size[splits])
+        mid = start[splits] + counts[:, 0].sum(axis=1)
+        children = np.stack((np.stack((left, start[splits], mid), axis=1),
+                             np.stack((right, mid, stop[splits]), axis=1)), axis=1)
+        grows = ((counts > 0).sum(axis=2) > 1) & (children[:, :, 2] - children[:, :, 1] >= min_split)
+        queue = np.concatenate((queue, children[grows]))
 
 
 def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndarray:
@@ -704,16 +682,16 @@ def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
 
 
 def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, bounds,
-           criteria: SplitCriteria, rngs) -> np.ndarray:
+           criteria: SplitCriteria, rng: np.random.Generator) -> np.ndarray:
     """New trees in `table`, tree t grown on ``rows[bounds[t]:bounds[t + 1]]``
-    of `data` with the generator ``rngs[t]``, all by one `_grow` call, which
-    reorders `rows`; returns their root ids."""
+    of `data`, all by one `_grow` call drawing from `rng`, which reorders
+    `rows`; returns their root ids."""
     bounds = np.asarray(bounds, dtype=np.intp)
     n_trees, k = bounds.size - 1, data.n_classes
     counts = np.bincount(np.repeat(np.arange(n_trees) * k, np.diff(bounds)) + data.labels[rows],
                          minlength=n_trees * k).reshape(n_trees, k)
     roots = table.add_leaves(counts)
-    _grow(table, data, rows, bounds, roots, np.arange(n_trees), criteria, rngs)
+    _grow(table, data, rows, bounds, roots, criteria, rng)
     return roots
 
 
@@ -755,7 +733,7 @@ class DecisionTree:
         table = NodeTable(data.n_classes)
         n = data.n_samples
         (root,) = _plant(table, data, np.arange(n), [0, n], self.criteria,
-                         [np.random.default_rng(self.seed)])
+                         np.random.default_rng(self.seed))
         self.table, self.root_id = table, int(root)
         self.n_classes, self.n_features = data.n_classes, data.n_features
         return self

@@ -3,6 +3,7 @@ generators, and tree structure checks."""
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -238,23 +239,28 @@ def loop_best_split(data: Dataset, indices, candidate_features):
     return feature, threshold, (num * n - s_parent * den) / (den * n * n)
 
 
-def loop_grow(node: RefNode, data: Dataset, indices, criteria, rng) -> None:
-    """Loop reference for growth: split `node` on the rows `indices` (already
-    in its counts), one node at a time, depth-first and left child first.
-    Every node with at least min_samples_split rows and more than one label
-    draws its feature subset from `rng` with ``rng.choice(p, m,
-    replace=False)`` (no draw when m = p) and calls `loop_best_split`."""
+def loop_grow(leaves, data: Dataset, rows, criteria, rng) -> None:
+    """Loop reference for growth under the v2 draw rule: split the listed
+    leaves, leaf ``leaves[u]`` on the rows ``rows[u]`` (already in its
+    counts), one node at a time from one first-in, first-out queue.
+
+    The queue starts with the listed leaves that can split, in the listed
+    order; a node that splits appends its children that can split, left
+    first. A node can split with at least min_samples_split rows and more
+    than one label. Each node taken from the queue draws ``rng.random(p)``
+    and searches the features of the m smallest draws (stable order; no draw
+    when m = p) with `loop_best_split`."""
     X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
     m = criteria.resolve_max_features(p)
-    stack = [(node, np.asarray(indices, dtype=np.intp))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size < criteria.min_samples_split:
-            continue
-        labels = y[idx]
-        if (labels == labels[0]).all():
-            continue
-        cand = np.arange(p) if m == p else rng.choice(p, size=m, replace=False)
+
+    def can_split(idx):
+        return idx.size >= criteria.min_samples_split and bool((y[idx] != y[idx[0]]).any())
+
+    queue = deque((leaf, idx) for leaf, idx in
+                  zip(leaves, (np.asarray(r, dtype=np.intp) for r in rows)) if can_split(idx))
+    while queue:
+        node, idx = queue.popleft()
+        cand = np.arange(p) if m == p else np.argsort(rng.random(p), kind="stable")[:m]
         found = loop_best_split(data, idx, cand)
         if found is None or found[2] < criteria.min_impurity_decrease:
             continue
@@ -263,23 +269,27 @@ def loop_grow(node: RefNode, data: Dataset, indices, criteria, rng) -> None:
         node.left = RefNode(np.bincount(y[idx[goes_left]], minlength=k))
         node.right = RefNode(np.bincount(y[idx[~goes_left]], minlength=k))
         node.pre_split_total = int(node.class_counts.sum()) - idx.size
-        stack.append((node.right, idx[~goes_left]))
-        stack.append((node.left, idx[goes_left]))
+        for child, part in ((node.left, idx[goes_left]), (node.right, idx[~goes_left])):
+            if can_split(part):
+                queue.append((child, part))
 
 
-def loop_fit(data: Dataset, rows, criteria, rng) -> RefNode:
-    """A new reference tree grown on `rows` of `data`."""
-    rows = np.asarray(rows, dtype=np.intp)
-    root = RefNode(np.bincount(data.labels[rows], minlength=data.n_classes))
-    loop_grow(root, data, rows, criteria, rng)
-    return root
+def loop_fit(data: Dataset, rows, criteria, rng) -> list:
+    """New reference trees grown together by one `loop_grow`, tree t on the
+    rows ``rows[t]`` of `data`."""
+    roots = [RefNode(np.bincount(data.labels[np.asarray(r, dtype=np.intp)],
+                                 minlength=data.n_classes)) for r in rows]
+    loop_grow(roots, data, rows, criteria, rng)
+    return roots
 
 
-def loop_update(roots, data: Dataset, rows, criteria, rngs) -> None:
+def loop_update(roots, data: Dataset, rows, criteria, rng) -> None:
     """Loop reference for a stream update: tree by tree, walk each row of
-    ``rows[t]`` from ``roots[t]``, add its label along the path, then grow
-    the touched leaves leaf by leaf in depth-first, left-first order."""
-    for root, tree_rows, rng in zip(roots, rows, rngs):
+    ``rows[t]`` from ``roots[t]`` and add its label along the path; then
+    grow all touched leaves by one `loop_grow`, tree by tree, each tree's
+    in depth-first, left-first order."""
+    leaves, leaf_rows = [], []
+    for root, tree_rows in zip(roots, rows):
         reached = {}
         for r in np.asarray(tree_rows).tolist():
             node = root
@@ -289,10 +299,40 @@ def loop_update(roots, data: Dataset, rows, criteria, rngs) -> None:
                     else node.right
                 node.class_counts[data.labels[r]] += 1
             reached.setdefault(id(node), []).append(r)
-        leaves = [node for node in preorder_nodes(root)
-                  if node.left is None and id(node) in reached]
-        for leaf in leaves:
-            loop_grow(leaf, data, reached[id(leaf)], criteria, rng)
+        for node in preorder_nodes(root):
+            if node.left is None and id(node) in reached:
+                leaves.append(node)
+                leaf_rows.append(reached[id(node)])
+    loop_grow(leaves, data, leaf_rows, criteria, rng)
+
+
+def loop_samples(rng, count: int, n: int, bootstrap: bool) -> list:
+    """Rows of `count` new trees: bootstraps of n rows drawn in one call, or
+    every row once."""
+    return list(rng.integers(0, n, (count, n))) if bootstrap else [np.arange(n)] * count
+
+
+def loop_forest_update(roots, data: Dataset, criteria, rng, bootstrap: bool,
+                       replace_count: int, batches_seen: int, force=None) -> list:
+    """Loop reference for one `StreamForest.update` that brings the forest
+    to `batches_seen` batches: every tree's bootstrap, the growth, the
+    replacement coin, then any replacements' bootstraps and growth, all
+    from `rng`. Replaces trees in `roots` in place; returns the replaced
+    indices."""
+    n = data.n_samples
+    loop_update(roots, data, loop_samples(rng, len(roots), n, bootstrap), criteria, rng)
+    u = rng.random()  # drawn also when the coin is forced
+    fired = u < 1.0 / batches_seen if force is None else force
+    if not fired or replace_count == 0:
+        return []
+    scores = [np.mean([int(np.argmax(walk_to_leaf(root, x).class_counts)) == label
+                       for x, label in zip(data.features, data.labels.tolist())])
+              for root in roots]
+    worst = np.argsort(scores, kind="stable")[:replace_count].tolist()
+    fresh = loop_fit(data, loop_samples(rng, len(worst), n, bootstrap), criteria, rng)
+    for i, root in zip(worst, fresh):
+        roots[i] = root
+    return worst
 
 
 def preorder_nodes(root):

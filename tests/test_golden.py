@@ -2,9 +2,10 @@
 
 Every model below is a pure function of (data, hyperparameters, seed), so
 its trees, predictions and replacement draws must stay bit-identical
-across refactors. The constants were computed before the node table
-replaced the per-node object graph; a change to any of them is a change
-in behaviour, not in representation.
+across refactors. The constants were computed under the v2 draw rule (one
+generator per model, breadth-first growth), on trees that equal the loop
+reference's (`test_golden_corpus_grows_like_the_loop_reference`); a change
+to any of them is a change in behaviour, not in representation.
 """
 
 import hashlib
@@ -20,6 +21,14 @@ from streamforest import (
     gen_synthetic,
     save_forest,
 )
+
+from streamforest.forest import FOREST_CRITERIA
+
+from helpers import loop_fit, loop_forest_update, loop_samples, loop_update, preorder
+
+# Forced, suppressed and free coins in turn, so that replacements happen
+# and the history covers all three.
+COINS = (True, None, False, True, None, None, True, False, None, None, True)
 
 
 def _sha(obj) -> str:
@@ -68,18 +77,21 @@ def _forest_digest(forest, probes, tmp_path) -> dict:
     }
 
 
-def _stream_forest_corpus(tmp_path, bootstrap: bool, seed: int) -> dict:
+def _stream_forest(bootstrap: bool, seed: int):
+    """A corpus stream forest before its updates, and its data."""
     data = gen_synthetic("blobs", 900, noise=0.8, seed=seed, n_classes=4,
                          n_features=5)
-    probes = gen_synthetic("blobs", 300, noise=0.8, seed=seed + 1, n_classes=4,
-                           n_features=5).features
     forest = StreamForest(data.subset(range(60)), 4, n_trees=12, replace_count=2,
                           seed=seed + 2, bootstrap=bootstrap)
+    return forest, data
+
+
+def _stream_forest_corpus(tmp_path, bootstrap: bool, seed: int) -> dict:
+    forest, data = _stream_forest(bootstrap, seed)
+    probes = gen_synthetic("blobs", 300, noise=0.8, seed=seed + 1, n_classes=4,
+                           n_features=5).features
     history = []
-    # Forced, suppressed and free coins in turn, so that replacements
-    # happen and the history covers all three.
-    coins = (True, None, False, True, None, None, True, False, None, None, True)
-    for i, coin in enumerate(coins, start=1):
+    for i, coin in enumerate(COINS, start=1):
         forest.update(data.subset(range(60 * i, 60 * (i + 1))), force_replacement=coin)
         history.append(_history_entry(forest.last_replacement))
     assert sum(len(h["replaced"]) for h in history) >= 6
@@ -96,12 +108,14 @@ def _batch_forest_corpus(tmp_path) -> dict:
     return _forest_digest(forest, probes, tmp_path)
 
 
+STREAM_TREE_CRITERIA = SplitCriteria(max_features=2, min_samples_split=3)
+
+
 def _stream_tree_corpus() -> dict:
     data = gen_synthetic("blobs", 500, noise=1.0, seed=41, n_classes=3, n_features=3)
     probes = gen_synthetic("blobs", 200, noise=1.0, seed=42, n_classes=3,
                            n_features=3).features
-    tree = StreamTree(data.subset(range(50)), 3,
-                      SplitCriteria(max_features=2, min_samples_split=3), seed=43)
+    tree = StreamTree(data.subset(range(50)), 3, STREAM_TREE_CRITERIA, seed=43)
     for i in range(1, 10):
         tree.update(data.subset(range(50 * i, 50 * (i + 1))))
     return {
@@ -171,3 +185,38 @@ GOLDEN = {'batch_forest': {'bulk': 'e1bb91f7fe8ce3afa88a722b39cce71809d17542db33
 
 def test_golden_digests(tmp_path):
     assert _corpus(tmp_path) == GOLDEN
+
+
+def _forest_trees(forest) -> list:
+    table, roots = forest._place()
+    return [preorder(table.view(root)) for root in roots.tolist()]
+
+
+def test_golden_corpus_grows_like_the_loop_reference():
+    """The digested models equal the v2 loop reference's, so the constants
+    above are the reference's as well."""
+    for bootstrap, seed in ((True, 11), (False, 21)):
+        forest, data = _stream_forest(bootstrap, seed)
+        rng = np.random.default_rng(seed + 2)
+        roots = loop_fit(data.subset(range(60)), loop_samples(rng, 12, 60, bootstrap),
+                         FOREST_CRITERIA, rng)
+        for i, coin in enumerate(COINS, start=1):
+            batch = data.subset(range(60 * i, 60 * (i + 1)))
+            forest.update(batch, force_replacement=coin)
+            loop_forest_update(roots, batch, FOREST_CRITERIA, rng, bootstrap, 2, i + 1, coin)
+        assert _forest_trees(forest) == [preorder(root) for root in roots]
+
+    data = gen_synthetic("blobs", 400, noise=0.8, seed=31, n_classes=3, n_features=4)
+    rng = np.random.default_rng(33)
+    roots = loop_fit(data, loop_samples(rng, 6, 400, True), FOREST_CRITERIA, rng)
+    assert _forest_trees(BatchForest(6, seed=33).fit(data)) == [preorder(r) for r in roots]
+
+    data = gen_synthetic("blobs", 500, noise=1.0, seed=41, n_classes=3, n_features=3)
+    tree = StreamTree(data.subset(range(50)), 3, STREAM_TREE_CRITERIA, seed=43)
+    rng = np.random.default_rng(43)
+    (root,) = loop_fit(data.subset(range(50)), [np.arange(50)], STREAM_TREE_CRITERIA, rng)
+    for i in range(1, 10):
+        batch = data.subset(range(50 * i, 50 * (i + 1)))
+        tree.update(batch)
+        loop_update([root], batch, [np.arange(50)], STREAM_TREE_CRITERIA, rng)
+    assert preorder(tree.tree.root) == preorder(root)

@@ -1,5 +1,6 @@
-"""Tree growth against a per-node loop reference: single trees, batch
-forests, and stream forests built and updated batch by batch."""
+"""Tree growth against a per-node loop reference of the v2 draw rule:
+single trees, batch forests, stream trees, and stream forests built,
+updated and partly replaced batch by batch, at several round budgets."""
 
 import math
 
@@ -15,10 +16,19 @@ from streamforest import (
     DecisionTree,
     SplitCriteria,
     StreamForest,
+    StreamTree,
     best_split,
 )
 
-from helpers import brute_force_best_split, loop_best_split, loop_fit, loop_update, preorder
+from helpers import (
+    brute_force_best_split,
+    loop_best_split,
+    loop_fit,
+    loop_forest_update,
+    loop_samples,
+    loop_update,
+    preorder,
+)
 
 BASES = [0.0, 1.0, -2.5, 3.0, 1e6]
 
@@ -74,33 +84,32 @@ def test_stream_forest_grows_like_the_loop_reference(seed, budget):
 
 
 def _check_stream_forest(seed):
+    """Construction, updates and forced, suppressed and free replacement
+    coins: the whole draw order of an update, replacements included."""
     rng, criteria, make = _case(seed)
     first = make(int(rng.integers(10, 80)))
     k = first.n_classes
     n_trees = int(rng.integers(1, 5))
+    replace_count = int(rng.integers(1, n_trees + 1))
     bootstrap = bool(rng.integers(0, 2))
-    forest = StreamForest(first, k, n_trees=n_trees, replace_count=0, criteria=criteria,
-                          seed=seed, bootstrap=bootstrap)
+    forest = StreamForest(first, k, n_trees=n_trees, replace_count=replace_count,
+                          criteria=criteria, seed=seed, bootstrap=bootstrap)
 
-    seeds = np.random.SeedSequence(seed)
-    forest_rng = np.random.default_rng(seeds.spawn(1)[0])
-    rngs = [np.random.default_rng(child) for child in seeds.spawn(n_trees)]
-    n = first.n_samples
-    roots = [loop_fit(first, tree_rng.integers(0, n, n) if bootstrap else np.arange(n),
-                      criteria, tree_rng) for tree_rng in rngs]
+    ref_rng = np.random.default_rng(seed)
+    roots = loop_fit(first, loop_samples(ref_rng, n_trees, first.n_samples, bootstrap),
+                     criteria, ref_rng)
     assert _forest_trees(forest) == [preorder(root) for root in roots]
 
-    for _ in range(int(rng.integers(1, 4))):
+    coins = [True] + [(True, None, False)[int(rng.integers(0, 3))]
+                      for _ in range(int(rng.integers(0, 3)))]
+    for b, coin in enumerate(coins, start=2):
         batch = make(int(rng.integers(5, 60)))
-        forest.update(batch)
-        n = batch.n_samples
-        rows = [tree_rng.integers(0, n, n) if bootstrap else np.arange(n) for tree_rng in rngs]
-        loop_update(roots, batch, rows, criteria, rngs)
-        forest_rng.random()
+        forest.update(batch, force_replacement=coin)
+        replaced = loop_forest_update(roots, batch, criteria, ref_rng, bootstrap,
+                                      replace_count, b, coin)
+        assert forest.last_replacement["replaced"] == replaced
         assert _forest_trees(forest) == [preorder(root) for root in roots]
-    assert [t.rng.bit_generator.state for t in forest.trees] == \
-        [r.bit_generator.state for r in rngs]
-    assert forest.rng.bit_generator.state == forest_rng.bit_generator.state
+    assert forest.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -116,29 +125,34 @@ def _check_batch_fits(seed):
     n_trees = int(rng.integers(1, 4))
     bootstrap = bool(rng.integers(0, 2))
     forest = BatchForest(n_trees, criteria, seed=seed, bootstrap=bootstrap).fit(data)
-    expected = []
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
-        tree_rng = np.random.default_rng(child)
-        rows = tree_rng.integers(0, n, n) if bootstrap else np.arange(n)
-        expected.append(preorder(loop_fit(data, rows, criteria, tree_rng)))
-    assert _forest_trees(forest) == expected
+    ref_rng = np.random.default_rng(seed)
+    expected = loop_fit(data, loop_samples(ref_rng, n_trees, n, bootstrap), criteria, ref_rng)
+    assert _forest_trees(forest) == [preorder(root) for root in expected]
 
     tree = DecisionTree(criteria, seed=seed).fit(data)
-    tree_rng = np.random.default_rng(seed)
-    assert preorder(tree.root) == preorder(loop_fit(data, np.arange(n), criteria, tree_rng))
+    (root,) = loop_fit(data, [np.arange(n)], criteria, np.random.default_rng(seed))
+    assert preorder(tree.root) == preorder(root)
 
 
-def test_one_feature_draw_is_choice_of_one():
-    """Growth draws a one-feature subset as ``integers(0, p)``, which must
-    give the values and the generator state of ``choice(p, 1, replace=False)``;
-    if numpy changes either algorithm, trees would change silently."""
-    for p in range(1, 65):
-        for seed in range(5):
-            by_choice, by_integers = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(20):
-                assert int(by_choice.choice(p, 1, replace=False)[0]) == \
-                    int(by_integers.integers(0, p))
-            assert by_choice.bit_generator.state == by_integers.bit_generator.state
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), BUDGETS)
+def test_stream_tree_grows_like_the_loop_reference(seed, budget):
+    _with_budget(budget, _check_stream_tree, seed)
+
+
+def _check_stream_tree(seed):
+    rng, criteria, make = _case(seed)
+    first = make(int(rng.integers(5, 80)))
+    tree = StreamTree(first, first.n_classes, criteria, seed=seed)
+    ref_rng = np.random.default_rng(seed)
+    (root,) = loop_fit(first, [np.arange(first.n_samples)], criteria, ref_rng)
+    assert preorder(tree.tree.root) == preorder(root)
+    for _ in range(int(rng.integers(1, 4))):
+        batch = make(int(rng.integers(1, 60)))
+        tree.update(batch)
+        loop_update([root], batch, [np.arange(batch.n_samples)], criteria, ref_rng)
+        assert preorder(tree.tree.root) == preorder(root)
+    assert tree.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -90,7 +90,7 @@ def test_snapshot_is_self_describing(tmp_path):
     path = tmp_path / "forest.json"
     save_forest(f, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == "streamforest-snapshot-v1"
+    assert doc["format"] == "streamforest-snapshot-v2"
     assert doc["model"] == "stream_forest"
     assert len(doc["trees"]) == 5
     first = doc["trees"][0]
@@ -158,8 +158,7 @@ def test_snapshot_without_generator_state_still_loads(tmp_path):
     path = tmp_path / "forest.json"
     save_forest(f, path)
     doc = json.loads(path.read_text())
-    for key in ("seed_children_spawned", "rng_state", "tree_rng_states"):
-        del doc[key]
+    del doc["rng_state"]
     path.write_text(json.dumps(doc))
     loaded = load_forest(path)
     probes = np.random.default_rng(3).uniform(-6, 6, (100, 2))
@@ -218,6 +217,18 @@ def test_v1_snapshot_loads_and_predicts_as_saved():
     probes = np.array(expected["probes"])
     assert forest.predict(probes).tolist() == expected["predictions"]
     assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]
+
+
+def test_v1_snapshot_saves_as_v2(tmp_path):
+    forest, _ = _v1_fixture()
+    path = tmp_path / "v2.json"
+    save_forest(forest, path)
+    v1 = json.loads((DATA / "v1_stream_forest.json").read_text())
+    v2 = json.loads(path.read_text())
+    assert v2["format"] == "streamforest-snapshot-v2"
+    assert v2["trees"] == v1["trees"]
+    assert v2["rng_state"] == v1["rng_state"]
+    assert "tree_rng_states" not in v2 and "seed_children_spawned" not in v2
 
 
 def test_v1_snapshot_loads_update_alike(tmp_path):

@@ -136,51 +136,51 @@ def _corpus(tmp_path) -> dict:
     }
 
 
-GOLDEN = {'batch_forest': {'bulk': 'e1bb91f7fe8ce3afa88a722b39cce71809d17542db3316ef0e1aacda37dc9973',
-                  'nodes': 428,
-                  'one': 'b6e27bb33518f3926445a71656bceb4f7e80b53de196361a727bf7156d3b556d',
-                  'trees': ['29f429276324772d94dd92fa9048e38990605d376f3970bcb07fd65cd65190ae',
-                            'c4339ebd9254562d00e1cdac829f8b70eec66635d7e7af58b2046e251c731178',
-                            '3b3f2303c01111737338dd084c1a879b3a4f03c853a1cd2f8d0a63a4bd7f5356',
-                            '979e9f9c634ab3011a4de66db90832d12e61065f378d2e429eb47126d0d4b47b',
-                            '043f88ed591323bcf2590dea8361d54685fef03e0f18a3007a8ce42d491ae46d',
-                            '64330d3b4c5c732693ce55c211a0ba680f2308bd8f9166cdbd1cc3e0df562502']},
- 'stream_forest': {'bulk': '933eed5693b09322645d2b6234ff97c38530d43ff592bcbe680bf991b4cf5fda',
-                   'history': '08e03374dc7f84b2c5950f1e18e99de92ce91500cf653a9e4e618a7ef94f7a9d',
-                   'nodes': 996,
-                   'one': 'fe9228bdf2367d6241690b277f11dae4d585e78a1305abcd467b9f8152116746',
-                   'trees': ['c1027e7305797c76db1f0cba6cbadfe98b6c7b0336ac7555c3b53023a318315a',
-                             '20cce0f3f23ab830a4fa3e68d62083839246d990c836753ad09555d3f8897e22',
-                             '42331b52915b09bb0b3096f75bc5132fb7753c5f5774dfc63a8b5583eacac7c5',
-                             '922ccecd11ef3097826578a0a047b9e2718248f11a06fb1cafed626d409eaef0',
-                             'b3e9d498364cd875c2704e8317c3109202bafd0c668f76afb94e39c3e4b674d6',
-                             '3d2f6c23290718ed5b7403375d21f7bba5551d329edf276cec669dd3e92b2e5b',
-                             'a927fa7cb77d1d97364cc4a683b29ddd40cdecc54a37247c2ee6b52f5e27a116',
-                             '268712c27920cd6c4746a79ba60f26905dd129b9034c264410afe0556e2fef32',
-                             '661f562197a6f9e798f0d8fe5adea2bce4793c7a60e66cf869f4e6f63214c9df',
-                             '434e63ddab54cbe56a36e37dc03d39b42f75a03827d42df5141d7a66d9303f45',
-                             '0352901acd3a028d682001298533e3cbb21d13d64a0b84e24ffafa036e5d05da',
-                             '12120acd625ea00de4d26b28fa837b61dd2fffd72c100d4aef3bd891b0589c62']},
- 'stream_forest_no_bootstrap': {'bulk': 'ff36293943b1f8ccdfba2954f2a255f77f36370d4a1ac042768b202356bd7912',
-                                'history': '51a1950fafb551d09c428a2b8520fcc4876536a26c8d6f12d580361cfea5af9b',
-                                'nodes': 1716,
-                                'one': 'cc314f69cbdce3060d76b6d22b9eff757831f983c64ecbedea25eda3001c80e0',
-                                'trees': ['a83234ffc05b2fc707fa76e3c28dad8924974007c13ffe209515aa7567b18073',
-                                          'e34a374770b4e97ccf128bf193aba7448d528fcb56429fed2e3565b110e56fc4',
-                                          'f0fbf31767052dc38b22adf02c6a4d94b7147dc074b8693e81a01724254e2e78',
-                                          'd595e0b39b09f48826ea8e8bc761b470c794e3f4bab6bb5a82216f5fcab34ee5',
-                                          '2b2608a23be9fd1a214e10884262d1f9e0e81cc0ec822fc0a2b6537f02395743',
-                                          'b188dde7a15a1015dec773008219fe5f8b26c9b05d3aab4e2e659ce388e619b6',
-                                          'c25dea3be2995e7d7d44c3e707aea8c38cc8dc6712296b253040bac3a91e8853',
-                                          'fba0a08a67640041508487612b174b0f6391933ed6a821325cb14a1a677a0447',
-                                          '23b668ff0aa93d8752506de7867c7e12cde54b80122cdb31cfee7f279d3f5ca9',
-                                          '65ef276debea84afb51ce200f6bd193ee3cc202ac49419ebd56a5b1c16f21fcf',
-                                          '6100a0d3a203985185121630b5061796acab5c0d57b55edb6bb173ebb29a6a0d',
-                                          '05be050c565a25ce175102ac0186b8b45b7e3037c90be46e902e64d1314c1f54']},
- 'stream_tree': {'bulk': 'c654edb2931a71166b656716ff3a04c7b0813a1acbf638f0ca8b73dd4e9af496',
-                 'nodes': 93,
-                 'one': 'aab76025ad69b8ac18746feff39606293da77240244ab1fd3c2283b760603c97',
-                 'tree': '84d68e83f4170934bf046f71e9505fdace80dbceb3e46d1221ada0ced9d632e5'}}
+GOLDEN = {'batch_forest': {'bulk': 'fa68eb07e51f6f76d78c0e41b73a1d374f73f9c4fc80c2370b04179b2ac8662f',
+                  'nodes': 406,
+                  'one': '8dfddb3aa650be564dcae88d6eec1ffcd9f1bcea4945aa80149baf45243b6e14',
+                  'trees': ['b8c9480979c8ebf6325afabfac5ffe28034cba485bbd00ff40755f126781945a',
+                            'b2953e5e15d9ca2cc6900d365635d12f2fc3e2707e4837c257cb5f21003c408b',
+                            'a660c4aa00baf0045bc42d1d860a355707fd12ea65affdfa58132c61e7b938ac',
+                            'a2001fc7b3b955435256b9c3c11f9a42c218858e68f986b1e9806f2fd2d24fac',
+                            '833131eba530bffd3af092769249f00ed9b0e15618af451380ab21366f3a5d63',
+                            'c8f766bf00602a99a396653ee0655f1d2ab4798c7f8ed16f01828f0e907ee4ee']},
+ 'stream_forest': {'bulk': '84b0924940e37b499d5dfdbc432d88a1c5972c9ca52248a3459d67cf84637897',
+                   'history': '88578aa10b7dce855a5bba61acee96a3634fd05b023954f3bb8d96ee2392ab29',
+                   'nodes': 988,
+                   'one': 'b11b4e03542abf4375ce2525a87a3d17d00ff71fc0a0284056a499e3b770a7bc',
+                   'trees': ['4f768d916c4e96d311de5bf09c7025a080a7889fce205d8c25a54bd41cd17edf',
+                             '05c2ec634137b0094fbc604e2080dfaa6bb7b34d0669e2bbc41392a1048be1a0',
+                             '1cd578a8d1b1b0852150de332ddfaee1f32ee22a1c03b6fa1d2c662c38ea54b0',
+                             '57ebd9e86f6167e9944c990e9d1da3ea2f0ef4498ede4b36441a8acd66eff9c2',
+                             '5e21ef80a6b3f919e4abb4cbefd6821aa5e44e636b56f6f672f7cc7cb5799112',
+                             'cadccae57d68b8d673edbdf2106943c6b5f38c458ce830fb2b7012fd5645ebf9',
+                             'c1b4b9385e722c2a84419530c64698ef30e19b33a9a79e332b4f0c816b2a5be8',
+                             '43c850cb98bb0c127bde12671fe01ef3c0dd0896c4ae142c53169b43bfb8d3ca',
+                             '1063d009919dd28de6f8df595c9ba1f36cb5de7fe0a881201c5fd71fe1ac516b',
+                             '78a25830ccbf620f7cdcc604e360ccfdf680702e8caa488c9a163d817a709080',
+                             '7e6a5f355ec5c75513d156a9c47b1997f76d8876750654e4c5701a763c4516ab',
+                             '77bc5c481e8616c6036ee056460d4f24ad6a6f07a6f7d93c23ff1846c1846775']},
+ 'stream_forest_no_bootstrap': {'bulk': '0910337fc6a4d4bc6ffbe9bcdd5fbf484f776eb35abf77aa8fea046dea0dc934',
+                                'history': '95d698c5ca3ffa453d16af33c3e4ed7552d7f612db6f4ca682ae37a6da48bfde',
+                                'nodes': 1588,
+                                'one': 'c9d49199da81d131da19e1e12c1b32c0855c2ae85cbe8ae7b19ecf89763d4bf3',
+                                'trees': ['901f7057425ec17679372e18d56d29da027f067a697cb8b8cca1bd031120b07e',
+                                          '3d4e4cbff2fe3be91bc28c926d06143c24cb35d51cd2b4264a463ee8e7020b7c',
+                                          '95146b5e79c3ddbabff2c78502fbed737159496900a04bcf91404c45d68df660',
+                                          '5e0584664b13a7bb3512cdb887e6b335758e32da040b449063a4806795d4f11c',
+                                          'f9ddedf3a11545fc7b943a6ecb2849d3fd3c457a2556ed8c844bfe149781ed54',
+                                          '314059c0fb7ba247a30c905a1f443596ecbbbcb821aa50b822fccf081fe0814f',
+                                          '01128b7ec8c581e196e273016ae3996c950cc1c55e476f3103a88101acc51d2c',
+                                          'aaaf491fa4113096584bdbca0c357807a6d3236ea91127a5ecdd3ad57842c608',
+                                          '80b6dd44825000e167fad21062bed51ed5342e0442220bcad61e14a0fbb79038',
+                                          'd931e6b6fef39ffd76c3e9d141ac2ae388ba8e2759f974263d8510a00cb66820',
+                                          'a90a4a1d9bf021725721be0fd94837c7995e32632f570c4d676e7e0d66a8f569',
+                                          'f2c83f0c201e292234ef8cb60e274988dc75277366c83412ca4a1b42917bbceb']},
+ 'stream_tree': {'bulk': 'f8f40200c9f5cc9c0dbcae2743aab7c24d7833e637b5eed4ccb2aafa89697b6a',
+                 'nodes': 87,
+                 'one': '4a51b62f0b7e05557888a8b4fd928bcfb8cd80e30f5150e0bdab46f7bb7baed2',
+                 'tree': '32cb21a91a6126fd5a9fd4439142b6144ccfaf343f23e93b1f91d0f0477cd881'}}
 
 
 def test_golden_digests(tmp_path):

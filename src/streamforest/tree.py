@@ -643,12 +643,13 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     """
     rows = np.asarray(rows, dtype=np.intp)
     tree_of = np.asarray(tree_of, dtype=np.intp)
-    cell = tree_of * X.shape[0] + rows
+    n = X.shape[0]
+    cell = tree_of * n + rows
     repeats = np.bincount(cell)
     distinct = np.flatnonzero(repeats)
     weight = repeats[distinct]
-    start = np.asarray(roots, dtype=np.intp)[distinct // X.shape[0]]
-    distinct_rows = distinct % X.shape[0]
+    distinct_tree, distinct_rows = np.divmod(distinct, n)
+    start = np.asarray(roots, dtype=np.intp)[distinct_tree]
     path = []
     leaf = _descend(table, start, distinct_rows, X, path)
     labels = y[distinct_rows]
@@ -657,18 +658,21 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
               nodes * table.n_classes + np.concatenate([labels] + [labels[live] for live, _, _ in path]),
               np.concatenate([weight] + [weight[live] for live, _, _ in path]))
 
-    # Depth-first, left-first order of the touched leaves: sort the pairs by
-    # tree, then by the branches taken (left first), packed most significant
-    # first, 63 levels to a word. No touched leaf lies on another's path, so
-    # padding short paths with "left" is safe. The sort is stable, so each
-    # leaf's pairs keep their order.
-    words = np.zeros(((len(path) + 62) // 63, distinct.size), dtype=np.int64)
-    for depth, (live, goes_left, _) in enumerate(path):
-        words[depth // 63, live[~goes_left]] |= 1 << (62 - depth % 63)
+    # Depth-first, left-first order of the touched leaves: one stable sort
+    # of the pairs on (tree, branches taken), packed most significant bit
+    # first into int64 words of 63 bits: the tree index, then one bit per
+    # depth, 1 for right. No touched leaf lies on another's path, so padding
+    # short paths with "left" is safe; stability keeps each leaf's pairs in
+    # order.
+    tree_bits = (len(roots) - 1).bit_length()
+    words = np.zeros(((tree_bits + len(path)) // 63 + 1, distinct.size), dtype=np.int64)
+    words[0] = distinct_tree << (63 - tree_bits)
+    for bit, (live, goes_left, _) in enumerate(path, start=tree_bits):
+        words[bit // 63, live[~goes_left]] |= 1 << (62 - bit % 63)
     pair_of = np.cumsum(repeats > 0) - 1  # cell -> its distinct pair
-    of_pair = pair_of[cell]
-    order = np.lexsort(tuple(words[::-1, of_pair]) + (tree_of,))
-    pair_leaf = leaf[of_pair[order]]
+    keys = words[:, pair_of[cell]]
+    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
+    pair_leaf = leaf[pair_of[cell[order]]]
     first = np.flatnonzero(np.diff(pair_leaf, prepend=-1))
     return _Touched(pair_leaf[first], tree_of[order[first]], np.append(first, order.size),
                     order)

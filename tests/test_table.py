@@ -65,6 +65,36 @@ def test_router_matches_loop_reference(seed):
         assert root_views[got.tree[u]] is root_views[tree_of[pairs[0]]]
 
 
+def test_router_orders_leaves_deeper_than_one_word():
+    """Two caterpillar trees 150 levels deep, one leaning left and one
+    right: the branch bits of a path span three 63-bit words."""
+    depth, k = 150, 2
+    table = NodeTable(k)
+    roots = []
+    for lean_left in (False, True):
+        node = table.add_leaf([0, 0])
+        roots.append(node)
+        for level in range(depth):
+            threshold = level if not lean_left else depth - 1 - level
+            left, right = table.split([node], [0], [threshold + 0.5], [[0, 0]], [[0, 0]], [0])
+            node = int(right[0] if not lean_left else left[0])
+    rng = np.random.default_rng(12)
+    X = rng.permutation(depth + 1).astype(np.float64)[:, None]
+    y = rng.integers(0, k, depth + 1)
+    tree_of = np.repeat([0, 1], [2 * depth, depth])
+    rows = rng.integers(0, depth + 1, tree_of.size)
+    root_views = [table.view(r) for r in roots]
+    _, increments, touched = loop_route(root_views, rows, tree_of, X, y, k)
+    before = table.counts[: table.size].copy()
+    got = _route_and_count(table, np.array(roots), rows, tree_of, X, y)
+    for node, counts in increments:
+        before[node._id] += counts
+    assert np.array_equal(table.counts[: table.size], before)
+    assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
+    for u, (_, pairs) in enumerate(touched):
+        assert got.pairs[got.bounds[u]: got.bounds[u + 1]].tolist() == pairs.tolist()
+
+
 def _assert_no_dead_nodes(forest):
     table, _ = forest._place()
     assert table.size == forest.node_count()

@@ -43,10 +43,10 @@ def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
 def _samples(rng: np.random.Generator, count: int, n: int,
              bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
     """One row buffer for growing `count` new trees on n rows, and its
-    bounds: tree t's rows are its bootstrap, all drawn by one call, or
-    every row once."""
-    rows = rng.integers(0, n, (count, n)).reshape(-1) if bootstrap else np.tile(np.arange(n), count)
-    return rows, np.arange(count + 1) * n
+    bounds: tree t's rows are a bootstrap, all drawn in one call, or every
+    row once."""
+    rows = rng.integers(0, n, (count, n)) if bootstrap else np.tile(np.arange(n), (count, 1))
+    return rows.reshape(-1), np.arange(count + 1) * n
 
 
 def _decision_tree(tree) -> DecisionTree:
@@ -157,13 +157,11 @@ class StreamForest:
     batch only. Predictions are majority votes.
 
     The whole evolution is a pure function of (seed, batch sequence,
-    hyperparameters). The forest draws from one generator, seeded by
-    `seed`; an update draws, in this order, every tree's bootstrap in one
-    call, the growth draws of all trees together (see `tree._grow`), the
-    replacement coin, and then the replacements' bootstraps and growth
-    draws. The constructor draws the bootstraps, then the growth draws. All
-    trees live in one node table, which after every update holds exactly
-    the nodes of the current trees.
+    hyperparameters). One generator, seeded by `seed`, draws in this order:
+    all bootstraps in one call, the growth draws (see `tree._grow`), the
+    coin, the replacements' bootstraps and growth draws. All trees live in
+    one node table, which after every update holds exactly the nodes of the
+    current trees.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
@@ -248,10 +246,9 @@ class BatchForest:
     """Bagged CART forest refit from scratch on the full data it is given.
 
     Each fit draws one bootstrap resample per tree (size n, with
-    replacement), all in one call, then grows the trees together, from a
-    generator seeded afresh by `seed`; refitting on the same data and seed
-    reproduces the same forest. The fit keeps a reference to the training
-    data.
+    replacement) in one call, then the growth draws, from a generator seeded
+    by `seed`, and keeps a reference to the training data; refitting on the
+    same data and seed reproduces the same forest.
     """
 
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,

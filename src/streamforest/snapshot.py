@@ -62,12 +62,6 @@ def _table_from_arrays(trees: list[dict], n_classes: int) -> tuple[NodeTable, li
     return table, table.append(starts, columns).tolist()
 
 
-def _generator(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
 @contextlib.contextmanager
 def _write_atomically(path):
     """A text file to write in place of `path`: a temporary file in the same
@@ -166,10 +160,9 @@ def load_forest(path) -> StreamForest | BatchForest:
         forest.criteria = criteria
         forest.master_seed = doc["master_seed"]
         forest.bootstrap = doc.get("bootstrap", True)
+        forest.rng = np.random.default_rng(doc["master_seed"])
         if "rng_state" in doc:
-            forest.rng = _generator(doc["rng_state"])
-        else:
-            forest.rng = np.random.default_rng(doc["master_seed"])
+            forest.rng.bit_generator.state = doc["rng_state"]
         _hold(forest, table, [
             StreamTree._from_parts(table.view(root), n_features, n_classes,
                                    criteria, batches, seed=forest.rng)

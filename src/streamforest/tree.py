@@ -464,11 +464,9 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
     # Candidates come in (node, feature, threshold) order, the tie rule's.
     best = _best_candidates(u, n_l, n_r, s_l, s_r, s_parent)
     i = np.fromiter(best.values(), dtype=np.intp, count=len(best))
-    w = np.fromiter(best.keys(), dtype=np.intp, count=len(best))
     for u_, f, lo, hi, a, b, c, d, sp in zip(
-            w.tolist(), cand.reshape(-1)[s[i]].tolist(), v[p[i] - 1].tolist(),
-            v[p[i]].tolist(), n_l[i].tolist(), n_r[i].tolist(), s_l[i].tolist(),
-            s_r[i].tolist(), s_parent[w].tolist()):
+            best, cand.reshape(-1)[s[i]].tolist(), v[p[i] - 1].tolist(), v[p[i]].tolist(),
+            *(x[i].tolist() for x in (n_l, n_r, s_l, s_r, s_parent[u]))):
         threshold = (lo + hi) / 2.0
         # The midpoint can round up to hi or overflow to +-inf, which would
         # send both blocks to one side; lo still separates them.
@@ -480,43 +478,34 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
 
 
 # Width of the float prefilter of `_best_candidates`, relative to a node's
-# best float score. Each q is a sum of two positive quotients of exact
-# integers, so its float error is a few ulps (about 1e-15 relative) at any
-# node size; the band covers thousands of them and still admits only
-# near-ties.
+# best float q. The float error of q is a few ulps at any node size; the
+# band covers thousands of them and still admits only near-ties.
 _NEAR_TIE = 1e-12
 
 
 def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
     """The best split candidate of each node, chosen exactly.
 
-    Candidate i belongs to node ``node[i]`` (candidates grouped by node, and
-    in tie-rule order within a node: feature, then threshold). It sends
-    n_l[i] rows whose squared class counts sum to s_l[i] left, and n_r[i]
-    rows with s_r[i] right; ``s_parent[u]`` is that sum over all of node
-    u's rows. Maximizing the weighted Gini decrease is maximizing
-    q = s_l/n_l + s_r/n_r. Floats rank the candidates; those within
-    _NEAR_TIE of their node's best float q are compared exactly by integer
+    Candidate i of node ``node[i]`` (candidates grouped by node, in tie-rule
+    order within one) sends n_l[i] rows whose squared class counts sum to
+    s_l[i] left, and n_r[i] rows with s_r[i] right; all are integer arrays,
+    and ``s_parent[u]`` is that sum over node u. The best candidate has the
+    largest q = s_l/n_l + s_r/n_r. Floats rank them, and those within
+    _NEAR_TIE of their node's best are compared by exact integer
     cross-multiplication, so ties resolve by the tie rule, not by rounding.
 
     Returns {node: index of its first candidate with the largest q}, for the
     nodes whose largest q beats the parent's s_parent / (n_l + n_r).
     """
-    nl = np.asarray(n_l, dtype=np.float64)
-    q = np.asarray(s_l, dtype=np.float64) / nl + \
-        np.asarray(s_r, dtype=np.float64) / np.asarray(n_r, dtype=np.float64)
-    node = np.asarray(node)
-    first = np.ones(node.size, dtype=bool)
-    first[1:] = node[1:] != node[:-1]
+    q = s_l / n_l + s_r / n_r
+    first = np.diff(node, prepend=-1) != 0
     q_max = np.maximum.reduceat(q, np.flatnonzero(first))[np.cumsum(first) - 1]
     near = np.flatnonzero(q >= q_max * (1.0 - _NEAR_TIE))
-    s_parent = np.asarray(s_parent).tolist()
     best = {}  # node: (index, q numerator, q denominator)
-    for i, u, a, b, c, d in zip(near.tolist(), node[near].tolist(),
-                                np.asarray(n_l)[near].tolist(), np.asarray(n_r)[near].tolist(),
-                                np.asarray(s_l)[near].tolist(), np.asarray(s_r)[near].tolist()):
+    for i, u, a, b, c, d, sp in zip(near.tolist(), *(
+            x[near].tolist() for x in (node, n_l, n_r, s_l, s_r, s_parent[node]))):
         num, den = c * b + d * a, a * b
-        if num * (a + b) <= s_parent[u] * den:  # decrease not positive
+        if num * (a + b) <= sp * den:  # decrease not positive
             continue
         old = best.get(u)
         if old is None or num * old[2] > old[1] * den:
@@ -591,7 +580,8 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes,
         mid = start[splits] + counts[:, 0].sum(axis=1)
         children = np.stack((np.stack((left, start[splits], mid), axis=1),
                              np.stack((right, mid, stop[splits]), axis=1)), axis=1)
-        grows = ((counts > 0).sum(axis=2) > 1) & (children[:, :, 2] - children[:, :, 1] >= min_split)
+        grows = ((counts > 0).sum(axis=2) > 1) & \
+            (children[:, :, 2] - children[:, :, 1] >= min_split)
         queue = np.concatenate((queue, children[grows]))
 
 
@@ -654,9 +644,9 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     leaf = _descend(table, start, distinct_rows, X, path)
     labels = y[distinct_rows]
     nodes = np.concatenate([start] + [reached for _, _, reached in path])
-    np.add.at(table.counts.reshape(-1),
-              nodes * table.n_classes + np.concatenate([labels] + [labels[live] for live, _, _ in path]),
-              np.concatenate([weight] + [weight[live] for live, _, _ in path]))
+    labels, weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
+                      for a in (labels, weight))
+    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + labels, weight)
 
     # Depth-first, left-first order of the touched leaves: one stable sort
     # of the pairs on (tree, branches taken), packed most significant bit

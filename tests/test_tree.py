@@ -231,7 +231,7 @@ def test_exact_choice_orders_a_near_tie_that_floats_misorder():
     assert q[0] > q[1] > Fraction(int(parent @ parent), int(parent.sum()))
     assert s_l[1] / n_l[1] + s_r[1] / n_r[1] > s_l[0] / n_l[0] + s_r[0] / n_r[0] + 1e-9
     assert _best_candidates(np.zeros(2, dtype=np.int64), n_l, n_r, s_l, s_r,
-                            [int(parent @ parent)]) == {0: 0}
+                            np.array([parent @ parent])) == {0: 0}
 
 class TestFit:
     def test_one_dim_example_builds_depth_one_tree(self):

@@ -628,11 +628,10 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     the counts of every node on its path.
 
     Pair i is row ``rows[i]`` of (X, y) entering the tree rooted at
-    ``roots[tree_of[i]]``; a row may enter a tree more than once, as in a
-    bootstrap, and each distinct (tree, row) pair is routed once.
+    ``roots[tree_of[i]]`` (integer arrays); a row may enter a tree more than
+    once, as in a bootstrap, and each distinct (tree, row) pair is routed
+    once.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    tree_of = np.asarray(tree_of, dtype=np.intp)
     n = X.shape[0]
     cell = tree_of * n + rows
     repeats = np.bincount(cell)

@@ -657,10 +657,11 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     words = np.zeros(((tree_bits + len(path)) // 63 + 1, distinct.size), dtype=np.int64)
     words[0] = distinct_tree << (63 - tree_bits)
     for bit, (live, goes_left, _) in enumerate(path, start=tree_bits):
-        words[bit // 63, live[~goes_left]] |= 1 << (62 - bit % 63)
+        word = words[bit // 63]
+        word[live[~goes_left]] |= 1 << (62 - bit % 63)
     pair_of = np.cumsum(repeats > 0) - 1  # cell -> its distinct pair
     keys = words[:, pair_of[cell]]
-    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
+    order = np.lexsort(keys[::-1])
     pair_leaf = leaf[pair_of[cell[order]]]
     first = np.flatnonzero(np.diff(pair_leaf, prepend=-1))
     return _Touched(pair_leaf[first], tree_of[order[first]], np.append(first, order.size),

@@ -41,12 +41,29 @@ def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
 
 
 def _samples(rng: np.random.Generator, count: int, n: int,
-             bootstrap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One row buffer for growing `count` new trees on n rows, and its
-    bounds: tree t's rows are a bootstrap, all drawn in one call, or every
-    row once."""
-    rows = rng.integers(0, n, (count, n)) if bootstrap else np.tile(np.arange(n), (count, 1))
-    return rows.reshape(-1), np.arange(count + 1) * n
+             bootstrap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row buffers for growing `count` new trees on n rows: (rows,
+    weights, bounds), tree t on ``rows[bounds[t]:bounds[t + 1]]``, row
+    ``rows[i]`` counted ``weights[i]`` times.
+
+    A bootstrap draws all trees' n rows in one call and keeps each tree's
+    distinct rows, in increasing order, with the number of times each was
+    drawn; without one, every tree takes every row once. Both buffers are
+    32-bit where n allows, as they stay allocated while the trees grow.
+    """
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    bounds = np.arange(count + 1) * n
+    if not bootstrap:
+        return np.tile(np.arange(n, dtype=index), count), np.ones(count * n, np.int32), bounds
+    cells = rng.integers(0, n, (count, n))
+    cells += bounds[:-1, None]  # (tree, row) cell t * n + row
+    repeats = np.bincount(cells.reshape(-1), minlength=count * n)
+    del cells
+    drawn = np.flatnonzero(repeats)
+    weights = repeats[drawn].astype(np.int32)
+    del repeats
+    rows = np.remainder(drawn, n, out=np.empty(drawn.size, dtype=index))
+    return rows, weights, np.searchsorted(drawn, bounds)
 
 
 def _decision_tree(tree) -> DecisionTree:
@@ -195,8 +212,9 @@ class StreamForest:
     def _fresh_trees(self, data: Dataset, count: int) -> list:
         """`count` new trees grown together in the forest's table, each on a
         bootstrap of `data`."""
-        rows, bounds = _samples(self.rng, count, data.n_samples, self.bootstrap)
-        return StreamTree._grown(self._table, data, rows, bounds, self.criteria, self.rng)
+        rows, weights, bounds = _samples(self.rng, count, data.n_samples, self.bootstrap)
+        return StreamTree._grown(self._table, data, rows, weights, bounds, self.criteria,
+                                 self.rng)
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
@@ -272,9 +290,9 @@ class BatchForest:
         self.n_classes = data.n_classes
         self.n_features = data.n_features
         rng = np.random.default_rng(self.seed)
-        rows, bounds = _samples(rng, self.n_trees, data.n_samples, self.bootstrap)
+        rows, weights, bounds = _samples(rng, self.n_trees, data.n_samples, self.bootstrap)
         table = NodeTable(data.n_classes)
-        roots = _plant(table, data, rows, bounds, self.criteria, rng)
+        roots = _plant(table, data, rows, weights, bounds, self.criteria, rng)
         trees = [DecisionTree._at(table, root, data.n_features, self.criteria, self.seed)
                  for root in roots]
         _hold(self, table, trees)

@@ -37,11 +37,12 @@ def _update_trees(trees: list, data: Dataset, rows, rng: np.random.Generator) ->
     """Extend each stream tree ``trees[t]`` with the rows ``rows[t]`` of
     `data`, a validated batch. The trees share one node table.
 
-    All (tree, row) pairs are routed and counted in one pass. Then one
-    `_grow` call per distinct split criteria, in order of first use, grows
-    the touched leaves that can split, drawing from `rng`; its queue starts
-    with the leaves tree by tree, each tree's in depth-first, left-first
-    order.
+    All (tree, row) pairs are routed and counted in one pass, each distinct
+    pair once with its repeats as its weight. Then one `_grow` call per
+    distinct split criteria, in order of first use, grows the touched
+    leaves that can split on those weighted rows, drawing from `rng`; its
+    queue starts with the leaves tree by tree, each tree's in depth-first,
+    left-first order.
     """
     table = trees[0].tree.table
     pair_rows = np.concatenate(rows)
@@ -49,17 +50,20 @@ def _update_trees(trees: list, data: Dataset, rows, rng: np.random.Generator) ->
     roots = np.array([tree.tree.root_id for tree in trees])
     touched = _route_and_count(table, roots, pair_rows, tree_of,
                                data.features, data.labels)
-    leaf_rows = pair_rows[touched.pairs]
-    sizes = np.diff(touched.bounds)
     groups = {}
     for t, tree in enumerate(trees):
         groups.setdefault(tree.criteria, []).append(t)
     for criteria, members in groups.items():
-        mine = np.isin(touched.tree, members)
-        bounds = np.zeros(mine.sum() + 1, dtype=np.intp)
-        np.cumsum(sizes[mine], out=bounds[1:])
-        _grow(table, data, leaf_rows[np.repeat(mine, sizes)], bounds,
-              touched.leaves[mine], criteria, rng)
+        leaves, bounds = touched.leaves, touched.bounds
+        leaf_rows, weights = touched.rows, touched.weights
+        if len(members) < len(trees):
+            mine = np.isin(touched.tree, members)
+            sizes = np.diff(bounds)[mine]
+            held = np.repeat(mine, np.diff(bounds))
+            leaves, leaf_rows, weights = leaves[mine], leaf_rows[held], weights[held]
+            bounds = np.zeros(sizes.size + 1, dtype=np.intp)
+            np.cumsum(sizes, out=bounds[1:])
+        _grow(table, data, leaf_rows, weights, bounds, leaves, criteria, rng)
     for tree in trees:
         tree.batches_seen += 1
 
@@ -95,17 +99,18 @@ class StreamTree:
         criteria = criteria if criteria is not None else SplitCriteria()
         rng = np.random.default_rng(seed)
         table = NodeTable(n_classes)
-        (root,) = _plant(table, data, np.arange(n), [0, n], criteria, rng)
+        (root,) = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
+                         criteria, rng)
         self._start(table, root, data.n_features, criteria, rng)
 
     @classmethod
-    def _grown(cls, table: NodeTable, data: Dataset, rows: np.ndarray, bounds,
-               criteria: SplitCriteria, rng: np.random.Generator) -> list:
+    def _grown(cls, table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray,
+               bounds, criteria: SplitCriteria, rng: np.random.Generator) -> list:
         """New trees grown in `table` by one `_grow` call, tree t on
         ``rows[bounds[t]:bounds[t + 1]]`` of `data` (under the table's class
-        count), all drawing from `rng`."""
+        count) with their `weights`, all drawing from `rng`."""
         trees = []
-        for root in _plant(table, data, rows, bounds, criteria, rng).tolist():
+        for root in _plant(table, data, rows, weights, bounds, criteria, rng).tolist():
             tree = cls.__new__(cls)
             tree._start(table, root, data.n_features, criteria, rng)
             trees.append(tree)

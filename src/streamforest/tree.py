@@ -356,7 +356,7 @@ def gini_impurity(class_counts) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-def best_split(data: Dataset, indices, candidate_features, starts=None):
+def best_split(data: Dataset, indices, candidate_features, starts=None, weights=None):
     """Exhaustive split search over the given features.
 
     Considers every midpoint between consecutive distinct sorted values of
@@ -365,6 +365,11 @@ def best_split(data: Dataset, indices, candidate_features, starts=None):
     decrease over the samples in `indices`. Ties break toward the lowest
     feature index, then the lowest threshold. Only the multiset of rows
     matters, not their order.
+
+    `weights`, positive integers (all ones by default), counts how many
+    times each listed row is present: the result equals that of the search
+    over ``np.repeat(indices, weights)``, exactly, as a bootstrap resample
+    held as distinct rows with their counts needs.
 
     With `starts`, one call searches many nodes: `indices` holds their rows
     back to back, node u's from ``starts[u]`` up to the next start (or the
@@ -377,6 +382,13 @@ def best_split(data: Dataset, indices, candidate_features, starts=None):
     decrease (pure node, or all candidate features constant).
     """
     idx = np.asarray(indices, dtype=np.intp)
+    if weights is None:
+        weights = np.ones(idx.size, dtype=np.int32)
+    else:
+        weights = np.asarray(weights)
+        if weights.shape != idx.shape or weights.dtype.kind not in "iu" or (
+                weights.size and weights.min() < 1):
+            raise ValueError("weights must be positive integers, one per index")
     if starts is None:
         if idx.size == 0:
             raise ValueError("indices must be nonempty")
@@ -393,20 +405,22 @@ def best_split(data: Dataset, indices, candidate_features, starts=None):
             raise ValueError("starts must begin at 0 and leave every node nonempty")
     if cand.min() < 0 or cand.max() >= data.n_features:
         raise ValueError("candidate feature index out of range")
-    found = _search(data, idx, np.sort(cand, axis=1), bounds)
+    found = _search(data, idx, weights, np.sort(cand, axis=1), bounds)
     return found if starts is not None else found[0]
 
 
-def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarray) -> list:
+def _search(data: Dataset, rows: np.ndarray, weights: np.ndarray, cand: np.ndarray,
+            bounds: np.ndarray) -> list:
     """`best_split` over nodes laid out back to back in `rows`, node u in
     ``rows[bounds[u]:bounds[u + 1]]`` with the features ``cand[u]``
-    (sorted); one result per node."""
+    (sorted), row ``rows[i]`` counted ``weights[i]`` times; one result per
+    node.
+
+    A full round's arrays sit on top of an almost full node table late in
+    a fit, where the fit's memory peaks, so each is deleted once used."""
     X, y, k = data.features, data.labels, data.n_classes
     n_nodes, m = cand.shape
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    labels = y[rows]
-    parent = np.bincount(np.repeat(np.arange(n_nodes) * k, sizes) + labels,
-                         minlength=n_nodes * k).reshape(n_nodes, k)
 
     # Segment s = u * m + j holds node u's rows under its j-th feature. Rows
     # are ordered by segment, then value: the value order is ranked once
@@ -418,33 +432,47 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
     np.cumsum(seg_size, out=seg_start[1:])
     e = int(seg_start[-1])
     seg = np.repeat(np.arange(seg_size.size), seg_size)
-    elem = rows[np.repeat(np.repeat(starts, m) - seg_start[:-1], seg_size) + np.arange(e)]
-    vals = X[elem, cand.reshape(-1)[seg]]
+    at = np.repeat(np.repeat(starts, m) - seg_start[:-1], seg_size) + np.arange(e)
+    vals = X[rows[at], cand.reshape(-1)[seg]]
     rank = np.empty(e, dtype=np.int64)
     rank[np.argsort(vals)] = np.arange(e)
     order = np.argsort(seg * e + rank)
+    del rank
     v = vals[order]
-    lab = y[elem[order]]
+    at = at[order]
+    lab = y[rows[at]]
+    w = weights[at]
+    del at, vals, order
 
     # Maximizing the weighted gini decrease is equivalent to maximizing
     # q = S_l/n_l + S_r/n_r, with S the sum of squared child class counts.
-    # Walking a segment in value order moves one row of class c at a time
-    # to the left: S_l grows by 2 * left_c + 1 and S_r shrinks by
-    # 2 * right_c - 1, with left_c and right_c counted before the move.
-    # left_c is the row's rank among its segment's rows of class c, found
-    # by sorting on (segment, class, position).
+    # Walking a segment in value order moves one row of class c and weight
+    # w at a time to the left: S_l grows by (2 * left_c + w) * w and S_r
+    # shrinks by (2 * right_c - w) * w, with left_c and right_c counted
+    # before the move. left_c is the weight of the segment's rows of class
+    # c before the row, found by sorting on (segment, class, position); the
+    # totals of those groups in each node's first segment are its class
+    # counts.
     key = seg * k + lab
     by_class = np.argsort(key * e + np.arange(e))
     group_start = np.zeros(seg_size.size * k + 1, dtype=np.intp)
     np.cumsum(np.bincount(key, minlength=seg_size.size * k), out=group_start[1:])
+    passed = np.zeros(e + 1, dtype=np.int64)  # weight before each position
+    np.cumsum(w[by_class], out=passed[1:])
     before = np.empty(e, dtype=np.int64)
-    before[by_class] = np.arange(e) - group_start[key[by_class]]
-    node = seg // m
-    after = parent[node, lab] - before
+    before[by_class] = passed[:-1] - passed[group_start[key[by_class]]]
+    del key, by_class
+    totals = passed[group_start]
+    parent = (totals[1:] - totals[:-1]).reshape(-1, k)[::m]
+    after = parent[seg // m, lab] - before
+    del lab
+    # The steps of S_l and S_r, computed in place to keep few arrays alive.
     grow_l = np.zeros(e + 1, dtype=np.int64)
-    np.cumsum(2 * before + 1, out=grow_l[1:])
+    np.cumsum(np.multiply(np.add(2 * before, w, out=before), w, out=before), out=grow_l[1:])
     shrink_r = np.zeros(e + 1, dtype=np.int64)
-    np.cumsum(2 * after - 1, out=shrink_r[1:])
+    np.cumsum(np.multiply(np.subtract(2 * after, w, out=after), w, out=after), out=shrink_r[1:])
+    del before, after
+    np.cumsum(w, out=passed[1:])  # now the weight before each position in value order
 
     # Value boundaries: position p starts a new value inside its segment,
     # and the left block is the segment's rows before p.
@@ -454,10 +482,10 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
         return results
     s = seg[p]
     first = seg_start[s]
-    u = node[p]
+    u = s // m
     s_parent = (parent * parent).sum(axis=1)
-    n_l = p - first
-    n_r = sizes[u] - n_l
+    n_l = passed[p] - passed[first]
+    n_r = parent.sum(axis=1)[u] - n_l
     s_l = grow_l[p] - grow_l[first]
     s_r = s_parent[u] - (shrink_r[p] - shrink_r[first])
 
@@ -475,6 +503,14 @@ def _search(data: Dataset, rows: np.ndarray, cand: np.ndarray, bounds: np.ndarra
         num, den, n = c * b + d * a, a * b, a + b
         results[u_] = (f, threshold, (num * n - sp * den) / (den * n * n))
     return results
+
+
+def _changes(a: np.ndarray) -> np.ndarray:
+    """Mask of the positions of `a` that hold another value than the one
+    before them, position 0 included."""
+    change = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=change[1:])
+    return change
 
 
 # Width of the float prefilter of `_best_candidates`, relative to a node's
@@ -498,7 +534,7 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
     nodes whose largest q beats the parent's s_parent / (n_l + n_r).
     """
     q = s_l / n_l + s_r / n_r
-    first = np.diff(node, prepend=-1) != 0
+    first = _changes(node)
     q_max = np.maximum.reduceat(q, np.flatnonzero(first))[np.cumsum(first) - 1]
     near = np.flatnonzero(q >= q_max * (1.0 - _NEAR_TIE))
     best = {}  # node: (index, q numerator, q denominator)
@@ -518,39 +554,47 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
 _PAIRS_PER_PASS = 1 << 15
 
 
-def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes,
-          criteria: SplitCriteria, rng: np.random.Generator) -> None:
+def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray, bounds,
+          nodes, criteria: SplitCriteria, rng: np.random.Generator) -> None:
     """Grow leaves of `table` on rows of `data`, any number of trees at once.
 
     Leaf ``nodes[u]`` holds the rows ``rows[bounds[u]:bounds[u + 1]]``,
-    already in its counts; indices may repeat a row, as a bootstrap resample
-    does. `rows` is one buffer for the whole call: a node is a range of it,
-    and a split reorders its range in place, left rows first. Only leaves
-    with at least min_samples_split rows and more than one label are split,
-    children the same.
+    already in its counts, row ``rows[i]`` counted ``weights[i]`` times
+    (positive integers); a bootstrap resample comes as its distinct rows and
+    how often each was drawn. `rows` and `weights` are one pair of buffers
+    for the whole call: a node is a range of them, and a split reorders its
+    range of both in place, left rows first. Node sizes are weighted: only
+    leaves whose weights sum to at least min_samples_split and that hold
+    more than one label are split, children the same.
 
     Growth is breadth-first over one queue: first the listed leaves that can
     split, in the listed order, then the children that can split of each
     node in queue order, left child first. A round is one batched
     `best_split` over a prefix of the queue holding at most _PAIRS_PER_PASS
-    rows (at least one node). Each searched node, in queue order, takes p
-    doubles from `rng` and searches the features of the m smallest; nothing
-    is drawn when m = p. A double is one 64-bit word of the generator, so
-    neither the cut into rounds nor node ids change the trees.
+    distinct rows (at least one node). Each searched node, in queue order,
+    takes p doubles from `rng` and searches the features of the m smallest;
+    nothing is drawn when m = p. A double is one 64-bit word of the
+    generator, so neither the cut into rounds nor node ids change the trees.
     """
     X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
     m = criteria.resolve_max_features(p)
     min_split = criteria.min_samples_split
     bounds = np.asarray(bounds, dtype=np.intp)
     sizes = np.diff(bounds)
-    present = np.bincount(np.repeat(np.arange(sizes.size) * k, sizes) + y[rows],
-                          minlength=sizes.size * k).reshape(-1, k) > 0
-    can = (sizes >= min_split) & (present.sum(axis=1) > 1)
-    queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:]), axis=1)[can]
+    # Weighted class counts of the listed leaves, and below of the children
+    # of each round's splits; the float sums of integers far below 2**53
+    # are exact.
+    counts = np.bincount(np.repeat(np.arange(sizes.size) * k, sizes) + y[rows],
+                         weights=weights, minlength=sizes.size * k).reshape(-1, k)
+    weighted = counts.sum(axis=1).astype(np.int64)
+    can = (weighted >= min_split) & ((counts > 0).sum(axis=1) > 1)
+    # One queue entry per node: its id, its range of the buffers, its weight.
+    queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:], weighted),
+                     axis=1)[can]
     while queue.size:
         take = max(1, int(np.searchsorted(np.cumsum(queue[:, 2] - queue[:, 1]),
                                           _PAIRS_PER_PASS, side="right")))
-        (node, start, stop), queue = queue[:take].T, queue[take:]
+        (node, start, stop, weighted), queue = queue[:take].T, queue[take:]
         size = stop - start
         offset = np.zeros(take + 1, dtype=np.intp)
         np.cumsum(size, out=offset[1:])
@@ -559,8 +603,8 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes,
         else:
             cand = np.argsort(rng.random((take, p)), axis=1, kind="stable")[:, :m]
         at = np.repeat(start - offset[:-1], size) + np.arange(offset[-1])
-        node_rows = rows[at]
-        found = best_split(data, node_rows, cand, offset[:-1])
+        node_rows, node_weights = rows[at], weights[at]
+        found = best_split(data, node_rows, cand, offset[:-1], weights=node_weights)
 
         feature = np.zeros(take, dtype=np.intp)
         threshold = np.full(take, np.inf)  # sends every row of an unsplit node left
@@ -572,16 +616,18 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, bounds, nodes,
             feature[u], threshold[u] = found[u][0], found[u][1]
         owner = np.repeat(np.arange(take), size)
         side = owner * 2 + (X[node_rows, feature[owner]] > threshold[owner])
-        rows[at] = node_rows[np.argsort(side)]  # row order inside a node is free
-        counts = np.bincount(side * k + y[node_rows],
-                             minlength=take * 2 * k).reshape(-1, 2, k)[splits]
+        order = np.argsort(side)  # row order inside a node is free
+        rows[at], weights[at] = node_rows[order], node_weights[order]
+        counts = np.bincount(side * k + y[node_rows], weights=node_weights,
+                             minlength=take * 2 * k).astype(np.int64).reshape(-1, 2, k)[splits]
         left, right = table.split(node[splits], feature[splits], threshold[splits],
-                                  counts[:, 0], counts[:, 1], size[splits])
-        mid = start[splits] + counts[:, 0].sum(axis=1)
-        children = np.stack((np.stack((left, start[splits], mid), axis=1),
-                             np.stack((right, mid, stop[splits]), axis=1)), axis=1)
-        grows = ((counts > 0).sum(axis=2) > 1) & \
-            (children[:, :, 2] - children[:, :, 1] >= min_split)
+                                  counts[:, 0], counts[:, 1], weighted[splits])
+        mid = start[splits] + np.bincount(side, minlength=take * 2)[0::2][splits]  # left rows
+        child_weight = counts.sum(axis=2)
+        children = np.stack((
+            np.stack((left, start[splits], mid, child_weight[:, 0]), axis=1),
+            np.stack((right, mid, stop[splits], child_weight[:, 1]), axis=1)), axis=1)
+        grows = ((counts > 0).sum(axis=2) > 1) & (child_weight >= min_split)
         queue = np.concatenate((queue, children[grows]))
 
 
@@ -610,13 +656,15 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndar
 @dataclass
 class _Touched:
     """The leaves a routed batch reached, tree by tree and in depth-first,
-    left-first order within a tree. The pairs that reached ``leaves[u]``
-    are ``pairs[bounds[u]:bounds[u + 1]]``, in increasing order."""
+    left-first order within a tree. The distinct (tree, row) pairs that
+    reached ``leaves[u]`` are ``rows[bounds[u]:bounds[u + 1]]`` of the
+    batch, in increasing order, each routed ``weights[i]`` times."""
 
     leaves: np.ndarray
     tree: np.ndarray
     bounds: np.ndarray
-    pairs: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
 
     def __len__(self) -> int:
         return self.leaves.size
@@ -630,11 +678,10 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     Pair i is row ``rows[i]`` of (X, y) entering the tree rooted at
     ``roots[tree_of[i]]`` (integer arrays); a row may enter a tree more than
     once, as in a bootstrap, and each distinct (tree, row) pair is routed
-    once.
+    once, with its number of repeats as its weight.
     """
     n = X.shape[0]
-    cell = tree_of * n + rows
-    repeats = np.bincount(cell)
+    repeats = np.bincount(tree_of * n + rows)
     distinct = np.flatnonzero(repeats)
     weight = repeats[distinct]
     distinct_tree, distinct_rows = np.divmod(distinct, n)
@@ -643,29 +690,27 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     leaf = _descend(table, start, distinct_rows, X, path)
     labels = y[distinct_rows]
     nodes = np.concatenate([start] + [reached for _, _, reached in path])
-    labels, weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
-                      for a in (labels, weight))
-    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + labels, weight)
+    path_labels, path_weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
+                                for a in (labels, weight))
+    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + path_labels, path_weight)
 
     # Depth-first, left-first order of the touched leaves: one stable sort
-    # of the pairs on (tree, branches taken), packed most significant bit
-    # first into int64 words of 63 bits: the tree index, then one bit per
-    # depth, 1 for right. No touched leaf lies on another's path, so padding
-    # short paths with "left" is safe; stability keeps each leaf's pairs in
-    # order.
+    # of the distinct pairs on (tree, branches taken), packed most
+    # significant bit first into int64 words of 63 bits: the tree index,
+    # then one bit per depth, 1 for right. No touched leaf lies on another's
+    # path, so padding short paths with "left" is safe; stability keeps each
+    # leaf's rows in increasing order.
     tree_bits = (len(roots) - 1).bit_length()
     words = np.zeros(((tree_bits + len(path)) // 63 + 1, distinct.size), dtype=np.int64)
     words[0] = distinct_tree << (63 - tree_bits)
     for bit, (live, goes_left, _) in enumerate(path, start=tree_bits):
         word = words[bit // 63]
         word[live[~goes_left]] |= 1 << (62 - bit % 63)
-    pair_of = np.cumsum(repeats > 0) - 1  # cell -> its distinct pair
-    keys = words[:, pair_of[cell]]
-    order = np.lexsort(keys[::-1])
-    pair_leaf = leaf[pair_of[cell[order]]]
-    first = np.flatnonzero(np.diff(pair_leaf, prepend=-1))
-    return _Touched(pair_leaf[first], tree_of[order[first]], np.append(first, order.size),
-                    order)
+    order = np.lexsort(words[::-1])
+    pair_leaf = leaf[order]
+    first = np.flatnonzero(_changes(pair_leaf))
+    return _Touched(pair_leaf[first], distinct_tree[order[first]],
+                    np.append(first, order.size), distinct_rows[order], weight[order])
 
 
 def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
@@ -675,17 +720,18 @@ def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
     return table.counts[leaves].argmax(axis=1)
 
 
-def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, bounds,
+def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray, bounds,
            criteria: SplitCriteria, rng: np.random.Generator) -> np.ndarray:
     """New trees in `table`, tree t grown on ``rows[bounds[t]:bounds[t + 1]]``
-    of `data`, all by one `_grow` call drawing from `rng`, which reorders
-    `rows`; returns their root ids."""
+    of `data`, row ``rows[i]`` counted ``weights[i]`` times, all by one
+    `_grow` call drawing from `rng`, which reorders `rows` and `weights`;
+    returns their root ids."""
     bounds = np.asarray(bounds, dtype=np.intp)
     n_trees, k = bounds.size - 1, data.n_classes
     counts = np.bincount(np.repeat(np.arange(n_trees) * k, np.diff(bounds)) + data.labels[rows],
-                         minlength=n_trees * k).reshape(n_trees, k)
-    roots = table.add_leaves(counts)
-    _grow(table, data, rows, bounds, roots, criteria, rng)
+                         weights=weights, minlength=n_trees * k)
+    roots = table.add_leaves(counts.astype(np.int64).reshape(n_trees, k))
+    _grow(table, data, rows, weights, bounds, roots, criteria, rng)
     return roots
 
 
@@ -726,8 +772,8 @@ class DecisionTree:
             raise ValueError("cannot fit on an empty dataset")
         table = NodeTable(data.n_classes)
         n = data.n_samples
-        (root,) = _plant(table, data, np.arange(n), [0, n], self.criteria,
-                         np.random.default_rng(self.seed))
+        (root,) = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
+                         self.criteria, np.random.default_rng(self.seed))
         self.table, self.root_id = table, int(root)
         self.n_classes, self.n_features = data.n_classes, data.n_features
         return self

@@ -11,7 +11,7 @@ import numpy as np
 from streamforest import Dataset
 
 
-def brute_force_best_split(data: Dataset, indices, features):
+def brute_force_best_split(data: Dataset, indices, features, weights=None):
     """Exhaustive reference split search in exact rational arithmetic.
 
     Re-partitions the samples from scratch at every candidate (feature,
@@ -21,13 +21,22 @@ def brute_force_best_split(data: Dataset, indices, features):
     q = S_l/n_l + S_r/n_r where S is the sum of squared class counts;
     candidates are scanned in (feature, threshold) order and only strict
     improvements win, which encodes the lowest-feature, lowest-threshold
-    tie rule. Returns (feature, threshold, decrease) or None.
+    tie rule. Row ``indices[i]`` counts ``weights[i]`` times (Python-int
+    sums, so exact at any weight). Returns (feature, threshold, decrease)
+    or None.
     """
     idx = np.asarray(indices, dtype=np.intp)
     X, y, k = data.features, data.labels, data.n_classes
     labels = y[idx]
-    n = idx.size
-    parent = np.bincount(labels, minlength=k)
+    w = np.ones(idx.size, dtype=object) if weights is None else np.asarray(weights, dtype=object)
+
+    def class_counts(mask):
+        counts = np.zeros(k, dtype=object)
+        np.add.at(counts, labels[mask], w[mask])
+        return counts
+
+    parent = class_counts(np.ones(idx.size, dtype=bool))
+    n = int(parent.sum())
     s_parent = int((parent.astype(object) ** 2).sum())
     q_parent = Fraction(s_parent, n)
 
@@ -43,12 +52,12 @@ def brute_force_best_split(data: Dataset, indices, features):
             if not a <= t < b:
                 t = a
             mask = vals <= t
-            n_l = int(mask.sum())
-            n_r = n - n_l
-            assert n_l == int((vals <= a).sum()) and n_l > 0 and n_r > 0, (
+            assert (mask == (vals <= a)).all() and mask.any() and not mask.all(), (
                 "routing by the threshold must reproduce the scored partition")
-            lc = np.bincount(labels[mask], minlength=k)
+            lc = class_counts(mask)
             rc = parent - lc
+            n_l = int(lc.sum())
+            n_r = n - n_l
             s_l = int((lc.astype(object) ** 2).sum())
             s_r = int((rc.astype(object) ** 2).sum())
             q = Fraction(s_l, n_l) + Fraction(s_r, n_r)

@@ -18,6 +18,7 @@ from streamforest import (
     gen_synthetic,
     model_size,
 )
+from streamforest.forest import _samples
 
 from helpers import trees_equal
 
@@ -295,6 +296,33 @@ class TestBatchForest:
         f = BatchForest(2, seed=62)
         with pytest.raises((ValueError, TypeError)):
             f.predict(np.zeros((2, 2)))
+
+
+class TestSamples:
+    @pytest.mark.parametrize("count, n", [(1, 1), (1, 9), (4, 7), (30, 60)])
+    def test_bootstrap_expands_to_the_drawn_multisets(self, count, n):
+        """Each tree's distinct rows, repeated by their weights, are exactly
+        its row of one ``integers(0, n, (count, n))`` draw, and the draw
+        leaves the generator where that call does."""
+        rng, ref = np.random.default_rng(count * n), np.random.default_rng(count * n)
+        rows, weights, bounds = _samples(rng, count, n, True)
+        drawn = ref.integers(0, n, (count, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert bounds[0] == 0 and bounds[-1] == rows.size == weights.size
+        assert weights.dtype == np.int32 and weights.min() >= 1
+        for t in range(count):
+            tree = slice(bounds[t], bounds[t + 1])
+            assert (np.diff(rows[tree]) > 0).all()  # distinct, in increasing order
+            assert np.repeat(rows[tree], weights[tree]).tolist() == np.sort(drawn[t]).tolist()
+
+    def test_without_bootstrap_every_row_once_with_unit_weight(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        rows, weights, bounds = _samples(rng, 3, 4, False)
+        assert rng.bit_generator.state == state  # nothing drawn
+        assert rows.tolist() == [0, 1, 2, 3] * 3
+        assert weights.tolist() == [1] * 12
+        assert bounds.tolist() == [0, 4, 8, 12]
 
 
 class TestModelSize:

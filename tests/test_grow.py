@@ -191,6 +191,79 @@ def test_batched_search_matches_single_node_search_and_oracle(seed):
             assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], abs=1e-12)
 
 
+def _weighted_nodes(rng: np.random.Generator):
+    """A dataset and nodes of distinct rows: heavy duplicate values, one
+    constant feature, one label, a single distinct row and all rows, in
+    random order; with each node's candidate features and its starts."""
+    n, p, k = int(rng.integers(8, 60)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+    features = _values(rng, (n, p))
+    features[:, int(rng.integers(0, p))] = 1.0  # one constant feature
+    data = Dataset(features, rng.integers(0, k, n), k)
+    pure = np.flatnonzero(data.labels == data.labels[0])
+    nodes = [
+        rng.choice(n, int(rng.integers(2, n + 1)), replace=False),  # many duplicate values
+        rng.choice(pure, int(rng.integers(1, pure.size + 1)), replace=False),  # one label
+        np.array([int(rng.integers(0, n))]),  # a single distinct row
+        rng.permutation(n),
+    ]
+    nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+    m = int(rng.integers(1, p + 1))
+    cand = np.array([rng.choice(p, m, replace=False) for _ in nodes])
+    starts = np.cumsum([0] + [node.size for node in nodes[:-1]])
+    return data, nodes, cand, starts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_weighted_search_equals_search_over_repeated_rows(seed):
+    """A batched search over distinct rows with integer weights returns,
+    node by node, the very tuple of the search over each row repeated its
+    weight times. Scaling a node's weights by up to 1e6 leaves the tuple
+    unchanged too, as the integer sums stay exact: the counts, the sums of
+    squares and the decrease all scale by one factor."""
+    rng = np.random.default_rng(seed)
+    data, nodes, cand, starts = _weighted_nodes(rng)
+    top = int(rng.choice([2, 5, 40]))
+    weights = [rng.integers(1, top + 1, node.size) for node in nodes]
+    batched = best_split(data, np.concatenate(nodes), cand, starts,
+                         weights=np.concatenate(weights))
+    assert len(batched) == len(nodes)
+    scale = [int(rng.integers(1, 10**6 // top + 1)) for _ in nodes]
+    scaled = best_split(data, np.concatenate(nodes), cand, starts,
+                        weights=np.concatenate([c * w for c, w in zip(scale, weights)]))
+    for got, heavy, rows, w, features in zip(batched, scaled, nodes, weights, cand):
+        assert got == best_split(data, np.repeat(rows, w), features)
+        assert heavy == got
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_weighted_search_matches_the_exact_oracle_at_large_weights(seed):
+    """Unequal weights up to 1e6: each node's split is the exact rational
+    oracle's, with the decrease to rounding."""
+    rng = np.random.default_rng(seed)
+    data, nodes, cand, starts = _weighted_nodes(rng)
+    weights = [rng.integers(1, 10**6 + 1, node.size) for node in nodes]
+    for node, w in zip(nodes, weights):  # some light rows among the heavy ones
+        w[rng.random(node.size) < 0.3] = 1
+    batched = best_split(data, np.concatenate(nodes), cand, starts,
+                         weights=np.concatenate(weights).astype(np.int32))
+    for got, rows, w, features in zip(batched, nodes, weights, cand):
+        assert got == best_split(data, rows, features, weights=w)
+        oracle = brute_force_best_split(data, rows, features, weights=w)
+        if oracle is None:
+            assert got is None
+        else:
+            assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], rel=1e-12)
+
+
+def test_search_rejects_bad_weights():
+    data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]), 2)
+    for weights in ([1, 0, 2], [1, -1, 2], [1.0, 2.0, 1.0], [1, 2], [True, True, True]):
+        with pytest.raises(ValueError):
+            best_split(data, [0, 1, 2], [0], weights=np.array(weights))
+
+
 def test_batched_search_rejects_bad_layouts():
     data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]), 2)
     with pytest.raises(ValueError):

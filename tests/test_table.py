@@ -57,12 +57,27 @@ def test_router_matches_loop_reference(seed):
     assert np.array_equal(table.counts[: table.size], expected)
 
     # Touched leaves in recursive left-first order, tree by tree, each
-    # with its pairs in increasing order.
+    # with its distinct pairs in increasing row order.
     assert len(got) == len(touched)
     assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
+    _assert_groups_hold_the_pairs(got, touched, rows)
     for u, (_, pairs) in enumerate(touched):
-        assert got.pairs[got.bounds[u]: got.bounds[u + 1]].tolist() == pairs.tolist()
         assert root_views[got.tree[u]] is root_views[tree_of[pairs[0]]]
+
+
+def _assert_groups_hold_the_pairs(got, touched, rows):
+    """Leaf group u of the router's result holds the loop reference's pairs
+    of touched leaf u: each distinct row once, in increasing order, with its
+    number of pairs as its weight. The weights add up to the routed pairs."""
+    assert got.bounds[0] == 0 and got.bounds[-1] == got.rows.size == got.weights.size
+    for u, (_, pairs) in enumerate(touched):
+        group = slice(got.bounds[u], got.bounds[u + 1])
+        distinct, repeats = np.unique(rows[pairs], return_counts=True)
+        assert got.rows[group].tolist() == distinct.tolist()
+        assert got.weights[group].tolist() == repeats.tolist()
+        assert np.repeat(got.rows[group], got.weights[group]).tolist() == \
+            np.sort(rows[pairs]).tolist()
+    assert int(got.weights.sum()) == rows.size
 
 
 def test_router_orders_leaves_deeper_than_one_word():
@@ -91,8 +106,7 @@ def test_router_orders_leaves_deeper_than_one_word():
         before[node._id] += counts
     assert np.array_equal(table.counts[: table.size], before)
     assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
-    for u, (_, pairs) in enumerate(touched):
-        assert got.pairs[got.bounds[u]: got.bounds[u + 1]].tolist() == pairs.tolist()
+    _assert_groups_hold_the_pairs(got, touched, rows)
 
 
 def _assert_no_dead_nodes(forest):

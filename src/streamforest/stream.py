@@ -50,20 +50,20 @@ def _update_trees(trees: list, data: Dataset, rows, rng: np.random.Generator) ->
     roots = np.array([tree.tree.root_id for tree in trees])
     touched = _route_and_count(table, roots, pair_rows, tree_of,
                                data.features, data.labels)
-    groups = {}
-    for t, tree in enumerate(trees):
-        groups.setdefault(tree.criteria, []).append(t)
-    for criteria, members in groups.items():
-        leaves, bounds = touched.leaves, touched.bounds
-        leaf_rows, weights = touched.rows, touched.weights
-        if len(members) < len(trees):
-            mine = np.isin(touched.tree, members)
-            sizes = np.diff(bounds)[mine]
-            held = np.repeat(mine, np.diff(bounds))
-            leaves, leaf_rows, weights = leaves[mine], leaf_rows[held], weights[held]
-            bounds = np.zeros(sizes.size + 1, dtype=np.intp)
-            np.cumsum(sizes, out=bounds[1:])
-        _grow(table, data, leaf_rows, weights, bounds, leaves, criteria, rng)
+    groups = {}  # criteria: its number, in order of first use
+    for tree in trees:
+        groups.setdefault(tree.criteria, len(groups))
+    group_of = np.array([groups[tree.criteria] for tree in trees])
+    sizes = np.diff(touched.bounds)
+    leaf_group = group_of[touched.tree]
+    row_group = np.repeat(leaf_group, sizes)
+    for g, criteria in enumerate(groups):
+        mine = leaf_group == g
+        bounds = np.zeros(np.count_nonzero(mine) + 1, dtype=np.intp)
+        np.cumsum(sizes[mine], out=bounds[1:])
+        held = row_group == g
+        _grow(table, data, touched.rows[held], touched.weights[held], bounds,
+              touched.leaves[mine], criteria, rng)
     for tree in trees:
         tree.batches_seen += 1
 

@@ -356,6 +356,11 @@ def gini_impurity(class_counts) -> float:
     return float(1.0 - np.dot(p, p))
 
 
+# Bound on the total weight `best_split` accepts: a node of weight W sums
+# squared class counts up to W**2, and steps of up to 2 * W**2, in int64.
+_MAX_WEIGHT = 1 << 31
+
+
 def best_split(data: Dataset, indices, candidate_features, starts=None, weights=None):
     """Exhaustive split search over the given features.
 
@@ -369,7 +374,8 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
     `weights`, positive integers (all ones by default), counts how many
     times each listed row is present: the result equals that of the search
     over ``np.repeat(indices, weights)``, exactly, as a bootstrap resample
-    held as distinct rows with their counts needs.
+    held as distinct rows with their counts needs. They must sum to less
+    than 2**31, which keeps the integer sums exact.
 
     With `starts`, one call searches many nodes: `indices` holds their rows
     back to back, node u's from ``starts[u]`` up to the next start (or the
@@ -389,6 +395,9 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
         if weights.shape != idx.shape or weights.dtype.kind not in "iu" or (
                 weights.size and weights.min() < 1):
             raise ValueError("weights must be positive integers, one per index")
+        if weights.sum(dtype=np.float64) >= _MAX_WEIGHT:
+            raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
+        weights = weights.astype(np.int32, copy=False)  # lossless below the bound
     if starts is None:
         if idx.size == 0:
             raise ValueError("indices must be nonempty")

@@ -257,9 +257,33 @@ def test_weighted_search_matches_the_exact_oracle_at_large_weights(seed):
             assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], rel=1e-12)
 
 
+def test_weighted_search_is_exact_up_to_the_weight_bound():
+    """Weights summing to just under 2**31, searched over several features
+    at once: the int64 sums stay exact, and unsigned weights give the same
+    result as signed ones."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        data = Dataset(rng.choice([0.0, 1.0, 2.0, 3.0], size=(n, 5)),
+                       rng.integers(0, 3, n), 3)
+        weights = rng.integers(1, 2**31 // n, n)
+        weights[0] += 2**31 - 1 - weights.sum()
+        features = range(5)
+        got = best_split(data, np.arange(n), features, weights=weights)
+        assert best_split(data, np.arange(n), features,
+                          weights=weights.astype(np.uint64)) == got
+        oracle = brute_force_best_split(data, np.arange(n), features, weights=weights)
+        if oracle is None:
+            assert got is None
+        else:
+            assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], rel=1e-12)
+
+
 def test_search_rejects_bad_weights():
     data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]), 2)
-    for weights in ([1, 0, 2], [1, -1, 2], [1.0, 2.0, 1.0], [1, 2], [True, True, True]):
+    for weights in ([1, 0, 2], [1, -1, 2], [1.0, 2.0, 1.0], [1, 2], [True, True, True],
+                    [2**30, 2**30, 1], [1, 2**31, 1], np.array([1, 2**63, 1], dtype=np.uint64),
+                    np.array([2**30, 2**30, 1], dtype=np.uint32)):
         with pytest.raises(ValueError):
             best_split(data, [0, 1, 2], [0], weights=np.array(weights))
 

@@ -6,8 +6,6 @@ a batch is routed through every tree at once, one depth level per step."""
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .stream import StreamTree, _check_batch, _update_trees
@@ -18,6 +16,7 @@ from .tree import (
     NodeTable,
     SplitCriteria,
     _PAIRS_PER_PASS,
+    _check_input,
     _descend,
     _leaf_labels,
     _plant,
@@ -42,7 +41,7 @@ def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
 
 def _samples(rng: np.random.Generator, count: int, n: int,
              bootstrap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row buffers for growing `count` new trees on n rows: (rows,
+    """The rows of n that `count` trees, new or updated, grow on: (rows,
     weights, bounds), tree t on ``rows[bounds[t]:bounds[t + 1]]``, row
     ``rows[i]`` counted ``weights[i]`` times.
 
@@ -66,70 +65,23 @@ def _samples(rng: np.random.Generator, count: int, n: int,
     return rows, weights, np.searchsorted(drawn, bounds)
 
 
-def _decision_tree(tree) -> DecisionTree:
-    return tree.tree if isinstance(tree, StreamTree) else tree
-
-
-def _hold(forest, table: NodeTable, trees: list) -> None:
+def _hold(forest, table: NodeTable, trees) -> None:
     """Make `trees`, all of them in `table`, the forest's trees."""
-    forest.trees = trees
+    forest.trees = tuple(trees)
     forest._table = table
-    forest._held = list(trees)
-    forest._roots = np.array([_decision_tree(t).root_id for t in trees], dtype=np.intp)
+    forest._roots = np.array([tree.root_id for tree in trees], dtype=np.intp)
 
 
 # Methods shared by both forests. Each class body binds them instead of
 # inheriting them, because the traced benchmark run (perfbench/tracing.py)
 # wraps only methods found in a class's own namespace.
-def _place(self) -> tuple[NodeTable, np.ndarray]:
-    """The forest's node table and the root id of each tree.
-
-    When `trees` has changed since the forest last placed it (a replacement,
-    or trees assigned from outside or moved into another forest), every
-    tree is first copied into a new table in preorder, so that the table
-    holds exactly the nodes of the current trees. A tree object listed
-    twice is split into two copies.
-    """
-    table = self._table
-    if self.trees == self._held and all(
-            _decision_tree(tree).table is table for tree in self.trees):
-        return table, self._roots
-    trees, seen = [], set()
-    for tree in self.trees:
-        if id(tree) in seen:
-            tree = copy.copy(tree)
-            if isinstance(tree, StreamTree):
-                tree.tree = copy.copy(tree.tree)
-        seen.add(id(tree))
-        trees.append(tree)
-    table = NodeTable(self.n_classes, capacity=0)
-    pending = [_decision_tree(tree) for tree in trees]
-    while pending:
-        # One copy per source table; a root held twice waits for a later pass.
-        by_source, held, later = {}, set(), []
-        for base in pending:
-            key = (id(base.table), base.root_id)
-            if key in held:
-                later.append(base)
-                continue
-            held.add(key)
-            by_source.setdefault(id(base.table), (base.table, []))[1].append(base)
-        for source, bases in by_source.values():
-            roots = table.copy_trees(source, [base.root_id for base in bases])
-            for base, root in zip(bases, roots.tolist()):
-                base.table, base.root_id = table, root
-        pending = later
-    _hold(self, table, trees)
-    return table, self._roots
-
-
 def _votes(self, X: np.ndarray) -> np.ndarray:
     """(n_trees, n_rows) class predicted by each tree for each row of X.
 
     Rows are routed in blocks of at most _PAIRS_PER_PASS (tree, row) pairs,
     which bounds the routing arrays to a few MB however many rows come.
     """
-    table, roots = self._place()
+    table, roots = self._table, self._roots
     n, n_trees = X.shape[0], roots.size
     out = np.empty((n_trees, n), dtype=np.intp)
     step = max(1, _PAIRS_PER_PASS // n_trees)
@@ -141,26 +93,19 @@ def _votes(self, X: np.ndarray) -> np.ndarray:
 
 
 def _predict_one(self, x) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != self.n_features:
-        raise ValueError(f"expected a vector of {self.n_features} features")
+    x = _check_input(self, x, 1)
     return int(_majority_vote(self._votes(x[None, :]), self.n_classes)[0])
 
 
 def _predict(self, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != self.n_features:
-        raise ValueError(f"expected a matrix with {self.n_features} columns")
+    X = _check_input(self, X, 2)
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     return _majority_vote(self._votes(X), self.n_classes)
 
 
 def _node_count(self) -> int:
-    if not self.trees:
-        return 0
-    table, roots = self._place()
-    return table.count_nodes(roots)
+    return self._table.count_nodes(self._roots) if self.trees else 0
 
 
 class StreamForest:
@@ -188,10 +133,6 @@ class StreamForest:
             raise ValueError("n_trees must be positive")
         if not 0 <= replace_count <= n_trees:
             raise ValueError("replace_count must lie in [0, n_trees]")
-        if first_batch.n_samples == 0:
-            raise ValueError("first batch must be nonempty")
-        if first_batch.labels.max() >= n_classes:
-            raise ValueError(f"batch labels must lie below n_classes={n_classes}")
         self.n_classes = n_classes
         self.n_trees = n_trees
         self.replace_count = replace_count
@@ -200,7 +141,7 @@ class StreamForest:
         self.bootstrap = bootstrap
         self.rng = np.random.default_rng(seed)
         self._table = NodeTable(n_classes)
-        data = first_batch.with_classes(n_classes)
+        data = _check_batch(first_batch, first_batch.n_features, n_classes)
         _hold(self, self._table, self._fresh_trees(data, n_trees))
         self.batches_seen = 1
         self.last_replacement: dict | None = None
@@ -226,13 +167,9 @@ class StreamForest:
         in `last_replacement`.
         """
         data = _check_batch(batch, self.n_features, self.n_classes)
-        n = data.n_samples
-        self._place()
-        if self.bootstrap:
-            rows = self.rng.integers(0, n, (len(self.trees), n))
-        else:
-            rows = [np.arange(n)] * len(self.trees)
-        _update_trees(self.trees, data, rows, self.rng)
+        rows, weights, bounds = _samples(self.rng, len(self.trees), data.n_samples,
+                                         self.bootstrap)
+        _update_trees(self.trees, data, rows, weights, bounds, self.rng)
         self.batches_seen += 1
 
         u = float(self.rng.random())
@@ -245,15 +182,26 @@ class StreamForest:
             # Stable sort: equal scores keep index order, so the lowest
             # indices are replaced first on ties.
             worst = np.argsort(scores, kind="stable")[: self.replace_count]
-            for i, tree in zip(worst.tolist(), self._fresh_trees(data, worst.size)):
-                self.trees[i] = tree
-            self._place()
+            self._replace(worst.tolist(), self._fresh_trees(data, worst.size))
             info["scores"] = scores
             info["replaced"] = [int(i) for i in worst]
         self.last_replacement = info
         return self
 
-    _place = _place
+    def _replace(self, indices, trees) -> None:
+        """Make ``trees[j]``, grown in the forest's table, tree
+        ``indices[j]``; then copy the current trees into a new table in
+        preorder, so that the table holds exactly their nodes. Every other
+        tree keeps its object."""
+        held = list(self.trees)
+        for i, tree in zip(indices, trees):
+            held[i] = tree
+        table = NodeTable(self.n_classes, capacity=0)
+        roots = table.copy_trees(self._table, [tree.root_id for tree in held])
+        for tree, root in zip(held, roots.tolist()):
+            tree.table, tree.root_id = table, root
+        _hold(self, table, held)
+
     _votes = _votes
     predict_one = _predict_one
     predict = _predict
@@ -265,8 +213,8 @@ class BatchForest:
 
     Each fit draws one bootstrap resample per tree (size n, with
     replacement) in one call, then the growth draws, from a generator seeded
-    by `seed`, and keeps a reference to the training data; refitting on the
-    same data and seed reproduces the same forest.
+    by `seed`; refitting on the same data and seed reproduces the same
+    forest.
     """
 
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,
@@ -277,7 +225,6 @@ class BatchForest:
         self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.seed = seed
         self.bootstrap = bootstrap
-        self.data: Dataset | None = None
         self.n_classes: int | None = None
         self.n_features: int | None = None
         _hold(self, None, [])
@@ -286,19 +233,17 @@ class BatchForest:
         """Refit every tree on bootstrap resamples of `data`."""
         if data.n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
-        self.data = data
         self.n_classes = data.n_classes
         self.n_features = data.n_features
         rng = np.random.default_rng(self.seed)
         rows, weights, bounds = _samples(rng, self.n_trees, data.n_samples, self.bootstrap)
         table = NodeTable(data.n_classes)
         roots = _plant(table, data, rows, weights, bounds, self.criteria, rng)
-        trees = [DecisionTree._at(table, root, data.n_features, self.criteria, self.seed)
+        trees = [DecisionTree._at(table, root, data.n_features, self.criteria, rng)
                  for root in roots]
         _hold(self, table, trees)
         return self
 
-    _place = _place
     _votes = _votes
     predict_one = _predict_one
     predict = _predict

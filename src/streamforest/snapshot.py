@@ -29,8 +29,7 @@ _READS = (FORMAT, "streamforest-snapshot-v1")
 def _trees_to_arrays(forest):
     """Each tree in preorder, one at a time; child links are node offsets,
     -1 at leaves."""
-    table, roots = forest._place()
-    _, starts, columns = table.export(roots)
+    _, starts, columns = forest._table.export(forest._roots)
     for a, b in itertools.pairwise(starts.tolist()):
         col = {name: values[a:b].tolist() for name, values in columns.items()}
         yield {"kind": ["leaf" if link < 0 else "internal" for link in col["left"]],
@@ -164,8 +163,7 @@ def load_forest(path) -> StreamForest | BatchForest:
         if "rng_state" in doc:
             forest.rng.bit_generator.state = doc["rng_state"]
         _hold(forest, table, [
-            StreamTree._from_parts(table.view(root), n_features, n_classes,
-                                   criteria, batches, seed=forest.rng)
+            StreamTree._at(table, root, n_features, criteria, forest.rng, batches)
             for root, batches in zip(roots, doc["tree_batches_seen"])
         ])
         forest.batches_seen = doc["batches_seen"]
@@ -177,8 +175,8 @@ def load_forest(path) -> StreamForest | BatchForest:
                              doc.get("bootstrap", True))
         forest.n_classes = n_classes
         forest.n_features = n_features
-        _hold(forest, table, [DecisionTree._at(table, root, n_features, criteria,
-                                               doc["master_seed"]) for root in roots])
+        _hold(forest, table, [DecisionTree._at(table, root, n_features, criteria, None)
+                              for root in roots])
         return forest
 
     raise ValueError(f"unknown model kind {doc['model']!r}")

@@ -10,7 +10,6 @@ from .tree import (
     DecisionTree,
     NodeTable,
     SplitCriteria,
-    TreeNode,
     _grow,
     _plant,
     _route_and_count,
@@ -20,10 +19,10 @@ __all__ = ["StreamTree"]
 
 
 def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
-    """Validate an update batch against the model's shape; returns the batch
-    under the model's class count."""
+    """Validate a first or an update batch against the model's shape;
+    returns the batch under the model's class count."""
     if batch.n_samples == 0:
-        raise ValueError("update batch must be nonempty")
+        raise ValueError("batch must be nonempty")
     if batch.n_features != n_features:
         raise ValueError(
             f"batch has {batch.n_features} features, model expects {n_features}"
@@ -33,22 +32,23 @@ def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
     return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
 
 
-def _update_trees(trees: list, data: Dataset, rows, rng: np.random.Generator) -> None:
-    """Extend each stream tree ``trees[t]`` with the rows ``rows[t]`` of
-    `data`, a validated batch. The trees share one node table.
+def _update_trees(trees: list, data: Dataset, rows: np.ndarray, weights: np.ndarray,
+                  bounds, rng: np.random.Generator) -> None:
+    """Extend each stream tree ``trees[t]`` with the rows
+    ``rows[bounds[t]:bounds[t + 1]]`` of `data`, a validated batch, row
+    ``rows[i]`` counted ``weights[i]`` times; a tree's rows are distinct and
+    in increasing order, as `forest._samples` draws them. The trees share
+    one node table.
 
-    All (tree, row) pairs are routed and counted in one pass, each distinct
-    pair once with its repeats as its weight. Then one `_grow` call per
-    distinct split criteria, in order of first use, grows the touched
-    leaves that can split on those weighted rows, drawing from `rng`; its
-    queue starts with the leaves tree by tree, each tree's in depth-first,
-    left-first order.
+    All (tree, row) pairs are routed and counted in one pass. Then one
+    `_grow` call per distinct split criteria, in order of first use, grows
+    the touched leaves that can split on those weighted rows, drawing from
+    `rng`; its queue starts with the leaves tree by tree, each tree's in
+    depth-first, left-first order.
     """
-    table = trees[0].tree.table
-    pair_rows = np.concatenate(rows)
-    tree_of = np.repeat(np.arange(len(trees)), [r.size for r in rows])
-    roots = np.array([tree.tree.root_id for tree in trees])
-    touched = _route_and_count(table, roots, pair_rows, tree_of,
+    table = trees[0].table
+    roots = np.array([tree.root_id for tree in trees])
+    touched = _route_and_count(table, roots, rows, weights, bounds,
                                data.features, data.labels)
     groups = {}  # criteria: its number, in order of first use
     for tree in trees:
@@ -68,7 +68,7 @@ def _update_trees(trees: list, data: Dataset, rows, rng: np.random.Generator) ->
         tree.batches_seen += 1
 
 
-class StreamTree:
+class StreamTree(DecisionTree):
     """Incrementally extended decision tree over a fixed set of classes.
 
     Construction fits a batch CART tree on the first batch, with class-count
@@ -88,20 +88,33 @@ class StreamTree:
     its forest's generator instead.
     """
 
+    # Bound here, not only inherited: the traced benchmark run
+    # (perfbench/tracing.py) wraps only methods found in the class's own
+    # namespace, and its "stream.predict" span is this method.
+    predict = DecisionTree.predict
+
     def __init__(self, first_batch: Dataset, n_classes: int,
                  criteria: SplitCriteria | None = None, seed=0):
-        if first_batch.n_samples == 0:
-            raise ValueError("first batch must be nonempty")
-        if first_batch.labels.max() >= n_classes:
-            raise ValueError(f"batch labels must lie below n_classes={n_classes}")
-        data = first_batch.with_classes(n_classes)
-        n = data.n_samples
-        criteria = criteria if criteria is not None else SplitCriteria()
-        rng = np.random.default_rng(seed)
-        table = NodeTable(n_classes)
-        (root,) = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
-                         criteria, rng)
-        self._start(table, root, data.n_features, criteria, rng)
+        super().__init__(criteria, seed)
+        self.fit(_check_batch(first_batch, first_batch.n_features, n_classes))
+        self.batches_seen = 1
+
+    @property
+    def tree(self) -> "StreamTree":
+        """The tree itself, kept because perfbench/workloads.py reads
+        ``forest.trees[t].tree.root``."""
+        return self
+
+    @classmethod
+    def _at(cls, table: NodeTable, root_id: int, n_features: int, criteria: SplitCriteria,
+            rng: np.random.Generator, batches_seen: int = 1) -> "StreamTree":
+        """The tree rooted at node `root_id` of `table`, which has taken in
+        `batches_seen` batches and grows on by drawing from `rng`. A snapshot
+        passes its forest's restored generator, so further updates continue
+        the original run."""
+        tree = super()._at(table, root_id, n_features, criteria, rng)
+        tree.batches_seen = batches_seen
+        return tree
 
     @classmethod
     def _grown(cls, table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray,
@@ -109,50 +122,13 @@ class StreamTree:
         """New trees grown in `table` by one `_grow` call, tree t on
         ``rows[bounds[t]:bounds[t + 1]]`` of `data` (under the table's class
         count) with their `weights`, all drawing from `rng`."""
-        trees = []
-        for root in _plant(table, data, rows, weights, bounds, criteria, rng).tolist():
-            tree = cls.__new__(cls)
-            tree._start(table, root, data.n_features, criteria, rng)
-            trees.append(tree)
-        return trees
-
-    def _start(self, table, root, n_features, criteria, rng) -> None:
-        self.n_classes = table.n_classes
-        self.criteria = criteria
-        self.rng = rng
-        self.tree = DecisionTree._at(table, root, n_features, criteria, rng)
-        self.batches_seen = 1
-
-    @property
-    def n_features(self) -> int:
-        return self.tree.n_features
+        return [cls._at(table, root, data.n_features, criteria, rng)
+                for root in _plant(table, data, rows, weights, bounds, criteria, rng)]
 
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
         data = _check_batch(batch, self.n_features, self.n_classes)
-        _update_trees([self], data, [np.arange(data.n_samples)], self.rng)
+        n = data.n_samples
+        _update_trees([self], data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
+                      self.rng)
         return self
-
-    def apply(self, x) -> TreeNode:
-        return self.tree.apply(x)
-
-    def predict_one(self, x) -> int:
-        return self.tree.predict_one(x)
-
-    def predict(self, X) -> np.ndarray:
-        return self.tree.predict(X)
-
-    def node_count(self) -> int:
-        return self.tree.node_count()
-
-    @classmethod
-    def _from_parts(cls, root: TreeNode, n_features: int, n_classes: int,
-                    criteria: SplitCriteria, batches_seen: int, seed=0):
-        """Rebuild from snapshot pieces: the tree rooted at the node view
-        `root`, whose table has `n_classes` classes, and a generator from
-        `seed`. Passing a Generator uses it as it is: restored to the
-        original run's state, further updates match that run."""
-        obj = cls.__new__(cls)
-        obj._start(root._table, root._id, n_features, criteria, np.random.default_rng(seed))
-        obj.batches_seen = batches_seen
-        return obj

@@ -679,29 +679,29 @@ class _Touched:
         return self.leaves.size
 
 
-def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
+def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarray,
                      y: np.ndarray) -> _Touched:
-    """Route (tree, row) pairs to their leaves and add each pair's label to
-    the counts of every node on its path.
+    """Route (tree, row) pairs to their leaves and add each pair's label,
+    counted by its weight, to the counts of every node on its path.
 
-    Pair i is row ``rows[i]`` of (X, y) entering the tree rooted at
-    ``roots[tree_of[i]]`` (integer arrays); a row may enter a tree more than
-    once, as in a bootstrap, and each distinct (tree, row) pair is routed
-    once, with its number of repeats as its weight.
+    Tree t, rooted at ``roots[t]``, takes the rows
+    ``rows[bounds[t]:bounds[t + 1]]`` of (X, y), distinct and in increasing
+    order, row ``rows[i]`` counted ``weights[i]`` times: a bootstrap
+    resample as `forest._samples` draws it, so each distinct pair is routed
+    once.
     """
-    n = X.shape[0]
-    repeats = np.bincount(tree_of * n + rows)
-    distinct = np.flatnonzero(repeats)
-    weight = repeats[distinct]
-    distinct_tree, distinct_rows = np.divmod(distinct, n)
-    start = np.asarray(roots, dtype=np.intp)[distinct_tree]
+    tree = np.repeat(np.arange(len(roots)), np.diff(bounds))
+    start = np.asarray(roots, dtype=np.intp)[tree]
     path = []
-    leaf = _descend(table, start, distinct_rows, X, path)
-    labels = y[distinct_rows]
+    leaf = _descend(table, start, rows, X, path)
+    labels = y[rows]
     nodes = np.concatenate([start] + [reached for _, _, reached in path])
     path_labels, path_weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
-                                for a in (labels, weight))
-    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + path_labels, path_weight)
+                                for a in (labels, weights))
+    # In the counts' own dtype: np.add.at leaves its fast path when it must
+    # cast, which made it 20 times slower on the 32-bit weights of `_samples`.
+    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + path_labels,
+              path_weight.astype(table.counts.dtype, copy=False))
 
     # Depth-first, left-first order of the touched leaves: one stable sort
     # of the distinct pairs on (tree, branches taken), packed most
@@ -710,16 +710,16 @@ def _route_and_count(table: NodeTable, roots, rows, tree_of, X: np.ndarray,
     # path, so padding short paths with "left" is safe; stability keeps each
     # leaf's rows in increasing order.
     tree_bits = (len(roots) - 1).bit_length()
-    words = np.zeros(((tree_bits + len(path)) // 63 + 1, distinct.size), dtype=np.int64)
-    words[0] = distinct_tree << (63 - tree_bits)
+    words = np.zeros(((tree_bits + len(path)) // 63 + 1, tree.size), dtype=np.int64)
+    words[0] = tree << (63 - tree_bits)
     for bit, (live, goes_left, _) in enumerate(path, start=tree_bits):
         word = words[bit // 63]
         word[live[~goes_left]] |= 1 << (62 - bit % 63)
     order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
     first = np.flatnonzero(_changes(pair_leaf))
-    return _Touched(pair_leaf[first], distinct_tree[order[first]],
-                    np.append(first, order.size), distinct_rows[order], weight[order])
+    return _Touched(pair_leaf[first], tree[order[first]],
+                    np.append(first, order.size), rows[order], weights[order])
 
 
 def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
@@ -744,19 +744,33 @@ def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarra
     return roots
 
 
+def _check_input(model, X, ndim: int) -> np.ndarray:
+    """X as a float64 vector (ndim 1) or matrix (ndim 2) of the fitted
+    `model`'s features; raises ValueError on an unfitted model or a shape
+    that does not match."""
+    if model.n_features is None:
+        raise ValueError(f"this {type(model).__name__} is not fitted; call fit first")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != ndim or X.shape[-1] != model.n_features:
+        shape = "a vector of {} features" if ndim == 1 else "a matrix with {} columns"
+        raise ValueError("expected " + shape.format(model.n_features))
+    return X
+
+
 class DecisionTree:
     """CART classifier: recursive Gini splits down to pure or tiny leaves.
 
-    Fitting is deterministic given (data order, criteria, seed). Prediction
-    routes a point to its leaf (feature value <= threshold goes left) and
-    returns the majority class there, ties to the lowest class index. The
-    tree is the node ``root_id`` of ``table``, a table of its own unless a
-    forest holds it.
+    Fitting is deterministic given (data order, criteria, seed): it draws
+    from ``rng = default_rng(seed)``. Prediction routes a point to its leaf
+    (feature value <= threshold goes left) and returns the majority class
+    there, ties to the lowest class index. The tree is the node ``root_id``
+    of ``table``, a table of its own unless a forest holds it.
     """
 
     def __init__(self, criteria: SplitCriteria | None = None, seed=0):
         self.criteria = criteria if criteria is not None else SplitCriteria()
         self.seed = seed
+        self.rng: np.random.Generator | None = None
         self.table: NodeTable | None = None
         self.root_id = -1
         self.n_classes: int | None = None
@@ -768,10 +782,13 @@ class DecisionTree:
 
     @classmethod
     def _at(cls, table: NodeTable, root_id: int, n_features: int,
-            criteria: SplitCriteria, seed) -> "DecisionTree":
-        """The fitted tree rooted at node `root_id` of `table`."""
-        tree = cls(criteria, seed)
-        tree.table, tree.root_id = table, int(root_id)
+            criteria: SplitCriteria, rng) -> "DecisionTree":
+        """The fitted tree rooted at node `root_id` of `table`, whose seed and
+        generator are `rng`: the generator of the forest that grew it, or
+        None for a tree that never grows again."""
+        tree = cls.__new__(cls)
+        DecisionTree.__init__(tree, criteria, rng)
+        tree.rng, tree.table, tree.root_id = rng, table, int(root_id)
         tree.n_classes, tree.n_features = table.n_classes, n_features
         return tree
 
@@ -781,20 +798,17 @@ class DecisionTree:
             raise ValueError("cannot fit on an empty dataset")
         table = NodeTable(data.n_classes)
         n = data.n_samples
+        self.rng = np.random.default_rng(self.seed)
         (root,) = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
-                         self.criteria, np.random.default_rng(self.seed))
+                         self.criteria, self.rng)
         self.table, self.root_id = table, int(root)
         self.n_classes, self.n_features = data.n_classes, data.n_features
         return self
 
-    def _check_vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.n_features:
-            raise ValueError(f"expected a vector of {self.n_features} features")
-        return x
-
     def _leaf_id(self, x) -> int:
-        x = self._check_vector(x)
+        # Callers read self.table only after this call: it first rejects an
+        # unfitted tree, whose table is None.
+        x = _check_input(self, x, 1)
         t = self.table
         i = self.root_id
         while t.left[i] >= 0:
@@ -803,16 +817,16 @@ class DecisionTree:
 
     def apply(self, x) -> TreeNode:
         """Return the unique leaf whose region contains x."""
-        return self.table.view(self._leaf_id(x))
+        leaf = self._leaf_id(x)
+        return self.table.view(leaf)
 
     def predict_one(self, x) -> int:
-        return int(np.argmax(self.table.counts[self._leaf_id(x)]))
+        leaf = self._leaf_id(x)
+        return int(np.argmax(self.table.counts[leaf]))
 
     def predict(self, X) -> np.ndarray:
         """Majority-class predictions for the rows of X."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected a matrix with {self.n_features} columns")
+        X = _check_input(self, X, 2)
         rows = np.arange(X.shape[0])
         leaves = _descend(self.table, np.full(rows.size, self.root_id), rows, X)
         return _leaf_labels(self.table, leaves)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from streamforest import Dataset
+from streamforest import Dataset, SplitCriteria, StreamTree
 
 
 def brute_force_best_split(data: Dataset, indices, features, weights=None):
@@ -181,6 +181,32 @@ def loop_route(roots, rows, tree_of, X, y, n_classes):
     for t, root in enumerate(roots):
         visit(root, np.flatnonzero(tree_of == t))
     return leaf_of, increments, touched
+
+
+def distinct_rows(per_tree) -> tuple:
+    """Per-tree row lists in the form the router and `_update_trees` take:
+    (rows, weights, bounds), tree t's distinct rows in increasing order at
+    ``rows[bounds[t]:bounds[t + 1]]``, row ``rows[i]`` listed ``weights[i]``
+    times."""
+    parts = [np.unique(np.asarray(r, dtype=np.intp), return_counts=True) for r in per_tree]
+    bounds = np.cumsum([0] + [rows.size for rows, _ in parts])
+    return (np.concatenate([rows for rows, _ in parts]),
+            np.concatenate([counts for _, counts in parts]), bounds)
+
+
+def plant_constant_trees(forest, classes: dict) -> list:
+    """Make tree i of the stream `forest` a one-leaf tree whose overwhelming
+    counts vote class ``classes[i]``, for each i in `classes`; returns the
+    new trees. The leaves are planted in the forest's own table and swapped
+    in through `_replace`, as a replacement swaps trees."""
+    table, trees = forest._table, []
+    for predicted_class in classes.values():
+        counts = np.zeros(forest.n_classes, dtype=np.int64)
+        counts[predicted_class] = 1_000_000
+        trees.append(StreamTree._at(table, table.add_leaf(counts), forest.n_features,
+                                    SplitCriteria(), forest.rng))
+    forest._replace(list(classes), trees)
+    return trees
 
 
 class RefNode:

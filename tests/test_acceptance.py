@@ -15,7 +15,6 @@ from streamforest import (
     BatchForest,
     Dataset,
     DecisionTree,
-    NodeTable,
     SplitCriteria,
     StreamForest,
     StreamTree,
@@ -32,6 +31,7 @@ from helpers import (
     check_count_conservation,
     collect_internal_splits,
     is_same_or_descendant,
+    plant_constant_trees,
     random_dataset,
     trees_equal,
 )
@@ -77,7 +77,7 @@ def test_criterion_2_single_batch_equivalence():
         stream = StreamTree(data, data.n_classes, criteria, seed)
         batch = DecisionTree(criteria, seed).fit(data)
         probes = rng.uniform(-2.0, 2.0, (1000, data.n_features))
-        if not trees_equal(stream.tree.root, batch.root):
+        if not trees_equal(stream.root, batch.root):
             failures += 1
         elif not np.array_equal(stream.predict(probes), batch.predict(probes)):
             failures += 1
@@ -101,10 +101,10 @@ def test_criterion_3_internal_node_immutability():
         st = StreamTree(batch(30), k, seed=int(rng.integers(1 << 31)))
         probes = rng.uniform(-2, 2, (30, p))
         for _ in range(5):
-            before = set(collect_internal_splits(st.tree.root))
+            before = set(collect_internal_splits(st.root))
             leaves_before = [st.apply(x) for x in probes]
             st.update(batch(20))
-            if not before <= set(collect_internal_splits(st.tree.root)):
+            if not before <= set(collect_internal_splits(st.root)):
                 violations += 1
                 break
             if not all(is_same_or_descendant(old, st.apply(x))
@@ -132,10 +132,10 @@ def test_criterion_4_count_conservation():
         st = StreamTree(batch(sizes[0]), k, seed=int(rng.integers(1 << 31)))
         for size in sizes[1:]:
             st.update(batch(size))
-        if int(st.tree.root.class_counts.sum()) != sum(sizes):
+        if int(st.root.class_counts.sum()) != sum(sizes):
             ok = False
             break
-        check_count_conservation(st.tree.root)
+        check_count_conservation(st.root)
     report(4, "count conservation", ok, "20 streams of 7 batches", started)
 
 
@@ -145,20 +145,12 @@ def test_criterion_5_replacement_mechanics():
     started = time.perf_counter()
     data = gen_synthetic("blobs", 600, noise=0.0, seed=60_000, n_classes=3)
 
-    def degenerate(predicted_class):
-        counts = np.zeros(3, dtype=np.int64)
-        counts[predicted_class] = 1_000_000
-        table = NodeTable(3)
-        return StreamTree._from_parts(table.view(table.add_leaf(counts)), 2, 3,
-                                      SplitCriteria(), 1)
-
     pure = data.subset(np.nonzero(data.labels == 1)[0][:60])
 
     forest = StreamForest(data.subset(range(100)), 3, n_trees=6,
                           replace_count=2, seed=61_000)
     originals = list(forest.trees)
-    forest.trees[4] = degenerate(0)
-    forest.trees[2] = degenerate(2)
+    plant_constant_trees(forest, {4: 0, 2: 2})
     forest.update(pure, force_replacement=True)
     info = forest.last_replacement
     worst_replaced = sorted(info["replaced"]) == [2, 4]
@@ -168,8 +160,7 @@ def test_criterion_5_replacement_mechanics():
 
     tie_forest = StreamForest(data.subset(range(100)), 3, n_trees=6,
                               replace_count=1, seed=62_000)
-    tie_forest.trees[1] = degenerate(0)
-    tie_forest.trees[4] = degenerate(0)
+    plant_constant_trees(tie_forest, {1: 0, 4: 0})
     tie_forest.update(pure, force_replacement=True)
     tie_rule = tie_forest.last_replacement["replaced"] == [1]
 

@@ -11,29 +11,18 @@ from streamforest import (
     BatchForest,
     Dataset,
     DecisionTree,
-    NodeTable,
     SplitCriteria,
     StreamForest,
-    StreamTree,
     gen_synthetic,
     model_size,
 )
 from streamforest.forest import _samples
 
-from helpers import trees_equal
+from helpers import plant_constant_trees, trees_equal
 
 
 def blobs(n, seed, noise=0.0, k=3):
     return gen_synthetic("blobs", n, noise=noise, seed=seed, n_classes=k)
-
-
-def constant_tree(predicted_class, n_classes, n_features) -> StreamTree:
-    """Single-leaf tree with overwhelming counts for one class."""
-    counts = np.zeros(n_classes, dtype=np.int64)
-    counts[predicted_class] = 1_000_000
-    table = NodeTable(n_classes)
-    return StreamTree._from_parts(table.view(table.add_leaf(counts)), n_features,
-                                  n_classes, SplitCriteria(), batches_seen=1)
 
 
 def pure_class_batch(data: Dataset, cls: int, size: int) -> Dataset:
@@ -52,7 +41,7 @@ class TestInit:
     def test_bootstrap_diversifies_roots(self):
         data = blobs(100, seed=4, noise=0.5)
         f = StreamForest(data, 3, n_trees=100, seed=5)
-        roots = {(t.tree.root.feature, t.tree.root.threshold) for t in f.trees}
+        roots = {(t.root.feature, t.root.threshold) for t in f.trees}
         assert len(roots) >= 2
 
     def test_replace_count_above_tree_count_rejected(self):
@@ -92,8 +81,7 @@ class TestUpdate:
     def test_forced_replacement_removes_worst_tree(self):
         data = blobs(600, seed=13)
         f = StreamForest(data.subset(range(100)), 3, n_trees=5, seed=14)
-        bad = constant_tree(0, 3, 2)
-        f.trees[3] = bad
+        (bad,) = plant_constant_trees(f, {3: 0})
         update = pure_class_batch(data, cls=1, size=60)
         f.update(update, force_replacement=True)
         info = f.last_replacement
@@ -106,18 +94,30 @@ class TestUpdate:
     def test_replacement_tie_breaks_to_lower_index(self):
         data = blobs(600, seed=15)
         f = StreamForest(data.subset(range(100)), 3, n_trees=6, seed=16)
-        f.trees[1] = constant_tree(0, 3, 2)
-        f.trees[4] = constant_tree(0, 3, 2)
+        plant_constant_trees(f, {1: 0, 4: 0})
         f.update(pure_class_batch(data, cls=1, size=60), force_replacement=True)
         assert f.last_replacement["replaced"] == [1]
 
     def test_multiple_replacements_take_r_worst(self):
         data = blobs(600, seed=17)
         f = StreamForest(data.subset(range(100)), 3, n_trees=6, replace_count=2, seed=18)
-        f.trees[1] = constant_tree(0, 3, 2)
-        f.trees[4] = constant_tree(2, 3, 2)
+        plant_constant_trees(f, {1: 0, 4: 2})
         f.update(pure_class_batch(data, cls=1, size=60), force_replacement=True)
         assert sorted(f.last_replacement["replaced"]) == [1, 4]
+
+    def test_trees_are_swapped_only_by_replacement(self):
+        data = blobs(700, seed=69, noise=0.8)
+        f = StreamForest(data.subset(range(100)), 3, n_trees=5, replace_count=2, seed=70)
+        with pytest.raises(TypeError):
+            f.trees[0] = f.trees[1]
+        for i in range(1, 7):
+            before = f.trees
+            f.update(data.subset(range(100 * i, 100 * (i + 1))), force_replacement=True)
+            replaced = f.last_replacement["replaced"]
+            assert len(replaced) == 2
+            for t, (old, new) in enumerate(zip(before, f.trees)):
+                assert (old is new) == (t not in replaced)
+            assert f._table.size == f.node_count()
 
     def test_unforced_coin_can_be_suppressed(self):
         data = blobs(200, seed=19)
@@ -184,24 +184,22 @@ class TestUpdate:
 
 
 class TestVoting:
-    def _forest_with_trees(self, trees, n_classes):
-        f = StreamForest(blobs(40, seed=26), n_classes, n_trees=len(trees), seed=27)
-        f.trees = trees
+    def _forest_with_trees(self, classes, n_classes):
+        """A forest of one constant tree per entry of `classes`, voting it."""
+        f = StreamForest(blobs(40, seed=26), n_classes, n_trees=len(classes), seed=27)
+        plant_constant_trees(f, dict(enumerate(classes)))
         return f
 
     def test_unanimous_vote(self):
-        f = self._forest_with_trees([constant_tree(2, 3, 2)] * 3, 3)
+        f = self._forest_with_trees([2, 2, 2], 3)
         assert f.predict_one([0.0, 0.0]) == 2
 
     def test_plurality_wins(self):
-        trees = [constant_tree(0, 3, 2), constant_tree(1, 3, 2), constant_tree(1, 3, 2)]
-        f = self._forest_with_trees(trees, 3)
+        f = self._forest_with_trees([0, 1, 1], 3)
         assert f.predict_one([0.0, 0.0]) == 1
 
     def test_tie_goes_to_lowest_class(self):
-        trees = [constant_tree(0, 3, 2), constant_tree(0, 3, 2),
-                 constant_tree(1, 3, 2), constant_tree(1, 3, 2)]
-        f = self._forest_with_trees(trees, 3)
+        f = self._forest_with_trees([0, 0, 1, 1], 3)
         assert f.predict_one([0.0, 0.0]) == 0
 
     def test_batch_predict_empty(self):
@@ -246,7 +244,7 @@ class TestDeterminism:
     def test_same_seed_reproduces_everything(self):
         a, b = self._evolve(), self._evolve()
         for ta, tb in zip(a.trees, b.trees):
-            assert trees_equal(ta.tree.root, tb.tree.root)
+            assert trees_equal(ta.root, tb.root)
         assert a.last_replacement["u"] == b.last_replacement["u"]
         assert a.last_replacement["replaced"] == b.last_replacement["replaced"]
 
@@ -287,15 +285,16 @@ class TestBatchForest:
                          .predict(test.features) == test.labels)
         assert df_acc >= dt_acc - 0.02
 
-    def test_stores_cumulative_data_reference(self):
-        data = blobs(100, seed=60)
-        f = BatchForest(2, seed=61).fit(data)
-        assert f.data is data
-
     def test_unfitted_forest_rejects_predict(self):
         f = BatchForest(2, seed=62)
         with pytest.raises((ValueError, TypeError)):
             f.predict(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("call, arg", [("predict", np.zeros((2, 2))),
+                                           ("predict_one", np.zeros(2))])
+    def test_unfitted_forest_says_it_is_not_fitted(self, call, arg):
+        with pytest.raises(ValueError, match="BatchForest is not fitted"):
+            getattr(BatchForest(2, seed=62), call)(arg)
 
 
 class TestSamples:

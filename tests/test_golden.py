@@ -119,7 +119,7 @@ def _stream_tree_corpus() -> dict:
     for i in range(1, 10):
         tree.update(data.subset(range(50 * i, 50 * (i + 1))))
     return {
-        "tree": _sha(_preorder(tree.tree.root)),
+        "tree": _sha(_preorder(tree.root)),
         "bulk": _sha(tree.predict(probes)),
         "one": _sha(np.array([tree.predict_one(x) for x in probes[:40]])),
         "nodes": int(tree.node_count()),
@@ -188,8 +188,7 @@ def test_golden_digests(tmp_path):
 
 
 def _forest_trees(forest) -> list:
-    table, roots = forest._place()
-    return [preorder(table.view(root)) for root in roots.tolist()]
+    return [preorder(forest._table.view(root)) for root in forest._roots.tolist()]
 
 
 def test_golden_corpus_grows_like_the_loop_reference():
@@ -219,4 +218,4 @@ def test_golden_corpus_grows_like_the_loop_reference():
         batch = data.subset(range(50 * i, 50 * (i + 1)))
         tree.update(batch)
         loop_update([root], batch, [np.arange(50)], STREAM_TREE_CRITERIA, rng)
-    assert preorder(tree.tree.root) == preorder(root)
+    assert preorder(tree.root) == preorder(root)

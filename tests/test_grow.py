@@ -73,8 +73,7 @@ def _with_budget(budget, check, seed):
 
 
 def _forest_trees(forest) -> list:
-    table, roots = forest._place()
-    return [preorder(table.view(root)) for root in roots.tolist()]
+    return [preorder(forest._table.view(root)) for root in forest._roots.tolist()]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -146,12 +145,12 @@ def _check_stream_tree(seed):
     tree = StreamTree(first, first.n_classes, criteria, seed=seed)
     ref_rng = np.random.default_rng(seed)
     (root,) = loop_fit(first, [np.arange(first.n_samples)], criteria, ref_rng)
-    assert preorder(tree.tree.root) == preorder(root)
+    assert preorder(tree.root) == preorder(root)
     for _ in range(int(rng.integers(1, 4))):
         batch = make(int(rng.integers(1, 60)))
         tree.update(batch)
         loop_update([root], batch, [np.arange(batch.n_samples)], criteria, ref_rng)
-        assert preorder(tree.tree.root) == preorder(root)
+        assert preorder(tree.root) == preorder(root)
     assert tree.rng.bit_generator.state == ref_rng.bit_generator.state
 
 

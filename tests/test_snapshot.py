@@ -38,7 +38,7 @@ def test_stream_forest_round_trip_predictions(tmp_path):
     probes = np.random.default_rng(3).uniform(-6, 6, (300, 2))
     assert np.array_equal(f.predict(probes), loaded.predict(probes))
     for original, restored in zip(f.trees, loaded.trees):
-        assert trees_equal(original.tree.root, restored.tree.root)
+        assert trees_equal(original.root, restored.root)
         assert original.batches_seen == restored.batches_seen
 
 
@@ -60,13 +60,13 @@ def test_bootstrap_setting_round_trips(tmp_path):
     path = tmp_path / "forest.json"
     save_forest(f, path)
     loaded = load_forest(path)
-    before = [t.tree.root.class_counts.copy() for t in loaded.trees]
+    before = [t.root.class_counts.copy() for t in loaded.trees]
     batch = data.subset(range(100, 200))
     loaded.update(batch, force_replacement=False)
     # Without bootstrap every tree takes the whole batch, each row once.
     grown = np.bincount(batch.labels, minlength=3)
     for tree, counts in zip(loaded.trees, before):
-        assert tree.tree.root.class_counts.tolist() == (counts + grown).tolist()
+        assert tree.root.class_counts.tolist() == (counts + grown).tolist()
 
     b = BatchForest(2, seed=9, bootstrap=False).fit(data)
     save_forest(b, path)
@@ -169,7 +169,7 @@ def test_snapshot_without_generator_state_still_loads(tmp_path):
     for model in (loaded, again):
         model.update(data.subset(range(100)), force_replacement=True)
     for ta, tb in zip(loaded.trees, again.trees):
-        assert trees_equal(ta.tree.root, tb.tree.root)
+        assert trees_equal(ta.root, tb.root)
 
 
 def test_failed_write_keeps_the_old_snapshot(tmp_path, monkeypatch):

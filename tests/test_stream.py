@@ -11,6 +11,7 @@ from streamforest.tree import NodeTable
 from helpers import (
     check_count_conservation,
     collect_internal_splits,
+    distinct_rows,
     is_same_or_descendant,
     iter_nodes,
     trees_equal,
@@ -30,7 +31,7 @@ class TestInit:
         rng = np.random.default_rng(0)
         batch = Dataset(rng.uniform(0, 1, (40, 2)), rng.integers(0, 2, 40), 2)
         st = StreamTree(batch, n_classes=3, seed=1)
-        for node in iter_nodes(st.tree.root):
+        for node in iter_nodes(st.root):
             assert node.class_counts.shape == (3,)
             assert node.class_counts[2] == 0
 
@@ -38,7 +39,7 @@ class TestInit:
         data = one_dim_example()
         st = StreamTree(data, n_classes=2, seed=5)
         dt = DecisionTree(SplitCriteria(), seed=5).fit(data)
-        assert trees_equal(st.tree.root, dt.root)
+        assert trees_equal(st.root, dt.root)
 
     def test_empty_first_batch_rejected(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=int), 2)
@@ -59,9 +60,9 @@ class TestUpdate:
     def test_single_leaf_splits_on_second_batch(self):
         first = Dataset(np.array([[10.0], [20.0]]), np.array([0, 0]), 2)
         st = StreamTree(first, n_classes=2, seed=3)
-        assert st.tree.root.is_leaf
+        assert st.root.is_leaf
         st.update(one_dim_example())
-        root = st.tree.root
+        root = st.root
         assert root.feature == 0 and root.threshold == 2.5
         assert root.left.class_counts.tolist() == [2, 0]
         assert root.right.class_counts.tolist() == [0, 2]
@@ -74,33 +75,33 @@ class TestUpdate:
         first = random_batch(rng, 60, 2, 3)
         st = StreamTree(first, n_classes=3, seed=2,
                         criteria=SplitCriteria(min_samples_split=10))
-        before = collect_internal_splits(st.tree.root)
-        n_leaves = sum(node.is_leaf for node in iter_nodes(st.tree.root))
+        before = collect_internal_splits(st.root)
+        n_leaves = sum(node.is_leaf for node in iter_nodes(st.root))
         # one sample per update: every leaf stays below the split threshold
         total = first.n_samples
         for _ in range(5):
             st.update(random_batch(rng, 1, 2, 3))
             total += 1
-        assert collect_internal_splits(st.tree.root) == before
-        assert sum(node.is_leaf for node in iter_nodes(st.tree.root)) == n_leaves
-        assert int(st.tree.root.class_counts.sum()) == total
+        assert collect_internal_splits(st.root) == before
+        assert sum(node.is_leaf for node in iter_nodes(st.root)) == n_leaves
+        assert int(st.root.class_counts.sum()) == total
 
     def test_existing_splits_survive_update(self):
         data = gen_synthetic("blobs", 50, noise=0.8, seed=4, n_classes=3, n_features=4)
         st = StreamTree(data.subset(range(25)), n_classes=3, seed=6)
-        before = set(collect_internal_splits(st.tree.root))
+        before = set(collect_internal_splits(st.root))
         st.update(data.subset(range(25, 50)))
-        after = set(collect_internal_splits(st.tree.root))
+        after = set(collect_internal_splits(st.root))
         assert before <= after
 
     def test_wrong_width_leaves_tree_unchanged(self):
         st = StreamTree(one_dim_example(), n_classes=2, seed=1)
-        snapshot = [np.array(n.class_counts) for n in iter_nodes(st.tree.root)]
+        snapshot = [np.array(n.class_counts) for n in iter_nodes(st.root)]
         bad = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2)
         with pytest.raises(ValueError):
             st.update(bad)
         assert st.batches_seen == 1
-        for node, counts in zip(iter_nodes(st.tree.root), snapshot):
+        for node, counts in zip(iter_nodes(st.root), snapshot):
             assert np.array_equal(node.class_counts, counts)
 
     def test_unknown_label_leaves_tree_unchanged(self):
@@ -137,15 +138,15 @@ class TestPredict:
     def test_untouched_leaf_keeps_history(self):
         first = Dataset(np.full((5, 1), 1.0), np.full(5, 0), 3)
         st = StreamTree(first, n_classes=3)
-        assert st.tree.root.class_counts.tolist() == [5, 0, 0]
+        assert st.root.class_counts.tolist() == [5, 0, 0]
         assert st.predict_one([1.0]) == 0
 
     def test_majority_flips_with_new_counts(self):
         first = Dataset(np.full((3, 1), 1.0), np.full(3, 0), 3)
         st = StreamTree(first, n_classes=3)
         st.update(Dataset(np.full((4, 1), 1.0), np.full(4, 1), 3))
-        assert st.tree.root.is_leaf  # pure pending batch, constant feature
-        assert st.tree.root.class_counts.tolist() == [3, 4, 0]
+        assert st.root.is_leaf  # pure pending batch, constant feature
+        assert st.root.class_counts.tolist() == [3, 4, 0]
         assert st.predict_one([1.0]) == 1
 
     def test_new_split_routes_predictions(self):
@@ -172,9 +173,9 @@ class TestStreamProperties:
             st = StreamTree(random_batch(rng, 30, p, k), n_classes=k,
                             seed=int(rng.integers(1 << 31)))
             for _ in range(4):
-                before = set(collect_internal_splits(st.tree.root))
+                before = set(collect_internal_splits(st.root))
                 st.update(random_batch(rng, 20, p, k))
-                after = set(collect_internal_splits(st.tree.root))
+                after = set(collect_internal_splits(st.root))
                 assert before <= after
 
     def test_leaf_regions_refine(self):
@@ -195,8 +196,8 @@ class TestStreamProperties:
         for size in (30, 17, 42, 9):
             st.update(random_batch(rng, size, 3, 3))
             total += size
-        assert int(st.tree.root.class_counts.sum()) == total
-        check_count_conservation(st.tree.root)
+        assert int(st.root.class_counts.sum()) == total
+        check_count_conservation(st.root)
 
     def test_replay_reproduces_tree_exactly(self):
         rng = np.random.default_rng(24)
@@ -207,7 +208,7 @@ class TestStreamProperties:
         for batch in batches[1:]:
             a.update(batch)
             b.update(batch)
-        assert trees_equal(a.tree.root, b.tree.root)
+        assert trees_equal(a.root, b.root)
 
     def test_dimensions_never_change(self):
         rng = np.random.default_rng(25)
@@ -241,13 +242,13 @@ class TestMixedCriteria:
         table, trees, later, draws, rng = self.build()
         ref_table, (ra, rb, rc), _, _, ref_rng = self.build()
         for batch, (da, db, dc) in zip(later, draws):
-            _update_trees(trees, batch, [da, db, dc], rng)
-            _update_trees([ra, rc], batch, [da, dc], ref_rng)
-            _update_trees([rb], batch, [db], ref_rng)
+            _update_trees(trees, batch, *distinct_rows([da, db, dc]), rng)
+            _update_trees([ra, rc], batch, *distinct_rows([da, dc]), ref_rng)
+            _update_trees([rb], batch, *distinct_rows([db]), ref_rng)
         assert table.size == ref_table.size
         _, planted, _, _, _ = self.build()
         for got, ref, start in zip(trees, (ra, rb, rc), planted):
             assert got.node_count() > start.node_count()  # every tree grew
-            assert trees_equal(got.tree.root, ref.tree.root)
+            assert trees_equal(got.root, ref.root)
             assert got.batches_seen == ref.batches_seen == 4
-            check_count_conservation(got.tree.root)
+            check_count_conservation(got.root)

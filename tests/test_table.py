@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from streamforest import BatchForest, Dataset, NodeTable, StreamForest, gen_synthetic
 from streamforest.tree import _descend, _route_and_count
 
-from helpers import iter_nodes, loop_route, random_dataset, trees_equal, walk_to_leaf
+from helpers import (
+    distinct_rows,
+    iter_nodes,
+    loop_route,
+    random_dataset,
+    trees_equal,
+    walk_to_leaf,
+)
 
 
 def _forest_and_batch(seed: int):
@@ -35,7 +42,7 @@ def _forest_and_batch(seed: int):
 @given(st.integers(0, 2**32 - 1))
 def test_router_matches_loop_reference(seed):
     forest, batch, rows, tree_of = _forest_and_batch(seed)
-    table, roots = forest._place()
+    table, roots = forest._table, forest._roots
     X, y = batch.features, batch.labels
     root_views = [table.view(r) for r in roots]
     leaf_of, increments, touched = loop_route(root_views, rows, tree_of, X, y,
@@ -48,7 +55,8 @@ def test_router_matches_loop_reference(seed):
     assert [table.view(i) for i in leaves] == leaf_of
 
     before = table.counts[: table.size].copy()
-    got = _route_and_count(table, roots, rows, tree_of, X, y)
+    pairs = distinct_rows([rows[tree_of == t] for t in range(roots.size)])
+    got = _route_and_count(table, roots, *pairs, X, y)
 
     # The same per-node counts as a per-node bincount loop.
     expected = before.copy()
@@ -101,7 +109,8 @@ def test_router_orders_leaves_deeper_than_one_word():
     root_views = [table.view(r) for r in roots]
     _, increments, touched = loop_route(root_views, rows, tree_of, X, y, k)
     before = table.counts[: table.size].copy()
-    got = _route_and_count(table, np.array(roots), rows, tree_of, X, y)
+    pairs = distinct_rows([rows[tree_of == t] for t in range(len(roots))])
+    got = _route_and_count(table, np.array(roots), *pairs, X, y)
     for node, counts in increments:
         before[node._id] += counts
     assert np.array_equal(table.counts[: table.size], before)
@@ -110,8 +119,7 @@ def test_router_orders_leaves_deeper_than_one_word():
 
 
 def _assert_no_dead_nodes(forest):
-    table, _ = forest._place()
-    assert table.size == forest.node_count()
+    assert forest._table.size == forest.node_count()
     assert sum(t.node_count() for t in forest.trees) == forest.node_count()
 
 
@@ -123,28 +131,6 @@ def test_table_holds_exactly_the_live_nodes():
         forest.update(data.subset(range(100 * i, 100 * (i + 1))), force_replacement=coin)
         assert forest._table.size == forest.node_count()
         _assert_no_dead_nodes(forest)
-
-
-def test_assigned_tree_is_copied_into_the_forest_table():
-    data = gen_synthetic("blobs", 400, noise=0.8, seed=5, n_classes=3)
-    forest = StreamForest(data.subset(range(100)), 3, n_trees=4, seed=6)
-    other = StreamForest(data.subset(range(100, 200)), 3, n_trees=2, seed=7)
-    probes = data.features[200:300]
-    stranger = other.trees[1]
-    before = [stranger.predict(probes), other.predict(probes), stranger.node_count()]
-
-    forest.trees[2] = stranger
-    _assert_no_dead_nodes(forest)
-    assert forest.trees[2] is stranger and stranger.tree.table is forest._table
-    assert np.array_equal(stranger.predict(probes), before[0])
-    assert stranger.node_count() == before[2]
-    # The forest it came from takes it back on its next use.
-    assert np.array_equal(other.predict(probes), before[1])
-    assert stranger.tree.table is other._table
-
-    forest.update(data.subset(range(200, 300)), force_replacement=False)
-    assert forest.trees[2] is stranger and stranger.tree.table is forest._table
-    _assert_no_dead_nodes(forest)
 
 
 def test_copy_trees_keeps_structure_and_moves_views():
@@ -171,7 +157,7 @@ def test_single_row_and_one_tree_paths_agree():
     tree = forest.trees[0]
     for x in ([-1.0], [0.5], [1.5], [2.5], [9.0]):
         assert forest.predict_one(x) == tree.predict_one(x) == forest.predict([x])[0]
-    assert all(n.class_counts.flags.writeable is False for n in iter_nodes(tree.tree.root))
+    assert all(n.class_counts.flags.writeable is False for n in iter_nodes(tree.root))
 
 
 def test_forest_survives_pickling():
@@ -183,5 +169,5 @@ def test_forest_survives_pickling():
     batch = data.subset(range(200, 300))
     for model in (forest, copy):
         model.update(batch, force_replacement=True)
-    assert all(trees_equal(a.tree.root, b.tree.root)
+    assert all(trees_equal(a.root, b.root)
                for a, b in zip(forest.trees, copy.trees))

@@ -392,6 +392,12 @@ class TestPredictApply:
         with pytest.raises(ValueError):
             tree.predict(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("call, arg", [("predict", np.zeros((3, 1))),
+                                           ("predict_one", [1.0]), ("apply", [1.0])])
+    def test_unfitted_tree_says_it_is_not_fitted(self, call, arg):
+        with pytest.raises(ValueError, match="DecisionTree is not fitted"):
+            getattr(DecisionTree(), call)(arg)
+
     def test_batch_predict_matches_single(self):
         rng = np.random.default_rng(29)
         data = random_dataset(rng, n=120, p=4, k=3)

@@ -263,9 +263,9 @@ def emit_results(records: list[BenchRecord], path,
                     "accuracy", "train_seconds", "nodes"],
     }
     with _write_atomically(path) as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
         for r in records:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+            fh.write((json.dumps(asdict(r), sort_keys=True) + "\n").encode())
 
 
 def load_results(path) -> tuple[dict, list[BenchRecord]]:

@@ -50,10 +50,16 @@ def _update_trees(trees: list, data: Dataset, rows: np.ndarray, weights: np.ndar
     roots = np.array([tree.root_id for tree in trees])
     touched = _route_and_count(table, roots, rows, weights, bounds,
                                data.features, data.labels)
+    # Equal criteria share a group, whether or not they are one object; each
+    # distinct object is hashed once, as a forest's trees share one.
     groups = {}  # criteria: its number, in order of first use
-    for tree in trees:
-        groups.setdefault(tree.criteria, len(groups))
-    group_of = np.array([groups[tree.criteria] for tree in trees])
+    by_id = {}  # id of a criteria object: its group number
+    group_of = np.empty(len(trees), dtype=np.intp)
+    for t, tree in enumerate(trees):
+        g = by_id.get(id(tree.criteria))
+        if g is None:
+            g = by_id[id(tree.criteria)] = groups.setdefault(tree.criteria, len(groups))
+        group_of[t] = g
     sizes = np.diff(touched.bounds)
     leaf_group = group_of[touched.tree]
     row_group = np.repeat(leaf_group, sizes)

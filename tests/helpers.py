@@ -387,3 +387,24 @@ def preorder(root) -> list[tuple]:
     return [(node.left is None, int(node.feature), float(node.threshold),
              tuple(int(c) for c in node.class_counts), int(node.pre_split_total))
             for node in preorder_nodes(root)]
+
+
+def tree_documents(starts, columns) -> list[dict]:
+    """The v1/v2 JSON snapshot layout of trees laid out as `NodeTable.export`
+    returns them: one dict of per-node lists per tree, in preorder, with a
+    "kind" list and child links counted from the tree's start (-1 at leaves)."""
+    out = []
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        col = {name: values[a:b].tolist() for name, values in columns.items()}
+        out.append({"kind": ["leaf" if link < 0 else "internal" for link in col["left"]],
+                    "feature": col["feature"], "threshold": col["threshold"],
+                    "left": col["left"], "right": col["right"],
+                    "class_counts": col["counts"],
+                    "pre_split_total": col["pre_split_total"]})
+    return out
+
+
+def forest_documents(forest) -> list[dict]:
+    """A forest's trees in the v1/v2 JSON snapshot layout."""
+    _, starts, columns = forest._table.export(forest._roots)
+    return tree_documents(starts, columns)

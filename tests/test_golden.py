@@ -19,12 +19,20 @@ from streamforest import (
     StreamForest,
     StreamTree,
     gen_synthetic,
+    load_forest,
     save_forest,
 )
 
 from streamforest.forest import FOREST_CRITERIA
 
-from helpers import loop_fit, loop_forest_update, loop_samples, loop_update, preorder
+from helpers import (
+    forest_documents,
+    loop_fit,
+    loop_forest_update,
+    loop_samples,
+    loop_update,
+    preorder,
+)
 
 # Forced, suppressed and free coins in turn, so that replacements happen
 # and the history covers all three.
@@ -65,12 +73,14 @@ def _history_entry(info) -> dict:
 
 
 def _forest_digest(forest, probes, tmp_path) -> dict:
-    path = tmp_path / "golden.json"
+    """Tree digests are taken from the forest loaded back from its snapshot,
+    in the layout of the JSON snapshots the constants were computed on, so
+    they also pin that the round trip is exact."""
+    path = tmp_path / "golden.npz"
     save_forest(forest, path)
-    doc = json.loads(path.read_text())
     return {
         "trees": [hashlib.sha256(json.dumps(t).encode()).hexdigest()
-                  for t in doc["trees"]],
+                  for t in forest_documents(load_forest(path))],
         "bulk": _sha(forest.predict(probes)),
         "one": _sha(np.array([forest.predict_one(x) for x in probes[:40]])),
         "nodes": int(forest.node_count()),

@@ -1,7 +1,8 @@
-"""Forest snapshots: JSON round trip with bit-exact predictions."""
+"""Forest snapshots: round trip with bit-exact predictions."""
 
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,35 @@ from streamforest import (
     save_forest,
 )
 from streamforest import snapshot
+from streamforest.tree import NodeTable
 
-from helpers import trees_equal
+from helpers import forest_documents, tree_documents, trees_equal
 
 DATA = Path(__file__).parent / "data"
+
+
+def read_archive(path) -> tuple[dict, dict]:
+    """The meta header and the other arrays of a v3 snapshot."""
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(archive["meta"].item())
+        return meta, {name: archive[name] for name in archive.files if name != "meta"}
+
+
+def write_archive(path, meta, arrays, **extra) -> None:
+    """Write a v3 snapshot by hand, `extra` members after the others."""
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays, **extra)
+
+
+def write_v2_document(forest, path) -> dict:
+    """Write `forest` as the v2 JSON document of its time; returns it."""
+    save_forest(forest, path)
+    meta, arrays = read_archive(path)
+    starts = arrays.pop("starts")
+    doc = meta | {"format": "streamforest-snapshot-v2", "bytes_per_node": 64,
+                  "trees": tree_documents(starts, arrays)}
+    path.write_text(json.dumps(doc))
+    return doc
 
 
 def evolved_forest(tmp_path=None):
@@ -89,25 +115,136 @@ def test_snapshot_is_self_describing(tmp_path):
     f = evolved_forest()
     path = tmp_path / "forest.json"
     save_forest(f, path)
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "streamforest-snapshot-v2"
-    assert doc["model"] == "stream_forest"
-    assert len(doc["trees"]) == 5
-    first = doc["trees"][0]
-    for key in ("kind", "feature", "threshold", "left", "right",
-                "class_counts", "pre_split_total"):
-        assert key in first
-    assert doc["bytes_per_node"] > 0
+    meta, arrays = read_archive(path)
+    assert meta["format"] == "streamforest-snapshot-v3"
+    assert meta["model"] == "stream_forest"
+    assert arrays["starts"].size - 1 == 5
+    for key in NodeTable.COLUMNS:
+        assert len(arrays[key]) == arrays["starts"][-1]
+    assert "bytes_per_node" not in meta
 
 
-def test_file_is_the_json_dump_of_its_document(tmp_path):
+def test_file_is_meta_starts_and_the_six_columns(tmp_path):
     path = tmp_path / "forest.json"
     for model in (evolved_forest(), BatchForest(3, seed=4).fit(
             gen_synthetic("blobs", 200, noise=0.6, seed=5, n_classes=3))):
         save_forest(model, path)
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text))
-        assert list(json.loads(text))[-1] == "trees"
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == [f"{name}.npy" for name in
+                                          ("meta", "starts", *NodeTable.COLUMNS)]
+        _, arrays = read_archive(path)
+        _, starts, columns = model._table.export(model._roots)
+        assert np.array_equal(arrays.pop("starts"), starts)
+        assert arrays.keys() == columns.keys()
+        for name, column in columns.items():
+            assert arrays[name].dtype == column.dtype
+            assert np.array_equal(arrays[name], column)
+
+
+def test_same_forest_saves_to_the_same_bytes(tmp_path):
+    f = evolved_forest()
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_forest(f, a)
+    save_forest(f, b)
+    assert a.read_bytes() == b.read_bytes()
+    with zipfile.ZipFile(a) as archive:
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+
+class Tripwire:
+    """Unpickling an instance calls `trip`."""
+
+    tripped = False
+
+    def __reduce__(self):
+        return (trip, ())
+
+
+def trip():
+    Tripwire.tripped = True
+
+
+def test_object_array_member_is_rejected_and_never_unpickled(tmp_path):
+    path = tmp_path / "forest.npz"
+    save_forest(evolved_forest(), path)
+    meta, arrays = read_archive(path)
+    arrays["threshold"] = np.array([Tripwire()] * len(arrays["threshold"]), dtype=object)
+    write_archive(path, meta, arrays)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        load_forest(path)
+    assert not Tripwire.tripped
+
+
+def test_trees_that_would_not_end_are_rejected(tmp_path):
+    f = evolved_forest()
+    path = tmp_path / "forest.json"
+    doc = write_v2_document(f, path)
+    doc["trees"][0]["left"][0] = doc["trees"][0]["right"][0] = 0  # the root links to itself
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="tree 0 node 0 "):
+        load_forest(path)
+
+    save_forest(f, path)
+    meta, arrays = read_archive(path)
+    starts, right = arrays["starts"], arrays["right"]
+    node = int(np.flatnonzero(arrays["left"][starts[3]:] >= 0)[0])
+    right[starts[3] + node] = node  # a right child that links back to its parent
+    write_archive(path, meta, arrays)
+    with pytest.raises(ValueError, match=f"tree 3 node {node} "):
+        load_forest(path)
+
+
+def _corrupt(meta, arrays, fault):
+    """Apply one fault to a v3 snapshot's contents."""
+    if fault == "starts past the end":
+        arrays["starts"][-1] += 1
+    elif fault == "starts falling":
+        arrays["starts"][1] = arrays["starts"][2] + 1
+    elif fault == "a tree too few":
+        meta["n_trees"] += 1
+    elif fault == "batch counts of a tree too few":
+        meta["tree_batches_seen"].pop()
+    elif fault == "counts of a class too few":
+        arrays["counts"] = arrays["counts"][:, 1:]
+    elif fault == "negative counts":
+        arrays["counts"][7, 1] = -1
+    elif fault == "feature out of range":
+        arrays["feature"][0] = meta["n_features"]
+    elif fault == "left child not next":
+        arrays["left"][0] += 1
+    elif fault == "half a leaf":
+        leaf = int(np.flatnonzero(arrays["left"] < 0)[0])
+        arrays["right"][leaf] = leaf + 1
+    elif fault == "float links":
+        arrays["left"] = arrays["left"].astype(np.float64)
+
+
+@pytest.mark.parametrize("fault", [
+    "starts past the end", "starts falling", "a tree too few",
+    "batch counts of a tree too few", "counts of a class too few", "negative counts",
+    "feature out of range", "left child not next", "half a leaf", "float links",
+])
+def test_malformed_snapshot_is_rejected(tmp_path, fault):
+    path = tmp_path / "forest.npz"
+    save_forest(evolved_forest(), path)
+    meta, arrays = read_archive(path)
+    _corrupt(meta, arrays, fault)
+    write_archive(path, meta, arrays)
+    with pytest.raises(ValueError, match="snapshot"):
+        load_forest(path)
+
+
+def test_v2_snapshot_loads_and_predicts_as_saved(tmp_path):
+    f = evolved_forest()
+    path = tmp_path / "v2.json"
+    write_v2_document(f, path)
+    loaded = load_forest(path)
+    probes = np.random.default_rng(3).uniform(-6, 6, (300, 2))
+    assert np.array_equal(f.predict(probes), loaded.predict(probes))
+    for original, restored in zip(f.trees, loaded.trees):
+        assert trees_equal(original.root, restored.root)
+        assert original.batches_seen == restored.batches_seen
+    assert loaded.rng.bit_generator.state == f.rng.bit_generator.state
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -157,9 +294,9 @@ def test_snapshot_without_generator_state_still_loads(tmp_path):
     f = evolved_forest()
     path = tmp_path / "forest.json"
     save_forest(f, path)
-    doc = json.loads(path.read_text())
-    del doc["rng_state"]
-    path.write_text(json.dumps(doc))
+    meta, arrays = read_archive(path)
+    del meta["rng_state"]
+    write_archive(path, meta, arrays)
     loaded = load_forest(path)
     probes = np.random.default_rng(3).uniform(-6, 6, (100, 2))
     assert np.array_equal(f.predict(probes), loaded.predict(probes))
@@ -178,10 +315,14 @@ def test_failed_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
     old = path.read_bytes()
 
     class HalfWriter:
-        """A file that takes half of what it is given, then fails."""
+        """A file that takes half of what it is given, then fails; it passes
+        everything else on to the real file."""
 
         def __init__(self, fh):
             self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
 
         def write(self, text):
             self.fh.write(text[: len(text) // 2])
@@ -219,16 +360,16 @@ def test_v1_snapshot_loads_and_predicts_as_saved():
     assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]
 
 
-def test_v1_snapshot_saves_as_v2(tmp_path):
+def test_v1_snapshot_saves_as_v3(tmp_path):
     forest, _ = _v1_fixture()
-    path = tmp_path / "v2.json"
+    path = tmp_path / "v3.npz"
     save_forest(forest, path)
     v1 = json.loads((DATA / "v1_stream_forest.json").read_text())
-    v2 = json.loads(path.read_text())
-    assert v2["format"] == "streamforest-snapshot-v2"
-    assert v2["trees"] == v1["trees"]
-    assert v2["rng_state"] == v1["rng_state"]
-    assert "tree_rng_states" not in v2 and "seed_children_spawned" not in v2
+    meta, arrays = read_archive(path)
+    assert meta["format"] == "streamforest-snapshot-v3"
+    assert tree_documents(arrays.pop("starts"), arrays) == v1["trees"]
+    assert meta["rng_state"] == v1["rng_state"]
+    assert "tree_rng_states" not in meta and "seed_children_spawned" not in meta
 
 
 def test_v1_snapshot_loads_update_alike(tmp_path):

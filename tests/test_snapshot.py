@@ -382,3 +382,13 @@ def test_v1_snapshot_loads_update_alike(tmp_path):
         paths.append(tmp_path / f"{name}.json")
         save_forest(forest, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_v3_snapshot_loads_and_predicts_as_saved():
+    """A 4-tree stream forest saved in the v3 format after five updates (one
+    forced replacement), and its predictions on fixed probes at that time."""
+    forest = load_forest(DATA / "v3_stream_forest.npz")
+    expected = json.loads((DATA / "v3_stream_forest_predictions.json").read_text())
+    probes = np.array(expected["probes"])
+    assert forest.predict(probes).tolist() == expected["predictions"]
+    assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]

@@ -190,9 +190,9 @@ class StreamForest:
 
     def _replace(self, indices, trees) -> None:
         """Make ``trees[j]``, grown in the forest's table, tree
-        ``indices[j]``; then copy the current trees into a new table in
-        preorder, so that the table holds exactly their nodes. Every other
-        tree keeps its object."""
+        ``indices[j]``; then copy the current trees into a new table,
+        breadth-first, so that the table holds exactly their nodes. Every
+        other tree keeps its object."""
         held = list(self.trees)
         for i, tree in zip(indices, trees):
             held[i] = tree

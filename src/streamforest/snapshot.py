@@ -1,24 +1,27 @@
-"""Forest snapshots: a forest's node table in preorder, saved as raw arrays.
+"""Forest snapshots: a forest's node table, laid out breadth-first, saved as
+raw arrays.
 
-A snapshot (format ``streamforest-snapshot-v3``) is an uncompressed numpy
+A snapshot (format ``streamforest-snapshot-v4``) is an uncompressed numpy
 ``.npz`` archive holding
 - ``meta``: one string, the JSON header: model kind, shape,
   hyperparameters, batch counts and a stream forest's generator state;
-- ``starts``: tree t is nodes ``starts[t]:starts[t + 1]``;
-- the six `NodeTable.COLUMNS` as `NodeTable.export` returns them, child
-  links counted from the start of each node's own tree (-1 at leaves).
+- the five `NodeTable.COLUMNS` as `NodeTable.export` returns them: the
+  ``n_trees`` roots first, then each level's children pair by pair, an
+  internal node's right child at ``left + 1`` (-1 at leaves).
 
-It loads without unpickling anything. v1 and v2 snapshots, JSON documents
-with per-tree node lists, still load. Every snapshot is checked before its
-trees are built: each child link must point further into its own tree, so
-every descent ends. save -> load -> predict round-trips bit-exactly, and
+It loads without unpickling anything. v3 archives and v1 and v2 JSON
+documents, which hold the trees tree after tree in preorder with an
+explicit ``right`` column, still load, and are laid out breadth-first on
+load. Every snapshot passes one check before its trees are built: every
+child link points further on, so every descent ends, and every node but
+the roots is the child of exactly one node, so the columns are exactly
+the header's trees. save -> load -> predict round-trips bit-exactly, and
 save -> load -> update continues the original run.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import secrets
@@ -29,14 +32,17 @@ import numpy as np
 
 from .forest import BatchForest, StreamForest, _hold
 from .stream import StreamTree
-from .tree import DecisionTree, NodeTable, SplitCriteria
+from .tree import DecisionTree, NodeTable, SplitCriteria, _breadth_first
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
-FORMAT = "streamforest-snapshot-v3"
-# JSON documents written before v3. v1 differs from v2 only in carrying
-# per-tree generator states as well, which the one-generator draw rule of
-# v2 no longer uses.
+FORMAT = "streamforest-snapshot-v4"
+# Formats written before v4, which hold tree t at nodes starts[t]:starts[t + 1]
+# in preorder, with a `right` column and child links counted from the start
+# of the node's own tree. v3 is an archive, v1 and v2 are JSON documents;
+# v1 differs from v2 only in carrying per-tree generator states as well,
+# which the one-generator draw rule of v2 no longer uses.
+_V3 = "streamforest-snapshot-v3"
 _JSON_FORMATS = ("streamforest-snapshot-v2", "streamforest-snapshot-v1")
 _ZIP_MAGIC = b"PK\x03\x04"
 
@@ -103,90 +109,104 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
     complete new one, also when writing fails midway.
     """
     meta = _meta(forest)
-    _, starts, columns = forest._table.export(forest._roots)
+    columns = forest._table.export(forest._roots)
     with _write_atomically(path) as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)), starts=starts, **columns)
+        np.savez(fh, meta=np.array(json.dumps(meta)), **columns)
 
 
-def _read_v3(fh) -> tuple[dict, np.ndarray, dict]:
-    """(meta, starts, columns) of a v3 archive; nothing is unpickled."""
+def _read_archive(fh) -> tuple[dict, dict, np.ndarray | None]:
+    """(meta, columns, starts) of a v4 or v3 archive, starts None for v4;
+    nothing is unpickled."""
     with np.load(fh, allow_pickle=False) as archive:
-        missing = {"meta", "starts", *NodeTable.COLUMNS} - set(archive.files)
-        if missing:
-            raise ValueError(f"snapshot lacks {sorted(missing)}")
-        meta = archive["meta"]
+        meta = archive["meta"] if "meta" in archive.files else np.array(None)
         if meta.shape or meta.dtype.kind != "U":
             raise ValueError("snapshot meta must be one string")
         meta = json.loads(meta.item())
-        if not isinstance(meta, dict) or meta.get("format") != FORMAT:
-            raise ValueError(f"not a {FORMAT} archive")
-        return meta, archive["starts"], {name: archive[name] for name in NodeTable.COLUMNS}
+        if not isinstance(meta, dict) or meta.get("format") not in (FORMAT, _V3):
+            raise ValueError(f"not a {FORMAT} or {_V3} archive")
+        names = NodeTable.COLUMNS + (("right", "starts") if meta["format"] == _V3 else ())
+        missing = set(names) - set(archive.files)
+        if missing:
+            raise ValueError(f"snapshot lacks {sorted(missing)}")
+        columns = {name: archive[name] for name in names}
+    return meta, columns, columns.pop("starts", None)
 
 
-def _read_json(fh) -> tuple[dict, np.ndarray, dict]:
-    """(meta, starts, columns) of a v1 or v2 JSON document."""
+def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
+    """(meta, columns, starts) of a v1 or v2 JSON document."""
     doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") not in _JSON_FORMATS:
         raise ValueError("not a streamforest snapshot")
     trees = doc.pop("trees")
-    starts = np.zeros(len(trees) + 1, dtype=np.intp)
-    np.cumsum([len(tree["feature"]) for tree in trees], out=starts[1:])
-
-    def column(key, dtype):
-        return np.fromiter(itertools.chain.from_iterable(t[key] for t in trees),
-                           dtype=dtype, count=starts[-1])
-
-    columns = {
-        "feature": column("feature", np.int64),
-        "threshold": column("threshold", np.float64),
-        "left": column("left", np.int64),
-        "right": column("right", np.int64),
-        "counts": np.array([c for tree in trees for c in tree["class_counts"]],
-                           dtype=np.int64),
-        "pre_split_total": column("pre_split_total", np.int64),
-    }
-    return doc, starts, columns
+    starts = np.cumsum([0] + [len(tree["feature"]) for tree in trees])
+    columns = {name: np.array([v for tree in trees
+                               for v in tree["class_counts" if name == "counts" else name]],
+                              dtype=np.float64 if name == "threshold" else np.int64)
+               for name in (*NodeTable.COLUMNS, "right")}
+    return doc, columns, starts
 
 
-def _check_trees(meta: dict, starts: np.ndarray, columns: dict) -> None:
-    """Raise ValueError unless `columns` hold the snapshot's trees in the
-    layout of `NodeTable.export`: every internal node's left child follows
-    it and its right child lies further on in its tree, so every descent
-    ends; class counts are nonnegative."""
+def _check_trees(meta: dict, columns: dict, starts: np.ndarray | None) -> np.ndarray:
+    """Raise ValueError unless `columns` hold exactly the snapshot's trees;
+    returns their roots.
+
+    v4 has its roots first and each right child at ``left + 1``. v1–v3
+    have a tree at each of `starts` and a ``right`` column, whose
+    tree-local links are made global here, in place. Then every internal
+    node i has ``i < left < right < n``, so every descent ends, leaves
+    have both links -1, and every node but the roots is the child of
+    exactly one node. Features must be in range, internal thresholds finite
+    and class counts nonnegative."""
     n_classes, n_features = meta["n_classes"], meta["n_features"]
     n = len(columns["feature"])
-    for name in NodeTable.COLUMNS:
+    for name, value in columns.items():
         shape = (n, n_classes) if name == "counts" else (n,)
         kind = "f" if name == "threshold" else "i"
-        value = columns[name]
         if value.shape != shape or value.dtype.kind != kind:
             raise ValueError(f"snapshot column {name!r} is {value.dtype} of shape "
                              f"{value.shape}, expected shape {shape} of kind {kind!r}")
-    if (starts.ndim != 1 or starts.dtype.kind != "i" or starts.size < 2 or starts[0] != 0
-            or starts[-1] != n or (np.diff(starts) <= 0).any()):
-        raise ValueError("snapshot tree starts must rise from 0 to the node count")
-    n_trees = starts.size - 1
+    left, feature, counts = columns["left"], columns["feature"], columns["counts"]
+    if starts is None:
+        n_trees = meta["n_trees"]
+        if type(n_trees) is not int or not 0 < n_trees <= n:
+            raise ValueError(f"snapshot holds {n} nodes, its header {n_trees!r} trees")
+        roots = np.arange(n_trees)
+        right = np.where(left >= 0, left + 1, -1)
+    else:
+        if (starts.ndim != 1 or starts.dtype.kind != "i" or starts.size < 2
+                or starts[0] != 0 or starts[-1] != n or (np.diff(starts) <= 0).any()):
+            raise ValueError("snapshot tree starts must rise from 0 to the node count")
+        roots = starts[:-1]
+        tree_start = np.repeat(roots, np.diff(starts))
+        for name in ("left", "right"):
+            columns[name] = columns[name] + np.where(columns[name] >= 0, tree_start, 0)
+        left, right = columns["left"], columns["right"]
     described = {"n_trees": meta["n_trees"]}
     if meta["model"] == "stream_forest":
         described["tree_batches_seen"] = len(meta["tree_batches_seen"])
-    if any(count != n_trees for count in described.values()):
-        raise ValueError(f"snapshot holds {n_trees} trees, its header {described}")
+    if any(count != roots.size for count in described.values()):
+        raise ValueError(f"snapshot holds {roots.size} trees, its header {described}")
 
-    sizes = np.diff(starts)
-    tree = np.repeat(np.arange(n_trees), sizes)
-    local = np.arange(n) - starts[tree]
-    left, right, feature = columns["left"], columns["right"], columns["feature"]
+    i = np.arange(n)
     leaf = (left == -1) & (right == -1)
-    inner = ((left == local + 1) & (local + 1 < right) & (right < sizes[tree])
-             & (feature >= 0) & (feature < n_features))
-    bad = ~(leaf | inner) | (columns["counts"] < 0).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    inner = ((i < left) & (left < right) & (right < n) & (feature >= 0)
+             & (feature < n_features) & np.isfinite(columns["threshold"]))
+    bad = ~(leaf | inner)
+    if bad.any() or counts.min(initial=0) < 0:
+        i = int(np.argmax(bad | (counts < 0).any(axis=1)))
         raise ValueError(
-            f"snapshot tree {tree[i]} node {local[i]} is not a leaf or an internal "
-            f"node of its {sizes[tree[i]]}-node tree: left={left[i]}, right={right[i]}, "
-            f"feature={feature[i]} of {n_features}, "
-            f"counts={columns['counts'][i].tolist()}")
+            f"snapshot node {i} of {n} is not a leaf or an internal node linking further "
+            f"on: left={left[i]}, right={right[i]}, feature={feature[i]} of {n_features}, "
+            f"threshold={columns['threshold'][i]}, counts={counts[i].tolist()}")
+    # Every link is now -1 or a node id; bin 0 takes the leaves' -1.
+    parents = np.bincount(np.concatenate((left, right)) + 1, minlength=n + 1)[1:]
+    parents[roots] += 1  # so that every node of a forest has 1
+    if (parents != 1).any():
+        i = int(np.argmax(parents != 1))
+        root = int(i in roots)
+        raise ValueError(f"snapshot node {i} has {parents[i] - root} parents, expected "
+                         f"{1 - root}")
+    return roots
 
 
 def load_forest(path) -> StreamForest | BatchForest:
@@ -206,12 +226,14 @@ def load_forest(path) -> StreamForest | BatchForest:
     with open(path, "rb") as fh:
         is_archive = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
         fh.seek(0)
-        meta, starts, columns = (_read_v3 if is_archive else _read_json)(fh)
-    _check_trees(meta, starts, columns)
+        meta, columns, starts = (_read_archive if is_archive else _read_json)(fh)
+    roots = _check_trees(meta, columns, starts)
+    if starts is not None:
+        columns = _breadth_first(columns, roots, columns["right"])
     criteria = SplitCriteria(**meta["criteria"])
     n_classes, n_features = meta["n_classes"], meta["n_features"]
     table = NodeTable(n_classes, capacity=0)
-    roots = table.append(starts, columns).tolist()
+    roots = table.append(columns, roots.size).tolist()
 
     if meta["model"] == "stream_forest":
         forest = StreamForest.__new__(StreamForest)

@@ -5,7 +5,6 @@ at once in rounds of batched split searches."""
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +53,7 @@ class Dataset:
             )
         if self.features.shape[1] < 1:
             raise ValueError("need at least one feature")
-        if not np.isfinite(self.features).all():
-            row, col = np.argwhere(~np.isfinite(self.features))[0]
-            raise ValueError(f"non-finite feature value at row {row}, column {col}")
+        _check_finite(self.features)
         if self.n_classes < 2:
             raise ValueError("n_classes must be at least 2")
         if self.labels.size and (
@@ -120,10 +117,11 @@ class SplitCriteria:
 class NodeTable:
     """Struct-of-arrays storage for the nodes of one or more binary trees.
 
-    Node i routes on ``feature[i]`` and ``threshold[i]`` (a value <= the
-    threshold goes to ``left[i]``, a larger one to ``right[i]``); a leaf has
-    left = right = feature = -1 and threshold 0.0. ``counts[i]`` accumulates
-    the labels of every training sample ever routed through or into node i.
+    Node i routes on ``feature[i]`` and ``threshold[i]``: a value <= the
+    threshold goes to its left child ``left[i]``, a larger one to its right
+    child, which is always ``left[i] + 1``; a leaf has left = feature = -1
+    and threshold 0.0. ``counts[i]`` accumulates the labels of every
+    training sample ever routed through or into node i.
     ``pre_split_total[i]`` records how many of those arrived before node i
     split (their feature values are gone, so they never route to a child);
     it stays 0 for nodes split during a batch fit. A tree is the id of its
@@ -133,7 +131,7 @@ class NodeTable:
     replaces the column arrays: hold on to the table, not to a column.
     """
 
-    COLUMNS = ("feature", "threshold", "left", "right", "counts", "pre_split_total")
+    COLUMNS = ("feature", "threshold", "left", "counts", "pre_split_total")
 
     def __init__(self, n_classes: int, capacity: int = 16):
         self.n_classes = n_classes
@@ -141,18 +139,8 @@ class NodeTable:
         self.feature = np.empty(capacity, dtype=np.int64)
         self.threshold = np.empty(capacity, dtype=np.float64)
         self.left = np.empty(capacity, dtype=np.int64)
-        self.right = np.empty(capacity, dtype=np.int64)
         self.counts = np.empty((capacity, n_classes), dtype=np.int64)
         self.pre_split_total = np.empty(capacity, dtype=np.int64)
-        self._views = weakref.WeakValueDictionary()
-
-    def __getstate__(self):
-        # The view cache holds weak references, which cannot be pickled.
-        return {k: v for k, v in self.__dict__.items() if k != "_views"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._views = weakref.WeakValueDictionary()
 
     def _reserve(self, extra: int) -> None:
         capacity = self.feature.shape[0]
@@ -175,7 +163,7 @@ class NodeTable:
         self._reserve(n)
         new = slice(self.size, self.size + n)
         self.size += n
-        self.feature[new] = self.left[new] = self.right[new] = -1
+        self.feature[new] = self.left[new] = -1
         self.threshold[new] = 0.0
         self.counts[new] = class_counts
         self.pre_split_total[new] = 0
@@ -183,110 +171,77 @@ class NodeTable:
 
     def split(self, ids, features, thresholds, left_counts, right_counts,
               n_routed) -> tuple[np.ndarray, np.ndarray]:
-        """Turn the leaves `ids` into internal nodes, leaf ``ids[i]`` over two
-        new leaves holding the class counts of the ``n_routed[i]`` samples
+        """Turn the leaves `ids` into internal nodes, leaf ``ids[i]`` over a
+        new leaf pair holding the class counts of the ``n_routed[i]`` samples
         routed to them; returns the ids of the left and of the right leaves."""
         ids = np.asarray(ids, dtype=np.intp)
         counts = np.empty((2 * ids.size, self.n_classes), dtype=np.int64)
         counts[0::2], counts[1::2] = left_counts, right_counts
-        children = self.add_leaves(counts)
-        left, right = children[0::2], children[1::2]
+        left = self.add_leaves(counts)[0::2]
         self.feature[ids] = features
         self.threshold[ids] = thresholds
         self.left[ids] = left
-        self.right[ids] = right
         self.pre_split_total[ids] = self.counts[ids].sum(axis=1) - n_routed
-        return left, right
+        return left, left + 1
 
     def view(self, i) -> "TreeNode":
-        """The node view of id i; one view object per node while it is held."""
-        i = int(i)
-        node = self._views.get(i)
-        if node is None:
-            node = self._views[i] = TreeNode(self, i)
-        return node
-
-    def levels(self, roots) -> list[np.ndarray]:
-        """Node ids of the trees at `roots`, one array per depth."""
-        out = []
-        level = np.asarray(roots, dtype=np.intp).reshape(-1)
-        while level.size:
-            out.append(level)
-            inner = level[self.left[level] >= 0]
-            level = np.concatenate((self.left[inner], self.right[inner]))
-        return out
+        """The node view of id i."""
+        return TreeNode(self, int(i))
 
     def count_nodes(self, roots) -> int:
         """Number of nodes in the trees at `roots`."""
-        return sum(level.size for level in self.levels(roots))
+        return sum(level.size for level in _levels(self.left, roots))
 
-    def export(self, roots) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The trees at `roots` in preorder, tree after tree.
+    def export(self, roots) -> dict:
+        """The columns of the trees at `roots`, laid out by `_breadth_first`."""
+        return _breadth_first({name: getattr(self, name) for name in self.COLUMNS}, roots)
 
-        Returns (ids, starts, columns): tree t is ``ids[starts[t]:starts[t+1]]``,
-        and each column holds those nodes' values in that order, with child
-        links counted from the start of the node's own tree (-1 at leaves),
-        which is the snapshot layout.
-        """
-        levels = self.levels(roots)
-        size = np.ones(self.size, dtype=np.intp)  # subtree sizes, leaves first
-        for level in reversed(levels):
-            inner = level[self.left[level] >= 0]
-            size[inner] += size[self.left[inner]] + size[self.right[inner]]
-        starts = np.zeros(levels[0].size + 1, dtype=np.intp)
-        np.cumsum(size[levels[0]], out=starts[1:])
-        pos = np.empty(self.size, dtype=np.intp)  # preorder position
-        pos[levels[0]] = starts[:-1]
-        for level in levels:
-            inner = level[self.left[level] >= 0]
-            left = self.left[inner]
-            pos[left] = pos[inner] + 1
-            pos[self.right[inner]] = pos[inner] + 1 + size[left]
-        ids = np.empty(starts[-1], dtype=np.intp)
-        for level in levels:
-            ids[pos[level]] = level
-        tree_start = np.repeat(starts[:-1], np.diff(starts))
-        left, right = self.left[ids], self.right[ids]
-        inner = left >= 0
-        columns = {
-            "feature": self.feature[ids],
-            "threshold": self.threshold[ids],
-            "left": np.where(inner, pos[left] - tree_start, -1),
-            "right": np.where(inner, pos[right] - tree_start, -1),
-            "counts": self.counts[ids],
-            "pre_split_total": self.pre_split_total[ids],
-        }
-        return ids, starts, columns
-
-    def append(self, starts, columns: dict) -> np.ndarray:
-        """Append trees laid out as `export` returns them; returns their root ids."""
-        n = int(starts[-1])
+    def append(self, columns: dict, n_trees: int) -> np.ndarray:
+        """Append `n_trees` trees laid out as `export` returns them: child
+        links count from the first node, and the roots come first. Returns
+        the roots' ids."""
+        n = len(columns["left"])
         self._reserve(n)
-        base, stop = self.size, self.size + n
-        tree_start = base + np.repeat(starts[:-1], np.diff(starts))
+        new = slice(self.size, self.size + n)
         for name in self.COLUMNS:
-            value = np.asarray(columns[name])
-            if name in ("left", "right"):
-                value = np.where(value >= 0, value + tree_start, -1)
-            getattr(self, name)[base:stop] = value
-        self.size = stop
-        return base + np.asarray(starts[:-1], dtype=np.intp)
+            getattr(self, name)[new] = columns[name]
+        left = self.left[new]
+        left[left >= 0] += new.start
+        self.size = new.stop
+        return new.start + np.arange(n_trees)
 
     def copy_trees(self, source: "NodeTable", roots) -> np.ndarray:
-        """Append the trees at `roots` of another table in preorder; returns
-        their new root ids. Views of the copied nodes move with them."""
-        if source is self:
-            raise ValueError("cannot copy a table's trees into itself")
-        ids, starts, columns = source.export(roots)
-        new_roots = self.append(starts, columns)
-        new_id = np.full(source.size, -1, dtype=np.intp)
-        new_id[ids] = new_roots[0] + np.arange(ids.size)
-        for old, node in list(source._views.items()):
-            if new_id[old] >= 0:
-                del source._views[old]
-                node._table, node._id = self, int(new_id[old])
-                self._views[node._id] = node
-        return new_roots
+        """Append the trees at `roots` of another table, laid out as
+        `export` lays them out; returns their new root ids."""
+        return self.append(source.export(roots), len(roots))
+
+
+def _levels(left, roots, right=None) -> list[np.ndarray]:
+    """Node ids of the trees at `roots`, one array per depth: the roots in
+    the given order, then, level by level, the children of each internal
+    node, pair by pair. The right child of node i is ``right[i]``, or
+    ``left[i] + 1`` when `right` is None."""
+    out = []
+    level = np.asarray(roots, dtype=np.intp).reshape(-1)
+    while level.size:
+        out.append(level)
+        inner = level[left[level] >= 0]
+        children = left[inner]
+        level = np.stack((children, children + 1 if right is None else right[inner]),
+                         axis=1).reshape(-1)
+    return out
+
+
+def _breadth_first(columns: dict, roots, right=None) -> dict:
+    """The `NodeTable.COLUMNS` of the trees at `roots` of `columns`, laid
+    out breadth-first over all the trees as `_levels` orders them, which is
+    the order the grower appends nodes in. Internal node j of that order
+    gets left child ``len(roots) + 2 j``; `right` is as for `_levels`."""
+    ids = np.concatenate(_levels(columns["left"], roots, right))
+    out = {name: columns[name][ids] for name in NodeTable.COLUMNS}
+    inner = out["left"] >= 0
+    out["left"][inner] = len(roots) + 2 * np.arange(np.count_nonzero(inner))
+    return out
 
 
 class TreeNode:
@@ -296,26 +251,36 @@ class TreeNode:
     ``class_counts`` accumulates every training sample ever routed through
     or into the node; ``pre_split_total`` counts those that arrived before
     the node split. Both are read live from the table, so a view follows
-    later updates of its node.
+    later updates of its node. A view is the value (table, id): two views
+    are equal when they name the same node of the same table. A replacement
+    copies a forest's trees into a new table, and a view taken before it
+    keeps reading the old table, which nothing mutates any more.
     """
 
-    __slots__ = ("_table", "_id", "__weakref__")
+    __slots__ = ("_table", "_id")
 
     def __init__(self, table: NodeTable, node_id: int):
         self._table = table
         self._id = node_id
 
-    def _child(self, links) -> "TreeNode | None":
-        child = links[self._id]
-        return None if child < 0 else self._table.view(child)
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TreeNode) and self._table is other._table
+                and self._id == other._id)
+
+    def __hash__(self) -> int:
+        return hash((id(self._table), self._id))
+
+    def _child(self, offset: int) -> "TreeNode | None":
+        left = int(self._table.left[self._id])
+        return None if left < 0 else TreeNode(self._table, left + offset)
 
     @property
     def left(self) -> "TreeNode | None":
-        return self._child(self._table.left)
+        return self._child(0)
 
     @property
     def right(self) -> "TreeNode | None":
-        return self._child(self._table.right)
+        return self._child(1)
 
     @property
     def feature(self) -> int:
@@ -644,20 +609,21 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndar
     """Route (start node, row) pairs to their leaves, all pairs one level
     per step; returns the leaf id of each pair.
 
-    Pair i starts at node ``start[i]`` with the features ``X[rows[i]]``; a
-    value <= the threshold goes left. When `path` is a list, each step
-    appends (pairs moved, whether each went left, nodes reached).
+    Pair i starts at node ``start[i]`` with the features ``X[rows[i]]``,
+    which must be finite; a value <= the threshold goes left, a larger one
+    to the right child ``left + 1``. When `path` is a list, each step
+    appends (pairs moved, whether each went right, nodes reached).
     """
     node = np.array(start, dtype=np.intp)
-    feature, threshold, left, right = table.feature, table.threshold, table.left, table.right
+    feature, threshold, left = table.feature, table.threshold, table.left
     live = np.flatnonzero(left[node] >= 0)
     while live.size:
         cur = node[live]
-        goes_left = X[rows[live], feature[cur]] <= threshold[cur]
-        reached = np.where(goes_left, left[cur], right[cur])
+        goes_right = X[rows[live], feature[cur]] > threshold[cur]
+        reached = left[cur] + goes_right
         node[live] = reached
         if path is not None:
-            path.append((live, goes_left, reached))
+            path.append((live, goes_right, reached))
         live = live[left[reached] >= 0]
     return node
 
@@ -712,9 +678,9 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     tree_bits = (len(roots) - 1).bit_length()
     words = np.zeros(((tree_bits + len(path)) // 63 + 1, tree.size), dtype=np.int64)
     words[0] = tree << (63 - tree_bits)
-    for bit, (live, goes_left, _) in enumerate(path, start=tree_bits):
+    for bit, (live, goes_right, _) in enumerate(path, start=tree_bits):
         word = words[bit // 63]
-        word[live[~goes_left]] |= 1 << (62 - bit % 63)
+        word[live[goes_right]] |= 1 << (62 - bit % 63)
     order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
     first = np.flatnonzero(_changes(pair_leaf))
@@ -744,16 +710,24 @@ def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarra
     return roots
 
 
+def _check_finite(X: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite value of the rows of X."""
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X.reshape(-1, X.shape[-1])))[0]
+        raise ValueError(f"non-finite feature value at row {row}, column {col}")
+
+
 def _check_input(model, X, ndim: int) -> np.ndarray:
     """X as a float64 vector (ndim 1) or matrix (ndim 2) of the fitted
-    `model`'s features; raises ValueError on an unfitted model or a shape
-    that does not match."""
+    `model`'s features; raises ValueError on an unfitted model, a shape
+    that does not match or a non-finite value, which no threshold orders."""
     if model.n_features is None:
         raise ValueError(f"this {type(model).__name__} is not fitted; call fit first")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != ndim or X.shape[-1] != model.n_features:
         shape = "a vector of {} features" if ndim == 1 else "a matrix with {} columns"
         raise ValueError("expected " + shape.format(model.n_features))
+    _check_finite(X)
     return X
 
 
@@ -812,7 +786,7 @@ class DecisionTree:
         t = self.table
         i = self.root_id
         while t.left[i] >= 0:
-            i = t.left[i] if x[t.feature[i]] <= t.threshold[i] else t.right[i]
+            i = t.left[i] + (x[t.feature[i]] > t.threshold[i])
         return int(i)
 
     def apply(self, x) -> TreeNode:

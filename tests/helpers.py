@@ -139,7 +139,7 @@ def check_count_conservation(root) -> None:
 
 def is_same_or_descendant(ancestor, node) -> bool:
     for candidate in iter_nodes(ancestor):
-        if candidate is node:
+        if candidate == node:
             return True
     return False
 
@@ -389,8 +389,29 @@ def preorder(root) -> list[tuple]:
             for node in preorder_nodes(root)]
 
 
+def preorder_columns(forest) -> tuple[np.ndarray, dict]:
+    """A forest's trees in the layout of the v1-v3 snapshots, built by a
+    preorder walk of its node views: (starts, columns), tree t in preorder
+    at ``starts[t]:starts[t + 1]`` of the six columns of those formats, with
+    child links counted from the start of the node's own tree (-1 at
+    leaves)."""
+    rows, starts = [], [0]
+    for tree in forest.trees:
+        nodes = list(preorder_nodes(tree.root))
+        at = {node: i for i, node in enumerate(nodes)}
+        rows += [(node.feature, node.threshold,
+                  -1 if node.is_leaf else at[node.left], -1 if node.is_leaf else at[node.right],
+                  node.class_counts, node.pre_split_total) for node in nodes]
+        starts.append(len(rows))
+    names = ("feature", "threshold", "left", "right", "counts", "pre_split_total")
+    return np.array(starts), {
+        name: np.array([row[j] for row in rows],
+                       dtype=np.float64 if name == "threshold" else np.int64)
+        for j, name in enumerate(names)}
+
+
 def tree_documents(starts, columns) -> list[dict]:
-    """The v1/v2 JSON snapshot layout of trees laid out as `NodeTable.export`
+    """The v1/v2 JSON snapshot layout of trees laid out as `preorder_columns`
     returns them: one dict of per-node lists per tree, in preorder, with a
     "kind" list and child links counted from the tree's start (-1 at leaves)."""
     out = []
@@ -406,5 +427,4 @@ def tree_documents(starts, columns) -> list[dict]:
 
 def forest_documents(forest) -> list[dict]:
     """A forest's trees in the v1/v2 JSON snapshot layout."""
-    _, starts, columns = forest._table.export(forest._roots)
-    return tree_documents(starts, columns)
+    return tree_documents(*preorder_columns(forest))

@@ -13,6 +13,7 @@ from streamforest import (
     DecisionTree,
     SplitCriteria,
     StreamForest,
+    StreamTree,
     gen_synthetic,
     model_size,
 )
@@ -231,6 +232,27 @@ class TestVoting:
         f = StreamForest(blobs(60, seed=38), 3, n_trees=2, seed=39)
         with pytest.raises(ValueError):
             f.predict(np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", [DecisionTree, StreamTree, StreamForest, BatchForest])
+def test_non_finite_input_is_rejected(kind, bad):
+    """No threshold orders a NaN, which used to route right; every model
+    rejects non-finite input and names where it is."""
+    data = blobs(60, seed=40)
+    model = {DecisionTree: lambda: DecisionTree().fit(data),
+             StreamTree: lambda: StreamTree(data, 3),
+             StreamForest: lambda: StreamForest(data, 3, n_trees=3, seed=41),
+             BatchForest: lambda: BatchForest(3, seed=42).fit(data)}[kind]()
+    X = np.zeros((3, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite feature value at row 2, column 1"):
+        model.predict(X)
+    with pytest.raises(ValueError, match="non-finite feature value at row 0, column 1"):
+        model.predict_one(X[2])
+    if isinstance(model, DecisionTree):
+        with pytest.raises(ValueError, match="non-finite"):
+            model.apply(X[2])
 
 
 class TestDeterminism:

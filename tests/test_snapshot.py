@@ -19,20 +19,20 @@ from streamforest import (
 from streamforest import snapshot
 from streamforest.tree import NodeTable
 
-from helpers import forest_documents, tree_documents, trees_equal
+from helpers import forest_documents, preorder_columns, trees_equal
 
 DATA = Path(__file__).parent / "data"
 
 
 def read_archive(path) -> tuple[dict, dict]:
-    """The meta header and the other arrays of a v3 snapshot."""
+    """The meta header and the other arrays of a v4 or v3 snapshot."""
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(archive["meta"].item())
         return meta, {name: archive[name] for name in archive.files if name != "meta"}
 
 
 def write_archive(path, meta, arrays, **extra) -> None:
-    """Write a v3 snapshot by hand, `extra` members after the others."""
+    """Write a snapshot archive by hand, `extra` members after the others."""
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays, **extra)
 
@@ -40,12 +40,23 @@ def write_archive(path, meta, arrays, **extra) -> None:
 def write_v2_document(forest, path) -> dict:
     """Write `forest` as the v2 JSON document of its time; returns it."""
     save_forest(forest, path)
-    meta, arrays = read_archive(path)
-    starts = arrays.pop("starts")
+    meta, _ = read_archive(path)
     doc = meta | {"format": "streamforest-snapshot-v2", "bytes_per_node": 64,
-                  "trees": tree_documents(starts, arrays)}
+                  "trees": forest_documents(forest)}
     path.write_text(json.dumps(doc))
     return doc
+
+
+def write_v3_archive(forest, path) -> tuple[dict, dict]:
+    """Write `forest` as the v3 archive of its time, tree after tree in
+    preorder; returns its meta and arrays."""
+    save_forest(forest, path)
+    meta, _ = read_archive(path)
+    meta["format"] = "streamforest-snapshot-v3"
+    starts, columns = preorder_columns(forest)
+    arrays = {"starts": starts} | columns
+    write_archive(path, meta, arrays)
+    return meta, arrays
 
 
 def evolved_forest(tmp_path=None):
@@ -116,25 +127,24 @@ def test_snapshot_is_self_describing(tmp_path):
     path = tmp_path / "forest.json"
     save_forest(f, path)
     meta, arrays = read_archive(path)
-    assert meta["format"] == "streamforest-snapshot-v3"
+    assert meta["format"] == "streamforest-snapshot-v4"
     assert meta["model"] == "stream_forest"
-    assert arrays["starts"].size - 1 == 5
+    assert meta["n_trees"] == 5
     for key in NodeTable.COLUMNS:
-        assert len(arrays[key]) == arrays["starts"][-1]
+        assert len(arrays[key]) == f.node_count()
     assert "bytes_per_node" not in meta
 
 
-def test_file_is_meta_starts_and_the_six_columns(tmp_path):
+def test_file_is_meta_and_the_five_columns(tmp_path):
     path = tmp_path / "forest.json"
     for model in (evolved_forest(), BatchForest(3, seed=4).fit(
             gen_synthetic("blobs", 200, noise=0.6, seed=5, n_classes=3))):
         save_forest(model, path)
         with zipfile.ZipFile(path) as archive:
             assert archive.namelist() == [f"{name}.npy" for name in
-                                          ("meta", "starts", *NodeTable.COLUMNS)]
+                                          ("meta", *NodeTable.COLUMNS)]
         _, arrays = read_archive(path)
-        _, starts, columns = model._table.export(model._roots)
-        assert np.array_equal(arrays.pop("starts"), starts)
+        columns = model._table.export(model._roots)
         assert arrays.keys() == columns.keys()
         for name, column in columns.items():
             assert arrays[name].dtype == column.dtype
@@ -181,16 +191,15 @@ def test_trees_that_would_not_end_are_rejected(tmp_path):
     doc = write_v2_document(f, path)
     doc["trees"][0]["left"][0] = doc["trees"][0]["right"][0] = 0  # the root links to itself
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="tree 0 node 0 "):
+    with pytest.raises(ValueError, match="snapshot node 0 "):
         load_forest(path)
 
-    save_forest(f, path)
-    meta, arrays = read_archive(path)
+    meta, arrays = write_v3_archive(f, path)
     starts, right = arrays["starts"], arrays["right"]
     node = int(np.flatnonzero(arrays["left"][starts[3]:] >= 0)[0])
-    right[starts[3] + node] = node  # a right child that links back to its parent
+    right[starts[3] + node] = node  # a node that is its own right child
     write_archive(path, meta, arrays)
-    with pytest.raises(ValueError, match=f"tree 3 node {node} "):
+    with pytest.raises(ValueError, match=f"snapshot node {starts[3] + node} "):
         load_forest(path)
 
 
@@ -226,11 +235,62 @@ def _corrupt(meta, arrays, fault):
 ])
 def test_malformed_snapshot_is_rejected(tmp_path, fault):
     path = tmp_path / "forest.npz"
-    save_forest(evolved_forest(), path)
-    meta, arrays = read_archive(path)
+    meta, arrays = write_v3_archive(evolved_forest(), path)
     _corrupt(meta, arrays, fault)
     write_archive(path, meta, arrays)
     with pytest.raises(ValueError, match="snapshot"):
+        load_forest(path)
+
+
+def _corrupt_v4(meta, arrays, fault) -> str:
+    """Apply one fault to a v4 snapshot's contents; returns a pattern of
+    the error it must raise."""
+    left = arrays["left"]
+    n, n_trees = left.size, meta["n_trees"]
+    i = int(np.flatnonzero(left >= 0)[-1])  # an internal node, not a root
+    assert i >= n_trees and left[0] >= 0 and left[1] >= 0
+    if fault == "a node with two parents":
+        left[1] = left[0]
+        return f"node {left[0]} has 2 parents"
+    if fault == "a non-root node with none":
+        child, left[i] = left[i], -1
+        return f"node {child} has 0 parents, expected 1"
+    if fault == "a left link to itself":
+        left[i] = i
+    elif fault == "a left link backwards":
+        left[i] = i - 1
+    elif fault == "a left link to the last node":
+        left[i] = n - 1
+    elif fault == "a NaN threshold":
+        arrays["threshold"][i] = np.nan
+    elif fault == "a tree too many in the header":
+        meta["n_trees"] += 1
+        meta["tree_batches_seen"].append(1)
+        return f"node {n_trees} has 1 parents, expected 0"
+    elif fault == "a tree too few in the header":
+        meta["n_trees"] -= 1
+        meta["tree_batches_seen"].pop()
+        return f"node {n_trees - 1} has 0 parents, expected 1"
+    elif fault == "more trees than nodes in the header":
+        meta["n_trees"] = n + 1
+        meta["tree_batches_seen"] = [1] * (n + 1)
+        return f"holds {n} nodes"
+    return f"node {i} of {n} "
+
+
+@pytest.mark.parametrize("fault", [
+    "a node with two parents", "a non-root node with none", "a left link to itself",
+    "a left link backwards", "a left link to the last node", "a NaN threshold",
+    "a tree too many in the header", "a tree too few in the header",
+    "more trees than nodes in the header",
+])
+def test_malformed_v4_snapshot_is_rejected(tmp_path, fault):
+    path = tmp_path / "forest.npz"
+    save_forest(evolved_forest(), path)
+    meta, arrays = read_archive(path)
+    pattern = _corrupt_v4(meta, arrays, fault)
+    write_archive(path, meta, arrays)
+    with pytest.raises(ValueError, match="snapshot " + pattern):
         load_forest(path)
 
 
@@ -360,14 +420,14 @@ def test_v1_snapshot_loads_and_predicts_as_saved():
     assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]
 
 
-def test_v1_snapshot_saves_as_v3(tmp_path):
+def test_v1_snapshot_saves_as_v4(tmp_path):
     forest, _ = _v1_fixture()
-    path = tmp_path / "v3.npz"
+    path = tmp_path / "v4.npz"
     save_forest(forest, path)
     v1 = json.loads((DATA / "v1_stream_forest.json").read_text())
-    meta, arrays = read_archive(path)
-    assert meta["format"] == "streamforest-snapshot-v3"
-    assert tree_documents(arrays.pop("starts"), arrays) == v1["trees"]
+    meta, _ = read_archive(path)
+    assert meta["format"] == "streamforest-snapshot-v4"
+    assert forest_documents(load_forest(path)) == v1["trees"]
     assert meta["rng_state"] == v1["rng_state"]
     assert "tree_rng_states" not in meta and "seed_children_spawned" not in meta
 

@@ -130,7 +130,7 @@ class TestUpdate:
         assert leaf.is_leaf
         # many same-class samples into that leaf: splittable size, pure batch
         st.update(Dataset(np.array([[1.0], [1.5], [2.0]]), np.array([1, 1, 1]), 2))
-        assert st.apply([1.5]) is leaf
+        assert st.apply([1.5]) == leaf
         assert leaf.is_leaf
 
 

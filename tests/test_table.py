@@ -1,13 +1,26 @@
 """The node table: forest-wide routing against a loop reference, tree
-copies, and the node count after forest updates."""
+copies, the sibling-pair layout, and the node count after forest updates."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamforest import BatchForest, Dataset, NodeTable, StreamForest, gen_synthetic
+from streamforest import (
+    BatchForest,
+    Dataset,
+    DecisionTree,
+    NodeTable,
+    SplitCriteria,
+    StreamForest,
+    StreamTree,
+    gen_synthetic,
+    load_forest,
+    save_forest,
+)
 from streamforest.tree import _descend, _route_and_count
 
 from helpers import (
@@ -18,6 +31,8 @@ from helpers import (
     trees_equal,
     walk_to_leaf,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def _forest_and_batch(seed: int):
@@ -50,7 +65,7 @@ def test_router_matches_loop_reference(seed):
 
     # The same leaf per (tree, row) as a scalar walk, also for prediction.
     for i, (t, r) in enumerate(zip(tree_of, rows)):
-        assert leaf_of[i] is walk_to_leaf(root_views[t], X[r])
+        assert leaf_of[i] == walk_to_leaf(root_views[t], X[r])
     leaves = _descend(table, roots[tree_of], rows, X)
     assert [table.view(i) for i in leaves] == leaf_of
 
@@ -70,7 +85,7 @@ def test_router_matches_loop_reference(seed):
     assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
     _assert_groups_hold_the_pairs(got, touched, rows)
     for u, (_, pairs) in enumerate(touched):
-        assert root_views[got.tree[u]] is root_views[tree_of[pairs[0]]]
+        assert root_views[got.tree[u]] == root_views[tree_of[pairs[0]]]
 
 
 def _assert_groups_hold_the_pairs(got, touched, rows):
@@ -133,7 +148,7 @@ def test_table_holds_exactly_the_live_nodes():
         _assert_no_dead_nodes(forest)
 
 
-def test_copy_trees_keeps_structure_and_moves_views():
+def test_copy_trees_keeps_structure():
     rng = np.random.default_rng(8)
     data = random_dataset(rng, n=150, p=3, k=3)
     forest = BatchForest(3, seed=9).fit(data)
@@ -143,12 +158,58 @@ def test_copy_trees_keeps_structure_and_moves_views():
     target = NodeTable(3)
     target.add_leaf([1, 2, 3])  # ids need not start at 0
     roots = target.copy_trees(source, [t.root_id for t in forest.trees])
-    assert roots[0] == 1 and target.size == 1 + source.size
-    for root, original in zip(roots, originals):
-        # the original views moved to the copy
-        assert target.view(root) is original
-    assert leaf._table is target
+    assert roots.tolist() == [1, 2, 3] and target.size == 1 + source.size
     assert all(trees_equal(target.view(r), o) for r, o in zip(roots, originals))
+    # Views are values: those of the source keep reading it.
+    assert leaf == source.view(leaf._id) and leaf != target.view(leaf._id)
+
+
+def _model(case, tmp_path):
+    """A tree or forest built or loaded as `case` says."""
+    data = gen_synthetic("blobs", 480, noise=0.8, seed=15, n_classes=3, n_features=3)
+    batches = [data.subset(range(60 * i, 60 * (i + 1))) for i in range(8)]
+    if case == "tree fit":
+        return DecisionTree(SplitCriteria(max_features="sqrt"), seed=16).fit(data)
+    if case == "stream tree updates":
+        tree = StreamTree(batches[0], 3, seed=17)
+        for batch in batches[1:]:
+            tree.update(batch)
+        return tree
+    if case == "batch forest fit":
+        return BatchForest(7, seed=18).fit(data)
+    if case in ("v1 load", "v3 load"):
+        return load_forest(DATA / {"v1 load": "v1_stream_forest.json",
+                                   "v3 load": "v3_stream_forest.npz"}[case])
+    forest = StreamForest(batches[0], 3, n_trees=6, replace_count=2, seed=19)
+    for batch, coin in zip(batches[1:], (True, None, False, True, None, True, None)):
+        forest.update(batch, force_replacement=coin)
+    if case == "v4 load":
+        save_forest(forest, tmp_path / "forest.npz")
+        return load_forest(tmp_path / "forest.npz")
+    return forest
+
+
+@pytest.mark.parametrize("case", ["tree fit", "stream tree updates", "batch forest fit",
+                                  "stream forest updates", "v1 load", "v3 load", "v4 load"])
+def test_right_child_is_the_left_childs_sibling(case, tmp_path):
+    """In every table an internal node's children are the pair (left,
+    left + 1), after it. `export` lays the trees out breadth-first, roots
+    first, which is the order a fit grows them in, and a copy of that
+    holds the same trees."""
+    model = _model(case, tmp_path)
+    if isinstance(model, DecisionTree):
+        table, roots = model.table, [model.root_id]
+    else:
+        table, roots = model._table, model._roots
+    left = table.left[: table.size]
+    inner = np.flatnonzero(left >= 0)
+    assert (inner < left[inner]).all() and (left[inner] < table.size - 1).all()
+    columns = table.export(roots)
+    if case.endswith("fit"):
+        assert np.array_equal(columns["left"], left)
+    copy = NodeTable(table.n_classes)
+    assert copy.append(columns, len(roots)).tolist() == list(range(len(roots)))
+    assert all(trees_equal(copy.view(i), table.view(r)) for i, r in enumerate(roots))
 
 
 def test_single_row_and_one_tree_paths_agree():

@@ -367,13 +367,13 @@ class TestPredictApply:
 
     def test_boundary_value_routes_left(self):
         tree = DecisionTree().fit(one_dim_example())
-        assert tree.apply([2.5]) is tree.root.left
-        assert tree.apply([2.6]) is tree.root.right
+        assert tree.apply([2.5]) == tree.root.left
+        assert tree.apply([2.6]) == tree.root.right
 
     def test_single_leaf_apply_returns_root(self):
         data = Dataset(np.array([[0.0], [1.0]]), np.array([1, 1]), 2)
         tree = DecisionTree().fit(data)
-        assert tree.apply([5.0]) is tree.root
+        assert tree.apply([5.0]) == tree.root
 
     def test_every_point_reaches_exactly_one_leaf(self):
         rng = np.random.default_rng(23)

@@ -79,17 +79,18 @@ def _votes(self, X: np.ndarray) -> np.ndarray:
     """(n_trees, n_rows) class predicted by each tree for each row of X.
 
     Rows are routed in blocks of at most _PAIRS_PER_PASS (tree, row) pairs,
-    which bounds the routing arrays to a few MB however many rows come.
+    which bounds the routing arrays to a few MB however many rows come; the
+    leaves reached are labelled in one step at the end.
     """
     table, roots = self._table, self._roots
     n, n_trees = X.shape[0], roots.size
-    out = np.empty((n_trees, n), dtype=np.intp)
+    leaves = np.empty((n_trees, n), dtype=np.intp)
     step = max(1, _PAIRS_PER_PASS // n_trees)
     for lo in range(0, n, step):
         rows = np.arange(lo, min(n, lo + step))
-        leaves = _descend(table, np.repeat(roots, rows.size), np.tile(rows, n_trees), X)
-        out[:, rows] = _leaf_labels(table, leaves).reshape(n_trees, rows.size)
-    return out
+        leaves[:, rows] = _descend(table, np.repeat(roots, rows.size), np.tile(rows, n_trees),
+                                   X).reshape(n_trees, rows.size)
+    return _leaf_labels(table, leaves)
 
 
 def _predict_one(self, x) -> int:

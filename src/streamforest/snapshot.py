@@ -139,11 +139,22 @@ def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
         raise ValueError("not a streamforest snapshot")
     trees = doc.pop("trees")
     starts = np.cumsum([0] + [len(tree["feature"]) for tree in trees])
-    columns = {name: np.array([v for tree in trees
-                               for v in tree["class_counts" if name == "counts" else name]],
-                              dtype=np.float64 if name == "threshold" else np.int64)
-               for name in (*NodeTable.COLUMNS, "right")}
+    columns = {}
+    for name in (*NodeTable.COLUMNS, "right"):
+        values = [v for tree in trees for v in tree["class_counts" if name == "counts" else name]]
+        columns[name] = (np.array(values, dtype=np.float64) if name == "threshold"
+                         else _integers(values))
     return doc, columns, starts
+
+
+def _integers(values: list) -> np.ndarray:
+    """JSON numbers, or lists of them, as int64 if all are integers; else
+    as objects, which `_check_trees` rejects by dtype kind, so that 1.7,
+    1.0 or true never pass for an integer."""
+    column = np.array(values, dtype=object)
+    if all(type(v) is int for v in column.flat):
+        return column.astype(np.int64)
+    return column
 
 
 def _check_trees(meta: dict, columns: dict, starts: np.ndarray | None) -> np.ndarray:

@@ -379,44 +379,70 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
             raise ValueError("starts must begin at 0 and leave every node nonempty")
     if cand.min() < 0 or cand.max() >= data.n_features:
         raise ValueError("candidate feature index out of range")
-    found = _search(data, idx, weights, np.sort(cand, axis=1), bounds)
+    given, rows = np.unique(idx, return_inverse=True)
+    sub = data.subset(given)
+    node, feature, threshold, *sums = _search(sub, _ranks(sub.features), rows, weights,
+                                              np.sort(cand, axis=1), bounds)
+    found = [None] * (bounds.size - 1)
+    for u, f, t, d in zip(node.tolist(), feature.tolist(), threshold.tolist(),
+                          _decreases(*sums)):
+        found[u] = (f, t, d)
     return found if starts is not None else found[0]
 
 
-def _search(data: Dataset, rows: np.ndarray, weights: np.ndarray, cand: np.ndarray,
-            bounds: np.ndarray) -> list:
+def _ranks(X: np.ndarray) -> np.ndarray:
+    """Dense ranks of the columns of X as int32: the smallest value of a
+    column ranks 0 and each larger value one more than the one before it,
+    so equal values, -0.0 and 0.0 among them, share a rank."""
+    order = np.argsort(X, axis=0)
+    ordered = np.take_along_axis(X, order, axis=0)
+    step = np.zeros(X.shape, dtype=np.int32)
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    rank = np.empty_like(step)
+    np.put_along_axis(rank, order, np.cumsum(step, axis=0, out=step), axis=0)
+    return rank
+
+
+def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarray,
+            cand: np.ndarray, bounds: np.ndarray) -> tuple:
     """`best_split` over nodes laid out back to back in `rows`, node u in
     ``rows[bounds[u]:bounds[u + 1]]`` with the features ``cand[u]``
-    (sorted), row ``rows[i]`` counted ``weights[i]`` times; one result per
-    node.
+    (sorted), row ``rows[i]`` counted ``weights[i]`` times; `rank` is
+    ``_ranks(data.features)``.
+
+    Returns the split of each node that has one, in node order, as arrays:
+    the node, its feature and threshold, and the integer sums n_l, n_r,
+    s_l, s_r and s_parent of the split, as `_best_candidates` defines them.
 
     A full round's arrays sit on top of an almost full node table late in
     a fit, where the fit's memory peaks, so each is deleted once used."""
     X, y, k = data.features, data.labels, data.n_classes
-    n_nodes, m = cand.shape
+    m = cand.shape[1]
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
 
-    # Segment s = u * m + j holds node u's rows under its j-th feature. Rows
-    # are ordered by segment, then value: the value order is ranked once
-    # over all segments (ties in any order, as only the multiset of each
-    # block of equal values matters), and a sort of the integer keys
-    # segment * e + rank groups it by segment.
+    # Segment s = u * m + j holds node u's rows under its j-th feature. One
+    # sort of the integer keys segment * n + rank orders the rows by
+    # segment, then value (ties in any order, as only the multiset of each
+    # block of equal values matters).
     seg_size = np.repeat(sizes, m)
     seg_start = np.zeros(seg_size.size + 1, dtype=np.intp)
     np.cumsum(seg_size, out=seg_start[1:])
-    e = int(seg_start[-1])
+    first, e = seg_start[:-1], int(seg_start[-1])
     seg = np.repeat(np.arange(seg_size.size), seg_size)
-    at = np.repeat(np.repeat(starts, m) - seg_start[:-1], seg_size) + np.arange(e)
-    vals = X[rows[at], cand.reshape(-1)[seg]]
-    rank = np.empty(e, dtype=np.int64)
-    rank[np.argsort(vals)] = np.arange(e)
-    order = np.argsort(seg * e + rank)
-    del rank
-    v = vals[order]
+    at = np.repeat(np.repeat(starts, m) - first, seg_size) + np.arange(e)
+    seg_feature = cand.reshape(-1)
+    key = seg * rank.shape[0] + rank[rows[at], seg_feature[seg]]
+    order = np.argsort(key)
+    key = key[order]
+    # Position p is no value boundary where it starts its segment or holds
+    # the value before it.
+    inside = np.empty(e, dtype=bool)
+    np.equal(key[1:], key[:-1], out=inside[1:])
+    inside[first] = True
     at = at[order]
     lab = y[rows[at]]
     w = weights[at]
-    del at, vals, order
+    del key, order
 
     # Maximizing the weighted gini decrease is equivalent to maximizing
     # q = S_l/n_l + S_r/n_r, with S the sum of squared child class counts.
@@ -448,35 +474,48 @@ def _search(data: Dataset, rows: np.ndarray, weights: np.ndarray, cand: np.ndarr
     del before, after
     np.cumsum(w, out=passed[1:])  # now the weight before each position in value order
 
-    # Value boundaries: position p starts a new value inside its segment,
-    # and the left block is the segment's rows before p.
-    p = np.flatnonzero((seg[1:] == seg[:-1]) & (v[1:] != v[:-1])) + 1
-    results = [None] * n_nodes
-    if p.size == 0:
-        return results
-    s = seg[p]
-    first = seg_start[s]
-    u = s // m
+    # The sums of the split before each position p: the left block is the
+    # rows of p's segment before p, the right block the others.
     s_parent = (parent * parent).sum(axis=1)
-    n_l = passed[p] - passed[first]
-    n_r = parent.sum(axis=1)[u] - n_l
-    s_l = grow_l[p] - grow_l[first]
-    s_r = s_parent[u] - (shrink_r[p] - shrink_r[first])
+    n_l = passed[:-1] - np.repeat(passed[first], seg_size)
+    n_r = np.repeat(np.repeat(parent.sum(axis=1), m) + passed[first], seg_size) - passed[:-1]
+    s_l = grow_l[:-1] - np.repeat(grow_l[first], seg_size)
+    s_r = np.repeat(np.repeat(s_parent, m) + shrink_r[first], seg_size) - shrink_r[:-1]
+    del passed, grow_l, shrink_r
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_l = 0 at segment starts
+        q = s_l / n_l + s_r / n_r
+    # q is positive at every value boundary; -1 elsewhere lies below every
+    # node's floor, which is -(1 - _NEAR_TIE) for a node without one.
+    q[inside] = -1.0
+    del inside
+    q_max = np.maximum.reduceat(q, first[::m])
+    near = np.flatnonzero(q >= np.repeat(q_max * (1.0 - _NEAR_TIE), sizes * m))
+    del q
+    s = seg[near]
+    n_l, n_r, s_l, s_r = (x[near] for x in (n_l, n_r, s_l, s_r))
 
     # Candidates come in (node, feature, threshold) order, the tie rule's.
-    best = _best_candidates(u, n_l, n_r, s_l, s_r, s_parent)
+    best = _best_candidates(s // m, n_l, n_r, s_l, s_r, s_parent)
+    node = np.fromiter(best, dtype=np.intp, count=len(best))
     i = np.fromiter(best.values(), dtype=np.intp, count=len(best))
-    for u_, f, lo, hi, a, b, c, d, sp in zip(
-            best, cand.reshape(-1)[s[i]].tolist(), v[p[i] - 1].tolist(), v[p[i]].tolist(),
-            *(x[i].tolist() for x in (n_l, n_r, s_l, s_r, s_parent[u]))):
+    feature = seg_feature[s[i]]
+    lo, hi = X[rows[at[near[i] - 1]], feature], X[rows[at[near[i]]], feature]
+    with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
-        # The midpoint can round up to hi or overflow to +-inf, which would
-        # send both blocks to one side; lo still separates them.
-        if not lo <= threshold < hi:
-            threshold = lo
+    # The midpoint can round up to hi or overflow to +-inf, which would
+    # send both blocks to one side; lo still separates them.
+    threshold = np.where((lo <= threshold) & (threshold < hi), threshold, lo)
+    return node, feature, threshold, n_l[i], n_r[i], s_l[i], s_r[i], s_parent[node]
+
+
+def _decreases(n_l, n_r, s_l, s_r, s_parent) -> list:
+    """The weighted Gini decrease of each split `_search` returns, from its
+    exact integer sums."""
+    out = []
+    for a, b, c, d, sp in zip(*(x.tolist() for x in (n_l, n_r, s_l, s_r, s_parent))):
         num, den, n = c * b + d * a, a * b, a + b
-        results[u_] = (f, threshold, (num * n - sp * den) / (den * n * n))
-    return results
+        out.append((num * n - sp * den) / (den * n * n))
+    return out
 
 
 def _changes(a: np.ndarray) -> np.ndarray:
@@ -544,11 +583,13 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     Growth is breadth-first over one queue: first the listed leaves that can
     split, in the listed order, then the children that can split of each
     node in queue order, left child first. A round is one batched
-    `best_split` over a prefix of the queue holding at most _PAIRS_PER_PASS
-    distinct rows (at least one node). Each searched node, in queue order,
-    takes p doubles from `rng` and searches the features of the m smallest;
-    nothing is drawn when m = p. A double is one 64-bit word of the
-    generator, so neither the cut into rounds nor node ids change the trees.
+    `_search` over a prefix of the queue holding at most _PAIRS_PER_PASS
+    distinct rows (at least one node), whose weights must sum to less than
+    2**31 as in `best_split`; the features are ranked once per call. Each
+    searched node, in queue order, takes p doubles from `rng` and searches
+    the features of the m smallest; nothing is drawn when m = p. A double
+    is one 64-bit word of the generator, so neither the cut into rounds
+    nor node ids change the trees.
     """
     X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
     m = criteria.resolve_max_features(p)
@@ -565,36 +606,42 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     # One queue entry per node: its id, its range of the buffers, its weight.
     queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:], weighted),
                      axis=1)[can]
+    rank = _ranks(X)
     while queue.size:
         take = max(1, int(np.searchsorted(np.cumsum(queue[:, 2] - queue[:, 1]),
                                           _PAIRS_PER_PASS, side="right")))
         (node, start, stop, weighted), queue = queue[:take].T, queue[take:]
+        if weighted.sum() >= _MAX_WEIGHT:
+            raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
         size = stop - start
         offset = np.zeros(take + 1, dtype=np.intp)
         np.cumsum(size, out=offset[1:])
         if m == p:
             cand = np.broadcast_to(np.arange(p), (take, p))
         else:
-            cand = np.argsort(rng.random((take, p)), axis=1, kind="stable")[:, :m]
+            cand = np.sort(np.argsort(rng.random((take, p)), axis=1, kind="stable")[:, :m],
+                           axis=1)
         at = np.repeat(start - offset[:-1], size) + np.arange(offset[-1])
         node_rows, node_weights = rows[at], weights[at]
-        found = best_split(data, node_rows, cand, offset[:-1], weights=node_weights)
-
-        feature = np.zeros(take, dtype=np.intp)
-        threshold = np.full(take, np.inf)  # sends every row of an unsplit node left
-        splits = [u for u, f in enumerate(found)
-                  if f is not None and f[2] >= criteria.min_impurity_decrease]
-        if not splits:
+        splits, feature, threshold, *sums = _search(data, rank, node_rows, node_weights,
+                                                     cand, offset)
+        # Every split found has a positive decrease, so only a positive
+        # bound can reject one.
+        if criteria.min_impurity_decrease > 0:
+            keep = np.array(_decreases(*sums)) >= criteria.min_impurity_decrease
+            splits, feature, threshold = splits[keep], feature[keep], threshold[keep]
+        if not splits.size:
             continue
-        for u in splits:
-            feature[u], threshold[u] = found[u][0], found[u][1]
+        node_feature = np.zeros(take, dtype=np.intp)
+        node_threshold = np.full(take, np.inf)  # sends every row of an unsplit node left
+        node_feature[splits], node_threshold[splits] = feature, threshold
         owner = np.repeat(np.arange(take), size)
-        side = owner * 2 + (X[node_rows, feature[owner]] > threshold[owner])
+        side = owner * 2 + (X[node_rows, node_feature[owner]] > node_threshold[owner])
         order = np.argsort(side)  # row order inside a node is free
         rows[at], weights[at] = node_rows[order], node_weights[order]
         counts = np.bincount(side * k + y[node_rows], weights=node_weights,
                              minlength=take * 2 * k).astype(np.int64).reshape(-1, 2, k)[splits]
-        left, right = table.split(node[splits], feature[splits], threshold[splits],
+        left, right = table.split(node[splits], feature, threshold,
                                   counts[:, 0], counts[:, 1], weighted[splits])
         mid = start[splits] + np.bincount(side, minlength=take * 2)[0::2][splits]  # left rows
         child_weight = counts.sum(axis=2)
@@ -692,7 +739,7 @@ def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
     """Majority class of each leaf id, ties to the lowest class."""
     if leaves.size > table.size:
         return table.counts[: table.size].argmax(axis=1)[leaves]
-    return table.counts[leaves].argmax(axis=1)
+    return table.counts[leaves].argmax(axis=-1)
 
 
 def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray, bounds,

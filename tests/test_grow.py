@@ -14,6 +14,7 @@ from streamforest import (
     BatchForest,
     Dataset,
     DecisionTree,
+    NodeTable,
     SplitCriteria,
     StreamForest,
     StreamTree,
@@ -35,12 +36,16 @@ BASES = [0.0, 1.0, -2.5, 3.0, 1e6]
 
 def _values(rng: np.random.Generator, shape) -> np.ndarray:
     """Few distinct values, some one or two ulps apart: heavy duplicates
-    and adjacent floats."""
+    and adjacent floats. Each zero drawn has a random sign, and -0.0 and
+    0.0 are one value."""
     pool = sorted({v for base in rng.choice(BASES, 2, replace=False).tolist()
                    for v in (base, math.nextafter(base, math.inf),
                              math.nextafter(math.nextafter(base, math.inf), math.inf),
                              math.nextafter(base, -math.inf))})
-    return rng.choice(pool, size=shape)
+    values = rng.choice(pool, size=shape)
+    zeros = values == 0.0
+    values[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+    return values
 
 
 def _case(seed: int):
@@ -285,6 +290,27 @@ def test_search_rejects_bad_weights():
                     np.array([2**30, 2**30, 1], dtype=np.uint32)):
         with pytest.raises(ValueError):
             best_split(data, [0, 1, 2], [0], weights=np.array(weights))
+
+
+def test_grow_rejects_a_round_at_the_weight_bound():
+    """The grower bounds each round's weight as `best_split` bounds its
+    weights: a node of two rows of weight 2**30 and different labels
+    raises, and one a unit lighter splits."""
+    data = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), 2)
+
+    def grow(light):
+        table = NodeTable(2)
+        root = table.add_leaf([2**30, light])
+        streamforest.tree._grow(table, data, np.arange(2),
+                                np.array([2**30, light], dtype=np.int32), [0, 2], [root],
+                                SplitCriteria(), np.random.default_rng(0))
+        return table, root
+
+    with pytest.raises(ValueError, match="weights must sum to less than"):
+        grow(2**30)
+    table, root = grow(2**30 - 1)
+    assert (table.feature[root], table.threshold[root]) == (0, 0.5)
+    assert table.counts[table.left[root]].tolist() == [2**30, 0]
 
 
 def test_batched_search_rejects_bad_layouts():

@@ -420,6 +420,23 @@ def test_v1_snapshot_loads_and_predicts_as_saved():
     assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]
 
 
+@pytest.mark.parametrize("value", [1.7, 1.0, True])
+@pytest.mark.parametrize("column", ["feature", "counts"])
+def test_v1_snapshot_with_a_non_integer_is_rejected(tmp_path, column, value):
+    """A feature index or a class count that is no JSON integer fails by
+    its column's name; a cast to int64 would truncate it silently."""
+    doc = json.loads((DATA / "v1_stream_forest.json").read_text())
+    tree = doc["trees"][0]
+    if column == "feature":
+        tree["feature"][tree["feature"].index(1)] = value
+    else:
+        tree["class_counts"][0][1] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"snapshot column {column!r} is object"):
+        load_forest(path)
+
+
 def test_v1_snapshot_saves_as_v4(tmp_path):
     forest, _ = _v1_fixture()
     path = tmp_path / "v4.npz"

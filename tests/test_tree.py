@@ -65,13 +65,16 @@ def ulp_steps(value: float, steps: int) -> float:
 @st.composite
 def adversarial_datasets(draw):
     """Few distinct values from one or two bases, each a few ulps apart, so
-    rows repeat values heavily and neighbours are adjacent floats."""
+    rows repeat values heavily and neighbours are adjacent floats. Each
+    zero drawn has a random sign, and -0.0 and 0.0 are one value."""
     bases = draw(st.lists(st.sampled_from(ADVERSARIAL_BASES), min_size=1, max_size=2))
     pool = sorted({v for base in bases for v in
                    (ulp_steps(base, k) for k in range(-2, 3)) if math.isfinite(v)})
     n = draw(st.integers(2, 30))
     p = draw(st.integers(1, 2))
     values = draw(st.lists(st.sampled_from(pool), min_size=n * p, max_size=n * p))
+    negate = draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
+    values = [-v if v == 0.0 and minus else v for v, minus in zip(values, negate)]
     labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return Dataset(np.array(values).reshape(n, p), np.array(labels), 3)
 

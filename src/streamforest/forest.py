@@ -16,7 +16,9 @@ from .tree import (
     NodeTable,
     SplitCriteria,
     _PAIRS_PER_PASS,
+    _check_bool,
     _check_input,
+    _check_integer,
     _descend,
     _leaf_labels,
     _plant,
@@ -130,10 +132,12 @@ class StreamForest:
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
                  replace_count: int = 1, criteria: SplitCriteria | None = None,
                  seed: int = 0, bootstrap: bool = True):
-        if n_trees < 1:
-            raise ValueError("n_trees must be positive")
-        if not 0 <= replace_count <= n_trees:
+        _check_integer("n_classes", n_classes, 2)
+        _check_integer("n_trees", n_trees, 1)
+        _check_integer("replace_count", replace_count, 0)
+        if replace_count > n_trees:
             raise ValueError("replace_count must lie in [0, n_trees]")
+        _check_bool("bootstrap", bootstrap)
         self.n_classes = n_classes
         self.n_trees = n_trees
         self.replace_count = replace_count
@@ -220,8 +224,8 @@ class BatchForest:
 
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,
                  seed: int = 0, bootstrap: bool = True):
-        if n_trees < 1:
-            raise ValueError("n_trees must be positive")
+        _check_integer("n_trees", n_trees, 1)
+        _check_bool("bootstrap", bootstrap)
         self.n_trees = n_trees
         self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.seed = seed

@@ -5,6 +5,7 @@ at once in rounds of batched split searches."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,32 @@ __all__ = [
 BYTES_PER_NODE = 64
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise TypeError unless `value` is an integer, or an array of integers
+    or of whole floats (bools are neither), and ValueError if any of it
+    lies below `low`. An array is checked in place, not copied."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise TypeError(f"{name} must be integers, not {value.dtype}")
+        if value.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):  # the remainder of +-inf is nan
+                if not (np.mod(value, 1.0) == 0.0).all():
+                    raise ValueError(f"{name} must be whole numbers")
+        least = value.min() if value.size else low
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        least = value
+    else:
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if least < low:
+        raise ValueError(f"{name} must be at least {low}, not {least}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Raise TypeError unless `value` is True or False."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be True or False, not {value!r}")
+
+
 @dataclass
 class Dataset:
     """Dense numeric classification data with a declared class count.
@@ -43,7 +70,10 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        _check_integer("n_classes", self.n_classes, 2)
+        labels = np.asarray(self.labels)
+        _check_integer("labels", labels, 0)
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
@@ -54,11 +84,7 @@ class Dataset:
         if self.features.shape[1] < 1:
             raise ValueError("need at least one feature")
         _check_finite(self.features)
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be at least 2")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.n_classes
-        ):
+        if self.labels.size and self.labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
 
     @property
@@ -91,15 +117,14 @@ class SplitCriteria:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be at least 2")
+        _check_integer("min_samples_split", self.min_samples_split, 2)
         if self.min_impurity_decrease < 0.0:
             raise ValueError("min_impurity_decrease must be nonnegative")
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ValueError("max_features must be 'all', 'sqrt' or a positive int")
-        elif int(self.max_features) < 1:
-            raise ValueError("fixed max_features must be positive")
+        else:
+            _check_integer("max_features", self.max_features, 1)
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "all":
@@ -381,8 +406,8 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
         raise ValueError("candidate feature index out of range")
     given, rows = np.unique(idx, return_inverse=True)
     sub = data.subset(given)
-    node, feature, threshold, *sums = _search(sub, _ranks(sub.features), rows, weights,
-                                              np.sort(cand, axis=1), bounds)
+    (node, feature, threshold, _, _, *sums), _ = _search(
+        sub, _ranks(sub.features), rows, weights, np.sort(cand, axis=1), bounds)
     found = [None] * (bounds.size - 1)
     for u, f, t, d in zip(node.tolist(), feature.tolist(), threshold.tolist(),
                           _decreases(*sums)):
@@ -403,6 +428,14 @@ def _ranks(X: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``arange(starts[u], starts[u] + sizes[u])`` back to back,
+    and the bounds of each in that concatenation, 0 first."""
+    bounds = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return bounds, np.repeat(starts - bounds[:-1], sizes) + np.arange(bounds[-1])
+
+
 def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarray,
             cand: np.ndarray, bounds: np.ndarray) -> tuple:
     """`best_split` over nodes laid out back to back in `rows`, node u in
@@ -411,8 +444,11 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     ``_ranks(data.features)``.
 
     Returns the split of each node that has one, in node order, as arrays:
-    the node, its feature and threshold, and the integer sums n_l, n_r,
-    s_l, s_r and s_parent of the split, as `_best_candidates` defines them.
+    the node, its feature and threshold, `win` and `n_left`, and the
+    integer sums n_l, n_r, s_l, s_r and s_parent of the split, as
+    `_best_candidates` defines them; and `order`, the positions of `rows`
+    segment by segment in value order. Split j's node holds the rows
+    ``rows[order[win[j]:win[j] + size]]``, its ``n_left[j]`` left rows first.
 
     A full round's arrays sit on top of an almost full node table late in
     a fit, where the fit's memory peaks, so each is deleted once used."""
@@ -425,13 +461,12 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     # segment, then value (ties in any order, as only the multiset of each
     # block of equal values matters).
     seg_size = np.repeat(sizes, m)
-    seg_start = np.zeros(seg_size.size + 1, dtype=np.intp)
-    np.cumsum(seg_size, out=seg_start[1:])
-    first, e = seg_start[:-1], int(seg_start[-1])
+    seg_start, at = _ranges(np.repeat(starts, m), seg_size)
+    first, e = seg_start[:-1], at.size
     seg = np.repeat(np.arange(seg_size.size), seg_size)
-    at = np.repeat(np.repeat(starts, m) - first, seg_size) + np.arange(e)
     seg_feature = cand.reshape(-1)
-    key = seg * rank.shape[0] + rank[rows[at], seg_feature[seg]]
+    key = seg * rank.shape[0] + rank.reshape(-1).take(
+        np.multiply(rows[at], rank.shape[1], dtype=np.intp) + seg_feature[seg])
     order = np.argsort(key)
     key = key[order]
     # Position p is no value boundary where it starts its segment or holds
@@ -463,8 +498,9 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     before[by_class] = passed[:-1] - passed[group_start[key[by_class]]]
     del key, by_class
     totals = passed[group_start]
-    parent = (totals[1:] - totals[:-1]).reshape(-1, k)[::m]
-    after = parent[seg // m, lab] - before
+    parent = np.ascontiguousarray((totals[1:] - totals[:-1]).reshape(-1, k)[::m])
+    after = parent.reshape(-1).take(np.repeat(np.arange(sizes.size) * k, sizes * m)
+                                    + lab) - before
     del lab
     # The steps of S_l and S_r, computed in place to keep few arrays alive.
     grow_l = np.zeros(e + 1, dtype=np.int64)
@@ -498,14 +534,16 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     best = _best_candidates(s // m, n_l, n_r, s_l, s_r, s_parent)
     node = np.fromiter(best, dtype=np.intp, count=len(best))
     i = np.fromiter(best.values(), dtype=np.intp, count=len(best))
-    feature = seg_feature[s[i]]
-    lo, hi = X[rows[at[near[i] - 1]], feature], X[rows[at[near[i]]], feature]
+    feature, cut, win = seg_feature[s[i]], near[i], first[s[i]]
+    lo, hi = X[rows[at[cut - 1]], feature], X[rows[at[cut]], feature]
     with np.errstate(over="ignore"):
         threshold = (lo + hi) / 2.0
-    # The midpoint can round up to hi or overflow to +-inf, which would
-    # send both blocks to one side; lo still separates them.
+    # The midpoint can round up to hi or overflow to +-inf; lo still
+    # separates the blocks. As -0.0 and 0.0 share a rank, x <= threshold
+    # holds for exactly the rows before the cut.
     threshold = np.where((lo <= threshold) & (threshold < hi), threshold, lo)
-    return node, feature, threshold, n_l[i], n_r[i], s_l[i], s_r[i], s_parent[node]
+    return (node, feature, threshold, win, cut - win, n_l[i], n_r[i], s_l[i], s_r[i],
+            s_parent[node]), at
 
 
 def _decreases(n_l, n_r, s_l, s_r, s_parent) -> list:
@@ -542,14 +580,20 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
     largest q = s_l/n_l + s_r/n_r. Floats rank them, and those within
     _NEAR_TIE of their node's best are compared by exact integer
     cross-multiplication, so ties resolve by the tie rule, not by rounding.
+    A node's only candidate in the band is taken without that comparison
+    when its float q also beats the parent's by more than the band.
 
     Returns {node: index of its first candidate with the largest q}, for the
     nodes whose largest q beats the parent's s_parent / (n_l + n_r).
     """
     q = s_l / n_l + s_r / n_r
     first = _changes(node)
-    q_max = np.maximum.reduceat(q, np.flatnonzero(first))[np.cumsum(first) - 1]
-    near = np.flatnonzero(q >= q_max * (1.0 - _NEAR_TIE))
+    group = np.cumsum(first) - 1
+    q_max = np.maximum.reduceat(q, np.flatnonzero(first))[group]
+    near = q >= q_max * (1.0 - _NEAR_TIE)
+    lone = near & (np.bincount(group, weights=near)[group] == 1) & (
+        q > s_parent[node] / (n_l + n_r) * (1.0 + _NEAR_TIE))
+    near = np.flatnonzero(near & ~lone)
     best = {}  # node: (index, q numerator, q denominator)
     for i, u, a, b, c, d, sp in zip(near.tolist(), *(
             x[near].tolist() for x in (node, n_l, n_r, s_l, s_r, s_parent[node]))):
@@ -559,7 +603,8 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
         old = best.get(u)
         if old is None or num * old[2] > old[1] * den:
             best[u] = (i, num, den)
-    return {u: i for u, (i, _, _) in best.items()}
+    chosen = sorted(np.flatnonzero(lone).tolist() + [i for i, _, _ in best.values()])
+    return dict(zip(node[chosen].tolist(), chosen))
 
 
 # Largest number of (tree, row) pairs one routing pass holds, and the row
@@ -595,17 +640,20 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     m = criteria.resolve_max_features(p)
     min_split = criteria.min_samples_split
     bounds = np.asarray(bounds, dtype=np.intp)
-    sizes = np.diff(bounds)
-    # Weighted class counts of the listed leaves, and below of the children
-    # of each round's splits; the float sums of integers far below 2**53
-    # are exact.
-    counts = np.bincount(np.repeat(np.arange(sizes.size) * k, sizes) + y[rows],
-                         weights=weights, minlength=sizes.size * k).reshape(-1, k)
-    weighted = counts.sum(axis=1).astype(np.int64)
-    can = (weighted >= min_split) & ((counts > 0).sum(axis=1) > 1)
+    # The weight of each listed leaf, and whether it holds more than one
+    # label; reduceat gives an empty range the element after it, so empty
+    # leaves are left out of it.
+    full = np.diff(bounds) > 0
+    at = bounds[:-1][full]
+    weighted = np.zeros(full.size, dtype=np.int64)
+    weighted[full] = np.add.reduceat(weights[: bounds[-1]], at, dtype=np.int64)
+    labels = y[rows[: bounds[-1]]]
+    mixed = np.zeros(full.size, dtype=bool)
+    mixed[full] = np.minimum.reduceat(labels, at) < np.maximum.reduceat(labels, at)
+    del labels
     # One queue entry per node: its id, its range of the buffers, its weight.
     queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:], weighted),
-                     axis=1)[can]
+                     axis=1)[mixed & (weighted >= min_split)]
     rank = _ranks(X)
     while queue.size:
         take = max(1, int(np.searchsorted(np.cumsum(queue[:, 2] - queue[:, 1]),
@@ -614,41 +662,42 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         if weighted.sum() >= _MAX_WEIGHT:
             raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
         size = stop - start
-        offset = np.zeros(take + 1, dtype=np.intp)
-        np.cumsum(size, out=offset[1:])
         if m == p:
             cand = np.broadcast_to(np.arange(p), (take, p))
         else:
             cand = np.sort(np.argsort(rng.random((take, p)), axis=1, kind="stable")[:, :m],
                            axis=1)
-        at = np.repeat(start - offset[:-1], size) + np.arange(offset[-1])
+        offset, at = _ranges(start, size)
         node_rows, node_weights = rows[at], weights[at]
-        splits, feature, threshold, *sums = _search(data, rank, node_rows, node_weights,
-                                                     cand, offset)
+        found, order = _search(data, rank, node_rows, node_weights, cand, offset)
         # Every split found has a positive decrease, so only a positive
         # bound can reject one.
         if criteria.min_impurity_decrease > 0:
-            keep = np.array(_decreases(*sums)) >= criteria.min_impurity_decrease
-            splits, feature, threshold = splits[keep], feature[keep], threshold[keep]
+            keep = np.array(_decreases(*found[5:])) >= criteria.min_impurity_decrease
+            found = [x[keep] for x in found]
+        splits, feature, threshold, win, n_left, n_l, n_r = found[:7]
         if not splits.size:
             continue
-        node_feature = np.zeros(take, dtype=np.intp)
-        node_threshold = np.full(take, np.inf)  # sends every row of an unsplit node left
-        node_feature[splits], node_threshold[splits] = feature, threshold
-        owner = np.repeat(np.arange(take), size)
-        side = owner * 2 + (X[node_rows, node_feature[owner]] > node_threshold[owner])
-        order = np.argsort(side)  # row order inside a node is free
-        rows[at], weights[at] = node_rows[order], node_weights[order]
-        counts = np.bincount(side * k + y[node_rows], weights=node_weights,
-                             minlength=take * 2 * k).astype(np.int64).reshape(-1, 2, k)[splits]
+        # A split node's range takes its rows in the search's value order,
+        # left rows first; an unsplit node's range is left as is.
+        size = size[splits]
+        src, dst = order[_ranges(win, size)[1]], _ranges(start[splits], size)[1]
+        rows[dst] = split_rows = node_rows[src]
+        weights[dst] = split_weights = node_weights[src]
+        # The children's class counts; float sums of integers far below
+        # 2**53 are exact.
+        child = np.repeat(np.arange(2 * splits.size),
+                          np.stack((n_left, size - n_left), axis=1).reshape(-1))
+        counts = np.bincount(child * k + y[split_rows], weights=split_weights,
+                             minlength=splits.size * 2 * k).astype(np.int64).reshape(-1, 2, k)
+        del at, node_rows, node_weights, order, src, dst, split_rows, split_weights, child
         left, right = table.split(node[splits], feature, threshold,
                                   counts[:, 0], counts[:, 1], weighted[splits])
-        mid = start[splits] + np.bincount(side, minlength=take * 2)[0::2][splits]  # left rows
-        child_weight = counts.sum(axis=2)
+        mid = start[splits] + n_left
         children = np.stack((
-            np.stack((left, start[splits], mid, child_weight[:, 0]), axis=1),
-            np.stack((right, mid, stop[splits], child_weight[:, 1]), axis=1)), axis=1)
-        grows = ((counts > 0).sum(axis=2) > 1) & (child_weight >= min_split)
+            np.stack((left, start[splits], mid, n_l), axis=1),
+            np.stack((right, mid, stop[splits], n_r), axis=1)), axis=1)
+        grows = ((counts > 0).sum(axis=2) > 1) & (children[..., 3] >= min_split)
         queue = np.concatenate((queue, children[grows]))
 
 

@@ -255,6 +255,43 @@ def test_non_finite_input_is_rejected(kind, bad):
             model.apply(X[2])
 
 
+def _three_rows(labels=(0, 1, 2), n_classes=3) -> Dataset:
+    return Dataset(np.zeros((3, 2)), np.array(labels), n_classes)
+
+
+@pytest.mark.parametrize("name, make, error", [
+    ("labels", lambda: _three_rows([0.5, 1.5, 2.5]), ValueError),
+    ("labels", lambda: _three_rows([0.0, 1.0, np.nan]), ValueError),
+    ("labels", lambda: _three_rows([True, False, True]), TypeError),
+    ("labels", lambda: _three_rows(["0", "1", "2"]), TypeError),
+    ("labels", lambda: _three_rows([0, -1, 2]), ValueError),
+    ("n_classes", lambda: _three_rows(n_classes=3.5), TypeError),
+    ("n_classes", lambda: _three_rows(n_classes=True), TypeError),
+    ("n_classes", lambda: _three_rows(n_classes=1), ValueError),
+    ("min_samples_split", lambda: SplitCriteria(min_samples_split=2.5), TypeError),
+    ("min_samples_split", lambda: SplitCriteria(min_samples_split=True), TypeError),
+    ("max_features", lambda: SplitCriteria(max_features=True), TypeError),
+    ("max_features", lambda: SplitCriteria(max_features=1.5), TypeError),
+    ("max_features", lambda: SplitCriteria(max_features=0), ValueError),
+    ("n_trees", lambda: BatchForest(n_trees=2.5), TypeError),
+    ("n_trees", lambda: BatchForest(n_trees=0), ValueError),
+    ("n_trees", lambda: StreamForest(_three_rows(), 3, n_trees=2.5), TypeError),
+    ("bootstrap", lambda: BatchForest(bootstrap="no"), TypeError),
+    ("bootstrap", lambda: StreamForest(_three_rows(), 3, bootstrap=1), TypeError),
+    ("replace_count", lambda: StreamForest(_three_rows(), 3, replace_count=True), TypeError),
+    ("replace_count", lambda: StreamForest(_three_rows(), 3, replace_count=-1), ValueError),
+    ("n_classes", lambda: StreamForest(_three_rows(), 3.0), TypeError),
+])
+def test_bad_constructor_argument_is_named(name, make, error):
+    with pytest.raises(error, match=name):
+        make()
+
+
+def test_whole_float_labels_are_accepted():
+    data = _three_rows([0.0, 2.0, 1.0])
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 2, 1]
+
+
 class TestDeterminism:
     def _evolve(self):
         data = blobs(500, seed=40, noise=0.6)

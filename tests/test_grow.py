@@ -195,6 +195,35 @@ def test_batched_search_matches_single_node_search_and_oracle(seed):
             assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_search_cut_is_the_routed_partition(seed):
+    """For every split `_search` returns, the rows before its cut in the
+    search's value order are exactly the node's rows that route left, at
+    or below the threshold, and the rows after it exactly the others;
+    over duplicates, adjacent floats, both signed zeros, integer weights
+    and several features per node."""
+    rng = np.random.default_rng(seed)
+    n, p, k = int(rng.integers(8, 60)), int(rng.integers(2, 7)), int(rng.integers(2, 5))
+    data = Dataset(_values(rng, (n, p)), rng.integers(0, k, n), k)
+    nodes = [rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+             for _ in range(int(rng.integers(1, 6)))]
+    m = int(rng.integers(2, p + 1))
+    cand = np.sort([rng.choice(p, m, replace=False) for _ in nodes], axis=1)
+    rows = np.concatenate(nodes)
+    weights = rng.integers(1, int(rng.choice([2, 5, 1000])) + 1, rows.size).astype(np.int32)
+    bounds = np.cumsum([0] + [node.size for node in nodes])
+    tree = streamforest.tree
+    (node, feature, threshold, win, n_left, *_), order = tree._search(
+        data, tree._ranks(data.features), rows, weights, cand, bounds)
+    for u, f, t, w, cut in zip(node.tolist(), feature.tolist(), threshold.tolist(),
+                               win.tolist(), n_left.tolist()):
+        block = rows[order[w:w + nodes[u].size]]
+        goes_left = data.features[nodes[u], f] <= t
+        assert sorted(block[:cut]) == sorted(nodes[u][goes_left])
+        assert sorted(block[cut:]) == sorted(nodes[u][~goes_left])
+
+
 def _weighted_nodes(rng: np.random.Generator):
     """A dataset and nodes of distinct rows: heavy duplicate values, one
     constant feature, one label, a single distinct row and all rows, in
@@ -311,6 +340,23 @@ def test_grow_rejects_a_round_at_the_weight_bound():
     table, root = grow(2**30 - 1)
     assert (table.feature[root], table.threshold[root]) == (0, 0.5)
     assert table.counts[table.left[root]].tolist() == [2**30, 0]
+
+
+def test_grow_passes_over_listed_leaves_with_no_rows():
+    """Leaves listed with an empty range, in the middle and last, stay
+    leaves, and the others grow as they do without them."""
+    data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 1, 0]), 2)
+
+    def grow(bounds):
+        table = NodeTable(2)
+        nodes = table.add_leaves(np.ones((len(bounds) - 1, 2), dtype=np.int64))
+        streamforest.tree._grow(table, data, np.arange(4), np.ones(4, dtype=np.int32),
+                                bounds, nodes, SplitCriteria(), np.random.default_rng(0))
+        return [preorder(table.view(node)) for node in nodes]
+
+    with_empty = grow([0, 2, 2, 4, 4])
+    assert [with_empty[i] for i in (0, 2)] == grow([0, 2, 4])
+    assert with_empty[1] == with_empty[3] == grow([0, 0])[0]
 
 
 def test_batched_search_rejects_bad_layouts():

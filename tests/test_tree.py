@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamforest import Dataset, DecisionTree, SplitCriteria, best_split, gini_impurity
-from streamforest.tree import _best_candidates
+from streamforest.tree import _NEAR_TIE, _best_candidates
 
 from helpers import (
     brute_force_best_split,
@@ -170,18 +170,25 @@ def _candidate_arrays(seed: int):
     """Split candidates of 1-3 nodes with up to 1e8 rows each, as the
     integer arrays `_best_candidates` takes, and each node's exact q of
     every candidate. Left counts near the parent's class proportions give
-    near-ties a float cannot order; repeated candidates give exact ties."""
+    near-ties a float cannot order; repeated candidates give exact ties,
+    half of an even parent a decrease of exactly zero. Many nodes have a
+    single candidate."""
     rng = np.random.default_rng(seed)
     node, n_l, n_r, s_l, s_r, s_parent, exact = [], [], [], [], [], [], []
     for u in range(int(rng.integers(1, 4))):
         k = int(rng.integers(2, 5))
         parent = rng.integers(0, 10**8 // k + 1, k)
         parent[0] = max(int(parent[0]), 2)
+        if rng.random() < 0.3:  # even counts, which halve with zero decrease
+            parent += parent % 2
         s_parent.append(int((parent.astype(object) ** 2).sum()))
         cands = []
-        while len(cands) < int(rng.integers(1, 7)):
+        count = 1 if rng.random() < 0.4 else int(rng.integers(2, 7))
+        while len(cands) < count:
             if cands and rng.random() < 0.2:
                 left = cands[int(rng.integers(0, len(cands)))]
+            elif (parent % 2 == 0).all() and rng.random() < 0.3:
+                left = parent // 2
             elif rng.random() < 0.5:
                 left = np.floor(parent * rng.uniform(0.1, 0.9)).astype(np.int64) + \
                     rng.integers(-3, 4, k)
@@ -235,6 +242,41 @@ def test_exact_choice_orders_a_near_tie_that_floats_misorder():
     assert s_l[1] / n_l[1] + s_r[1] / n_r[1] > s_l[0] / n_l[0] + s_r[0] / n_r[0] + 1e-9
     assert _best_candidates(np.zeros(2, dtype=np.int64), n_l, n_r, s_l, s_r,
                             np.array([parent @ parent])) == {0: 0}
+
+
+def test_lone_candidate_without_decrease_is_rejected():
+    """Labels 0, 1, 0, 1 over values 0, 0, 1, 1: the only candidate splits
+    the parent into two halves of its class proportions."""
+    data = Dataset(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1]), 2)
+    assert best_split(data, range(4), [0]) is None
+    assert Fraction(1 + 1, 2) + Fraction(1 + 1, 2) == Fraction(2**2 + 2**2, 4)
+    assert _best_candidates(*(np.array([x]) for x in (0, 2, 2, 2, 2, 8))) == {}
+
+
+@pytest.mark.parametrize("left, right, float_above", [
+    ([2**30 - 1, 1], [2**30 - 2, 1], False),  # the smallest positive decrease here
+    ([2**29, 2**29], [2**29 - 1, 2**29 - 1], False),  # no decrease
+    ([41301568, 71974056], [199689072, 347987574], True),  # no decrease
+])
+def test_lone_candidate_near_the_parent_is_decided_exactly(left, right, float_above):
+    """A lone candidate at weights near 2**31 whose float q does not clear
+    the parent's by the band is accepted exactly when the Fraction oracle
+    says it beats the parent, whichever side of the parent's q its float q
+    lies on."""
+    left, right = np.array(left), np.array(right)
+    parent = left + right
+    n_l, n_r, s_l, s_r, s_parent = (np.array([int(x)]) for x in (
+        left.sum(), right.sum(), left @ left, right @ right, parent @ parent))
+    assert parent.sum() < 2**31
+    q = s_l / n_l + s_r / n_r
+    assert q[0] <= s_parent[0] / parent.sum() * (1.0 + _NEAR_TIE)
+    assert (q[0] > s_parent[0] / parent.sum()) == float_above
+    beats = (Fraction(int(s_l[0]), int(n_l[0])) + Fraction(int(s_r[0]), int(n_r[0]))
+             > Fraction(int(s_parent[0]), int(parent.sum())))
+    assert beats == (left[0] * right.sum() != right[0] * left.sum())
+    assert _best_candidates(np.zeros(1, dtype=np.int64), n_l, n_r, s_l, s_r,
+                            s_parent) == ({0: 0} if beats else {})
+
 
 class TestFit:
     def test_one_dim_example_builds_depth_one_tree(self):

@@ -113,27 +113,18 @@ def _load_data(args, need_test: bool):
     return dataset.subset(train_idx), dataset.subset(test_idx), path.stem
 
 
-def _cmd_stream(args) -> int:
-    train, test, dataset_id = _load_data(args, need_test=True)
+def _cmd_experiment(args) -> int:
+    """The stream and cv commands: one experiment config, whose repetitions
+    are --reps streaming orders or --folds folds."""
+    stream = args.command == "stream"
+    data, test, dataset_id = _load_data(args, need_test=stream)
     config = ExperimentConfig(
         dataset=dataset_id, algorithms=_parse_algorithms(args.algorithms),
         batch_size=args.batch_size, n_trees=args.trees,
-        replace_count=args.replace, repetitions=args.reps,
+        replace_count=args.replace, repetitions=args.reps if stream else args.folds,
         seed=args.seed, threads=args.threads, out=str(args.out))
-    records = run_stream_experiment(config, train, test)
-    emit_results(records, args.out, config)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_cv(args) -> int:
-    data, _, dataset_id = _load_data(args, need_test=False)
-    config = ExperimentConfig(
-        dataset=dataset_id, algorithms=_parse_algorithms(args.algorithms),
-        batch_size=args.batch_size, n_trees=args.trees,
-        replace_count=args.replace, repetitions=args.folds,
-        seed=args.seed, threads=args.threads, out=str(args.out))
-    records = run_cv_experiment(config, data)
+    records = (run_stream_experiment(config, data, test) if stream
+               else run_cv_experiment(config, data))
     emit_results(records, args.out, config)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -180,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", default=None, help="separate test CSV")
     p.add_argument("--test-frac", type=float, default=0.25,
                    help="holdout fraction when no test CSV is given")
-    p.set_defaults(func=_cmd_stream)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("cv", help="k-fold cross-validated streaming")
     _add_common(p, with_reps=False)
-    p.set_defaults(func=_cmd_cv)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("effect", help="effect-size series from a results file")
     p.add_argument("--results", required=True)

@@ -67,6 +67,16 @@ def _samples(rng: np.random.Generator, count: int, n: int,
     return rows, weights, np.searchsorted(drawn, bounds)
 
 
+def _planted(cls, table: NodeTable, data: Dataset, count: int, criteria: SplitCriteria,
+             bootstrap: bool, rng: np.random.Generator) -> list:
+    """`count` new trees of type `cls` grown together in `table` by one
+    `_grow` call, each on a sample of `data` as `_samples` draws it, all
+    drawing from `rng`."""
+    rows, weights, bounds = _samples(rng, count, data.n_samples, bootstrap)
+    return [cls._at(table, root, data.n_features, criteria, rng)
+            for root in _plant(table, data, rows, weights, bounds, criteria, rng)]
+
+
 def _hold(forest, table: NodeTable, trees) -> None:
     """Make `trees`, all of them in `table`, the forest's trees."""
     forest.trees = tuple(trees)
@@ -126,7 +136,7 @@ class StreamForest:
     all bootstraps in one call, the growth draws (see `tree._grow`), the
     coin, the replacements' bootstraps and growth draws. All trees live in
     one node table, which after every update holds exactly the nodes of the
-    current trees.
+    current trees, and all hold the forest's split criteria.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
@@ -147,20 +157,14 @@ class StreamForest:
         self.rng = np.random.default_rng(seed)
         self._table = NodeTable(n_classes)
         data = _check_batch(first_batch, first_batch.n_features, n_classes)
-        _hold(self, self._table, self._fresh_trees(data, n_trees))
+        _hold(self, self._table, _planted(StreamTree, self._table, data, n_trees,
+                                          self.criteria, self.bootstrap, self.rng))
         self.batches_seen = 1
         self.last_replacement: dict | None = None
 
     @property
     def n_features(self) -> int:
         return self.trees[0].n_features
-
-    def _fresh_trees(self, data: Dataset, count: int) -> list:
-        """`count` new trees grown together in the forest's table, each on a
-        bootstrap of `data`."""
-        rows, weights, bounds = _samples(self.rng, count, data.n_samples, self.bootstrap)
-        return StreamTree._grown(self._table, data, rows, weights, bounds, self.criteria,
-                                 self.rng)
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
@@ -187,7 +191,8 @@ class StreamForest:
             # Stable sort: equal scores keep index order, so the lowest
             # indices are replaced first on ties.
             worst = np.argsort(scores, kind="stable")[: self.replace_count]
-            self._replace(worst.tolist(), self._fresh_trees(data, worst.size))
+            self._replace(worst.tolist(), _planted(StreamTree, self._table, data, worst.size,
+                                                   self.criteria, self.bootstrap, self.rng))
             info["scores"] = scores
             info["replaced"] = [int(i) for i in worst]
         self.last_replacement = info
@@ -240,13 +245,9 @@ class BatchForest:
             raise ValueError("cannot fit on an empty dataset")
         self.n_classes = data.n_classes
         self.n_features = data.n_features
-        rng = np.random.default_rng(self.seed)
-        rows, weights, bounds = _samples(rng, self.n_trees, data.n_samples, self.bootstrap)
         table = NodeTable(data.n_classes)
-        roots = _plant(table, data, rows, weights, bounds, self.criteria, rng)
-        trees = [DecisionTree._at(table, root, data.n_features, self.criteria, rng)
-                 for root in roots]
-        _hold(self, table, trees)
+        _hold(self, table, _planted(DecisionTree, table, data, self.n_trees, self.criteria,
+                                    self.bootstrap, np.random.default_rng(self.seed)))
         return self
 
     _votes = _votes

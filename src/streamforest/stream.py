@@ -11,7 +11,6 @@ from .tree import (
     NodeTable,
     SplitCriteria,
     _grow,
-    _plant,
     _route_and_count,
 )
 
@@ -38,38 +37,19 @@ def _update_trees(trees: list, data: Dataset, rows: np.ndarray, weights: np.ndar
     ``rows[bounds[t]:bounds[t + 1]]`` of `data`, a validated batch, row
     ``rows[i]`` counted ``weights[i]`` times; a tree's rows are distinct and
     in increasing order, as `forest._samples` draws them. The trees share
-    one node table.
+    one node table and one split criteria, as a forest's trees do.
 
     All (tree, row) pairs are routed and counted in one pass. Then one
-    `_grow` call per distinct split criteria, in order of first use, grows
-    the touched leaves that can split on those weighted rows, drawing from
-    `rng`; its queue starts with the leaves tree by tree, each tree's in
-    depth-first, left-first order.
+    `_grow` call grows the touched leaves that can split on those weighted
+    rows, drawing from `rng`; its queue starts with the leaves tree by tree,
+    each tree's in depth-first, left-first order.
     """
     table = trees[0].table
     roots = np.array([tree.root_id for tree in trees])
     touched = _route_and_count(table, roots, rows, weights, bounds,
                                data.features, data.labels)
-    # Equal criteria share a group, whether or not they are one object; each
-    # distinct object is hashed once, as a forest's trees share one.
-    groups = {}  # criteria: its number, in order of first use
-    by_id = {}  # id of a criteria object: its group number
-    group_of = np.empty(len(trees), dtype=np.intp)
-    for t, tree in enumerate(trees):
-        g = by_id.get(id(tree.criteria))
-        if g is None:
-            g = by_id[id(tree.criteria)] = groups.setdefault(tree.criteria, len(groups))
-        group_of[t] = g
-    sizes = np.diff(touched.bounds)
-    leaf_group = group_of[touched.tree]
-    row_group = np.repeat(leaf_group, sizes)
-    for g, criteria in enumerate(groups):
-        mine = leaf_group == g
-        bounds = np.zeros(np.count_nonzero(mine) + 1, dtype=np.intp)
-        np.cumsum(sizes[mine], out=bounds[1:])
-        held = row_group == g
-        _grow(table, data, touched.rows[held], touched.weights[held], bounds,
-              touched.leaves[mine], criteria, rng)
+    _grow(table, data, touched.rows, touched.weights, touched.bounds, touched.leaves,
+          trees[0].criteria, rng)
     for tree in trees:
         tree.batches_seen += 1
 
@@ -121,15 +101,6 @@ class StreamTree(DecisionTree):
         tree = super()._at(table, root_id, n_features, criteria, rng)
         tree.batches_seen = batches_seen
         return tree
-
-    @classmethod
-    def _grown(cls, table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray,
-               bounds, criteria: SplitCriteria, rng: np.random.Generator) -> list:
-        """New trees grown in `table` by one `_grow` call, tree t on
-        ``rows[bounds[t]:bounds[t + 1]]`` of `data` (under the table's class
-        count) with their `weights`, all drawing from `rng`."""
-        return [cls._at(table, root, data.n_features, criteria, rng)
-                for root in _plant(table, data, rows, weights, bounds, criteria, rng)]
 
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""

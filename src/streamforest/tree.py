@@ -118,8 +118,11 @@ class SplitCriteria:
 
     def __post_init__(self):
         _check_integer("min_samples_split", self.min_samples_split, 2)
-        if self.min_impurity_decrease < 0.0:
-            raise ValueError("min_impurity_decrease must be nonnegative")
+        bound = self.min_impurity_decrease
+        if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
+            raise TypeError(f"min_impurity_decrease must be a real number, not {bound!r}")
+        if not (math.isfinite(bound) and bound >= 0.0):
+            raise ValueError(f"min_impurity_decrease must be finite and at least 0, not {bound!r}")
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ValueError("max_features must be 'all', 'sqrt' or a positive int")
@@ -486,8 +489,8 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     # shrinks by (2 * right_c - w) * w, with left_c and right_c counted
     # before the move. left_c is the weight of the segment's rows of class
     # c before the row, found by sorting on (segment, class, position); the
-    # totals of those groups in each node's first segment are its class
-    # counts.
+    # totals of the (segment, class) runs in each node's first segment are
+    # its class counts.
     key = seg * k + lab
     by_class = np.argsort(key * e + np.arange(e))
     group_start = np.zeros(seg_size.size * k + 1, dtype=np.intp)
@@ -531,9 +534,8 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     n_l, n_r, s_l, s_r = (x[near] for x in (n_l, n_r, s_l, s_r))
 
     # Candidates come in (node, feature, threshold) order, the tie rule's.
-    best = _best_candidates(s // m, n_l, n_r, s_l, s_r, s_parent)
-    node = np.fromiter(best, dtype=np.intp, count=len(best))
-    i = np.fromiter(best.values(), dtype=np.intp, count=len(best))
+    i = _best_candidates(s // m, n_l, n_r, s_l, s_r, s_parent)
+    node = s[i] // m
     feature, cut, win = seg_feature[s[i]], near[i], first[s[i]]
     lo, hi = X[rows[at[cut - 1]], feature], X[rows[at[cut]], feature]
     with np.errstate(over="ignore"):
@@ -570,7 +572,7 @@ def _changes(a: np.ndarray) -> np.ndarray:
 _NEAR_TIE = 1e-12
 
 
-def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
+def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     """The best split candidate of each node, chosen exactly.
 
     Candidate i of node ``node[i]`` (candidates grouped by node, in tie-rule
@@ -583,8 +585,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
     A node's only candidate in the band is taken without that comparison
     when its float q also beats the parent's by more than the band.
 
-    Returns {node: index of its first candidate with the largest q}, for the
-    nodes whose largest q beats the parent's s_parent / (n_l + n_r).
+    Returns the index of each node's first candidate with the largest q, in
+    node order, for the nodes whose largest q beats the parent's
+    s_parent / (n_l + n_r).
     """
     q = s_l / n_l + s_r / n_r
     first = _changes(node)
@@ -603,8 +606,8 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> dict:
         old = best.get(u)
         if old is None or num * old[2] > old[1] * den:
             best[u] = (i, num, den)
-    chosen = sorted(np.flatnonzero(lone).tolist() + [i for i, _, _ in best.values()])
-    return dict(zip(node[chosen].tolist(), chosen))
+    chosen = np.flatnonzero(lone).tolist() + [i for i, _, _ in best.values()]
+    return np.sort(np.array(chosen, dtype=np.intp))
 
 
 # Largest number of (tree, row) pairs one routing pass holds, and the row
@@ -732,7 +735,6 @@ class _Touched:
     batch, in increasing order, each routed ``weights[i]`` times."""
 
     leaves: np.ndarray
-    tree: np.ndarray
     bounds: np.ndarray
     rows: np.ndarray
     weights: np.ndarray
@@ -780,8 +782,8 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
     first = np.flatnonzero(_changes(pair_leaf))
-    return _Touched(pair_leaf[first], tree[order[first]],
-                    np.append(first, order.size), rows[order], weights[order])
+    return _Touched(pair_leaf[first], np.append(first, order.size), rows[order],
+                    weights[order])
 
 
 def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:

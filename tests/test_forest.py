@@ -15,7 +15,9 @@ from streamforest import (
     StreamForest,
     StreamTree,
     gen_synthetic,
+    load_forest,
     model_size,
+    save_forest,
 )
 from streamforest.forest import _samples
 
@@ -184,6 +186,32 @@ class TestUpdate:
         assert f.batches_seen == 10
 
 
+def test_trees_hold_the_forest_table_and_criteria(tmp_path):
+    """An update grows all of a forest's trees in one grower call under one
+    split criteria, which holds only while every tree is in the forest's
+    table under its criteria: after construction, after a forced
+    replacement and after a snapshot round trip."""
+    data = blobs(300, seed=17, noise=0.5)
+    criteria = SplitCriteria(max_features=1, min_samples_split=3)
+
+    def check(forest):
+        for tree in forest.trees:
+            assert tree.table is forest._table
+            assert tree.criteria == forest.criteria == criteria
+
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=5, replace_count=2,
+                          criteria=criteria, seed=18)
+    check(forest)
+    forest.update(data.subset(range(100, 200)), force_replacement=True)
+    assert forest.last_replacement["replaced"]
+    check(forest)
+    save_forest(forest, tmp_path / "forest.npz")
+    loaded = load_forest(tmp_path / "forest.npz")
+    check(loaded)
+    loaded.update(data.subset(range(200, 300)), force_replacement=True)
+    check(loaded)
+
+
 class TestVoting:
     def _forest_with_trees(self, classes, n_classes):
         """A forest of one constant tree per entry of `classes`, voting it."""
@@ -273,6 +301,11 @@ def _three_rows(labels=(0, 1, 2), n_classes=3) -> Dataset:
     ("max_features", lambda: SplitCriteria(max_features=True), TypeError),
     ("max_features", lambda: SplitCriteria(max_features=1.5), TypeError),
     ("max_features", lambda: SplitCriteria(max_features=0), ValueError),
+    ("min_impurity_decrease", lambda: SplitCriteria(min_impurity_decrease=True), TypeError),
+    ("min_impurity_decrease", lambda: SplitCriteria(min_impurity_decrease=np.nan), ValueError),
+    ("min_impurity_decrease", lambda: SplitCriteria(min_impurity_decrease=np.inf), ValueError),
+    ("min_impurity_decrease", lambda: SplitCriteria(min_impurity_decrease="x"), TypeError),
+    ("min_impurity_decrease", lambda: SplitCriteria(min_impurity_decrease=None), TypeError),
     ("n_trees", lambda: BatchForest(n_trees=2.5), TypeError),
     ("n_trees", lambda: BatchForest(n_trees=0), ValueError),
     ("n_trees", lambda: StreamForest(_three_rows(), 3, n_trees=2.5), TypeError),

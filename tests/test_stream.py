@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from streamforest import Dataset, DecisionTree, SplitCriteria, StreamTree, gen_synthetic
-from streamforest.stream import _update_trees
-from streamforest.tree import NodeTable
 
 from helpers import (
     check_count_conservation,
     collect_internal_splits,
-    distinct_rows,
     is_same_or_descendant,
     iter_nodes,
     trees_equal,
@@ -217,38 +214,3 @@ class TestStreamProperties:
             st.update(random_batch(rng, 25, 3, 4))
             assert st.n_features == 3
             assert st.n_classes == 4
-
-
-class TestMixedCriteria:
-    """Trees of one table under different split criteria, updated together:
-    each criteria's trees grow in one `_grow` call, in order of first use,
-    on their own touched leaves and weighted rows."""
-
-    def build(self):
-        rng = np.random.default_rng(31)
-        first = random_batch(rng, 30, 4, 3)
-        later = [random_batch(rng, 40, 4, 3) for _ in range(3)]
-        draws = [[rng.integers(0, 40, 40) for _ in range(3)] for _ in later]
-        table, grow_rng = NodeTable(3), np.random.default_rng(8)
-        sqrt = SplitCriteria(max_features="sqrt")
-        two = SplitCriteria(max_features=2, min_samples_split=3)
-        a, c = StreamTree._grown(table, first, np.arange(60) % 30, np.ones(60, dtype=np.int32),
-                                 [0, 30, 60], sqrt, grow_rng)
-        (b,) = StreamTree._grown(table, first, np.arange(30), np.ones(30, dtype=np.int32),
-                                 [0, 30], two, grow_rng)
-        return table, [a, b, c], later, draws, grow_rng
-
-    def test_one_call_equals_one_call_per_criteria(self):
-        table, trees, later, draws, rng = self.build()
-        ref_table, (ra, rb, rc), _, _, ref_rng = self.build()
-        for batch, (da, db, dc) in zip(later, draws):
-            _update_trees(trees, batch, *distinct_rows([da, db, dc]), rng)
-            _update_trees([ra, rc], batch, *distinct_rows([da, dc]), ref_rng)
-            _update_trees([rb], batch, *distinct_rows([db]), ref_rng)
-        assert table.size == ref_table.size
-        _, planted, _, _, _ = self.build()
-        for got, ref, start in zip(trees, (ra, rb, rc), planted):
-            assert got.node_count() > start.node_count()  # every tree grew
-            assert trees_equal(got.root, ref.root)
-            assert got.batches_seen == ref.batches_seen == 4
-            check_count_conservation(got.root)

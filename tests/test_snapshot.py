@@ -17,7 +17,7 @@ from streamforest import (
     save_forest,
 )
 from streamforest import snapshot
-from streamforest.tree import NodeTable
+from streamforest.tree import NodeTable, _levels
 
 from helpers import forest_documents, preorder_columns, trees_equal
 
@@ -461,11 +461,45 @@ def test_v1_snapshot_loads_update_alike(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_v3_snapshot_loads_and_predicts_as_saved():
-    """A 4-tree stream forest saved in the v3 format after five updates (one
-    forced replacement), and its predictions on fixed probes at that time."""
-    forest = load_forest(DATA / "v3_stream_forest.npz")
-    expected = json.loads((DATA / "v3_stream_forest_predictions.json").read_text())
+def _predicts_as_saved(name: str) -> None:
+    """The fixture `name` loads and predicts its fixed probes as it did
+    when it was saved."""
+    forest = load_forest(DATA / f"{name}.npz")
+    expected = json.loads((DATA / f"{name}_predictions.json").read_text())
     probes = np.array(expected["probes"])
     assert forest.predict(probes).tolist() == expected["predictions"]
     assert [forest.predict_one(x) for x in probes[:20]] == expected["predict_one"]
+
+
+def test_v3_snapshot_loads_and_predicts_as_saved():
+    """A 4-tree stream forest saved in the v3 format after five updates (one
+    forced replacement), and its predictions on fixed probes at that time."""
+    _predicts_as_saved("v3_stream_forest")
+
+
+def test_v4_snapshot_loads_and_predicts_as_saved():
+    """A 4-tree stream forest saved in the v4 format after five updates (one
+    forced replacement, one drawn), and its predictions on fixed probes at
+    that time."""
+    _predicts_as_saved("v4_stream_forest")
+
+
+@pytest.mark.parametrize("name", ["v1_stream_forest.json", "v3_stream_forest.npz",
+                                  "v4_stream_forest.npz"])
+def test_stored_pre_split_totals_are_the_loaded_ones(name):
+    """Every node's ``pre_split_total`` as the fixture stores it, preorder
+    tree by tree for v1 and v3 and breadth-first for v4, is the loaded
+    forest's."""
+    forest = load_forest(DATA / name)
+    if name.endswith(".json"):
+        trees = json.loads((DATA / name).read_text())["trees"]
+        stored = [held for tree in trees for held in tree["pre_split_total"]]
+    else:
+        stored = read_archive(DATA / name)[1]["pre_split_total"].tolist()
+    if name.startswith("v4"):
+        nodes = np.concatenate(_levels(forest._table.left, forest._roots))
+        loaded = [forest._table.view(i).pre_split_total for i in nodes]
+    else:
+        loaded = preorder_columns(forest)[1]["pre_split_total"].tolist()
+    assert any(stored)
+    assert loaded == stored

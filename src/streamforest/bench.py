@@ -19,7 +19,7 @@ from .data import make_batches, make_folds
 from .forest import BatchForest, StreamForest
 from .snapshot import _write_atomically
 from .stream import StreamTree
-from .tree import BYTES_PER_NODE, Dataset, DecisionTree
+from .tree import BYTES_PER_NODE, Dataset, DecisionTree, _check_integer
 
 __all__ = [
     "ALGORITHMS",
@@ -64,15 +64,10 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be positive")
-        if not 0 <= self.replace_count <= self.n_trees:
+        for name in ("batch_size", "n_trees", "repetitions", "threads"):
+            _check_integer(name, getattr(self, name), 1)
+        _check_integer("replace_count", self.replace_count, 0)
+        if self.replace_count > self.n_trees:
             raise ValueError("replace_count must lie in [0, n_trees]")
 
 
@@ -109,12 +104,14 @@ def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
                     rep: int, seeds: dict[str, int]) -> list[BenchRecord]:
     plan = make_batches(train.n_samples, config.batch_size, seeds["plan"])
     algorithms = tuple(a for a in ALGORITHMS if a in config.algorithms)
+    refits = not {"dt", "df"}.isdisjoint(algorithms)
     models: dict[str, object] = {}
     cum_time = {a: 0.0 for a in algorithms}
     records = []
     for bi in range(plan.n_batches):
         batch = train.subset(plan.batch(bi))
         seen = plan.boundaries[bi][1]
+        cumulative = train.subset(plan.ordering[:seen]) if refits else None
         for algo in algorithms:
             start = time.perf_counter()
             if algo == "sdt":
@@ -130,10 +127,8 @@ def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
                 else:
                     models[algo].update(batch)
             elif algo == "dt":
-                cumulative = train.subset(plan.ordering[:seen])
                 models[algo] = DecisionTree(seed=seeds["tree"]).fit(cumulative)
             else:
-                cumulative = train.subset(plan.ordering[:seen])
                 models[algo] = BatchForest(config.n_trees,
                                            seed=seeds["forest"]).fit(cumulative)
             cum_time[algo] += time.perf_counter() - start

@@ -1,21 +1,23 @@
 """Forest snapshots: a forest's node table, laid out breadth-first, saved as
 raw arrays.
 
-A snapshot (format ``streamforest-snapshot-v4``) is an uncompressed numpy
+A snapshot (format ``streamforest-snapshot-v5``) is an uncompressed numpy
 ``.npz`` archive holding
 - ``meta``: one string, the JSON header: model kind, shape,
   hyperparameters, batch counts and a stream forest's generator state;
-- the five `NodeTable.COLUMNS` as `NodeTable.export` returns them: the
+- the four `NodeTable.COLUMNS` as `NodeTable.export` returns them: the
   ``n_trees`` roots first, then each level's children pair by pair, an
   internal node's right child at ``left + 1`` (-1 at leaves).
 
-It loads without unpickling anything. v3 archives and v1 and v2 JSON
-documents, which hold the trees tree after tree in preorder with an
-explicit ``right`` column, still load, and are laid out breadth-first on
-load. Every snapshot passes one check before its trees are built: every
-child link points further on, so every descent ends, and every node but
-the roots is the child of exactly one node, so the columns are exactly
-the header's trees. save -> load -> predict round-trips bit-exactly, and
+It loads without unpickling anything. v4 archives, which also hold a
+``pre_split_total`` column that the class counts determine, load alike,
+that column unread. v3 archives and v1 and v2 JSON documents, which hold
+the trees tree after tree in preorder with an explicit ``right`` column,
+still load, and are laid out breadth-first on load. Every snapshot
+passes one check before its trees are built: every child link points
+further on, so every descent ends, and every node but the roots is the
+child of exactly one node, so the columns are exactly the header's
+trees. save -> load -> predict round-trips bit-exactly, and
 save -> load -> update continues the original run.
 """
 
@@ -36,7 +38,8 @@ from .tree import DecisionTree, NodeTable, SplitCriteria, _breadth_first
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
-FORMAT = "streamforest-snapshot-v4"
+FORMAT = "streamforest-snapshot-v5"
+_V4 = "streamforest-snapshot-v4"  # v5 with a `pre_split_total` column as well
 # Formats written before v4, which hold tree t at nodes starts[t]:starts[t + 1]
 # in preorder, with a `right` column and child links counted from the start
 # of the node's own tree. v3 is an archive, v1 and v2 are JSON documents;
@@ -115,15 +118,15 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
 
 
 def _read_archive(fh) -> tuple[dict, dict, np.ndarray | None]:
-    """(meta, columns, starts) of a v4 or v3 archive, starts None for v4;
-    nothing is unpickled."""
+    """(meta, columns, starts) of a v5, v4 or v3 archive, starts None for v5
+    and v4; nothing is unpickled."""
     with np.load(fh, allow_pickle=False) as archive:
         meta = archive["meta"] if "meta" in archive.files else np.array(None)
         if meta.shape or meta.dtype.kind != "U":
             raise ValueError("snapshot meta must be one string")
         meta = json.loads(meta.item())
-        if not isinstance(meta, dict) or meta.get("format") not in (FORMAT, _V3):
-            raise ValueError(f"not a {FORMAT} or {_V3} archive")
+        if not isinstance(meta, dict) or meta.get("format") not in (FORMAT, _V4, _V3):
+            raise ValueError(f"not a {FORMAT}, {_V4} or {_V3} archive")
         names = NodeTable.COLUMNS + (("right", "starts") if meta["format"] == _V3 else ())
         missing = set(names) - set(archive.files)
         if missing:
@@ -161,13 +164,13 @@ def _check_trees(meta: dict, columns: dict, starts: np.ndarray | None) -> np.nda
     """Raise ValueError unless `columns` hold exactly the snapshot's trees;
     returns their roots.
 
-    v4 has its roots first and each right child at ``left + 1``. v1–v3
-    have a tree at each of `starts` and a ``right`` column, whose
-    tree-local links are made global here, in place. Then every internal
-    node i has ``i < left < right < n``, so every descent ends, leaves
-    have both links -1, and every node but the roots is the child of
-    exactly one node. Features must be in range, internal thresholds finite
-    and class counts nonnegative."""
+    v4 and v5 have their roots first and each right child at
+    ``left + 1``. v1–v3 have a tree at each of `starts` and a ``right``
+    column, whose tree-local links are made global here, in place. Then
+    every internal node i has ``i < left < right < n``, so every descent
+    ends, leaves have both links -1, and every node but the roots is the
+    child of exactly one node. Features must be in range, internal
+    thresholds finite and class counts nonnegative."""
     n_classes, n_features = meta["n_classes"], meta["n_features"]
     n = len(columns["feature"])
     for name, value in columns.items():

@@ -149,17 +149,16 @@ class NodeTable:
     threshold goes to its left child ``left[i]``, a larger one to its right
     child, which is always ``left[i] + 1``; a leaf has left = feature = -1
     and threshold 0.0. ``counts[i]`` accumulates the labels of every
-    training sample ever routed through or into node i.
-    ``pre_split_total[i]`` records how many of those arrived before node i
-    split (their feature values are gone, so they never route to a child);
-    it stays 0 for nodes split during a batch fit. A tree is the id of its
-    root; a forest keeps all of its trees in one table.
+    training sample ever routed through or into node i; the samples that
+    arrived before node i split are those its children do not hold (see
+    `TreeNode.pre_split_total`). A tree is the id of its root; a forest
+    keeps all of its trees in one table.
 
     Only ids below ``size`` are nodes. Capacity grows by doubling, which
     replaces the column arrays: hold on to the table, not to a column.
     """
 
-    COLUMNS = ("feature", "threshold", "left", "counts", "pre_split_total")
+    COLUMNS = ("feature", "threshold", "left", "counts")
 
     def __init__(self, n_classes: int, capacity: int = 16):
         self.n_classes = n_classes
@@ -168,7 +167,6 @@ class NodeTable:
         self.threshold = np.empty(capacity, dtype=np.float64)
         self.left = np.empty(capacity, dtype=np.int64)
         self.counts = np.empty((capacity, n_classes), dtype=np.int64)
-        self.pre_split_total = np.empty(capacity, dtype=np.int64)
 
     def _reserve(self, extra: int) -> None:
         capacity = self.feature.shape[0]
@@ -194,14 +192,13 @@ class NodeTable:
         self.feature[new] = self.left[new] = -1
         self.threshold[new] = 0.0
         self.counts[new] = class_counts
-        self.pre_split_total[new] = 0
         return np.arange(new.start, new.stop)
 
-    def split(self, ids, features, thresholds, left_counts, right_counts,
-              n_routed) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, ids, features, thresholds, left_counts,
+              right_counts) -> tuple[np.ndarray, np.ndarray]:
         """Turn the leaves `ids` into internal nodes, leaf ``ids[i]`` over a
-        new leaf pair holding the class counts of the ``n_routed[i]`` samples
-        routed to them; returns the ids of the left and of the right leaves."""
+        new leaf pair with the given class counts; returns the ids of the
+        left and of the right leaves."""
         ids = np.asarray(ids, dtype=np.intp)
         counts = np.empty((2 * ids.size, self.n_classes), dtype=np.int64)
         counts[0::2], counts[1::2] = left_counts, right_counts
@@ -209,7 +206,6 @@ class NodeTable:
         self.feature[ids] = features
         self.threshold[ids] = thresholds
         self.left[ids] = left
-        self.pre_split_total[ids] = self.counts[ids].sum(axis=1) - n_routed
         return left, left + 1
 
     def view(self, i) -> "TreeNode":
@@ -278,11 +274,12 @@ class TreeNode:
 
     ``class_counts`` accumulates every training sample ever routed through
     or into the node; ``pre_split_total`` counts those that arrived before
-    the node split. Both are read live from the table, so a view follows
-    later updates of its node. A view is the value (table, id): two views
-    are equal when they name the same node of the same table. A replacement
-    copies a forest's trees into a new table, and a view taken before it
-    keeps reading the old table, which nothing mutates any more.
+    the node split, the ones its children do not hold. Both are read live
+    from the table's counts, so a view follows later updates of its node.
+    A view is the value (table, id): two views are equal when they name the
+    same node of the same table. A replacement copies a forest's trees into
+    a new table, and a view taken before it keeps reading the old table,
+    which nothing mutates any more.
     """
 
     __slots__ = ("_table", "_id")
@@ -326,7 +323,9 @@ class TreeNode:
 
     @property
     def pre_split_total(self) -> int:
-        return int(self._table.pre_split_total[self._id])
+        """The node's total less its children's; 0 at a leaf."""
+        counts, left = self._table.counts, int(self._table.left[self._id])
+        return 0 if left < 0 else int(counts[self._id].sum() - counts[left:left + 2].sum())
 
     @property
     def is_leaf(self) -> bool:
@@ -694,8 +693,7 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         counts = np.bincount(child * k + y[split_rows], weights=split_weights,
                              minlength=splits.size * 2 * k).astype(np.int64).reshape(-1, 2, k)
         del at, node_rows, node_weights, order, src, dst, split_rows, split_weights, child
-        left, right = table.split(node[splits], feature, threshold,
-                                  counts[:, 0], counts[:, 1], weighted[splits])
+        left, right = table.split(node[splits], feature, threshold, counts[:, 0], counts[:, 1])
         mid = start[splits] + n_left
         children = np.stack((
             np.stack((left, start[splits], mid, n_l), axis=1),

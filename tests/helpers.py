@@ -126,15 +126,30 @@ def trees_equal(a, b) -> bool:
     return True
 
 
-def check_count_conservation(root) -> None:
-    """Every internal node's children account for all samples routed past it."""
+def split_totals(root) -> dict:
+    """(is leaf, total, pre_split_total) of every node of the tree at
+    `root`, by node view: the state that `check_count_conservation` checks
+    an update against."""
+    return {node: (node.is_leaf, int(node.class_counts.sum()), node.pre_split_total)
+            for node in iter_nodes(root)}
+
+
+def check_count_conservation(root, before=None) -> None:
+    """Every node's children hold all the samples that reached it after it
+    split: its ``pre_split_total``, the samples it holds that its children
+    do not, is what `before`, the `split_totals` of the tree before an
+    update, implies. A node that was internal keeps it, a leaf that split
+    has the total it had before, and a node created in the update has 0,
+    as does every node after a batch fit (`before` None). A sample counted
+    at a node but not at the child it went on to, or at a child but not
+    at the node, changes the node's."""
+    before = before or {}
     for node in iter_nodes(root):
-        if node.left is not None:
-            routed = int(node.left.class_counts.sum()) + int(node.right.class_counts.sum())
-            total = int(node.class_counts.sum())
-            assert routed == total - node.pre_split_total, (
-                f"conservation violated: children {routed}, "
-                f"node {total}, held back {node.pre_split_total}")
+        was_leaf, total, held = before.get(node, (True, 0, 0))
+        expected = total if was_leaf and not node.is_leaf else held
+        assert node.pre_split_total == expected, (
+            f"conservation violated: node {node._id} holds back {node.pre_split_total} "
+            f"samples from its children, expected {expected}")
 
 
 def is_same_or_descendant(ancestor, node) -> bool:

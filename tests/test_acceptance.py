@@ -33,6 +33,7 @@ from helpers import (
     is_same_or_descendant,
     plant_constant_trees,
     random_dataset,
+    split_totals,
     trees_equal,
 )
 
@@ -130,12 +131,14 @@ def test_criterion_4_count_conservation():
 
         sizes = [40] + [int(s) for s in rng.integers(5, 60, size=6)]
         st = StreamTree(batch(sizes[0]), k, seed=int(rng.integers(1 << 31)))
+        check_count_conservation(st.root)
         for size in sizes[1:]:
+            before = split_totals(st.root)
             st.update(batch(size))
+            check_count_conservation(st.root, before)
         if int(st.root.class_counts.sum()) != sum(sizes):
             ok = False
             break
-        check_count_conservation(st.root)
     report(4, "count conservation", ok, "20 streams of 7 batches", started)
 
 

@@ -337,6 +337,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(replace_count=99)
 
+    @pytest.mark.parametrize("name, value, error", [
+        ("batch_size", True, TypeError), ("batch_size", 0, ValueError),
+        ("n_trees", 2.5, TypeError), ("n_trees", 0, ValueError),
+        ("repetitions", False, TypeError), ("repetitions", 0, ValueError),
+        ("threads", 1.0, TypeError), ("threads", 0, ValueError), ("threads", "2", TypeError),
+        ("replace_count", -1, ValueError), ("replace_count", 0.5, TypeError),
+        ("replace_count", True, TypeError),
+    ])
+    def test_bad_count_is_named(self, name, value, error):
+        """Checked at construction, so no worker process ever starts."""
+        with pytest.raises(error, match=name):
+            small_config(**{name: value})
+
     def test_replace_copies_cleanly(self):
         config = replace(small_config(), repetitions=7)
         assert config.repetitions == 7

@@ -21,7 +21,12 @@ from streamforest import (
 )
 from streamforest.forest import _samples
 
-from helpers import plant_constant_trees, trees_equal
+from helpers import (
+    check_count_conservation,
+    plant_constant_trees,
+    split_totals,
+    trees_equal,
+)
 
 
 def blobs(n, seed, noise=0.0, k=3):
@@ -184,6 +189,19 @@ class TestUpdate:
             f.update(data.subset(range(100 * i, 100 * (i + 1))))
         assert len(f.trees) == 8
         assert f.batches_seen == 10
+
+    def test_count_conservation_across_updates(self):
+        data = blobs(600, seed=28, noise=0.8)
+        f = StreamForest(data.subset(range(100)), 3, n_trees=6, seed=29)
+        for tree in f.trees:
+            check_count_conservation(tree.root)
+        for i in range(1, 6):
+            before = [split_totals(tree.root) for tree in f.trees]
+            f.update(data.subset(range(100 * i, 100 * (i + 1))), force_replacement=False)
+            for tree, seen in zip(f.trees, before):
+                check_count_conservation(tree.root, seen)
+        for tree in BatchForest(4, seed=30).fit(data).trees:
+            check_count_conservation(tree.root)
 
 
 def test_trees_hold_the_forest_table_and_criteria(tmp_path):

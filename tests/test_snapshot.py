@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def read_archive(path) -> tuple[dict, dict]:
-    """The meta header and the other arrays of a v4 or v3 snapshot."""
+    """The meta header and the other arrays of a v5, v4 or v3 snapshot."""
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(archive["meta"].item())
         return meta, {name: archive[name] for name in archive.files if name != "meta"}
@@ -127,7 +127,7 @@ def test_snapshot_is_self_describing(tmp_path):
     path = tmp_path / "forest.json"
     save_forest(f, path)
     meta, arrays = read_archive(path)
-    assert meta["format"] == "streamforest-snapshot-v4"
+    assert meta["format"] == "streamforest-snapshot-v5"
     assert meta["model"] == "stream_forest"
     assert meta["n_trees"] == 5
     for key in NodeTable.COLUMNS:
@@ -135,14 +135,14 @@ def test_snapshot_is_self_describing(tmp_path):
     assert "bytes_per_node" not in meta
 
 
-def test_file_is_meta_and_the_five_columns(tmp_path):
+def test_file_is_meta_and_the_four_columns(tmp_path):
     path = tmp_path / "forest.json"
     for model in (evolved_forest(), BatchForest(3, seed=4).fit(
             gen_synthetic("blobs", 200, noise=0.6, seed=5, n_classes=3))):
         save_forest(model, path)
         with zipfile.ZipFile(path) as archive:
             assert archive.namelist() == [f"{name}.npy" for name in
-                                          ("meta", *NodeTable.COLUMNS)]
+                                          ("meta", "feature", "threshold", "left", "counts")]
         _, arrays = read_archive(path)
         columns = model._table.export(model._roots)
         assert arrays.keys() == columns.keys()
@@ -243,8 +243,8 @@ def test_malformed_snapshot_is_rejected(tmp_path, fault):
 
 
 def _corrupt_v4(meta, arrays, fault) -> str:
-    """Apply one fault to a v4 snapshot's contents; returns a pattern of
-    the error it must raise."""
+    """Apply one fault to a v5 snapshot's contents, laid out as v4's;
+    returns a pattern of the error it must raise."""
     left = arrays["left"]
     n, n_trees = left.size, meta["n_trees"]
     i = int(np.flatnonzero(left >= 0)[-1])  # an internal node, not a root
@@ -437,13 +437,13 @@ def test_v1_snapshot_with_a_non_integer_is_rejected(tmp_path, column, value):
         load_forest(path)
 
 
-def test_v1_snapshot_saves_as_v4(tmp_path):
+def test_v1_snapshot_saves_as_v5(tmp_path):
     forest, _ = _v1_fixture()
-    path = tmp_path / "v4.npz"
+    path = tmp_path / "v5.npz"
     save_forest(forest, path)
     v1 = json.loads((DATA / "v1_stream_forest.json").read_text())
     meta, _ = read_archive(path)
-    assert meta["format"] == "streamforest-snapshot-v4"
+    assert meta["format"] == "streamforest-snapshot-v5"
     assert forest_documents(load_forest(path)) == v1["trees"]
     assert meta["rng_state"] == v1["rng_state"]
     assert "tree_rng_states" not in meta and "seed_children_spawned" not in meta

@@ -11,6 +11,7 @@ from helpers import (
     collect_internal_splits,
     is_same_or_descendant,
     iter_nodes,
+    split_totals,
     trees_equal,
 )
 
@@ -191,10 +192,11 @@ class TestStreamProperties:
         st = StreamTree(random_batch(rng, 50, 3, 3), n_classes=3, seed=11)
         total = 50
         for size in (30, 17, 42, 9):
+            before = split_totals(st.root)
             st.update(random_batch(rng, size, 3, 3))
+            check_count_conservation(st.root, before)
             total += size
         assert int(st.root.class_counts.sum()) == total
-        check_count_conservation(st.root)
 
     def test_replay_reproduces_tree_exactly(self):
         rng = np.random.default_rng(24)

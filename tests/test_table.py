@@ -112,7 +112,7 @@ def test_router_orders_leaves_deeper_than_one_word():
         roots.append(node)
         for level in range(depth):
             threshold = level if not lean_left else depth - 1 - level
-            left, right = table.split([node], [0], [threshold + 0.5], [[0, 0]], [[0, 0]], [0])
+            left, right = table.split([node], [0], [threshold + 0.5], [[0, 0]], [[0, 0]])
             node = int(right[0] if not lean_left else left[0])
     rng = np.random.default_rng(12)
     X = rng.permutation(depth + 1).astype(np.float64)[:, None]
@@ -175,20 +175,21 @@ def _model(case, tmp_path):
         return tree
     if case == "batch forest fit":
         return BatchForest(7, seed=18).fit(data)
-    if case in ("v1 load", "v3 load"):
+    if case in ("v1 load", "v3 load", "v4 load"):
         return load_forest(DATA / {"v1 load": "v1_stream_forest.json",
-                                   "v3 load": "v3_stream_forest.npz"}[case])
+                                   "v3 load": "v3_stream_forest.npz",
+                                   "v4 load": "v4_stream_forest.npz"}[case])
     forest = StreamForest(batches[0], 3, n_trees=6, replace_count=2, seed=19)
     for batch, coin in zip(batches[1:], (True, None, False, True, None, True, None)):
         forest.update(batch, force_replacement=coin)
-    if case == "v4 load":
+    if case == "v5 load":
         save_forest(forest, tmp_path / "forest.npz")
         return load_forest(tmp_path / "forest.npz")
     return forest
 
 
 @pytest.mark.parametrize("case", ["tree fit", "stream tree updates", "batch forest fit",
-                                  "stream forest updates", "v1 load", "v3 load", "v4 load"])
+                                  "stream forest updates", "v1 load", "v3 load", "v4 load", "v5 load"])
 def test_right_child_is_the_left_childs_sibling(case, tmp_path):
     """In every table an internal node's children are the pair (left,
     left + 1), after it. `export` lays the trees out breadth-first, roots

@@ -189,7 +189,8 @@ def _model(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["tree fit", "stream tree updates", "batch forest fit",
-                                  "stream forest updates", "v1 load", "v3 load", "v4 load", "v5 load"])
+                                  "stream forest updates", "v1 load", "v3 load", "v4 load",
+                                  "v5 load"])
 def test_right_child_is_the_left_childs_sibling(case, tmp_path):
     """In every table an internal node's children are the pair (left,
     left + 1), after it. `export` lays the trees out breadth-first, roots

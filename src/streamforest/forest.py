@@ -1,8 +1,11 @@
 """Forest ensembles: a streaming forest with probabilistic worst-tree
 replacement, and a batch forest baseline refit from scratch on demand.
 
-Each forest keeps the nodes of all of its trees in one node table, so that
-a batch is routed through every tree at once, one depth level per step."""
+A forest is its node table, the roots of its trees in that table and, for
+a stream forest, the number of batches each tree has taken in: routing,
+growth, voting and snapshots all read that state, so that a batch is
+routed through every tree at once, one depth level per step. The trees
+that ``forest.trees`` returns are views built from it."""
 
 from __future__ import annotations
 
@@ -15,12 +18,9 @@ from .tree import (
     DecisionTree,
     NodeTable,
     SplitCriteria,
-    _PAIRS_PER_PASS,
     _check_bool,
-    _check_input,
     _check_integer,
-    _descend,
-    _leaf_labels,
+    _Model,
     _plant,
 )
 
@@ -29,16 +29,6 @@ __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
 # Default split rules of both forests; SplitCriteria is frozen, so sharing
 # one instance is safe.
 FOREST_CRITERIA = SplitCriteria(max_features="sqrt")
-
-
-def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
-    """Plurality class per row over an (n_trees, n_rows) array of tree
-    predictions, ties to the lowest class."""
-    cells = np.array(per_tree, dtype=np.int64)
-    n_rows = cells.shape[1]
-    cells += np.arange(n_rows) * n_classes
-    votes = np.bincount(cells.ravel(), minlength=n_rows * n_classes)
-    return votes.reshape(n_rows, n_classes).argmax(axis=1)
 
 
 def _samples(rng: np.random.Generator, count: int, n: int,
@@ -67,61 +57,16 @@ def _samples(rng: np.random.Generator, count: int, n: int,
     return rows, weights, np.searchsorted(drawn, bounds)
 
 
-def _planted(cls, table: NodeTable, data: Dataset, count: int, criteria: SplitCriteria,
-             bootstrap: bool, rng: np.random.Generator) -> list:
-    """`count` new trees of type `cls` grown together in `table` by one
+def _planted(table: NodeTable, data: Dataset, count: int, criteria: SplitCriteria,
+             bootstrap: bool, rng: np.random.Generator) -> np.ndarray:
+    """The roots of `count` new trees grown together in `table` by one
     `_grow` call, each on a sample of `data` as `_samples` draws it, all
     drawing from `rng`."""
     rows, weights, bounds = _samples(rng, count, data.n_samples, bootstrap)
-    return [cls._at(table, root, data.n_features, criteria, rng)
-            for root in _plant(table, data, rows, weights, bounds, criteria, rng)]
+    return _plant(table, data, rows, weights, bounds, criteria, rng)
 
 
-def _hold(forest, table: NodeTable, trees) -> None:
-    """Make `trees`, all of them in `table`, the forest's trees."""
-    forest.trees = tuple(trees)
-    forest._table = table
-    forest._roots = np.array([tree.root_id for tree in trees], dtype=np.intp)
-
-
-# Methods shared by both forests. Each class body binds them instead of
-# inheriting them, because the traced benchmark run (perfbench/tracing.py)
-# wraps only methods found in a class's own namespace.
-def _votes(self, X: np.ndarray) -> np.ndarray:
-    """(n_trees, n_rows) class predicted by each tree for each row of X.
-
-    Rows are routed in blocks of at most _PAIRS_PER_PASS (tree, row) pairs,
-    which bounds the routing arrays to a few MB however many rows come; the
-    leaves reached are labelled in one step at the end.
-    """
-    table, roots = self._table, self._roots
-    n, n_trees = X.shape[0], roots.size
-    leaves = np.empty((n_trees, n), dtype=np.intp)
-    step = max(1, _PAIRS_PER_PASS // n_trees)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(n, lo + step))
-        leaves[:, rows] = _descend(table, np.repeat(roots, rows.size), np.tile(rows, n_trees),
-                                   X).reshape(n_trees, rows.size)
-    return _leaf_labels(table, leaves)
-
-
-def _predict_one(self, x) -> int:
-    x = _check_input(self, x, 1)
-    return int(_majority_vote(self._votes(x[None, :]), self.n_classes)[0])
-
-
-def _predict(self, X) -> np.ndarray:
-    X = _check_input(self, X, 2)
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return _majority_vote(self._votes(X), self.n_classes)
-
-
-def _node_count(self) -> int:
-    return self._table.count_nodes(self._roots) if self.trees else 0
-
-
-class StreamForest:
+class StreamForest(_Model):
     """Ensemble of streaming trees with bootstrap resampling per batch.
 
     Every tree updates on its own bootstrap resample of each batch (size n,
@@ -136,7 +81,7 @@ class StreamForest:
     all bootstraps in one call, the growth draws (see `tree._grow`), the
     coin, the replacements' bootstraps and growth draws. All trees live in
     one node table, which after every update holds exactly the nodes of the
-    current trees, and all hold the forest's split criteria.
+    current trees, and all grow under the forest's split criteria.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
@@ -155,30 +100,41 @@ class StreamForest:
         self.master_seed = seed
         self.bootstrap = bootstrap
         self.rng = np.random.default_rng(seed)
+        data = _check_batch(first_batch, n_classes)
+        self.n_features = data.n_features
         self._table = NodeTable(n_classes)
-        data = _check_batch(first_batch, first_batch.n_features, n_classes)
-        _hold(self, self._table, _planted(StreamTree, self._table, data, n_trees,
-                                          self.criteria, self.bootstrap, self.rng))
+        self._roots = _planted(self._table, data, n_trees, self.criteria, bootstrap, self.rng)
+        self._batches = np.ones(n_trees, dtype=np.int64)  # batches each tree has taken in
         self.batches_seen = 1
         self.last_replacement: dict | None = None
 
+    predict = _Model.predict
+    predict_one = _Model.predict_one
+
     @property
-    def n_features(self) -> int:
-        return self.trees[0].n_features
+    def trees(self) -> tuple:
+        """Views of the current trees, taken now: a view reads the table the
+        forest holds now, which later updates grow in place until a
+        replacement moves the forest to a new table."""
+        return tuple(StreamTree._at(self._table, root, self.n_features, self.criteria, self.rng,
+                                    batches)
+                     for root, batches in zip(self._roots.tolist(), self._batches.tolist()))
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe
         replace the worst trees.
 
-        force_replacement overrides the 1/b coin for tests; the uniform draw
-        is consumed either way so forced and unforced runs share the same
-        generator stream. Details of the draw and any replacement are kept
-        in `last_replacement`.
+        force_replacement, None, True or False, overrides the 1/b coin for
+        tests; the uniform draw is consumed either way so forced and
+        unforced runs share the same generator stream. Details of the draw
+        and any replacement are kept in `last_replacement`.
         """
-        data = _check_batch(batch, self.n_features, self.n_classes)
-        rows, weights, bounds = _samples(self.rng, len(self.trees), data.n_samples,
+        data = _check_batch(batch, self.n_classes, self.n_features)
+        rows, weights, bounds = _samples(self.rng, self._roots.size, data.n_samples,
                                          self.bootstrap)
-        _update_trees(self.trees, data, rows, weights, bounds, self.rng)
+        _update_trees(self._table, self._roots, self.criteria, data, rows, weights, bounds,
+                      self.rng)
+        self._batches += 1
         self.batches_seen += 1
 
         u = float(self.rng.random())
@@ -191,34 +147,27 @@ class StreamForest:
             # Stable sort: equal scores keep index order, so the lowest
             # indices are replaced first on ties.
             worst = np.argsort(scores, kind="stable")[: self.replace_count]
-            self._replace(worst.tolist(), _planted(StreamTree, self._table, data, worst.size,
-                                                   self.criteria, self.bootstrap, self.rng))
+            self._replace(worst, _planted(self._table, data, worst.size, self.criteria,
+                                          self.bootstrap, self.rng))
             info["scores"] = scores
             info["replaced"] = [int(i) for i in worst]
         self.last_replacement = info
         return self
 
-    def _replace(self, indices, trees) -> None:
-        """Make ``trees[j]``, grown in the forest's table, tree
-        ``indices[j]``; then copy the current trees into a new table,
-        breadth-first, so that the table holds exactly their nodes. Every
-        other tree keeps its object."""
-        held = list(self.trees)
-        for i, tree in zip(indices, trees):
-            held[i] = tree
+    def _replace(self, indices, roots) -> None:
+        """Make the trees at ``roots[j]``, grown in the forest's table, tree
+        ``indices[j]``, which has taken in one batch; then copy the current
+        trees into a new table, breadth-first, so that the table holds
+        exactly their nodes."""
+        held = self._roots.copy()
+        held[indices] = roots
+        self._batches[indices] = 1
         table = NodeTable(self.n_classes, capacity=0)
-        roots = table.copy_trees(self._table, [tree.root_id for tree in held])
-        for tree, root in zip(held, roots.tolist()):
-            tree.table, tree.root_id = table, root
-        _hold(self, table, held)
-
-    _votes = _votes
-    predict_one = _predict_one
-    predict = _predict
-    node_count = _node_count
+        self._roots = table.copy_trees(self._table, held)
+        self._table = table
 
 
-class BatchForest:
+class BatchForest(_Model):
     """Bagged CART forest refit from scratch on the full data it is given.
 
     Each fit draws one bootstrap resample per tree (size n, with
@@ -235,25 +184,28 @@ class BatchForest:
         self.criteria = criteria if criteria is not None else FOREST_CRITERIA
         self.seed = seed
         self.bootstrap = bootstrap
-        self.n_classes: int | None = None
-        self.n_features: int | None = None
-        _hold(self, None, [])
+        self.n_classes = self.n_features = self._table = None
+        self._roots = np.empty(0, dtype=np.intp)
+
+    predict = _Model.predict
+    predict_one = _Model.predict_one
+
+    @property
+    def trees(self) -> tuple:
+        """Views of the fitted trees; none before the first fit."""
+        return tuple(DecisionTree._at(self._table, root, self.n_features, self.criteria, None)
+                     for root in self._roots.tolist())
 
     def fit(self, data: Dataset) -> "BatchForest":
         """Refit every tree on bootstrap resamples of `data`."""
         if data.n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
-        self.n_classes = data.n_classes
-        self.n_features = data.n_features
         table = NodeTable(data.n_classes)
-        _hold(self, table, _planted(DecisionTree, table, data, self.n_trees, self.criteria,
-                                    self.bootstrap, np.random.default_rng(self.seed)))
+        self._roots = _planted(table, data, self.n_trees, self.criteria, self.bootstrap,
+                               np.random.default_rng(self.seed))
+        self._table = table
+        self.n_classes, self.n_features = data.n_classes, data.n_features
         return self
-
-    _votes = _votes
-    predict_one = _predict_one
-    predict = _predict
-    node_count = _node_count
 
 
 def model_size(model) -> tuple[int, int]:

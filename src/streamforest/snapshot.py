@@ -32,9 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forest import BatchForest, StreamForest, _hold
-from .stream import StreamTree
-from .tree import DecisionTree, NodeTable, SplitCriteria, _breadth_first
+from .forest import BatchForest, StreamForest
+from .tree import NodeTable, SplitCriteria, _breadth_first
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
@@ -81,11 +80,11 @@ def _meta(forest: StreamForest | BatchForest) -> dict:
             "master_seed": forest.master_seed,
             "bootstrap": forest.bootstrap,
             "criteria": asdict(forest.criteria),
-            "tree_batches_seen": [t.batches_seen for t in forest.trees],
+            "tree_batches_seen": forest._batches.tolist(),
             "rng_state": forest.rng.bit_generator.state,
         }
     if isinstance(forest, BatchForest):
-        if not forest.trees:
+        if forest._table is None:
             raise ValueError("cannot snapshot an unfitted forest")
         return {
             "format": FORMAT,
@@ -247,11 +246,10 @@ def load_forest(path) -> StreamForest | BatchForest:
     criteria = SplitCriteria(**meta["criteria"])
     n_classes, n_features = meta["n_classes"], meta["n_features"]
     table = NodeTable(n_classes, capacity=0)
-    roots = table.append(columns, roots.size).tolist()
+    roots = table.append(columns, roots.size)
 
     if meta["model"] == "stream_forest":
         forest = StreamForest.__new__(StreamForest)
-        forest.n_classes = n_classes
         forest.n_trees = meta["n_trees"]
         forest.replace_count = meta["replace_count"]
         forest.criteria = criteria
@@ -260,21 +258,14 @@ def load_forest(path) -> StreamForest | BatchForest:
         forest.rng = np.random.default_rng(meta["master_seed"])
         if "rng_state" in meta:
             forest.rng.bit_generator.state = meta["rng_state"]
-        _hold(forest, table, [
-            StreamTree._at(table, root, n_features, criteria, forest.rng, batches)
-            for root, batches in zip(roots, meta["tree_batches_seen"])
-        ])
+        forest._batches = np.array(meta["tree_batches_seen"], dtype=np.int64)
         forest.batches_seen = meta["batches_seen"]
         forest.last_replacement = None
-        return forest
-
-    if meta["model"] == "batch_forest":
+    elif meta["model"] == "batch_forest":
         forest = BatchForest(meta["n_trees"], criteria, meta["master_seed"],
                              meta.get("bootstrap", True))
-        forest.n_classes = n_classes
-        forest.n_features = n_features
-        _hold(forest, table, [DecisionTree._at(table, root, n_features, criteria, None)
-                              for root in roots])
-        return forest
-
-    raise ValueError(f"unknown model kind {meta['model']!r}")
+    else:
+        raise ValueError(f"unknown model kind {meta['model']!r}")
+    forest.n_classes, forest.n_features = n_classes, n_features
+    forest._table, forest._roots = table, roots
+    return forest

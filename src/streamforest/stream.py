@@ -17,12 +17,13 @@ from .tree import (
 __all__ = ["StreamTree"]
 
 
-def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
-    """Validate a first or an update batch against the model's shape;
-    returns the batch under the model's class count."""
+def _check_batch(batch: Dataset, n_classes: int, n_features: int | None = None) -> Dataset:
+    """Validate an update batch against the model's shape, or a first batch
+    (`n_features` None), which sets it; returns the batch under the model's
+    class count."""
     if batch.n_samples == 0:
         raise ValueError("batch must be nonempty")
-    if batch.n_features != n_features:
+    if n_features is not None and batch.n_features != n_features:
         raise ValueError(
             f"batch has {batch.n_features} features, model expects {n_features}"
         )
@@ -31,27 +32,24 @@ def _check_batch(batch: Dataset, n_features: int, n_classes: int) -> Dataset:
     return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
 
 
-def _update_trees(trees: list, data: Dataset, rows: np.ndarray, weights: np.ndarray,
-                  bounds, rng: np.random.Generator) -> None:
-    """Extend each stream tree ``trees[t]`` with the rows
-    ``rows[bounds[t]:bounds[t + 1]]`` of `data`, a validated batch, row
-    ``rows[i]`` counted ``weights[i]`` times; a tree's rows are distinct and
-    in increasing order, as `forest._samples` draws them. The trees share
-    one node table and one split criteria, as a forest's trees do.
+def _update_trees(table: NodeTable, roots: np.ndarray, criteria: SplitCriteria, data: Dataset,
+                  rows: np.ndarray, weights: np.ndarray, bounds,
+                  rng: np.random.Generator) -> None:
+    """Extend the stream trees at `roots` of `table` under one split
+    `criteria`, tree t with the rows ``rows[bounds[t]:bounds[t + 1]]`` of
+    `data`, a validated batch, row ``rows[i]`` counted ``weights[i]``
+    times; a tree's rows are distinct and in increasing order, as
+    `forest._samples` draws them.
 
     All (tree, row) pairs are routed and counted in one pass. Then one
     `_grow` call grows the touched leaves that can split on those weighted
     rows, drawing from `rng`; its queue starts with the leaves tree by tree,
     each tree's in depth-first, left-first order.
     """
-    table = trees[0].table
-    roots = np.array([tree.root_id for tree in trees])
     touched = _route_and_count(table, roots, rows, weights, bounds,
                                data.features, data.labels)
     _grow(table, data, touched.rows, touched.weights, touched.bounds, touched.leaves,
-          trees[0].criteria, rng)
-    for tree in trees:
-        tree.batches_seen += 1
+          criteria, rng)
 
 
 class StreamTree(DecisionTree):
@@ -70,19 +68,15 @@ class StreamTree(DecisionTree):
     tree exactly. The tree draws from one generator, seeded by `seed`: the
     touched leaves regrow breadth-first, generation by generation from the
     leaves in depth-first order, and each searched node draws its feature
-    subset in that order (see `tree._grow`). A tree of a forest draws from
-    its forest's generator instead.
+    subset in that order (see `tree._grow`). A tree of a forest is a view
+    of the forest's table, root, batch count and generator, taken when
+    ``forest.trees`` is read; the forest, not the view, updates its trees.
     """
 
-    # Bound here, not only inherited: the traced benchmark run
-    # (perfbench/tracing.py) wraps only methods found in the class's own
-    # namespace, and its "stream.predict" span is this method.
-    predict = DecisionTree.predict
-
     def __init__(self, first_batch: Dataset, n_classes: int,
-                 criteria: SplitCriteria | None = None, seed=0):
+                 criteria: SplitCriteria | None = None, seed: int = 0):
         super().__init__(criteria, seed)
-        self.fit(_check_batch(first_batch, first_batch.n_features, n_classes))
+        self.fit(_check_batch(first_batch, n_classes))
         self.batches_seen = 1
 
     @property
@@ -94,18 +88,17 @@ class StreamTree(DecisionTree):
     @classmethod
     def _at(cls, table: NodeTable, root_id: int, n_features: int, criteria: SplitCriteria,
             rng: np.random.Generator, batches_seen: int = 1) -> "StreamTree":
-        """The tree rooted at node `root_id` of `table`, which has taken in
-        `batches_seen` batches and grows on by drawing from `rng`. A snapshot
-        passes its forest's restored generator, so further updates continue
-        the original run."""
+        """A view of the tree rooted at node `root_id` of `table`, which has
+        taken in `batches_seen` batches and grows by drawing from `rng`."""
         tree = super()._at(table, root_id, n_features, criteria, rng)
         tree.batches_seen = batches_seen
         return tree
 
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
-        data = _check_batch(batch, self.n_features, self.n_classes)
+        data = _check_batch(batch, self.n_classes, self.n_features)
         n = data.n_samples
-        _update_trees([self], data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
-                      self.rng)
+        _update_trees(self._table, self._roots, self.criteria, data, np.arange(n),
+                      np.ones(n, dtype=np.int32), [0, n], self.rng)
+        self.batches_seen += 1
         return self

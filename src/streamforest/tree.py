@@ -827,38 +827,100 @@ def _check_input(model, X, ndim: int) -> np.ndarray:
     return X
 
 
-class DecisionTree:
+def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
+    """Plurality class per row over an (n_trees, n_rows) array of tree
+    predictions, ties to the lowest class."""
+    cells = np.array(per_tree, dtype=np.int64)
+    n_rows = cells.shape[1]
+    cells += np.arange(n_rows) * n_classes
+    votes = np.bincount(cells.ravel(), minlength=n_rows * n_classes)
+    return votes.reshape(n_rows, n_classes).argmax(axis=1)
+
+
+class _Model:
+    """A fitted model is the trees rooted at ``_roots`` of the node table
+    ``_table``, over ``n_features`` features and ``n_classes`` classes; it
+    predicts the majority vote of its trees, ties to the lowest class. A
+    tree is the one-root case. Unfitted, the table and the feature count
+    are None and there are no roots.
+
+    Each model binds ``predict`` (and ``predict_one``, where it is this one)
+    in its own class body as well, because the traced benchmark run
+    (perfbench/tracing.py) wraps only methods found in a class's own
+    namespace.
+    """
+
+    _table: NodeTable | None
+    _roots: np.ndarray
+    n_classes: int | None
+    n_features: int | None
+
+    def _votes(self, X: np.ndarray) -> np.ndarray:
+        """(n_trees, n_rows) class predicted by each tree for each row of X.
+
+        Rows are routed in blocks of at most _PAIRS_PER_PASS (tree, row) pairs,
+        which bounds the routing arrays to a few MB however many rows come; the
+        leaves reached are labelled in one step at the end.
+        """
+        table, roots = self._table, self._roots
+        n, n_trees = X.shape[0], roots.size
+        leaves = np.empty((n_trees, n), dtype=np.intp)
+        step = max(1, _PAIRS_PER_PASS // n_trees)
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(n, lo + step))
+            leaves[:, rows] = _descend(table, np.repeat(roots, rows.size),
+                                       np.tile(rows, n_trees), X).reshape(n_trees, rows.size)
+        return _leaf_labels(table, leaves)
+
+    def predict_one(self, x) -> int:
+        x = _check_input(self, x, 1)
+        return int(_majority_vote(self._votes(x[None, :]), self.n_classes)[0])
+
+    def predict(self, X) -> np.ndarray:
+        """Majority-class predictions for the rows of X."""
+        X = _check_input(self, X, 2)
+        if X.shape[0] == 0:
+            return np.empty(0, dtype=np.int64)
+        return _majority_vote(self._votes(X), self.n_classes)
+
+    def node_count(self) -> int:
+        return self._table.count_nodes(self._roots) if self._table is not None else 0
+
+
+class DecisionTree(_Model):
     """CART classifier: recursive Gini splits down to pure or tiny leaves.
 
     Fitting is deterministic given (data order, criteria, seed): it draws
     from ``rng = default_rng(seed)``. Prediction routes a point to its leaf
     (feature value <= threshold goes left) and returns the majority class
-    there, ties to the lowest class index. The tree is the node ``root_id``
-    of ``table``, a table of its own unless a forest holds it.
+    there, ties to the lowest class index. The tree is the one root of its
+    node table, a table of its own; a forest's trees are views into the
+    forest's table (`_at`).
     """
 
-    def __init__(self, criteria: SplitCriteria | None = None, seed=0):
+    def __init__(self, criteria: SplitCriteria | None = None, seed: int = 0):
         self.criteria = criteria if criteria is not None else SplitCriteria()
         self.seed = seed
         self.rng: np.random.Generator | None = None
-        self.table: NodeTable | None = None
-        self.root_id = -1
-        self.n_classes: int | None = None
-        self.n_features: int | None = None
+        self._table: NodeTable | None = None
+        self._roots = np.empty(0, dtype=np.intp)
+        self.n_classes = self.n_features = None
+
+    predict = _Model.predict
 
     @property
     def root(self) -> TreeNode | None:
-        return None if self.table is None else self.table.view(self.root_id)
+        return None if self._table is None else self._table.view(self._roots[0])
 
     @classmethod
     def _at(cls, table: NodeTable, root_id: int, n_features: int,
             criteria: SplitCriteria, rng) -> "DecisionTree":
-        """The fitted tree rooted at node `root_id` of `table`, whose seed and
-        generator are `rng`: the generator of the forest that grew it, or
-        None for a tree that never grows again."""
+        """A view of the fitted tree rooted at node `root_id` of `table`,
+        whose seed and generator are `rng`: the generator of the forest that
+        grew it, or None for a tree that never grows again."""
         tree = cls.__new__(cls)
-        DecisionTree.__init__(tree, criteria, rng)
-        tree.rng, tree.table, tree.root_id = rng, table, int(root_id)
+        tree.criteria, tree.seed, tree.rng = criteria, rng, rng
+        tree._table, tree._roots = table, np.array([root_id], dtype=np.intp)
         tree.n_classes, tree.n_features = table.n_classes, n_features
         return tree
 
@@ -869,18 +931,18 @@ class DecisionTree:
         table = NodeTable(data.n_classes)
         n = data.n_samples
         self.rng = np.random.default_rng(self.seed)
-        (root,) = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
-                         self.criteria, self.rng)
-        self.table, self.root_id = table, int(root)
+        self._roots = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
+                             self.criteria, self.rng)
+        self._table = table
         self.n_classes, self.n_features = data.n_classes, data.n_features
         return self
 
     def _leaf_id(self, x) -> int:
-        # Callers read self.table only after this call: it first rejects an
+        # Callers read self._table only after this call: it first rejects an
         # unfitted tree, whose table is None.
         x = _check_input(self, x, 1)
-        t = self.table
-        i = self.root_id
+        t = self._table
+        i = self._roots[0]
         while t.left[i] >= 0:
             i = t.left[i] + (x[t.feature[i]] > t.threshold[i])
         return int(i)
@@ -888,18 +950,8 @@ class DecisionTree:
     def apply(self, x) -> TreeNode:
         """Return the unique leaf whose region contains x."""
         leaf = self._leaf_id(x)
-        return self.table.view(leaf)
+        return self._table.view(leaf)
 
     def predict_one(self, x) -> int:
         leaf = self._leaf_id(x)
-        return int(np.argmax(self.table.counts[leaf]))
-
-    def predict(self, X) -> np.ndarray:
-        """Majority-class predictions for the rows of X."""
-        X = _check_input(self, X, 2)
-        rows = np.arange(X.shape[0])
-        leaves = _descend(self.table, np.full(rows.size, self.root_id), rows, X)
-        return _leaf_labels(self.table, leaves)
-
-    def node_count(self) -> int:
-        return self.table.count_nodes(self.root_id) if self.table is not None else 0
+        return int(np.argmax(self._table.counts[leaf]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from streamforest import Dataset, SplitCriteria, StreamTree
+from streamforest import Dataset
 
 
 def brute_force_best_split(data: Dataset, indices, features, weights=None):
@@ -209,19 +209,27 @@ def distinct_rows(per_tree) -> tuple:
             np.concatenate([counts for _, counts in parts]), bounds)
 
 
-def plant_constant_trees(forest, classes: dict) -> list:
+def plant_constant_trees(forest, classes: dict) -> None:
     """Make tree i of the stream `forest` a one-leaf tree whose overwhelming
-    counts vote class ``classes[i]``, for each i in `classes`; returns the
-    new trees. The leaves are planted in the forest's own table and swapped
-    in through `_replace`, as a replacement swaps trees."""
-    table, trees = forest._table, []
+    counts vote class ``classes[i]``, for each i in `classes`. The leaves are
+    planted in the forest's own table and swapped in through `_replace`, as
+    a replacement swaps trees."""
+    table, roots = forest._table, []
     for predicted_class in classes.values():
         counts = np.zeros(forest.n_classes, dtype=np.int64)
         counts[predicted_class] = 1_000_000
-        trees.append(StreamTree._at(table, table.add_leaf(counts), forest.n_features,
-                                    SplitCriteria(), forest.rng))
-    forest._replace(list(classes), trees)
-    return trees
+        roots.append(table.add_leaf(counts))
+    forest._replace(list(classes), roots)
+
+
+def kept_trees(before, after) -> list[int]:
+    """The indices t at which ``after[t]``, a stream forest's tree views read
+    after one update, is ``before[t]``, read before it, kept: it has taken in
+    one more batch and has the same nodes. A view taken before the update
+    reads the table that the update grew in place, so a kept tree compares
+    equal grown, and a replaced one has taken in one batch only."""
+    return [t for t, (old, new) in enumerate(zip(before, after))
+            if new.batches_seen == old.batches_seen + 1 and trees_equal(old.root, new.root)]
 
 
 class RefNode:

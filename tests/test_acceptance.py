@@ -31,6 +31,7 @@ from helpers import (
     check_count_conservation,
     collect_internal_splits,
     is_same_or_descendant,
+    kept_trees,
     plant_constant_trees,
     random_dataset,
     split_totals,
@@ -152,14 +153,14 @@ def test_criterion_5_replacement_mechanics():
 
     forest = StreamForest(data.subset(range(100)), 3, n_trees=6,
                           replace_count=2, seed=61_000)
-    originals = list(forest.trees)
     plant_constant_trees(forest, {4: 0, 2: 2})
+    originals = forest.trees
     forest.update(pure, force_replacement=True)
     info = forest.last_replacement
     worst_replaced = sorted(info["replaced"]) == [2, 4]
     fresh = all(forest.trees[i].batches_seen == 1 for i in (2, 4))
     conserved = len(forest.trees) == 6
-    untouched = all(forest.trees[i] is originals[i] for i in (0, 1, 3, 5))
+    untouched = kept_trees(originals, forest.trees) == [0, 1, 3, 5]
 
     tie_forest = StreamForest(data.subset(range(100)), 3, n_trees=6,
                               replace_count=1, seed=62_000)

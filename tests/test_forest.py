@@ -23,6 +23,7 @@ from streamforest.forest import _samples
 
 from helpers import (
     check_count_conservation,
+    kept_trees,
     plant_constant_trees,
     split_totals,
     trees_equal,
@@ -81,21 +82,22 @@ class TestUpdate:
     def test_zero_replacements_never_changes_trees(self):
         data = blobs(200, seed=11)
         f = StreamForest(data.subset(range(100)), 3, n_trees=4, replace_count=0, seed=12)
-        before = list(f.trees)
+        before = f.trees
         f.update(data.subset(range(100, 200)), force_replacement=True)
-        assert all(a is b for a, b in zip(before, f.trees))
+        assert kept_trees(before, f.trees) == [0, 1, 2, 3]
         assert f.last_replacement["fired"] and f.last_replacement["replaced"] == []
 
     def test_forced_replacement_removes_worst_tree(self):
         data = blobs(600, seed=13)
         f = StreamForest(data.subset(range(100)), 3, n_trees=5, seed=14)
-        (bad,) = plant_constant_trees(f, {3: 0})
+        plant_constant_trees(f, {3: 0})
+        before = f.trees
         update = pure_class_batch(data, cls=1, size=60)
         f.update(update, force_replacement=True)
         info = f.last_replacement
         assert info["replaced"] == [3]
         assert info["scores"][3] == 0.0
-        assert f.trees[3] is not bad
+        assert kept_trees(before, f.trees) == [0, 1, 2, 4]
         assert f.trees[3].batches_seen == 1
         assert len(f.trees) == 5
 
@@ -123,25 +125,26 @@ class TestUpdate:
             f.update(data.subset(range(100 * i, 100 * (i + 1))), force_replacement=True)
             replaced = f.last_replacement["replaced"]
             assert len(replaced) == 2
-            for t, (old, new) in enumerate(zip(before, f.trees)):
-                assert (old is new) == (t not in replaced)
+            assert kept_trees(before, f.trees) == [t for t in range(5) if t not in replaced]
             assert f._table.size == f.node_count()
 
     def test_unforced_coin_can_be_suppressed(self):
         data = blobs(200, seed=19)
         f = StreamForest(data.subset(range(100)), 3, n_trees=3, seed=20)
-        before = list(f.trees)
+        before = f.trees
         f.update(data.subset(range(100, 200)), force_replacement=False)
-        assert all(a is b for a, b in zip(before, f.trees))
+        assert kept_trees(before, f.trees) == [0, 1, 2]
 
     def test_error_leaves_forest_unchanged(self):
         f = StreamForest(blobs(100, seed=21), 3, n_trees=3, seed=22)
-        before = list(f.trees)
+        before = f._table.export(f._roots)
         bad = Dataset(np.zeros((5, 4)), np.zeros(5, dtype=int), 3)
         with pytest.raises(ValueError):
             f.update(bad)
         assert f.batches_seen == 1
-        assert all(a is b for a, b in zip(before, f.trees))
+        assert [tree.batches_seen for tree in f.trees] == [1, 1, 1]
+        after = f._table.export(f._roots)
+        assert all(np.array_equal(before[name], after[name]) for name in before)
 
     @pytest.mark.parametrize("n_trees", [3, 30])
     @pytest.mark.parametrize("bootstrap", [True, False])
@@ -214,7 +217,7 @@ def test_trees_hold_the_forest_table_and_criteria(tmp_path):
 
     def check(forest):
         for tree in forest.trees:
-            assert tree.table is forest._table
+            assert tree._table is forest._table
             assert tree.criteria == forest.criteria == criteria
 
     forest = StreamForest(data.subset(range(100)), 3, n_trees=5, replace_count=2,

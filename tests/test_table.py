@@ -155,7 +155,7 @@ def test_copy_trees_keeps_structure():
     leaf = forest.trees[1].apply(data.features[0])
     target = NodeTable(3)
     target.add_leaf([1, 2, 3])  # ids need not start at 0
-    roots = target.copy_trees(source, [t.root_id for t in forest.trees])
+    roots = target.copy_trees(source, forest._roots)
     assert roots.tolist() == [1, 2, 3] and target.size == 1 + source.size
     assert all(trees_equal(target.view(r), o) for r, o in zip(roots, originals))
     # Views are values: those of the source keep reading it.
@@ -197,10 +197,7 @@ def test_right_child_is_the_left_childs_sibling(case, tmp_path):
     first, which is the order a fit grows them in, and a copy of that
     holds the same trees."""
     model = _model(case, tmp_path)
-    if isinstance(model, DecisionTree):
-        table, roots = model.table, [model.root_id]
-    else:
-        table, roots = model._table, model._roots
+    table, roots = model._table, model._roots
     left = table.left[: table.size]
     inner = np.flatnonzero(left >= 0)
     assert (inner < left[inner]).all() and (left[inner] < table.size - 1).all()

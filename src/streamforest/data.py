@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import Dataset
+from .tree import Dataset, _check_integer
 
 __all__ = [
     "DataLoadError",
@@ -83,18 +83,17 @@ class FoldPlan:
 
 def make_batches(n: int, batch_size: int = 100, seed=0) -> BatchPlan:
     """Shuffle 0..n-1 with the given seed and slice into contiguous batches."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_integer("n", n, 1)
+    _check_integer("batch_size", batch_size, 1)
     rng = np.random.default_rng(seed)
     return BatchPlan(rng.permutation(n), batch_size)
 
 
 def make_folds(n: int, k: int = 5, seed=0) -> FoldPlan:
-    """Assign each of n samples to one of k cross-validation folds."""
-    if k < 2:
-        raise ValueError("need at least two folds")
-    if n < k:
-        raise ValueError("need at least one sample per fold")
+    """Assign each of n samples to one of k cross-validation folds, at
+    least one sample to each."""
+    _check_integer("k", k, 2)
+    _check_integer("n", n, k)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)

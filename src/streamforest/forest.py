@@ -19,6 +19,8 @@ from .tree import (
     NodeTable,
     SplitCriteria,
     _check_bool,
+    _check_criteria,
+    _check_dataset,
     _check_integer,
     _Model,
     _plant,
@@ -92,11 +94,12 @@ class StreamForest(_Model):
         _check_integer("replace_count", replace_count, 0)
         if replace_count > n_trees:
             raise ValueError("replace_count must lie in [0, n_trees]")
+        _check_integer("seed", seed, 0)
         _check_bool("bootstrap", bootstrap)
         self.n_classes = n_classes
         self.n_trees = n_trees
         self.replace_count = replace_count
-        self.criteria = criteria if criteria is not None else FOREST_CRITERIA
+        self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
         self.master_seed = seed
         self.bootstrap = bootstrap
         self.rng = np.random.default_rng(seed)
@@ -129,6 +132,8 @@ class StreamForest(_Model):
         unforced runs share the same generator stream. Details of the draw
         and any replacement are kept in `last_replacement`.
         """
+        if force_replacement is not None:
+            _check_bool("force_replacement", force_replacement)
         data = _check_batch(batch, self.n_classes, self.n_features)
         rows, weights, bounds = _samples(self.rng, self._roots.size, data.n_samples,
                                          self.bootstrap)
@@ -179,9 +184,10 @@ class BatchForest(_Model):
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,
                  seed: int = 0, bootstrap: bool = True):
         _check_integer("n_trees", n_trees, 1)
+        _check_integer("seed", seed, 0)
         _check_bool("bootstrap", bootstrap)
         self.n_trees = n_trees
-        self.criteria = criteria if criteria is not None else FOREST_CRITERIA
+        self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
         self.seed = seed
         self.bootstrap = bootstrap
         self.n_classes = self.n_features = self._table = None
@@ -198,6 +204,7 @@ class BatchForest(_Model):
 
     def fit(self, data: Dataset) -> "BatchForest":
         """Refit every tree on bootstrap resamples of `data`."""
+        _check_dataset("data", data)
         if data.n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
         table = NodeTable(data.n_classes)

@@ -10,6 +10,8 @@ from .tree import (
     DecisionTree,
     NodeTable,
     SplitCriteria,
+    _check_dataset,
+    _check_integer,
     _grow,
     _route_and_count,
 )
@@ -21,6 +23,7 @@ def _check_batch(batch: Dataset, n_classes: int, n_features: int | None = None) 
     """Validate an update batch against the model's shape, or a first batch
     (`n_features` None), which sets it; returns the batch under the model's
     class count."""
+    _check_dataset("first_batch" if n_features is None else "batch", batch)
     if batch.n_samples == 0:
         raise ValueError("batch must be nonempty")
     if n_features is not None and batch.n_features != n_features:
@@ -75,6 +78,7 @@ class StreamTree(DecisionTree):
 
     def __init__(self, first_batch: Dataset, n_classes: int,
                  criteria: SplitCriteria | None = None, seed: int = 0):
+        _check_integer("n_classes", n_classes, 2)
         super().__init__(criteria, seed)
         self.fit(_check_batch(first_batch, n_classes))
         self.batches_seen = 1

@@ -813,6 +813,20 @@ def _check_finite(X: np.ndarray) -> None:
         raise ValueError(f"non-finite feature value at row {row}, column {col}")
 
 
+def _check_dataset(name: str, value) -> None:
+    """Raise TypeError unless `value` is a Dataset."""
+    if not isinstance(value, Dataset):
+        raise TypeError(f"{name} must be a Dataset, not {type(value).__name__}")
+
+
+def _check_criteria(criteria, default: SplitCriteria) -> SplitCriteria:
+    """`criteria`, or `default` when it is None; raises TypeError unless it
+    is a SplitCriteria."""
+    if criteria is not None and not isinstance(criteria, SplitCriteria):
+        raise TypeError(f"criteria must be a SplitCriteria or None, not {criteria!r}")
+    return default if criteria is None else criteria
+
+
 def _check_input(model, X, ndim: int) -> np.ndarray:
     """X as a float64 vector (ndim 1) or matrix (ndim 2) of the fitted
     `model`'s features; raises ValueError on an unfitted model, a shape
@@ -827,12 +841,11 @@ def _check_input(model, X, ndim: int) -> np.ndarray:
     return X
 
 
-def _majority_vote(per_tree, n_classes: int) -> np.ndarray:
+def _majority_vote(per_tree: np.ndarray, n_classes: int) -> np.ndarray:
     """Plurality class per row over an (n_trees, n_rows) array of tree
     predictions, ties to the lowest class."""
-    cells = np.array(per_tree, dtype=np.int64)
-    n_rows = cells.shape[1]
-    cells += np.arange(n_rows) * n_classes
+    n_rows = per_tree.shape[1]
+    cells = per_tree + np.arange(n_rows) * n_classes
     votes = np.bincount(cells.ravel(), minlength=n_rows * n_classes)
     return votes.reshape(n_rows, n_classes).argmax(axis=1)
 
@@ -899,7 +912,8 @@ class DecisionTree(_Model):
     """
 
     def __init__(self, criteria: SplitCriteria | None = None, seed: int = 0):
-        self.criteria = criteria if criteria is not None else SplitCriteria()
+        _check_integer("seed", seed, 0)
+        self.criteria = _check_criteria(criteria, SplitCriteria())
         self.seed = seed
         self.rng: np.random.Generator | None = None
         self._table: NodeTable | None = None
@@ -926,6 +940,7 @@ class DecisionTree(_Model):
 
     def fit(self, data: Dataset) -> "DecisionTree":
         """Fit on the full dataset; class-count vectors sized data.n_classes."""
+        _check_dataset("data", data)
         if data.n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
         table = NodeTable(data.n_classes)

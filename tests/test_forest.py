@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamforest import (
     BYTES_PER_NODE,
@@ -16,6 +18,8 @@ from streamforest import (
     StreamTree,
     gen_synthetic,
     load_forest,
+    make_batches,
+    make_folds,
     model_size,
     save_forest,
 )
@@ -344,6 +348,52 @@ def test_bad_constructor_argument_is_named(name, make, error):
 def test_whole_float_labels_are_accepted():
     data = _three_rows([0.0, 2.0, 1.0])
     assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 2, 1]
+
+
+# Malformed values of each kind of argument the public calls below take.
+_NOT_DATASETS = [np.zeros((5, 2)), [[0.0, 1.0]], None]
+_NOT_COUNTS = [2.5, "3", True, None, -1]
+_NOT_BOOLS = ["no", 1, 0.0]
+_MALFORMED = {
+    "first_batch": _NOT_DATASETS, "batch": _NOT_DATASETS, "data": _NOT_DATASETS,
+    "n_classes": _NOT_COUNTS, "n_trees": _NOT_COUNTS, "replace_count": _NOT_COUNTS,
+    "seed": _NOT_COUNTS, "n": _NOT_COUNTS, "batch_size": _NOT_COUNTS, "k": _NOT_COUNTS,
+    "bootstrap": _NOT_BOOLS, "force_replacement": _NOT_BOOLS,
+    "criteria": [3, "sqrt", {"max_features": 1}],
+}
+
+
+def _public_calls(data: Dataset, n_trees: int) -> list:
+    """Each public call that takes `data` in some form, as (function, its
+    valid keyword arguments)."""
+    return [
+        (StreamForest, dict(first_batch=data, n_classes=3, n_trees=n_trees, replace_count=1,
+                            criteria=None, seed=0, bootstrap=True)),
+        (StreamForest(data, 3, n_trees=n_trees, seed=1).update,
+         dict(batch=data, force_replacement=None)),
+        (StreamTree, dict(first_batch=data, n_classes=3, criteria=None, seed=0)),
+        (StreamTree(data, 3, seed=1).update, dict(batch=data)),
+        (DecisionTree, dict(criteria=None, seed=0)),
+        (DecisionTree().fit, dict(data=data)),
+        (BatchForest, dict(n_trees=n_trees, criteria=None, seed=0, bootstrap=True)),
+        (BatchForest(n_trees).fit, dict(data=data)),
+        (make_batches, dict(n=data.n_samples, batch_size=10)),
+        (make_folds, dict(n=data.n_samples, k=3)),
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(20, 60), st.integers(1, 4), st.data())
+def test_a_malformed_argument_is_named(n, n_trees, draw):
+    """Any public call given one malformed argument, the others valid,
+    raises a TypeError or ValueError that names that argument."""
+    data = blobs(n, seed=n)
+    call, kwargs = draw.draw(st.sampled_from(_public_calls(data, n_trees)))
+    assert call(**kwargs) is not None  # valid as given
+    name = draw.draw(st.sampled_from(sorted(kwargs)))
+    kwargs[name] = draw.draw(st.sampled_from(_MALFORMED[name]))
+    with pytest.raises((TypeError, ValueError), match=rf"\b{name}\b"):
+        call(**kwargs)
 
 
 class TestDeterminism:

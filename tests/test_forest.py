@@ -364,8 +364,8 @@ _MALFORMED = {
 
 
 def _public_calls(data: Dataset, n_trees: int) -> list:
-    """Each public call that takes `data` in some form, as (function, its
-    valid keyword arguments)."""
+    """The public calls that check their arguments, each as (function, its
+    valid keyword arguments), the Dataset ones on `data`."""
     return [
         (StreamForest, dict(first_batch=data, n_classes=3, n_trees=n_trees, replace_count=1,
                             criteria=None, seed=0, bootstrap=True)),

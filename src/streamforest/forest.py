@@ -119,8 +119,7 @@ class StreamForest(_Model):
         """Views of the current trees, taken now: a view reads the table the
         forest holds now, which later updates grow in place until a
         replacement moves the forest to a new table."""
-        return tuple(StreamTree._at(self._table, root, self.n_features, self.criteria, self.rng,
-                                    batches)
+        return tuple(StreamTree._at(self._table, root, self.n_features, self.criteria, batches)
                      for root, batches in zip(self._roots.tolist(), self._batches.tolist()))
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
@@ -199,7 +198,7 @@ class BatchForest(_Model):
     @property
     def trees(self) -> tuple:
         """Views of the fitted trees; none before the first fit."""
-        return tuple(DecisionTree._at(self._table, root, self.n_features, self.criteria, None)
+        return tuple(DecisionTree._at(self._table, root, self.n_features, self.criteria)
                      for root in self._roots.tolist())
 
     def fit(self, data: Dataset) -> "BatchForest":

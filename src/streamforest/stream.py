@@ -71,9 +71,10 @@ class StreamTree(DecisionTree):
     tree exactly. The tree draws from one generator, seeded by `seed`: the
     touched leaves regrow breadth-first, generation by generation from the
     leaves in depth-first order, and each searched node draws its feature
-    subset in that order (see `tree._grow`). A tree of a forest is a view
-    of the forest's table, root, batch count and generator, taken when
-    ``forest.trees`` is read; the forest, not the view, updates its trees.
+    subset in that order (see `tree._grow`). A tree of a forest is a read
+    view of the forest's table, root and batch count, taken when
+    ``forest.trees`` is read; it has no generator and refuses ``update``,
+    since the forest updates its trees.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int,
@@ -89,17 +90,21 @@ class StreamTree(DecisionTree):
         ``forest.trees[t].tree.root``."""
         return self
 
+    predict = DecisionTree.predict
+
     @classmethod
     def _at(cls, table: NodeTable, root_id: int, n_features: int, criteria: SplitCriteria,
-            rng: np.random.Generator, batches_seen: int = 1) -> "StreamTree":
-        """A view of the tree rooted at node `root_id` of `table`, which has
-        taken in `batches_seen` batches and grows by drawing from `rng`."""
-        tree = super()._at(table, root_id, n_features, criteria, rng)
+            batches_seen: int) -> "StreamTree":
+        """A read view of the tree rooted at node `root_id` of a forest's
+        `table`, which has taken in `batches_seen` batches."""
+        tree = super()._at(table, root_id, n_features, criteria)
         tree.batches_seen = batches_seen
         return tree
 
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
+        if self.rng is None:
+            raise TypeError("this StreamTree is a view of a forest's tree; update the forest")
         data = _check_batch(batch, self.n_classes, self.n_features)
         n = data.n_samples
         _update_trees(self._table, self._roots, self.criteria, data, np.arange(n),

@@ -880,9 +880,10 @@ class _Model:
         leaves = np.empty((n_trees, n), dtype=np.intp)
         step = max(1, _PAIRS_PER_PASS // n_trees)
         for lo in range(0, n, step):
-            rows = np.arange(lo, min(n, lo + step))
-            leaves[:, rows] = _descend(table, np.repeat(roots, rows.size),
-                                       np.tile(rows, n_trees), X).reshape(n_trees, rows.size)
+            hi = min(n, lo + step)
+            rows = np.arange(lo, hi)
+            leaves[:, lo:hi] = _descend(table, np.repeat(roots, rows.size),
+                                        np.tile(rows, n_trees), X).reshape(n_trees, rows.size)
         return _leaf_labels(table, leaves)
 
     def predict_one(self, x) -> int:
@@ -894,7 +895,8 @@ class _Model:
         X = _check_input(self, X, 2)
         if X.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        return _majority_vote(self._votes(X), self.n_classes)
+        votes = self._votes(X)
+        return votes[0] if votes.shape[0] == 1 else _majority_vote(votes, self.n_classes)
 
     def node_count(self) -> int:
         return self._table.count_nodes(self._roots) if self._table is not None else 0
@@ -928,12 +930,12 @@ class DecisionTree(_Model):
 
     @classmethod
     def _at(cls, table: NodeTable, root_id: int, n_features: int,
-            criteria: SplitCriteria, rng) -> "DecisionTree":
-        """A view of the fitted tree rooted at node `root_id` of `table`,
-        whose seed and generator are `rng`: the generator of the forest that
-        grew it, or None for a tree that never grows again."""
+            criteria: SplitCriteria) -> "DecisionTree":
+        """A read view of the fitted tree rooted at node `root_id` of a
+        forest's `table`. It has no seed or generator: the forest grows its
+        trees."""
         tree = cls.__new__(cls)
-        tree.criteria, tree.seed, tree.rng = criteria, rng, rng
+        tree.criteria, tree.seed, tree.rng = criteria, None, None
         tree._table, tree._roots = table, np.array([root_id], dtype=np.intp)
         tree.n_classes, tree.n_features = table.n_classes, n_features
         return tree

@@ -150,6 +150,17 @@ class TestUpdate:
         after = f._table.export(f._roots)
         assert all(np.array_equal(before[name], after[name]) for name in before)
 
+    def test_a_tree_view_refuses_update(self):
+        f = StreamForest(blobs(100, seed=21), 3, n_trees=3, seed=22)
+        before = f._table.export(f._roots)
+        state = f.rng.bit_generator.state
+        with pytest.raises(TypeError, match="update the forest"):
+            f.trees[0].update(blobs(100, seed=23))
+        assert f._batches.tolist() == [1, 1, 1]
+        assert f.rng.bit_generator.state == state
+        after = f._table.export(f._roots)
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+
     @pytest.mark.parametrize("n_trees", [3, 30])
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_update_builds_at_most_two_datasets(self, monkeypatch, n_trees, bootstrap):

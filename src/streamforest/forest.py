@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stream import StreamTree, _check_batch, _update_trees
+from .stream import StreamTree, _check_batch
 from .tree import (
     BYTES_PER_NODE,
     Dataset,
@@ -20,10 +20,9 @@ from .tree import (
     SplitCriteria,
     _check_bool,
     _check_criteria,
-    _check_dataset,
     _check_integer,
     _Model,
-    _plant,
+    _planted,
 )
 
 __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
@@ -31,41 +30,6 @@ __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
 # Default split rules of both forests; SplitCriteria is frozen, so sharing
 # one instance is safe.
 FOREST_CRITERIA = SplitCriteria(max_features="sqrt")
-
-
-def _samples(rng: np.random.Generator, count: int, n: int,
-             bootstrap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of n that `count` trees, new or updated, grow on: (rows,
-    weights, bounds), tree t on ``rows[bounds[t]:bounds[t + 1]]``, row
-    ``rows[i]`` counted ``weights[i]`` times.
-
-    A bootstrap draws all trees' n rows in one call and keeps each tree's
-    distinct rows, in increasing order, with the number of times each was
-    drawn; without one, every tree takes every row once. Both buffers are
-    32-bit where n allows, as they stay allocated while the trees grow.
-    """
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    bounds = np.arange(count + 1) * n
-    if not bootstrap:
-        return np.tile(np.arange(n, dtype=index), count), np.ones(count * n, np.int32), bounds
-    cells = rng.integers(0, n, (count, n))
-    cells += bounds[:-1, None]  # (tree, row) cell t * n + row
-    repeats = np.bincount(cells.reshape(-1), minlength=count * n)
-    del cells
-    drawn = np.flatnonzero(repeats)
-    weights = repeats[drawn].astype(np.int32)
-    del repeats
-    rows = np.remainder(drawn, n, out=np.empty(drawn.size, dtype=index))
-    return rows, weights, np.searchsorted(drawn, bounds)
-
-
-def _planted(table: NodeTable, data: Dataset, count: int, criteria: SplitCriteria,
-             bootstrap: bool, rng: np.random.Generator) -> np.ndarray:
-    """The roots of `count` new trees grown together in `table` by one
-    `_grow` call, each on a sample of `data` as `_samples` draws it, all
-    drawing from `rng`."""
-    rows, weights, bounds = _samples(rng, count, data.n_samples, bootstrap)
-    return _plant(table, data, rows, weights, bounds, criteria, rng)
 
 
 class StreamForest(_Model):
@@ -96,17 +60,13 @@ class StreamForest(_Model):
             raise ValueError("replace_count must lie in [0, n_trees]")
         _check_integer("seed", seed, 0)
         _check_bool("bootstrap", bootstrap)
-        self.n_classes = n_classes
         self.n_trees = n_trees
         self.replace_count = replace_count
         self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
         self.master_seed = seed
         self.bootstrap = bootstrap
         self.rng = np.random.default_rng(seed)
-        data = _check_batch(first_batch, n_classes)
-        self.n_features = data.n_features
-        self._table = NodeTable(n_classes)
-        self._roots = _planted(self._table, data, n_trees, self.criteria, bootstrap, self.rng)
+        self._fit(_check_batch(first_batch, n_classes), n_trees, bootstrap, self.rng)
         self._batches = np.ones(n_trees, dtype=np.int64)  # batches each tree has taken in
         self.batches_seen = 1
         self.last_replacement: dict | None = None
@@ -134,10 +94,7 @@ class StreamForest(_Model):
         if force_replacement is not None:
             _check_bool("force_replacement", force_replacement)
         data = _check_batch(batch, self.n_classes, self.n_features)
-        rows, weights, bounds = _samples(self.rng, self._roots.size, data.n_samples,
-                                         self.bootstrap)
-        _update_trees(self._table, self._roots, self.criteria, data, rows, weights, bounds,
-                      self.rng)
+        self._extend(data, self.bootstrap)
         self._batches += 1
         self.batches_seen += 1
 
@@ -202,15 +159,9 @@ class BatchForest(_Model):
                      for root in self._roots.tolist())
 
     def fit(self, data: Dataset) -> "BatchForest":
-        """Refit every tree on bootstrap resamples of `data`."""
-        _check_dataset("data", data)
-        if data.n_samples == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        table = NodeTable(data.n_classes)
-        self._roots = _planted(table, data, self.n_trees, self.criteria, self.bootstrap,
-                               np.random.default_rng(self.seed))
-        self._table = table
-        self.n_classes, self.n_features = data.n_classes, data.n_features
+        """Refit every tree on bootstrap resamples of `data`; the forest is
+        unchanged on error."""
+        self._fit(data, self.n_trees, self.bootstrap, np.random.default_rng(self.seed))
         return self
 
 

@@ -3,8 +3,6 @@ the leaves that new samples reach and never altering existing internal nodes."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .tree import (
     Dataset,
     DecisionTree,
@@ -12,8 +10,6 @@ from .tree import (
     SplitCriteria,
     _check_dataset,
     _check_integer,
-    _grow,
-    _route_and_count,
 )
 
 __all__ = ["StreamTree"]
@@ -33,26 +29,6 @@ def _check_batch(batch: Dataset, n_classes: int, n_features: int | None = None) 
     if batch.labels.max() >= n_classes:
         raise ValueError(f"batch labels must lie below n_classes={n_classes}")
     return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
-
-
-def _update_trees(table: NodeTable, roots: np.ndarray, criteria: SplitCriteria, data: Dataset,
-                  rows: np.ndarray, weights: np.ndarray, bounds,
-                  rng: np.random.Generator) -> None:
-    """Extend the stream trees at `roots` of `table` under one split
-    `criteria`, tree t with the rows ``rows[bounds[t]:bounds[t + 1]]`` of
-    `data`, a validated batch, row ``rows[i]`` counted ``weights[i]``
-    times; a tree's rows are distinct and in increasing order, as
-    `forest._samples` draws them.
-
-    All (tree, row) pairs are routed and counted in one pass. Then one
-    `_grow` call grows the touched leaves that can split on those weighted
-    rows, drawing from `rng`; its queue starts with the leaves tree by tree,
-    each tree's in depth-first, left-first order.
-    """
-    touched = _route_and_count(table, roots, rows, weights, bounds,
-                               data.features, data.labels)
-    _grow(table, data, touched.rows, touched.weights, touched.bounds, touched.leaves,
-          criteria, rng)
 
 
 class StreamTree(DecisionTree):
@@ -105,9 +81,6 @@ class StreamTree(DecisionTree):
         """Extend the tree with one batch; the tree is unchanged on error."""
         if self.rng is None:
             raise TypeError("this StreamTree is a view of a forest's tree; update the forest")
-        data = _check_batch(batch, self.n_classes, self.n_features)
-        n = data.n_samples
-        _update_trees(self._table, self._roots, self.criteria, data, np.arange(n),
-                      np.ones(n, dtype=np.int32), [0, n], self.rng)
+        self._extend(_check_batch(batch, self.n_classes, self.n_features), False)
         self.batches_seen += 1
         return self

@@ -749,7 +749,7 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     Tree t, rooted at ``roots[t]``, takes the rows
     ``rows[bounds[t]:bounds[t + 1]]`` of (X, y), distinct and in increasing
     order, row ``rows[i]`` counted ``weights[i]`` times: a bootstrap
-    resample as `forest._samples` draws it, so each distinct pair is routed
+    resample as `_samples` draws it, so each distinct pair is routed
     once.
     """
     tree = np.repeat(np.arange(len(roots)), np.diff(bounds))
@@ -791,17 +791,42 @@ def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
     return table.counts[leaves].argmax(axis=-1)
 
 
-def _plant(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray, bounds,
-           criteria: SplitCriteria, rng: np.random.Generator) -> np.ndarray:
-    """New trees in `table`, tree t grown on ``rows[bounds[t]:bounds[t + 1]]``
-    of `data`, row ``rows[i]`` counted ``weights[i]`` times, all by one
-    `_grow` call drawing from `rng`, which reorders `rows` and `weights`;
-    returns their root ids."""
-    bounds = np.asarray(bounds, dtype=np.intp)
-    n_trees, k = bounds.size - 1, data.n_classes
-    counts = np.bincount(np.repeat(np.arange(n_trees) * k, np.diff(bounds)) + data.labels[rows],
-                         weights=weights, minlength=n_trees * k)
-    roots = table.add_leaves(counts.astype(np.int64).reshape(n_trees, k))
+def _samples(rng: np.random.Generator, count: int, n: int,
+             bootstrap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of n that `count` trees, new or updated, grow on: (rows,
+    weights, bounds), tree t on ``rows[bounds[t]:bounds[t + 1]]``, row
+    ``rows[i]`` counted ``weights[i]`` times.
+
+    A bootstrap draws all trees' n rows in one call and keeps each tree's
+    distinct rows, in increasing order, with the number of times each was
+    drawn; without one, every tree takes every row once. Both buffers are
+    32-bit where n allows, as they stay allocated while the trees grow.
+    """
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    bounds = np.arange(count + 1) * n
+    if not bootstrap:
+        return np.tile(np.arange(n, dtype=index), count), np.ones(count * n, np.int32), bounds
+    cells = rng.integers(0, n, (count, n))
+    cells += bounds[:-1, None]  # (tree, row) cell t * n + row
+    repeats = np.bincount(cells.reshape(-1), minlength=count * n)
+    del cells
+    drawn = np.flatnonzero(repeats)
+    weights = repeats[drawn].astype(np.int32)
+    del repeats
+    rows = np.remainder(drawn, n, out=np.empty(drawn.size, dtype=index))
+    return rows, weights, np.searchsorted(drawn, bounds)
+
+
+def _planted(table: NodeTable, data: Dataset, count: int, criteria: SplitCriteria,
+             bootstrap: bool, rng: np.random.Generator) -> np.ndarray:
+    """The roots of `count` new trees grown together in `table` by one
+    `_grow` call, each on a sample of `data` as `_samples` draws it, all
+    drawing from `rng`."""
+    rows, weights, bounds = _samples(rng, count, data.n_samples, bootstrap)
+    k = data.n_classes
+    counts = np.bincount(np.repeat(np.arange(count) * k, np.diff(bounds)) + data.labels[rows],
+                         weights=weights, minlength=count * k)
+    roots = table.add_leaves(counts.astype(np.int64).reshape(count, k))
     _grow(table, data, rows, weights, bounds, roots, criteria, rng)
     return roots
 
@@ -857,6 +882,9 @@ class _Model:
     tree is the one-root case. Unfitted, the table and the feature count
     are None and there are no roots.
 
+    Every model fits through `_fit` and updates through `_extend`, which
+    draws from its generator ``rng``; both grow under its ``criteria``.
+
     Each model binds ``predict`` (and ``predict_one``, where it is this one)
     in its own class body as well, because the traced benchmark run
     (perfbench/tracing.py) wraps only methods found in a class's own
@@ -867,6 +895,29 @@ class _Model:
     _roots: np.ndarray
     n_classes: int | None
     n_features: int | None
+
+    def _fit(self, data: Dataset, count: int, bootstrap: bool, rng: np.random.Generator) -> None:
+        """Make the model `count` new trees grown on `data` in a new table,
+        each on a sample as `_planted` draws it from `rng`; the model is
+        unchanged on error."""
+        _check_dataset("data", data)
+        if data.n_samples == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        table = NodeTable(data.n_classes)
+        self._roots = _planted(table, data, count, self.criteria, bootstrap, rng)
+        self._table = table
+        self.n_classes, self.n_features = data.n_classes, data.n_features
+
+    def _extend(self, data: Dataset, bootstrap: bool) -> None:
+        """Grow every tree on a sample of `data`, a batch checked against the
+        model's shape, as `_samples` draws it: all (tree, row) pairs are
+        routed and counted in one pass, then one `_grow` call grows the
+        touched leaves, tree by tree, each tree's depth-first, left first."""
+        rows, weights, bounds = _samples(self.rng, self._roots.size, data.n_samples, bootstrap)
+        touched = _route_and_count(self._table, self._roots, rows, weights, bounds,
+                                   data.features, data.labels)
+        _grow(self._table, data, touched.rows, touched.weights, touched.bounds, touched.leaves,
+              self.criteria, self.rng)
 
     def _votes(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_rows) class predicted by each tree for each row of X.
@@ -941,17 +992,11 @@ class DecisionTree(_Model):
         return tree
 
     def fit(self, data: Dataset) -> "DecisionTree":
-        """Fit on the full dataset; class-count vectors sized data.n_classes."""
-        _check_dataset("data", data)
-        if data.n_samples == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        table = NodeTable(data.n_classes)
-        n = data.n_samples
-        self.rng = np.random.default_rng(self.seed)
-        self._roots = _plant(table, data, np.arange(n), np.ones(n, dtype=np.int32), [0, n],
-                             self.criteria, self.rng)
-        self._table = table
-        self.n_classes, self.n_features = data.n_classes, data.n_features
+        """Fit on the full dataset, class counts sized data.n_classes; the
+        tree is unchanged on error."""
+        rng = np.random.default_rng(self.seed)
+        self._fit(data, 1, False, rng)
+        self.rng = rng
         return self
 
     def _leaf_id(self, x) -> int:

@@ -199,7 +199,7 @@ def loop_route(roots, rows, tree_of, X, y, n_classes):
 
 
 def distinct_rows(per_tree) -> tuple:
-    """Per-tree row lists in the form the router and `_update_trees` take:
+    """Per-tree row lists in the form `_samples` draws and the router takes:
     (rows, weights, bounds), tree t's distinct rows in increasing order at
     ``rows[bounds[t]:bounds[t + 1]]``, row ``rows[i]`` listed ``weights[i]``
     times."""

@@ -23,7 +23,7 @@ from streamforest import (
     model_size,
     save_forest,
 )
-from streamforest.forest import _samples
+from streamforest.tree import _samples
 
 from helpers import (
     check_count_conservation,

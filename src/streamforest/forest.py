@@ -53,6 +53,16 @@ class StreamForest(_Model):
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
                  replace_count: int = 1, criteria: SplitCriteria | None = None,
                  seed: int = 0, bootstrap: bool = True):
+        self._configure(n_classes, n_trees, replace_count, criteria, seed, bootstrap)
+        self._fit(_check_batch("first_batch", first_batch, n_classes), n_trees, bootstrap,
+                  self.rng)
+        self._batches = np.ones(n_trees, dtype=np.int64)  # batches each tree has taken in
+        self.batches_seen = 1
+
+    def _configure(self, n_classes, n_trees, replace_count, criteria, seed, bootstrap) -> None:
+        """Check the hyperparameters, named as the constructor names them,
+        and set them, with a generator seeded by `seed`. `load_forest` sets
+        a loaded forest's hyperparameters through this step as well."""
         _check_integer("n_classes", n_classes, 2)
         _check_integer("n_trees", n_trees, 1)
         _check_integer("replace_count", replace_count, 0)
@@ -60,15 +70,13 @@ class StreamForest(_Model):
             raise ValueError("replace_count must lie in [0, n_trees]")
         _check_integer("seed", seed, 0)
         _check_bool("bootstrap", bootstrap)
+        self.n_classes = n_classes
         self.n_trees = n_trees
         self.replace_count = replace_count
         self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
         self.master_seed = seed
         self.bootstrap = bootstrap
         self.rng = np.random.default_rng(seed)
-        self._fit(_check_batch(first_batch, n_classes), n_trees, bootstrap, self.rng)
-        self._batches = np.ones(n_trees, dtype=np.int64)  # batches each tree has taken in
-        self.batches_seen = 1
         self.last_replacement: dict | None = None
 
     predict = _Model.predict
@@ -93,7 +101,7 @@ class StreamForest(_Model):
         """
         if force_replacement is not None:
             _check_bool("force_replacement", force_replacement)
-        data = _check_batch(batch, self.n_classes, self.n_features)
+        data = _check_batch("batch", batch, self.n_classes, self.n_features)
         self._extend(data, self.bootstrap)
         self._batches += 1
         self.batches_seen += 1

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import BatchForest, StreamForest
-from .tree import NodeTable, SplitCriteria, _breadth_first
+from .tree import NodeTable, SplitCriteria, _breadth_first, _check_integer
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
@@ -47,6 +47,13 @@ _V4 = "streamforest-snapshot-v4"  # v5 with a `pre_split_total` column as well
 _V3 = "streamforest-snapshot-v3"
 _JSON_FORMATS = ("streamforest-snapshot-v2", "streamforest-snapshot-v1")
 _ZIP_MAGIC = b"PK\x03\x04"
+
+
+class _Header(dict):
+    """A snapshot header, whose missing keys raise ValueError by name."""
+
+    def __missing__(self, key):
+        raise ValueError(f"snapshot header lacks {key!r}")
 
 
 @contextlib.contextmanager
@@ -151,8 +158,8 @@ def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
 
 def _integers(values: list) -> np.ndarray:
     """JSON numbers, or lists of them, as int64 if all are integers; else
-    as objects, which `_check_trees` rejects by dtype kind, so that 1.7,
-    1.0 or true never pass for an integer."""
+    as objects, which `_check_trees` and `_check_integer` reject by dtype
+    kind, so that 1.7, 1.0 or true never pass for an integer."""
     column = np.array(values, dtype=object)
     if all(type(v) is int for v in column.flat):
         return column.astype(np.int64)
@@ -235,37 +242,40 @@ def load_forest(path) -> StreamForest | BatchForest:
     and predict exactly as saved. Their per-tree generator states are
     ignored: updates continue under the v2 draw rule from the forest-level
     state, so they are deterministic but differ from a v1 run.
+
+    The header is checked as the constructors check their arguments, batch
+    counts as integers of at least 1; a missing key raises ValueError
+    naming it.
     """
     with open(path, "rb") as fh:
         is_archive = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
         fh.seek(0)
         meta, columns, starts = (_read_archive if is_archive else _read_json)(fh)
+    meta = _Header(meta)
+    _check_integer("n_classes", meta["n_classes"], 2)
+    _check_integer("n_features", meta["n_features"], 1)
+    criteria = SplitCriteria(**meta["criteria"])
+    bootstrap = meta.get("bootstrap", True)
+    if meta["model"] == "stream_forest":
+        forest = StreamForest.__new__(StreamForest)
+        forest._configure(meta["n_classes"], meta["n_trees"], meta["replace_count"], criteria,
+                          meta["master_seed"], bootstrap)
+        if "rng_state" in meta:
+            forest.rng.bit_generator.state = meta["rng_state"]
+        forest.batches_seen = meta["batches_seen"]
+        forest._batches = _integers(meta["tree_batches_seen"])
+        _check_integer("batches_seen", forest.batches_seen, 1)
+        _check_integer("tree_batches_seen", forest._batches, 1)
+        if forest._batches.ndim != 1:
+            raise ValueError("tree_batches_seen must be a list of integers")
+    elif meta["model"] == "batch_forest":
+        forest = BatchForest(meta["n_trees"], criteria, meta["master_seed"], bootstrap)
+    else:
+        raise ValueError(f"unknown model kind {meta['model']!r}")
     roots = _check_trees(meta, columns, starts)
     if starts is not None:
         columns = _breadth_first(columns, roots, columns["right"])
-    criteria = SplitCriteria(**meta["criteria"])
-    n_classes, n_features = meta["n_classes"], meta["n_features"]
-    table = NodeTable(n_classes, capacity=0)
-    roots = table.append(columns, roots.size)
-
-    if meta["model"] == "stream_forest":
-        forest = StreamForest.__new__(StreamForest)
-        forest.n_trees = meta["n_trees"]
-        forest.replace_count = meta["replace_count"]
-        forest.criteria = criteria
-        forest.master_seed = meta["master_seed"]
-        forest.bootstrap = meta.get("bootstrap", True)
-        forest.rng = np.random.default_rng(meta["master_seed"])
-        if "rng_state" in meta:
-            forest.rng.bit_generator.state = meta["rng_state"]
-        forest._batches = np.array(meta["tree_batches_seen"], dtype=np.int64)
-        forest.batches_seen = meta["batches_seen"]
-        forest.last_replacement = None
-    elif meta["model"] == "batch_forest":
-        forest = BatchForest(meta["n_trees"], criteria, meta["master_seed"],
-                             meta.get("bootstrap", True))
-    else:
-        raise ValueError(f"unknown model kind {meta['model']!r}")
-    forest.n_classes, forest.n_features = n_classes, n_features
-    forest._table, forest._roots = table, roots
+    forest.n_classes, forest.n_features = meta["n_classes"], meta["n_features"]
+    forest._table = NodeTable(forest.n_classes, capacity=0)
+    forest._roots = forest._table.append(columns, roots.size)
     return forest

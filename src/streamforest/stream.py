@@ -15,19 +15,20 @@ from .tree import (
 __all__ = ["StreamTree"]
 
 
-def _check_batch(batch: Dataset, n_classes: int, n_features: int | None = None) -> Dataset:
-    """Validate an update batch against the model's shape, or a first batch
-    (`n_features` None), which sets it; returns the batch under the model's
-    class count."""
-    _check_dataset("first_batch" if n_features is None else "batch", batch)
+def _check_batch(name: str, batch: Dataset, n_classes: int,
+                 n_features: int | None = None) -> Dataset:
+    """Validate the argument `name`, an update batch, against the model's
+    shape, or a first batch (`n_features` None), which sets it; returns the
+    batch under the model's class count."""
+    _check_dataset(name, batch)
     if batch.n_samples == 0:
-        raise ValueError("batch must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
     if n_features is not None and batch.n_features != n_features:
         raise ValueError(
-            f"batch has {batch.n_features} features, model expects {n_features}"
+            f"{name} has {batch.n_features} features, model expects {n_features}"
         )
     if batch.labels.max() >= n_classes:
-        raise ValueError(f"batch labels must lie below n_classes={n_classes}")
+        raise ValueError(f"{name} labels must lie below n_classes={n_classes}")
     return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
 
 
@@ -49,15 +50,15 @@ class StreamTree(DecisionTree):
     leaves in depth-first order, and each searched node draws its feature
     subset in that order (see `tree._grow`). A tree of a forest is a read
     view of the forest's table, root and batch count, taken when
-    ``forest.trees`` is read; it has no generator and refuses ``update``,
-    since the forest updates its trees.
+    ``forest.trees`` is read; it has no seed or generator and refuses
+    ``fit`` and ``update``, since the forest fits and updates its trees.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int,
                  criteria: SplitCriteria | None = None, seed: int = 0):
         _check_integer("n_classes", n_classes, 2)
         super().__init__(criteria, seed)
-        self.fit(_check_batch(first_batch, n_classes))
+        super().fit(_check_batch("first_batch", first_batch, n_classes))
         self.batches_seen = 1
 
     @property
@@ -77,10 +78,17 @@ class StreamTree(DecisionTree):
         tree.batches_seen = batches_seen
         return tree
 
+    def fit(self, data: Dataset) -> "StreamTree":
+        """Restart the stream with `data` as its first batch, under the
+        tree's class count: the tree becomes ``StreamTree(data, n_classes,
+        criteria, seed)``. The tree is unchanged on error."""
+        super().fit(_check_batch("data", data, self.n_classes))
+        self.batches_seen = 1
+        return self
+
     def update(self, batch: Dataset) -> "StreamTree":
         """Extend the tree with one batch; the tree is unchanged on error."""
-        if self.rng is None:
-            raise TypeError("this StreamTree is a view of a forest's tree; update the forest")
-        self._extend(_check_batch(batch, self.n_classes, self.n_features), False)
+        self._check_own("update")
+        self._extend(_check_batch("batch", batch, self.n_classes, self.n_features), False)
         self.batches_seen += 1
         return self

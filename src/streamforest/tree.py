@@ -983,17 +983,25 @@ class DecisionTree(_Model):
     def _at(cls, table: NodeTable, root_id: int, n_features: int,
             criteria: SplitCriteria) -> "DecisionTree":
         """A read view of the fitted tree rooted at node `root_id` of a
-        forest's `table`. It has no seed or generator: the forest grows its
-        trees."""
+        forest's `table`. It has no seed or generator, so it refuses `fit`:
+        the forest grows its trees."""
         tree = cls.__new__(cls)
         tree.criteria, tree.seed, tree.rng = criteria, None, None
         tree._table, tree._roots = table, np.array([root_id], dtype=np.intp)
         tree.n_classes, tree.n_features = table.n_classes, n_features
         return tree
 
+    def _check_own(self, call: str) -> None:
+        """Raise TypeError if this tree is a view of a forest's tree, which
+        has no seed: only the forest may `call` it."""
+        if self.seed is None:
+            raise TypeError(f"this {type(self).__name__} is a view of a forest's tree; "
+                            f"{call} the forest")
+
     def fit(self, data: Dataset) -> "DecisionTree":
         """Fit on the full dataset, class counts sized data.n_classes; the
         tree is unchanged on error."""
+        self._check_own("fit")
         rng = np.random.default_rng(self.seed)
         self._fit(data, 1, False, rng)
         self.rng = rng

@@ -23,6 +23,7 @@ from streamforest import (
     model_size,
     save_forest,
 )
+import streamforest.tree
 from streamforest.tree import _samples
 
 from helpers import (
@@ -32,6 +33,9 @@ from helpers import (
     split_totals,
     trees_equal,
 )
+
+
+SQRT = SplitCriteria(max_features="sqrt")
 
 
 def blobs(n, seed, noise=0.0, k=3):
@@ -151,15 +155,19 @@ class TestUpdate:
         assert all(np.array_equal(before[name], after[name]) for name in before)
 
     def test_a_tree_view_refuses_update(self):
-        f = StreamForest(blobs(100, seed=21), 3, n_trees=3, seed=22)
-        before = f._table.export(f._roots)
-        state = f.rng.bit_generator.state
-        with pytest.raises(TypeError, match="update the forest"):
-            f.trees[0].update(blobs(100, seed=23))
-        assert f._batches.tolist() == [1, 1, 1]
-        assert f.rng.bit_generator.state == state
-        after = f._table.export(f._roots)
-        assert all(np.array_equal(before[name], after[name]) for name in before)
+        data = blobs(100, seed=21)
+        stream = StreamForest(data, 3, n_trees=3, seed=22)
+        batch = BatchForest(3, seed=22).fit(data)
+        for f, call in ((stream, "update"), (stream, "fit"), (batch, "fit")):
+            before = f._table.export(f._roots)
+            state = f.rng.bit_generator.state if f is stream else None
+            with pytest.raises(TypeError, match=f"{call} the forest"):
+                getattr(f.trees[0], call)(blobs(100, seed=23))
+            if f is stream:
+                assert f._batches.tolist() == [1, 1, 1]
+                assert f.rng.bit_generator.state == state
+            after = f._table.export(f._roots)
+            assert all(np.array_equal(before[name], after[name]) for name in before)
 
     @pytest.mark.parametrize("n_trees", [3, 30])
     @pytest.mark.parametrize("bootstrap", [True, False])
@@ -444,11 +452,14 @@ class TestBatchForest:
         assert np.array_equal(a, b)
 
     def test_degenerate_forest_equals_single_tree(self):
-        data = blobs(150, seed=53, noise=0.5)
-        criteria = SplitCriteria(max_features="all")
-        forest = BatchForest(1, criteria, seed=54, bootstrap=False).fit(data)
-        tree = DecisionTree(criteria, seed=55).fit(data)
-        assert trees_equal(forest.trees[0].root, tree.root)
+        # Five features, so that "sqrt" (2) and 2 draw a feature subset at
+        # every split from the one seed both models share.
+        data = gen_synthetic("blobs", 150, noise=0.5, seed=53, n_classes=3, n_features=5)
+        for max_features in ("all", "sqrt", 2):
+            criteria = SplitCriteria(max_features=max_features)
+            forest = BatchForest(1, criteria, seed=54, bootstrap=False).fit(data)
+            tree = DecisionTree(criteria, seed=54).fit(data)
+            assert trees_equal(forest.trees[0].root, tree.root), max_features
 
     def test_forest_tracks_single_tree_accuracy(self):
         train = gen_synthetic("blobs", 2000, noise=0.8, seed=56, n_classes=3)
@@ -469,6 +480,50 @@ class TestBatchForest:
     def test_unfitted_forest_says_it_is_not_fitted(self, call, arg):
         with pytest.raises(ValueError, match="BatchForest is not fitted"):
             getattr(BatchForest(2, seed=62), call)(arg)
+
+
+class TestOneWritePath:
+    """Every model fits through `_Model._fit` and updates through
+    `_Model._extend`, so a lone tree and a one-tree forest agree."""
+
+    def test_stream_tree_equals_one_tree_stream_forest(self):
+        # The forest's replacement coin takes a draw after every update, so
+        # only under "all", where growth draws nothing, do the two agree.
+        data = blobs(600, seed=55, noise=0.5)
+        batches = [data.subset(range(lo, lo + 100)) for lo in range(0, 600, 100)]
+        tree = StreamTree(batches[0], 3, SplitCriteria(), seed=56)
+        forest = StreamForest(batches[0], 3, n_trees=1, replace_count=0,
+                              criteria=SplitCriteria(), seed=56, bootstrap=False)
+        for batch in batches[1:]:
+            tree.update(batch)
+            forest.update(batch)
+        assert trees_equal(forest.trees[0].root, tree.root)
+        assert forest.trees[0].batches_seen == tree.batches_seen == 6
+
+    @pytest.mark.parametrize("make", [
+        lambda data: DecisionTree(SQRT, seed=57).fit(data),
+        lambda data: StreamTree(data, 3, SQRT, seed=57).update(data),
+        lambda data: BatchForest(3, seed=57).fit(data),
+    ], ids=["DecisionTree", "StreamTree", "BatchForest"])
+    def test_failed_fit_leaves_model_unchanged(self, monkeypatch, make):
+        model = make(blobs(100, seed=58, noise=0.5))
+
+        def state():
+            generator = getattr(model, "rng", None)
+            return (model._table.export(model._roots), getattr(model, "batches_seen", None),
+                    generator and generator.bit_generator.state)
+
+        def failing_grow(*args):
+            args[-1].random(5)  # a draw from the fit's generator, then a failure
+            raise RuntimeError("growth failed")
+
+        columns, batches_seen, generator = state()
+        monkeypatch.setattr(streamforest.tree, "_grow", failing_grow)
+        with pytest.raises(RuntimeError, match="growth failed"):
+            model.fit(blobs(100, seed=60, noise=0.5))
+        after, *rest = state()
+        assert all(np.array_equal(columns[name], after[name]) for name in columns)
+        assert rest == [batches_seen, generator]
 
 
 class TestSamples:

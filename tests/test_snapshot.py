@@ -307,6 +307,47 @@ def test_v2_snapshot_loads_and_predicts_as_saved(tmp_path):
     assert loaded.rng.bit_generator.state == f.rng.bit_generator.state
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize("model, key, value", [
+    ("stream_forest", "batches_seen", -1),
+    ("stream_forest", "batches_seen", 0),
+    ("stream_forest", "batches_seen", 2.0),
+    ("stream_forest", "bootstrap", "no"),
+    ("stream_forest", "replace_count", 9),
+    ("stream_forest", "n_trees", 0),
+    ("stream_forest", "n_classes", 1),
+    ("stream_forest", "n_features", 0),
+    ("stream_forest", "master_seed", -1),
+    ("stream_forest", "tree_batches_seen", [0, -5, 2.5]),
+    ("stream_forest", "tree_batches_seen", [1, 0, 1]),
+    ("stream_forest", "tree_batches_seen", [1, True, 1]),
+    ("stream_forest", "tree_batches_seen", [[1], [1], [1]]),
+    ("stream_forest", "criteria", _MISSING),
+    ("stream_forest", "n_classes", _MISSING),
+    ("stream_forest", "tree_batches_seen", _MISSING),
+    ("batch_forest", "bootstrap", 1),
+    ("batch_forest", "n_classes", 2.5),
+    ("batch_forest", "master_seed", _MISSING),
+])
+def test_malformed_header_is_rejected_by_name(tmp_path, model, key, value):
+    data = gen_synthetic("blobs", 60, noise=0.6, seed=10, n_classes=3)
+    forest = (StreamForest(data, 3, n_trees=3, seed=11) if model == "stream_forest"
+              else BatchForest(3, seed=11).fit(data))
+    path = tmp_path / "forest.npz"
+    save_forest(forest, path)
+    meta, arrays = read_archive(path)
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
+    write_archive(path, meta, arrays)
+    # master_seed is checked as the constructor's `seed`.
+    with pytest.raises((TypeError, ValueError), match=key.removeprefix("master_")):
+        load_forest(path)
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"format": "something-else"}))

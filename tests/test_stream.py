@@ -132,6 +132,25 @@ class TestUpdate:
         assert leaf.is_leaf
 
 
+class TestFit:
+    def test_fit_restarts_the_stream(self):
+        rng = np.random.default_rng(6)
+        st = StreamTree(random_batch(rng, 40, 2, 3), n_classes=3, seed=7)
+        st.update(random_batch(rng, 40, 2, 3))
+        two_class = random_batch(rng, 40, 2, 2)
+        st.fit(two_class)
+        fresh = StreamTree(two_class, st.n_classes, st.criteria, st.seed)
+        assert trees_equal(st.root, fresh.root)
+        assert (st.batches_seen, st.n_classes) == (1, 3)
+        assert st.rng.bit_generator.state == fresh.rng.bit_generator.state
+        st.update(random_batch(rng, 40, 2, 3))
+        assert st.batches_seen == 2
+        for call, name in ((st.update, "batch"), (st.fit, "data")):
+            with pytest.raises(ValueError, match=f"{name} labels must lie below n_classes=3"):
+                call(Dataset(np.zeros((2, 2)), np.array([0, 3]), 4))
+        assert st.batches_seen == 2
+
+
 class TestPredict:
     def test_untouched_leaf_keeps_history(self):
         first = Dataset(np.full((5, 1), 1.0), np.full(5, 0), 3)

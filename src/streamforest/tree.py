@@ -882,8 +882,9 @@ class _Model:
     tree is the one-root case. Unfitted, the table and the feature count
     are None and there are no roots.
 
-    Every model fits through `_fit` and updates through `_extend`, which
-    draws from its generator ``rng``; both grow under its ``criteria``.
+    Every model fits through `_fit`, and a stream model updates through
+    `_extend`, which draws from its generator ``rng``; both grow under the
+    model's ``criteria``.
 
     Each model binds ``predict`` (and ``predict_one``, where it is this one)
     in its own class body as well, because the traced benchmark run
@@ -912,7 +913,8 @@ class _Model:
         """Grow every tree on a sample of `data`, a batch checked against the
         model's shape, as `_samples` draws it: all (tree, row) pairs are
         routed and counted in one pass, then one `_grow` call grows the
-        touched leaves, tree by tree, each tree's depth-first, left first."""
+        touched leaves, tree by tree, each tree's depth-first, left first,
+        drawing from ``self.rng``."""
         rows, weights, bounds = _samples(self.rng, self._roots.size, data.n_samples, bootstrap)
         touched = _route_and_count(self._table, self._roots, rows, weights, bounds,
                                    data.features, data.labels)

@@ -517,13 +517,13 @@ class TestOneWritePath:
             args[-1].random(5)  # a draw from the fit's generator, then a failure
             raise RuntimeError("growth failed")
 
-        columns, batches_seen, generator = state()
+        before = state()
         monkeypatch.setattr(streamforest.tree, "_grow", failing_grow)
         with pytest.raises(RuntimeError, match="growth failed"):
             model.fit(blobs(100, seed=60, noise=0.5))
-        after, *rest = state()
-        assert all(np.array_equal(columns[name], after[name]) for name in columns)
-        assert rest == [batches_seen, generator]
+        after = state()
+        assert all(np.array_equal(before[0][name], after[0][name]) for name in before[0])
+        assert after[1:] == before[1:]
 
 
 class TestSamples:

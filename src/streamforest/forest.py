@@ -32,7 +32,19 @@ __all__ = ["StreamForest", "BatchForest", "FOREST_CRITERIA", "model_size"]
 FOREST_CRITERIA = SplitCriteria(max_features="sqrt")
 
 
-class StreamForest(_Model):
+class _Forest(_Model):
+    """What both forests share: how their hyperparameters are set."""
+
+    def _configure(self, n_trees, criteria, seed, bootstrap) -> None:
+        """Check the shared hyperparameters, named as the constructors name
+        them, and set them as the plain values the checks return."""
+        self.n_trees = _check_integer("n_trees", n_trees, 1)
+        self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
+        self.seed = _check_integer("seed", seed, 0)
+        self.bootstrap = _check_bool("bootstrap", bootstrap)
+
+
+class StreamForest(_Forest):
     """Ensemble of streaming trees with bootstrap resampling per batch.
 
     Every tree updates on its own bootstrap resample of each batch (size n,
@@ -48,35 +60,29 @@ class StreamForest(_Model):
     coin, the replacements' bootstraps and growth draws. All trees live in
     one node table, which after every update holds exactly the nodes of the
     current trees, and all grow under the forest's split criteria.
+
+    `_Forest._configure` checks and sets the hyperparameters, on
+    construction and on `load_forest`; a snapshot stores ``seed`` as
+    ``master_seed``.
     """
 
     def __init__(self, first_batch: Dataset, n_classes: int, n_trees: int = 100,
                  replace_count: int = 1, criteria: SplitCriteria | None = None,
                  seed: int = 0, bootstrap: bool = True):
         self._configure(n_classes, n_trees, replace_count, criteria, seed, bootstrap)
-        self._fit(_check_batch("first_batch", first_batch, n_classes), n_trees, bootstrap,
-                  self.rng)
-        self._batches = np.ones(n_trees, dtype=np.int64)  # batches each tree has taken in
+        self._fit(_check_batch("first_batch", first_batch, self.n_classes), self.n_trees,
+                  self.bootstrap, self.rng)
+        self._batches = np.ones(self.n_trees, dtype=np.int64)  # batches each tree has taken in
         self.batches_seen = 1
 
     def _configure(self, n_classes, n_trees, replace_count, criteria, seed, bootstrap) -> None:
-        """Check the hyperparameters, named as the constructor names them,
-        and set them, with a generator seeded by `seed`. `load_forest` sets
-        a loaded forest's hyperparameters through this step as well."""
-        _check_integer("n_classes", n_classes, 2)
-        _check_integer("n_trees", n_trees, 1)
-        _check_integer("replace_count", replace_count, 0)
-        if replace_count > n_trees:
+        """`_Forest._configure`, the class and replacement counts, and ``rng``."""
+        self.n_classes = _check_integer("n_classes", n_classes, 2)
+        super()._configure(n_trees, criteria, seed, bootstrap)
+        self.replace_count = _check_integer("replace_count", replace_count, 0)
+        if self.replace_count > self.n_trees:
             raise ValueError("replace_count must lie in [0, n_trees]")
-        _check_integer("seed", seed, 0)
-        _check_bool("bootstrap", bootstrap)
-        self.n_classes = n_classes
-        self.n_trees = n_trees
-        self.replace_count = replace_count
-        self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
-        self.master_seed = seed
-        self.bootstrap = bootstrap
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(self.seed)
         self.last_replacement: dict | None = None
 
     predict = _Model.predict
@@ -136,7 +142,7 @@ class StreamForest(_Model):
         self._table = table
 
 
-class BatchForest(_Model):
+class BatchForest(_Forest):
     """Bagged CART forest refit from scratch on the full data it is given.
 
     Each fit draws one bootstrap resample per tree (size n, with
@@ -147,15 +153,7 @@ class BatchForest(_Model):
 
     def __init__(self, n_trees: int = 100, criteria: SplitCriteria | None = None,
                  seed: int = 0, bootstrap: bool = True):
-        _check_integer("n_trees", n_trees, 1)
-        _check_integer("seed", seed, 0)
-        _check_bool("bootstrap", bootstrap)
-        self.n_trees = n_trees
-        self.criteria = _check_criteria(criteria, FOREST_CRITERIA)
-        self.seed = seed
-        self.bootstrap = bootstrap
-        self.n_classes = self.n_features = self._table = None
-        self._roots = np.empty(0, dtype=np.intp)
+        self._configure(n_trees, criteria, seed, bootstrap)
 
     predict = _Model.predict
     predict_one = _Model.predict_one

@@ -3,8 +3,10 @@ raw arrays.
 
 A snapshot (format ``streamforest-snapshot-v5``) is an uncompressed numpy
 ``.npz`` archive holding
-- ``meta``: one string, the JSON header: model kind, shape,
-  hyperparameters, batch counts and a stream forest's generator state;
+- ``meta``: one string, the JSON header: model kind, shape and the
+  hyperparameters that `forest._Forest._configure` checks and sets, the
+  forest's ``seed`` under the key ``master_seed``; for a stream forest,
+  also its replacement count, batch counts and generator state;
 - the four `NodeTable.COLUMNS` as `NodeTable.export` returns them: the
   ``n_trees`` roots first, then each level's children pair by pair, an
   internal node's right child at ``left + 1`` (-1 at leaves).
@@ -75,35 +77,25 @@ def _write_atomically(path):
 
 def _meta(forest: StreamForest | BatchForest) -> dict:
     """The snapshot header of `forest`: everything but its nodes."""
+    if not isinstance(forest, (StreamForest, BatchForest)):
+        raise TypeError(f"cannot snapshot {type(forest).__name__}")
+    if forest._table is None:
+        raise ValueError("cannot snapshot an unfitted forest")
+    meta = {
+        "format": FORMAT,
+        "model": "stream_forest" if isinstance(forest, StreamForest) else "batch_forest",
+        "n_classes": forest.n_classes,
+        "n_features": forest.n_features,
+        "n_trees": forest.n_trees,
+        "master_seed": forest.seed,
+        "bootstrap": forest.bootstrap,
+        "criteria": asdict(forest.criteria),
+    }
     if isinstance(forest, StreamForest):
-        return {
-            "format": FORMAT,
-            "model": "stream_forest",
-            "n_classes": forest.n_classes,
-            "n_features": forest.n_features,
-            "n_trees": forest.n_trees,
-            "replace_count": forest.replace_count,
-            "batches_seen": forest.batches_seen,
-            "master_seed": forest.master_seed,
-            "bootstrap": forest.bootstrap,
-            "criteria": asdict(forest.criteria),
-            "tree_batches_seen": forest._batches.tolist(),
-            "rng_state": forest.rng.bit_generator.state,
-        }
-    if isinstance(forest, BatchForest):
-        if forest._table is None:
-            raise ValueError("cannot snapshot an unfitted forest")
-        return {
-            "format": FORMAT,
-            "model": "batch_forest",
-            "n_classes": forest.n_classes,
-            "n_features": forest.n_features,
-            "n_trees": forest.n_trees,
-            "master_seed": forest.seed,
-            "bootstrap": forest.bootstrap,
-            "criteria": asdict(forest.criteria),
-        }
-    raise TypeError(f"cannot snapshot {type(forest).__name__}")
+        meta.update(replace_count=forest.replace_count, batches_seen=forest.batches_seen,
+                    tree_batches_seen=forest._batches.tolist(),
+                    rng_state=forest.rng.bit_generator.state)
+    return meta
 
 
 def save_forest(forest: StreamForest | BatchForest, path) -> None:
@@ -252,20 +244,19 @@ def load_forest(path) -> StreamForest | BatchForest:
         fh.seek(0)
         meta, columns, starts = (_read_archive if is_archive else _read_json)(fh)
     meta = _Header(meta)
-    _check_integer("n_classes", meta["n_classes"], 2)
-    _check_integer("n_features", meta["n_features"], 1)
+    n_classes = _check_integer("n_classes", meta["n_classes"], 2)
+    n_features = _check_integer("n_features", meta["n_features"], 1)
     criteria = SplitCriteria(**meta["criteria"])
     bootstrap = meta.get("bootstrap", True)
     if meta["model"] == "stream_forest":
         forest = StreamForest.__new__(StreamForest)
-        forest._configure(meta["n_classes"], meta["n_trees"], meta["replace_count"], criteria,
+        forest._configure(n_classes, meta["n_trees"], meta["replace_count"], criteria,
                           meta["master_seed"], bootstrap)
         if "rng_state" in meta:
             forest.rng.bit_generator.state = meta["rng_state"]
-        forest.batches_seen = meta["batches_seen"]
-        forest._batches = _integers(meta["tree_batches_seen"])
-        _check_integer("batches_seen", forest.batches_seen, 1)
-        _check_integer("tree_batches_seen", forest._batches, 1)
+        forest.batches_seen = _check_integer("batches_seen", meta["batches_seen"], 1)
+        forest._batches = _check_integer("tree_batches_seen",
+                                         _integers(meta["tree_batches_seen"]), 1)
         if forest._batches.ndim != 1:
             raise ValueError("tree_batches_seen must be a list of integers")
     elif meta["model"] == "batch_forest":
@@ -275,7 +266,7 @@ def load_forest(path) -> StreamForest | BatchForest:
     roots = _check_trees(meta, columns, starts)
     if starts is not None:
         columns = _breadth_first(columns, roots, columns["right"])
-    forest.n_classes, forest.n_features = meta["n_classes"], meta["n_features"]
-    forest._table = NodeTable(forest.n_classes, capacity=0)
+    forest.n_classes, forest.n_features = n_classes, n_features
+    forest._table = NodeTable(n_classes, capacity=0)
     forest._roots = forest._table.append(columns, roots.size)
     return forest

@@ -27,10 +27,10 @@ __all__ = [
 BYTES_PER_NODE = 64
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    """Raise TypeError unless `value` is an integer, or an array of integers
-    or of whole floats (bools are neither), and ValueError if any of it
-    lies below `low`. An array is checked in place, not copied."""
+def _check_integer(name: str, value, low: int):
+    """`value` as a plain int, or an array of integers or whole floats as
+    itself, checked in place; raises TypeError unless it is one of these
+    (bools are neither), and ValueError if any of it lies below `low`."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iuf":
             raise TypeError(f"{name} must be integers, not {value.dtype}")
@@ -45,12 +45,14 @@ def _check_integer(name: str, value, low: int) -> None:
         raise TypeError(f"{name} must be an integer, not {value!r}")
     if least < low:
         raise ValueError(f"{name} must be at least {low}, not {least}")
+    return value if isinstance(value, np.ndarray) else int(value)
 
 
-def _check_bool(name: str, value) -> None:
-    """Raise TypeError unless `value` is True or False."""
+def _check_bool(name: str, value) -> bool:
+    """`value` as a plain bool; raises TypeError unless it is True or False."""
     if not isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name} must be True or False, not {value!r}")
+    return bool(value)
 
 
 @dataclass
@@ -879,8 +881,8 @@ class _Model:
     """A fitted model is the trees rooted at ``_roots`` of the node table
     ``_table``, over ``n_features`` features and ``n_classes`` classes; it
     predicts the majority vote of its trees, ties to the lowest class. A
-    tree is the one-root case. Unfitted, the table and the feature count
-    are None and there are no roots.
+    tree is the one-root case. Unfitted, as the class attributes set it,
+    the table and the feature count are None and there are no roots.
 
     Every model fits through `_fit`, and a stream model updates through
     `_extend`, which draws from its generator ``rng``; both grow under the
@@ -892,10 +894,10 @@ class _Model:
     namespace.
     """
 
-    _table: NodeTable | None
-    _roots: np.ndarray
-    n_classes: int | None
-    n_features: int | None
+    _table: NodeTable | None = None
+    _roots: np.ndarray = np.empty(0, dtype=np.intp)
+    n_classes: int | None = None
+    n_features: int | None = None
 
     def _fit(self, data: Dataset, count: int, bootstrap: bool, rng: np.random.Generator) -> None:
         """Make the model `count` new trees grown on `data` in a new table,
@@ -971,9 +973,6 @@ class DecisionTree(_Model):
         self.criteria = _check_criteria(criteria, SplitCriteria())
         self.seed = seed
         self.rng: np.random.Generator | None = None
-        self._table: NodeTable | None = None
-        self._roots = np.empty(0, dtype=np.intp)
-        self.n_classes = self.n_features = None
 
     predict = _Model.predict
 

@@ -88,7 +88,7 @@ def test_stream_forest_metadata_round_trip(tmp_path):
     assert loaded.n_trees == f.n_trees
     assert loaded.replace_count == f.replace_count
     assert loaded.criteria == f.criteria
-    assert loaded.master_seed == f.master_seed
+    assert loaded.seed == f.seed
 
 
 def test_bootstrap_setting_round_trips(tmp_path):

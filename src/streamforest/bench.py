@@ -64,9 +64,9 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        for name in ("batch_size", "n_trees", "repetitions", "threads"):
-            _check_integer(name, getattr(self, name), 1)
-        _check_integer("replace_count", self.replace_count, 0)
+        for name, low in (("batch_size", 1), ("n_trees", 1), ("repetitions", 1),
+                          ("threads", 1), ("replace_count", 0), ("seed", 0)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
         if self.replace_count > self.n_trees:
             raise ValueError("replace_count must lie in [0, n_trees]")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,7 @@ def make_batches(n: int, batch_size: int = 100, seed=0) -> BatchPlan:
     """Shuffle 0..n-1 with the given seed and slice into contiguous batches."""
     _check_integer("n", n, 1)
     _check_integer("batch_size", batch_size, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     return BatchPlan(rng.permutation(n), batch_size)
 
 
@@ -94,7 +95,7 @@ def make_folds(n: int, k: int = 5, seed=0) -> FoldPlan:
     least one sample to each."""
     _check_integer("k", k, 2)
     _check_integer("n", n, k)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     order = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[order] = np.arange(n) % k
@@ -263,18 +264,16 @@ def gen_synthetic(kind: str, n: int, noise: float = 0.0, seed=0,
     beyond the first two are independent standard normal noise. The result
     is a pure function of the arguments.
     """
-    if n < 4:
-        raise ValueError("need at least four samples")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
-    if n_features < 2:
-        raise ValueError("synthetic kinds need at least two features")
-    rng = np.random.default_rng(seed)
+    n = _check_integer("n", n, 4)
+    n_features = _check_integer("n_features", n_features, 2)
+    if not isinstance(noise, numbers.Real) or isinstance(noise, bool):
+        raise TypeError(f"noise must be a real number, not {noise!r}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and nonnegative, not {noise!r}")
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
 
     if kind == "blobs":
-        k = n_classes if n_classes is not None else 3
-        if k < 2:
-            raise ValueError("blobs need at least two classes")
+        k = 3 if n_classes is None else _check_integer("n_classes", n_classes, 2)
         centers = _blob_centers(k, n_features)
         sigma = 0.5 + noise
         sizes = _class_sizes(n, k)

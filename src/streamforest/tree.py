@@ -72,7 +72,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        _check_integer("n_classes", self.n_classes, 2)
+        self.n_classes = _check_integer("n_classes", self.n_classes, 2)
         labels = np.asarray(self.labels)
         _check_integer("labels", labels, 0)
         self.labels = labels.astype(np.int64, copy=False)
@@ -119,17 +119,20 @@ class SplitCriteria:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
-        _check_integer("min_samples_split", self.min_samples_split, 2)
+        object.__setattr__(self, "min_samples_split",
+                           _check_integer("min_samples_split", self.min_samples_split, 2))
         bound = self.min_impurity_decrease
         if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
             raise TypeError(f"min_impurity_decrease must be a real number, not {bound!r}")
         if not (math.isfinite(bound) and bound >= 0.0):
             raise ValueError(f"min_impurity_decrease must be finite and at least 0, not {bound!r}")
+        object.__setattr__(self, "min_impurity_decrease", float(bound))
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ValueError("max_features must be 'all', 'sqrt' or a positive int")
         else:
-            _check_integer("max_features", self.max_features, 1)
+            object.__setattr__(self, "max_features",
+                               _check_integer("max_features", self.max_features, 1))
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "all":
@@ -801,13 +804,15 @@ def _samples(rng: np.random.Generator, count: int, n: int,
 
     A bootstrap draws all trees' n rows in one call and keeps each tree's
     distinct rows, in increasing order, with the number of times each was
-    drawn; without one, every tree takes every row once. Both buffers are
-    32-bit where n allows, as they stay allocated while the trees grow.
+    drawn; without one, every tree takes every row once. The weights are
+    32-bit, and so are a bootstrap's rows where n allows, as they stay
+    allocated while the trees grow; rows taken once each are intp, the
+    index type of the routing and growth steps they feed.
     """
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
     bounds = np.arange(count + 1) * n
     if not bootstrap:
-        return np.tile(np.arange(n, dtype=index), count), np.ones(count * n, np.int32), bounds
+        return np.tile(np.arange(n), count), np.ones(count * n, np.int32), bounds
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
     cells = rng.integers(0, n, (count, n))
     cells += bounds[:-1, None]  # (tree, row) cell t * n + row
     repeats = np.bincount(cells.reshape(-1), minlength=count * n)
@@ -969,9 +974,8 @@ class DecisionTree(_Model):
     """
 
     def __init__(self, criteria: SplitCriteria | None = None, seed: int = 0):
-        _check_integer("seed", seed, 0)
+        self.seed = _check_integer("seed", seed, 0)
         self.criteria = _check_criteria(criteria, SplitCriteria())
-        self.seed = seed
         self.rng: np.random.Generator | None = None
 
     predict = _Model.predict

@@ -240,6 +240,17 @@ class TestResultsFile:
         assert meta["config"]["n_trees"] == config.n_trees
         assert meta["bytes_per_node"] > 0
 
+    def test_numpy_valued_config_round_trips(self, tmp_path):
+        config = small_config(batch_size=np.int64(50), n_trees=np.int32(5),
+                              replace_count=np.int64(1), repetitions=np.int64(1),
+                              seed=np.uint16(3), threads=np.int64(1))
+        records = [BenchRecord("sdf", "blobs", 0, 50, 0.5, 0.1, 7)]
+        path = tmp_path / "results.jsonl"
+        emit_results(records, path, config)
+        meta, loaded = load_results(path)
+        assert loaded == records
+        assert meta["config"] == asdict(small_config()) | {"algorithms": list(config.algorithms)}
+
     def test_empty_records_give_header_only(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         emit_results([], path, small_config())
@@ -344,6 +355,7 @@ class TestConfigValidation:
         ("threads", 1.0, TypeError), ("threads", 0, ValueError), ("threads", "2", TypeError),
         ("replace_count", -1, ValueError), ("replace_count", 0.5, TypeError),
         ("replace_count", True, TypeError),
+        ("seed", -1, ValueError), ("seed", 1.5, TypeError), ("seed", True, TypeError),
     ])
     def test_bad_count_is_named(self, name, value, error):
         """Checked at construction, so no worker process ever starts."""

@@ -1,6 +1,7 @@
 """Stream forest: per-tree bootstrap updates, probabilistic worst-tree
 replacement, majority voting; batch forest baseline."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from streamforest import (
     BatchForest,
     Dataset,
     DecisionTree,
+    ExperimentConfig,
     SplitCriteria,
     StreamForest,
     StreamTree,
@@ -377,8 +379,10 @@ _MALFORMED = {
     "first_batch": _NOT_DATASETS, "batch": _NOT_DATASETS, "data": _NOT_DATASETS,
     "n_classes": _NOT_COUNTS, "n_trees": _NOT_COUNTS, "replace_count": _NOT_COUNTS,
     "seed": _NOT_COUNTS, "n": _NOT_COUNTS, "batch_size": _NOT_COUNTS, "k": _NOT_COUNTS,
+    "repetitions": _NOT_COUNTS, "threads": _NOT_COUNTS, "n_features": _NOT_COUNTS,
     "bootstrap": _NOT_BOOLS, "force_replacement": _NOT_BOOLS,
     "criteria": [3, "sqrt", {"max_features": 1}],
+    "noise": [-0.5, math.nan, math.inf, "0.5", True, None],
 }
 
 
@@ -396,9 +400,37 @@ def _public_calls(data: Dataset, n_trees: int) -> list:
         (DecisionTree().fit, dict(data=data)),
         (BatchForest, dict(n_trees=n_trees, criteria=None, seed=0, bootstrap=True)),
         (BatchForest(n_trees).fit, dict(data=data)),
-        (make_batches, dict(n=data.n_samples, batch_size=10)),
-        (make_folds, dict(n=data.n_samples, k=3)),
+        (make_batches, dict(n=data.n_samples, batch_size=10, seed=0)),
+        (make_folds, dict(n=data.n_samples, k=3, seed=0)),
+        (functools.partial(gen_synthetic, "blobs"),
+         dict(n=data.n_samples, noise=0.5, seed=0, n_features=2)),
+        (functools.partial(ExperimentConfig, "blobs"),
+         dict(batch_size=10, n_trees=n_trees, replace_count=1, repetitions=2, seed=0,
+              threads=1)),
     ]
+
+
+def test_checked_values_are_stored_plain():
+    """Arguments given as numpy scalars are stored as the plain int or bool
+    their checks return, so that snapshots and results files can hold them."""
+    data = Dataset(np.zeros((4, 2)), np.arange(4) % 3, np.arange(4).max())
+    criteria = SplitCriteria(min_samples_split=np.int64(3), max_features=np.int64(1),
+                             min_impurity_decrease=np.float32(0.0))
+    stream = StreamForest(data, np.int64(3), n_trees=np.int64(2), replace_count=np.int64(1),
+                          seed=np.int64(4), bootstrap=np.True_)
+    batch = BatchForest(np.int64(2), seed=np.uint8(5), bootstrap=np.False_).fit(data)
+    config = ExperimentConfig("blobs", batch_size=np.int64(10), n_trees=np.int32(3),
+                              replace_count=np.int64(1), repetitions=np.int16(2),
+                              seed=np.int64(6), threads=np.int64(1))
+    values = [data.n_classes, criteria.min_samples_split, criteria.max_features,
+              DecisionTree(seed=np.int64(7)).seed, StreamTree(data, np.int64(3)).n_classes,
+              stream.n_classes, stream.n_trees, stream.replace_count, stream.seed,
+              batch.n_classes, batch.n_trees, batch.seed,
+              config.batch_size, config.n_trees, config.replace_count, config.repetitions,
+              config.seed, config.threads]
+    assert [type(v) for v in values] == [int] * len(values)
+    assert type(stream.bootstrap) is bool and type(batch.bootstrap) is bool
+    assert type(criteria.min_impurity_decrease) is float
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -549,6 +581,7 @@ class TestSamples:
         rows, weights, bounds = _samples(rng, 3, 4, False)
         assert rng.bit_generator.state == state  # nothing drawn
         assert rows.tolist() == [0, 1, 2, 3] * 3
+        assert rows.dtype == np.intp  # the index type of routing and growth
         assert weights.tolist() == [1] * 12
         assert bounds.tolist() == [0, 4, 8, 12]
 

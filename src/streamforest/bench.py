@@ -63,7 +63,8 @@ class ExperimentConfig:
             raise ValueError("need at least one algorithm")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+            raise ValueError(f"unknown algorithms: {sorted(unknown)}; "
+                             f"choose from {','.join(ALGORITHMS)}")
         for name, low in (("batch_size", 1), ("n_trees", 1), ("repetitions", 1),
                           ("threads", 1), ("replace_count", 0), ("seed", 0)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))

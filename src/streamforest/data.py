@@ -42,8 +42,7 @@ class BatchPlan:
     boundaries: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        object.__setattr__(self, "batch_size", _check_integer("batch_size", self.batch_size, 1))
         n = self.ordering.shape[0]
         cuts = list(range(0, n, self.batch_size)) + [n]
         object.__setattr__(
@@ -75,6 +74,9 @@ class FoldPlan:
     assignments: np.ndarray
     k: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "k", _check_integer("k", self.k, 2))
+
     def test_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments == fold)[0]
 
@@ -85,7 +87,6 @@ class FoldPlan:
 def make_batches(n: int, batch_size: int = 100, seed=0) -> BatchPlan:
     """Shuffle 0..n-1 with the given seed and slice into contiguous batches."""
     _check_integer("n", n, 1)
-    _check_integer("batch_size", batch_size, 1)
     rng = np.random.default_rng(_check_integer("seed", seed, 0))
     return BatchPlan(rng.permutation(n), batch_size)
 
@@ -142,19 +143,17 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    offset = 0
+        rows = [(reader.line_num, row) for row in reader]
     names: list[str] | None = None
     if header:
         if not rows:
             raise DataLoadError("file is empty")
-        names = [c.strip() for c in rows[0]]
-        offset = 1
-    body = [r for r in rows[offset:] if r]
+        names = [c.strip() for c in rows.pop(0)[1]]
+    body = [(line, row) for line, row in rows if row]
     if not body:
         raise DataLoadError("no data rows")
 
-    width = len(body[0])
+    width = len(body[0][1])
     if isinstance(label_column, str):
         if names is None:
             raise DataLoadError("a named label column requires header=True")
@@ -169,8 +168,7 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
 
     features = np.empty((len(body), width - 1), dtype=np.float64)
     raw_labels: list[str] = []
-    for i, row in enumerate(body):
-        line = i + 1 + offset
+    for i, (line, row) in enumerate(body):
         if len(row) != width:
             raise DataLoadError(f"line {line}: expected {width} cells, got {len(row)}")
         j = 0
@@ -242,6 +240,11 @@ def _blob_centers(n_classes: int, n_features: int) -> np.ndarray:
     return centers
 
 
+# xor's four groups by the signs of the first two features; the same-sign
+# quadrants make class 1
+_QUADRANT_SIGNS = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
+
+
 def _class_sizes(n: int, k: int) -> list[int]:
     base = n // k
     return [base + (1 if i < n % k else 0) for i in range(k)]
@@ -275,59 +278,34 @@ def gen_synthetic(kind: str, n: int, noise: float = 0.0, seed=0,
     if kind == "blobs":
         k = 3 if n_classes is None else _check_integer("n_classes", n_classes, 2)
         centers = _blob_centers(k, n_features)
-        sigma = 0.5 + noise
-        sizes = _class_sizes(n, k)
-        parts, labels = [], []
-        for c, size in enumerate(sizes):
-            pts = centers[c] + rng.normal(0.0, 1.0, (size, n_features)) * sigma
-            if n_features > 2:
-                pts[:, 2:] = rng.normal(0.0, 1.0, (size, n_features - 2))
-            parts.append(pts)
-            labels.append(np.full(size, c, dtype=np.int64))
-        features = np.vstack(parts)
-        y = np.concatenate(labels)
-        k_out = k
-    elif kind == "xor":
+        group_labels = range(k)
+    elif kind in ("xor", "concentric"):
         if n_classes not in (None, 2):
-            raise ValueError("xor is a two-class dataset")
-        quadrant_signs = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
-        quadrant_labels = [1, 0, 1, 0]  # same-sign quadrants share a class
-        sizes = _class_sizes(n, 4)
-        parts, labels = [], []
-        for q, size in enumerate(sizes):
-            mag = rng.uniform(0.05, 1.0, (size, 2))
-            pts = np.zeros((size, n_features))
-            pts[:, 0] = mag[:, 0] * quadrant_signs[q][0]
-            pts[:, 1] = mag[:, 1] * quadrant_signs[q][1]
-            if n_features > 2:
-                pts[:, 2:] = rng.normal(0.0, 1.0, (size, n_features - 2))
-            pts[:, :2] += rng.normal(0.0, 0.2, (size, 2)) * noise
-            parts.append(pts)
-            labels.append(np.full(size, quadrant_labels[q], dtype=np.int64))
-        features = np.vstack(parts)
-        y = np.concatenate(labels)
-        k_out = 2
-    elif kind == "concentric":
-        if n_classes not in (None, 2):
-            raise ValueError("concentric is a two-class dataset")
-        sizes = _class_sizes(n, 2)
-        parts, labels = [], []
-        for c, size in enumerate(sizes):
-            radius = rng.uniform(0.0, 1.0, size) if c == 0 else rng.uniform(1.5, 2.5, size)
-            radius = radius + rng.normal(0.0, 0.5, size) * noise
-            angle = rng.uniform(0.0, 2.0 * math.pi, size)
-            pts = np.zeros((size, n_features))
-            pts[:, 0] = radius * np.cos(angle)
-            pts[:, 1] = radius * np.sin(angle)
-            if n_features > 2:
-                pts[:, 2:] = rng.normal(0.0, 1.0, (size, n_features - 2))
-            parts.append(pts)
-            labels.append(np.full(size, c, dtype=np.int64))
-        features = np.vstack(parts)
-        y = np.concatenate(labels)
-        k_out = 2
+            raise ValueError(f"{kind} is a two-class dataset")
+        k = 2
+        group_labels = [1, 0, 1, 0] if kind == "xor" else range(2)
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
 
+    sizes = _class_sizes(n, len(group_labels))
+    parts = []
+    for g, size in enumerate(sizes):
+        pts = (centers[g] + rng.normal(0.0, 1.0, (size, n_features)) * (0.5 + noise)
+               if kind == "blobs" else np.zeros((size, n_features)))
+        if kind == "xor":
+            pts[:, :2] = rng.uniform(0.05, 1.0, (size, 2)) * _QUADRANT_SIGNS[g]
+        elif kind == "concentric":  # radius in [0, 1) for class 0, [1.5, 2.5) for class 1
+            low = 1.5 * g
+            radius = rng.uniform(low, low + 1.0, size) + rng.normal(0.0, 0.5, size) * noise
+            angle = rng.uniform(0.0, 2.0 * math.pi, size)
+            pts[:, 0] = radius * np.cos(angle)
+            pts[:, 1] = radius * np.sin(angle)
+        if n_features > 2:
+            pts[:, 2:] = rng.normal(0.0, 1.0, (size, n_features - 2))
+        if kind == "xor":
+            pts[:, :2] += rng.normal(0.0, 0.2, (size, 2)) * noise
+        parts.append(pts)
+
     order = rng.permutation(n)
-    return Dataset(features[order], y[order], k_out)
+    y = np.repeat(np.array(group_labels, dtype=np.int64), sizes)
+    return Dataset(np.vstack(parts)[order], y[order], k)

@@ -570,8 +570,8 @@ def _changes(a: np.ndarray) -> np.ndarray:
     return change
 
 
-# Width of the float prefilter of `_best_candidates`, relative to a node's
-# best float q. The float error of q is a few ulps at any node size; the
+# Width of `_search`'s float prefilter of split candidates, relative to a
+# node's best float q. The float error of q is a few ulps at any node size; the
 # band covers thousands of them and still admits only near-ties.
 _NEAR_TIE = 1e-12
 
@@ -583,27 +583,24 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     order within one) sends n_l[i] rows whose squared class counts sum to
     s_l[i] left, and n_r[i] rows with s_r[i] right; all are integer arrays,
     and ``s_parent[u]`` is that sum over node u. The best candidate has the
-    largest q = s_l/n_l + s_r/n_r. Floats rank them, and those within
-    _NEAR_TIE of their node's best are compared by exact integer
-    cross-multiplication, so ties resolve by the tie rule, not by rounding.
-    A node's only candidate in the band is taken without that comparison
-    when its float q also beats the parent's by more than the band.
+    largest q = s_l/n_l + s_r/n_r. Callers pass only the candidates within
+    _NEAR_TIE of their node's best float q, as `_search` does, and these
+    are compared by exact integer cross-multiplication, so ties resolve by
+    the tie rule, not by rounding; other candidates would only lengthen
+    that loop. A node's only candidate is taken without the comparison when
+    its float q beats the parent's by more than the band.
 
     Returns the index of each node's first candidate with the largest q, in
     node order, for the nodes whose largest q beats the parent's
     s_parent / (n_l + n_r).
     """
-    q = s_l / n_l + s_r / n_r
-    first = _changes(node)
-    group = np.cumsum(first) - 1
-    q_max = np.maximum.reduceat(q, np.flatnonzero(first))[group]
-    near = q >= q_max * (1.0 - _NEAR_TIE)
-    lone = near & (np.bincount(group, weights=near)[group] == 1) & (
-        q > s_parent[node] / (n_l + n_r) * (1.0 + _NEAR_TIE))
-    near = np.flatnonzero(near & ~lone)
+    group = np.cumsum(_changes(node)) - 1
+    lone = (np.bincount(group)[group] == 1) & (
+        s_l / n_l + s_r / n_r > s_parent[node] / (n_l + n_r) * (1.0 + _NEAR_TIE))
+    exact = np.flatnonzero(~lone)
     best = {}  # node: (index, q numerator, q denominator)
-    for i, u, a, b, c, d, sp in zip(near.tolist(), *(
-            x[near].tolist() for x in (node, n_l, n_r, s_l, s_r, s_parent[node]))):
+    for i, u, a, b, c, d, sp in zip(exact.tolist(), *(
+            x[exact].tolist() for x in (node, n_l, n_r, s_l, s_r, s_parent[node]))):
         num, den = c * b + d * a, a * b
         if num * (a + b) <= sp * den:  # decrease not positive
             continue
@@ -614,8 +611,10 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     return np.sort(np.array(chosen, dtype=np.intp))
 
 
-# Largest number of (tree, row) pairs one routing pass holds, and the row
-# budget of one growth round: bounds the temporary arrays to a few MB.
+# Largest number of (tree, row) pairs one `_votes` block holds, and the row
+# budget of one growth round: bounds their temporary arrays to a few MB.
+# An update's routing pass, `_route_and_count`, is not bounded: it holds
+# all of the update's pairs and every level's path arrays at once.
 _PAIRS_PER_PASS = 1 << 15
 
 

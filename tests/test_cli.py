@@ -113,6 +113,7 @@ class TestErrors:
         result = run_cli("stream", "--data", "blobs", "--algorithms", "gradboost",
                          "--out", str(tmp_path / "r.jsonl"))
         assert result.returncode != 0
+        assert "gradboost" in result.stderr and "choose from sdt,sdf,dt,df" in result.stderr
 
     def test_missing_subcommand_exits_nonzero(self):
         assert run_cli().returncode != 0

@@ -71,6 +71,10 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "t.csv", "1.0,2.0,0\nx,3.0,1\n")
         with pytest.raises(DataLoadError, match="line 2, column 1"):
             load_csv(path)
+        # blank lines count: the line named is the file's line
+        path = write_csv(tmp_path / "blank.csv", "1,0\n\nz,1\n")
+        with pytest.raises(DataLoadError, match="line 3, column 1: 'z' is not numeric"):
+            load_csv(path)
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "1.0,0\nnan,1\n")
@@ -81,6 +85,9 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "t.csv", "1.0,2.0,0\n1.0,1\n")
         with pytest.raises(DataLoadError, match="expected 3 cells"):
             load_csv(path)
+        path = write_csv(tmp_path / "blank.csv", "a,b,label\n1.0,2.0,0\n\n\n1.0,1\n")
+        with pytest.raises(DataLoadError, match="line 5: expected 3 cells, got 2"):
+            load_csv(path, header=True)
 
     def test_missing_named_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "a,b\n1.0,0\n")

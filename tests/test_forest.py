@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from streamforest import (
     BYTES_PER_NODE,
     BatchForest,
+    BatchPlan,
     Dataset,
     DecisionTree,
     ExperimentConfig,
+    FoldPlan,
     SplitCriteria,
     StreamForest,
     StreamTree,
@@ -402,6 +404,8 @@ def _public_calls(data: Dataset, n_trees: int) -> list:
         (BatchForest(n_trees).fit, dict(data=data)),
         (make_batches, dict(n=data.n_samples, batch_size=10, seed=0)),
         (make_folds, dict(n=data.n_samples, k=3, seed=0)),
+        (functools.partial(BatchPlan, np.arange(data.n_samples)), dict(batch_size=10)),
+        (functools.partial(FoldPlan, np.arange(data.n_samples) % 3), dict(k=3)),
         (functools.partial(gen_synthetic, "blobs"),
          dict(n=data.n_samples, noise=0.5, seed=0, n_features=2)),
         (functools.partial(ExperimentConfig, "blobs"),
@@ -422,12 +426,13 @@ def test_checked_values_are_stored_plain():
     config = ExperimentConfig("blobs", batch_size=np.int64(10), n_trees=np.int32(3),
                               replace_count=np.int64(1), repetitions=np.int16(2),
                               seed=np.int64(6), threads=np.int64(1))
+    plans = BatchPlan(np.arange(4), np.int64(2)), FoldPlan(np.arange(4) % 2, np.int8(2))
     values = [data.n_classes, criteria.min_samples_split, criteria.max_features,
               DecisionTree(seed=np.int64(7)).seed, StreamTree(data, np.int64(3)).n_classes,
               stream.n_classes, stream.n_trees, stream.replace_count, stream.seed,
               batch.n_classes, batch.n_trees, batch.seed,
               config.batch_size, config.n_trees, config.replace_count, config.repetitions,
-              config.seed, config.threads]
+              config.seed, config.threads, plans[0].batch_size, plans[1].k]
     assert [type(v) for v in values] == [int] * len(values)
     assert type(stream.bootstrap) is bool and type(batch.bootstrap) is bool
     assert type(criteria.min_impurity_decrease) is float

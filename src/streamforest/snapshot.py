@@ -9,7 +9,9 @@ A snapshot (format ``streamforest-snapshot-v5``) is an uncompressed numpy
   also its replacement count, batch counts and generator state;
 - the four `NodeTable.COLUMNS` as `NodeTable.export` returns them: the
   ``n_trees`` roots first, then each level's children pair by pair, an
-  internal node's right child at ``left + 1`` (-1 at leaves).
+  internal node's right child at ``left + 1`` (-1 at leaves). The class
+  counts are int32, as the table holds them; files written with int64
+  counts are v5 too, and load while every node's total fits int32.
 
 It loads without unpickling anything. v4 archives, which also hold a
 ``pre_split_total`` column that the class counts determine, load alike,
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import BatchForest, StreamForest
-from .tree import NodeTable, SplitCriteria, _breadth_first, _check_integer
+from .tree import _MAX_COUNT, NodeTable, SplitCriteria, _breadth_first, _check_integer
 
 __all__ = ["save_forest", "load_forest", "FORMAT"]
 
@@ -168,7 +170,9 @@ def _check_trees(meta: dict, columns: dict, starts: np.ndarray | None) -> np.nda
     every internal node i has ``i < left < right < n``, so every descent
     ends, leaves have both links -1, and every node but the roots is the
     child of exactly one node. Features must be in range, internal
-    thresholds finite and class counts nonnegative."""
+    thresholds finite and class counts nonnegative, each node's summing to
+    less than ``tree._MAX_COUNT``, so that they fit the table's int32
+    counts (v1–v5 files may hold int64 counts)."""
     n_classes, n_features = meta["n_classes"], meta["n_features"]
     n = len(columns["feature"])
     for name, value in columns.items():
@@ -210,6 +214,17 @@ def _check_trees(meta: dict, columns: dict, starts: np.ndarray | None) -> np.nda
             f"snapshot node {i} of {n} is not a leaf or an internal node linking further "
             f"on: left={left[i]}, right={right[i]}, feature={feature[i]} of {n_features}, "
             f"threshold={columns['threshold'][i]}, counts={counts[i].tolist()}")
+    # A node's counts sum to at most n_classes times the largest count,
+    # which settles the bound for a sane file without summing rows; the
+    # rows are summed in floats, exact up to 2**53, as an int64 sum could
+    # wrap.
+    heavy = np.zeros(n, dtype=bool)
+    if int(counts.max(initial=0)) * n_classes >= _MAX_COUNT:
+        heavy = counts.sum(axis=1, dtype=np.float64) >= _MAX_COUNT
+    if heavy.any():
+        i = int(np.argmax(heavy))
+        raise ValueError(f"snapshot node {i} counts {sum(counts[i].tolist())} samples; "
+                         f"a node's total must stay below {_MAX_COUNT} (2**31)")
     # Every link is now -1 or a node id; bin 0 takes the leaves' -1.
     parents = np.bincount(np.concatenate((left, right)) + 1, minlength=n + 1)[1:]
     parents[roots] += 1  # so that every node of a forest has 1

@@ -21,9 +21,10 @@ __all__ = [
     "best_split",
 ]
 
-# Accounting constant for model-size estimates: per-node cost covering the
-# split fields, two child links and the class-count storage. Echoed in
-# benchmark result metadata so reported byte figures are reproducible.
+# Accounting constant for model-size estimates. Echoed in benchmark result
+# metadata so reported byte figures are reproducible. A live `NodeTable`
+# node takes 24 + 4k bytes for k classes, so the constant equals the live
+# size only at k = 10.
 BYTES_PER_NODE = 64
 
 
@@ -147,6 +148,11 @@ class SplitCriteria:
         return m
 
 
+# Bound on a node's total count: the int32 class counts of a node hold any
+# total below it.
+_MAX_COUNT = 1 << 31
+
+
 class NodeTable:
     """Struct-of-arrays storage for the nodes of one or more binary trees.
 
@@ -159,8 +165,13 @@ class NodeTable:
     `TreeNode.pre_split_total`). A tree is the id of its root; a forest
     keeps all of its trees in one table.
 
-    Only ids below ``size`` are nodes. Capacity grows by doubling, which
-    replaces the column arrays: hold on to the table, not to a column.
+    Counts are int32, so a node takes 24 + 4k bytes for k classes and its
+    total must stay below ``_MAX_COUNT``: `_Model._extend` and snapshot
+    loading check that, as int32 `np.add.at` would wrap silently.
+
+    Only ids below ``size`` are nodes. Capacity grows by doubling, and
+    `trim` cuts it to ``size``; both replace the column arrays: hold on to
+    the table, not to a column.
     """
 
     COLUMNS = ("feature", "threshold", "left", "counts")
@@ -171,18 +182,25 @@ class NodeTable:
         self.feature = np.empty(capacity, dtype=np.int64)
         self.threshold = np.empty(capacity, dtype=np.float64)
         self.left = np.empty(capacity, dtype=np.int64)
-        self.counts = np.empty((capacity, n_classes), dtype=np.int64)
+        self.counts = np.empty((capacity, n_classes), dtype=np.int32)
 
-    def _reserve(self, extra: int) -> None:
-        capacity = self.feature.shape[0]
-        if self.size + extra <= capacity:
-            return
-        capacity = max(self.size + extra, 2 * capacity)
+    def _resize(self, capacity: int) -> None:
+        """Move the nodes into columns of `capacity` slots."""
         for name in self.COLUMNS:
             old = getattr(self, name)
             new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
             new[: self.size] = old[: self.size]
             setattr(self, name, new)
+
+    def _reserve(self, extra: int) -> None:
+        capacity = self.feature.shape[0]
+        if self.size + extra > capacity:
+            self._resize(max(self.size + extra, 2 * capacity))
+
+    def trim(self) -> None:
+        """Cut the columns to exactly the table's nodes."""
+        if self.feature.shape[0] > self.size:
+            self._resize(self.size)
 
     def add_leaf(self, class_counts) -> int:
         """Append a leaf with these class counts; returns its id."""
@@ -205,7 +223,7 @@ class NodeTable:
         new leaf pair with the given class counts; returns the ids of the
         left and of the right leaves."""
         ids = np.asarray(ids, dtype=np.intp)
-        counts = np.empty((2 * ids.size, self.n_classes), dtype=np.int64)
+        counts = np.empty((2 * ids.size, self.n_classes), dtype=self.counts.dtype)
         counts[0::2], counts[1::2] = left_counts, right_counts
         left = self.add_leaves(counts)[0::2]
         self.feature[ids] = features
@@ -611,10 +629,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     return np.sort(np.array(chosen, dtype=np.intp))
 
 
-# Largest number of (tree, row) pairs one `_votes` block holds, and the row
+# Largest number of (tree, row) pairs one routing block of an update
+# (`_route_and_count`) or of a prediction (`_votes`) holds, and the row
 # budget of one growth round: bounds their temporary arrays to a few MB.
-# An update's routing pass, `_route_and_count`, is not bounded: it holds
-# all of the update's pairs and every level's path arrays at once.
 _PAIRS_PER_PASS = 1 << 15
 
 
@@ -690,12 +707,13 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         src, dst = order[_ranges(win, size)[1]], _ranges(start[splits], size)[1]
         rows[dst] = split_rows = node_rows[src]
         weights[dst] = split_weights = node_weights[src]
-        # The children's class counts; float sums of integers far below
-        # 2**53 are exact.
+        # The children's class counts, in the table's dtype; float sums of
+        # integers below the round's weight bound are exact.
         child = np.repeat(np.arange(2 * splits.size),
                           np.stack((n_left, size - n_left), axis=1).reshape(-1))
         counts = np.bincount(child * k + y[split_rows], weights=split_weights,
-                             minlength=splits.size * 2 * k).astype(np.int64).reshape(-1, 2, k)
+                             minlength=splits.size * 2 * k).astype(
+                                 table.counts.dtype).reshape(-1, 2, k)
         del at, node_rows, node_weights, order, src, dst, split_rows, split_weights, child
         left, right = table.split(node[splits], feature, threshold, counts[:, 0], counts[:, 1])
         mid = start[splits] + n_left
@@ -754,33 +772,42 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     ``rows[bounds[t]:bounds[t + 1]]`` of (X, y), distinct and in increasing
     order, row ``rows[i]`` counted ``weights[i]`` times: a bootstrap
     resample as `_samples` draws it, so each distinct pair is routed
-    once.
+    once. Pairs are routed and counted in blocks of at most
+    _PAIRS_PER_PASS, so only one block's paths are held at a time.
     """
     tree = np.repeat(np.arange(len(roots)), np.diff(bounds))
-    start = np.asarray(roots, dtype=np.intp)[tree]
-    path = []
-    leaf = _descend(table, start, rows, X, path)
-    labels = y[rows]
-    nodes = np.concatenate([start] + [reached for _, _, reached in path])
-    path_labels, path_weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
-                                for a in (labels, weights))
-    # In the counts' own dtype: np.add.at leaves its fast path when it must
-    # cast, which made it 20 times slower on the 32-bit weights of `_samples`.
-    np.add.at(table.counts.reshape(-1), nodes * table.n_classes + path_labels,
-              path_weight.astype(table.counts.dtype, copy=False))
-
+    roots = np.asarray(roots, dtype=np.intp)
+    counts = table.counts.reshape(-1)
+    leaf = np.empty(tree.size, dtype=np.intp)
     # Depth-first, left-first order of the touched leaves: one stable sort
     # of the distinct pairs on (tree, branches taken), packed most
     # significant bit first into int64 words of 63 bits: the tree index,
     # then one bit per depth, 1 for right. No touched leaf lies on another's
-    # path, so padding short paths with "left" is safe; stability keeps each
-    # leaf's rows in increasing order.
+    # path, so padding short paths with "left", and a block's words with
+    # zero words, is safe; stability keeps each leaf's rows in increasing
+    # order.
     tree_bits = (len(roots) - 1).bit_length()
-    words = np.zeros(((tree_bits + len(path)) // 63 + 1, tree.size), dtype=np.int64)
+    words = np.zeros((1, tree.size), dtype=np.int64)
     words[0] = tree << (63 - tree_bits)
-    for bit, (live, goes_right, _) in enumerate(path, start=tree_bits):
-        word = words[bit // 63]
-        word[live[goes_right]] |= 1 << (62 - bit % 63)
+    for lo in range(0, tree.size, _PAIRS_PER_PASS):
+        block = slice(lo, lo + _PAIRS_PER_PASS)
+        start, block_rows = roots[tree[block]], rows[block]
+        path = []
+        leaf[block] = _descend(table, start, block_rows, X, path)
+        nodes = np.concatenate([start] + [reached for _, _, reached in path])
+        path_labels, path_weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
+                                    for a in (y[block_rows], weights[block]))
+        # In the counts' own dtype: np.add.at leaves its fast path when it
+        # must cast, which once made it 20 times slower.
+        np.add.at(counts, nodes * table.n_classes + path_labels,
+                  path_weight.astype(counts.dtype, copy=False))
+        del nodes, path_labels, path_weight
+        extra = (tree_bits + len(path)) // 63 + 1 - words.shape[0]
+        if extra > 0:
+            words = np.concatenate((words, np.zeros((extra, tree.size), dtype=np.int64)))
+        for bit, (live, goes_right, _) in enumerate(path, start=tree_bits):
+            word = words[bit // 63, block]
+            word[live[goes_right]] |= 1 << (62 - bit % 63)
     order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
     first = np.flatnonzero(_changes(pair_leaf))
@@ -832,7 +859,7 @@ def _planted(table: NodeTable, data: Dataset, count: int, criteria: SplitCriteri
     k = data.n_classes
     counts = np.bincount(np.repeat(np.arange(count) * k, np.diff(bounds)) + data.labels[rows],
                          weights=weights, minlength=count * k)
-    roots = table.add_leaves(counts.astype(np.int64).reshape(count, k))
+    roots = table.add_leaves(counts.astype(table.counts.dtype).reshape(count, k))
     _grow(table, data, rows, weights, bounds, roots, criteria, rng)
     return roots
 
@@ -905,26 +932,36 @@ class _Model:
 
     def _fit(self, data: Dataset, count: int, bootstrap: bool, rng: np.random.Generator) -> None:
         """Make the model `count` new trees grown on `data` in a new table,
-        each on a sample as `_planted` draws it from `rng`; the model is
-        unchanged on error."""
+        each on a sample as `_planted` draws it from `rng`, the table cut to
+        its nodes; the model is unchanged on error."""
         _check_dataset("data", data)
         if data.n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
         table = NodeTable(data.n_classes)
-        self._roots = _planted(table, data, count, self.criteria, bootstrap, rng)
-        self._table = table
+        roots = _planted(table, data, count, self.criteria, bootstrap, rng)
+        table.trim()
+        self._table, self._roots = table, roots
         self.n_classes, self.n_features = data.n_classes, data.n_features
 
     def _extend(self, data: Dataset, bootstrap: bool) -> None:
         """Grow every tree on a sample of `data`, a batch checked against the
-        model's shape, as `_samples` draws it: all (tree, row) pairs are
-        routed and counted in one pass, then one `_grow` call grows the
-        touched leaves, tree by tree, each tree's depth-first, left first,
-        drawing from ``self.rng``."""
+        model's shape, as `_samples` draws it: `_route_and_count` routes and
+        counts all (tree, row) pairs, then one `_grow` call grows the touched
+        leaves, tree by tree, each tree's depth-first, left first, drawing
+        from ``self.rng``.
+
+        A sample adds the batch's row count to each root's total, which
+        bounds every node of its tree, so the update raises ValueError,
+        before it draws, if a root's total would reach ``_MAX_COUNT``."""
+        table = self._table
+        most = int(table.counts[self._roots].sum(axis=1, dtype=np.int64).max())
+        if most + data.n_samples >= _MAX_COUNT:
+            raise ValueError(f"a tree holding {most} samples cannot take {data.n_samples} more: "
+                             f"a node's total must stay below {_MAX_COUNT} (2**31)")
         rows, weights, bounds = _samples(self.rng, self._roots.size, data.n_samples, bootstrap)
-        touched = _route_and_count(self._table, self._roots, rows, weights, bounds,
+        touched = _route_and_count(table, self._roots, rows, weights, bounds,
                                    data.features, data.labels)
-        _grow(self._table, data, touched.rows, touched.weights, touched.bounds, touched.leaves,
+        _grow(table, data, touched.rows, touched.weights, touched.bounds, touched.leaves,
               self.criteria, self.rng)
 
     def _votes(self, X: np.ndarray) -> np.ndarray:

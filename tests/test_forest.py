@@ -158,6 +158,31 @@ class TestUpdate:
         after = f._table.export(f._roots)
         assert all(np.array_equal(before[name], after[name]) for name in before)
 
+    def test_update_stops_short_of_the_count_bound(self):
+        """int32 counts would wrap at 2**31: an update that would take a
+        root's total there raises by name before it draws, and one row
+        fewer passes, its root holding exactly 2**31 - 1."""
+        data = blobs(200, seed=23)
+        first, batch = pure_class_batch(data, cls=0, size=10), data.subset(range(100))
+        for headroom in (0, 1):
+            f = StreamForest(first, 3, n_trees=3, seed=24)
+            root = f._roots[1]
+            assert f._table.left[root] == -1  # a leaf, which only its counts describe
+            f._table.counts[root, 0] = 2**31 - batch.n_samples - headroom
+            before = f._table.export(f._roots)
+            state = f.rng.bit_generator.state
+            if headroom == 0:
+                with pytest.raises(ValueError, match=f"below {2**31}"):
+                    f.update(batch)
+                after = f._table.export(f._roots)
+                assert all(np.array_equal(before[name], after[name]) for name in before)
+                assert f._batches.tolist() == [1, 1, 1] and f.batches_seen == 1
+                assert f.rng.bit_generator.state == state
+            else:
+                f.update(batch, force_replacement=False)
+                assert int(f.trees[1].root.class_counts.sum()) == 2**31 - 1
+                assert f._batches.tolist() == [2, 2, 2]
+
     def test_a_tree_view_refuses_update(self):
         data = blobs(100, seed=21)
         stream = StreamForest(data, 3, n_trees=3, seed=22)

@@ -348,6 +348,37 @@ def test_v2_snapshot_loads_and_predicts_as_saved(tmp_path):
     assert loaded.rng.bit_generator.state == f.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("counts", [[2**31, 0, 0], [2**30, 2**30, 0], [2**62, 2**62, 0],
+                                    [2**31 - 1, 0, 0]])
+@pytest.mark.parametrize("fmt", ["v5", "v2"])
+def test_a_node_total_beyond_int32_is_rejected_by_node(tmp_path, fmt, counts):
+    """Files written before counts were int32 hold them as int64: a node
+    whose counts sum to 2**31 or more, in int64 or past it, fails by its
+    id; one a sample lighter loads and keeps its counts exactly."""
+    f = evolved_forest()
+    if fmt == "v5":
+        path = tmp_path / "forest.npz"
+        save_forest(f, path)
+        meta, arrays = read_archive(path)
+        node = arrays["left"].size - 1
+        arrays["counts"] = arrays["counts"].astype(np.int64)
+        arrays["counts"][node] = counts
+        write_archive(path, meta, arrays)
+    else:
+        path = tmp_path / "forest.json"
+        doc = write_v2_document(f, path)
+        node = len(doc["trees"][0]["class_counts"]) - 1  # tree 0 comes first
+        doc["trees"][0]["class_counts"][node] = counts
+        path.write_text(json.dumps(doc))
+    if sum(counts) < 2**31:
+        loaded = load_forest(path)
+        assert loaded._table.counts.dtype == np.int32
+        assert counts in loaded._table.counts.tolist()
+        return
+    with pytest.raises(ValueError, match=f"snapshot node {node} counts {sum(counts)} samples"):
+        load_forest(path)
+
+
 _MISSING = object()
 
 

@@ -1,6 +1,7 @@
 """The node table: forest-wide routing against a loop reference, tree
 copies, the sibling-pair layout, and the node count after forest updates."""
 
+import copy
 import pickle
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from streamforest import (
     load_forest,
     save_forest,
 )
+import streamforest.tree
 from streamforest.tree import _descend, _route_and_count
 
 from helpers import (
@@ -71,6 +73,7 @@ def test_router_matches_loop_reference(seed):
 
     before = table.counts[: table.size].copy()
     pairs = distinct_rows([rows[tree_of == t] for t in range(roots.size)])
+    blocked = copy.deepcopy(table)
     got = _route_and_count(table, roots, *pairs, X, y)
 
     # The same per-node counts as a per-node bincount loop.
@@ -84,6 +87,15 @@ def test_router_matches_loop_reference(seed):
     assert len(got) == len(touched)
     assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
     _assert_groups_hold_the_pairs(got, touched, rows)
+
+    # Routed in blocks of a few pairs, the same leaves, rows, weights and
+    # counts.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", 3)
+        in_blocks = _route_and_count(blocked, roots, *pairs, X, y)
+    for name in ("leaves", "bounds", "rows", "weights"):
+        assert np.array_equal(getattr(in_blocks, name), getattr(got, name))
+    assert np.array_equal(blocked.counts[: blocked.size], expected)
 
 
 def _assert_groups_hold_the_pairs(got, touched, rows):
@@ -103,7 +115,17 @@ def _assert_groups_hold_the_pairs(got, touched, rows):
 
 def test_router_orders_leaves_deeper_than_one_word():
     """Two caterpillar trees 150 levels deep, one leaning left and one
-    right: the branch bits of a path span three 63-bit words."""
+    right: the branch bits of a path span three 63-bit words. Routed in
+    blocks of 5 pairs as well, where blocks need different numbers of
+    words."""
+    for budget in (None, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
+            _check_deep_routing()
+
+
+def _check_deep_routing():
     depth, k = 150, 2
     table = NodeTable(k)
     roots = []
@@ -144,6 +166,38 @@ def test_table_holds_exactly_the_live_nodes():
         forest.update(data.subset(range(100 * i, 100 * (i + 1))), force_replacement=coin)
         assert forest._table.size == forest.node_count()
         _assert_no_dead_nodes(forest)
+
+
+def _sized_model(case, tmp_path):
+    """A model whose table was just built as `case` says."""
+    data = gen_synthetic("blobs", 400, noise=0.8, seed=5, n_classes=3, n_features=3)
+    if case == "DecisionTree.fit":
+        return DecisionTree(seed=6).fit(data)
+    if case == "StreamTree":
+        return StreamTree(data, 3, seed=6)
+    if case == "BatchForest.fit":
+        return BatchForest(5, seed=6).fit(data)
+    if case == "v1 load":
+        return load_forest(DATA / "v1_stream_forest.json")
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=5, replace_count=2, seed=6)
+    if case == "StreamForest":
+        return forest
+    forest.update(data.subset(range(100, 300)), force_replacement=True)
+    if case == "replacement":
+        return forest
+    forest.update(data.subset(range(300, 400)), force_replacement=False)
+    save_forest(forest, tmp_path / "forest.npz")
+    return load_forest(tmp_path / "forest.npz")
+
+
+@pytest.mark.parametrize("case", ["DecisionTree.fit", "StreamTree", "BatchForest.fit",
+                                  "StreamForest", "replacement", "v1 load", "v5 load"])
+def test_columns_hold_exactly_the_nodes(case, tmp_path):
+    """A fitted, replaced or loaded table has no spare slots, and holds
+    its class counts as int32; only updates grow a table by doubling."""
+    table = _sized_model(case, tmp_path)._table
+    assert [len(getattr(table, name)) for name in NodeTable.COLUMNS] == [table.size] * 4
+    assert table.counts.dtype == np.int32
 
 
 def test_copy_trees_keeps_structure():

@@ -316,11 +316,18 @@ class TestVoting:
     def test_batch_predict_matches_loop(self):
         f = StreamForest(blobs(150, seed=32, noise=0.5), 3, n_trees=5, seed=33)
         probes = np.random.default_rng(34).uniform(-4, 4, (100, 2))
-        batch = f.predict(probes)
-        assert batch.tolist() == [f.predict_one(x) for x in probes]
         reference = [int(np.argmax(np.bincount([t.predict_one(x) for t in f.trees],
                                                minlength=3))) for x in probes]
-        assert batch.tolist() == reference
+        # `_votes` routes _PAIRS_PER_PASS // 5 rows per block here: all at
+        # once unpatched, then blocks of one row, and of 7 rows, which do
+        # not divide the 100.
+        for budget in (None, 1, 7 * 5):
+            with pytest.MonkeyPatch.context() as mp:
+                if budget is not None:
+                    mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
+                batch = f.predict(probes)
+                assert batch.tolist() == [f.predict_one(x) for x in probes]
+            assert batch.tolist() == reference
 
     def test_winner_meets_vote_floor(self):
         f = StreamForest(blobs(150, seed=35, noise=0.8), 3, n_trees=7, seed=36)
@@ -335,16 +342,22 @@ class TestVoting:
             f.predict(np.zeros((4, 5)))
 
 
+def _fitted(kind, data: Dataset, seed: int):
+    """A model of `kind` fitted on `data`; a forest has 3 trees, a stream
+    forest seed `seed` and a batch forest seed ``seed + 1``."""
+    return {DecisionTree: lambda: DecisionTree().fit(data),
+            StreamTree: lambda: StreamTree(data, data.n_classes),
+            StreamForest: lambda: StreamForest(data, data.n_classes, n_trees=3, seed=seed),
+            BatchForest: lambda: BatchForest(3, seed=seed + 1).fit(data)}[kind]()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", [DecisionTree, StreamTree, StreamForest, BatchForest])
 def test_non_finite_input_is_rejected(kind, bad):
     """No threshold orders a NaN, which used to route right; every model
     rejects non-finite input and names where it is."""
     data = blobs(60, seed=40)
-    model = {DecisionTree: lambda: DecisionTree().fit(data),
-             StreamTree: lambda: StreamTree(data, 3),
-             StreamForest: lambda: StreamForest(data, 3, n_trees=3, seed=41),
-             BatchForest: lambda: BatchForest(3, seed=42).fit(data)}[kind]()
+    model = _fitted(kind, data, 41)
     X = np.zeros((3, 2))
     X[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite feature value at row 2, column 1"):
@@ -354,6 +367,42 @@ def test_non_finite_input_is_rejected(kind, bad):
     if isinstance(model, DecisionTree):
         with pytest.raises(ValueError, match="non-finite"):
             model.apply(X[2])
+
+
+@pytest.mark.parametrize("kind", [DecisionTree, StreamTree, StreamForest, BatchForest])
+def test_complex_features_are_rejected(kind):
+    """A cast to float64 would drop the imaginary part with only a warning;
+    complex features fail by dtype instead, even with no imaginary part."""
+    data = blobs(60, seed=45)
+    model = _fitted(kind, data, 43)
+    X = data.features[:4]
+    for bad in (X + 1j, X.astype(np.complex64)):
+        with pytest.raises(ValueError, match=f"features must be real numbers, not {bad.dtype}"):
+            model.predict(bad)
+        with pytest.raises(ValueError, match=f"not {bad.dtype}"):
+            model.predict_one(bad[0])
+        with pytest.raises(ValueError, match=f"not {bad.dtype}"):
+            Dataset(bad, data.labels[:4], 3)
+    with pytest.raises(ValueError, match="not complex128"):
+        model.predict_one([complex(x) for x in X[0]])
+
+
+@pytest.mark.parametrize("kind", [DecisionTree, StreamTree, StreamForest, BatchForest])
+def test_strided_input_predicts_as_its_contiguous_copy(kind):
+    """Prediction reads features through a flat view of a C-contiguous
+    copy, so any memory layout of the input predicts the same."""
+    data = gen_synthetic("blobs", 120, noise=0.8, seed=46, n_classes=3, n_features=3)
+    model = _fitted(kind, data, 43)
+    probes = np.random.default_rng(47).uniform(-4, 4, (50, 3))
+    wide = np.zeros((50, 6))
+    wide[:, ::2] = probes
+    views = {"fortran": np.asfortranarray(probes), "every other column": wide[:, ::2],
+             "rows reversed": probes[::-1]}
+    for name, X in views.items():
+        assert not X.flags.c_contiguous, name
+        assert model.predict(X).tolist() == model.predict(np.ascontiguousarray(X)).tolist(), name
+    for x in wide[:, ::2]:
+        assert model.predict_one(x) == model.predict_one(x.copy())
 
 
 def _three_rows(labels=(0, 1, 2), n_classes=3) -> Dataset:

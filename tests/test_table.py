@@ -98,6 +98,23 @@ def test_router_matches_loop_reference(seed):
     assert np.array_equal(blocked.counts[: blocked.size], expected)
 
 
+def test_descend_reads_int32_rows_like_intp_rows():
+    """Bootstrap rows come as int32; the flat row offsets must read the same
+    features from them as from intp rows when a row holds several."""
+    data = gen_synthetic("blobs", 200, noise=1.0, seed=48, n_classes=4, n_features=5)
+    forest = BatchForest(4, SplitCriteria(max_features="sqrt"), seed=49).fit(data)
+    table, roots = forest._table, forest._roots
+    rng = np.random.default_rng(50)
+    tree_of = rng.integers(0, roots.size, 500)
+    rows = rng.integers(0, data.n_samples, 500)
+    X = data.features
+    leaves = _descend(table, roots[tree_of], rows.astype(np.intp), X)
+    assert np.array_equal(_descend(table, roots[tree_of], rows.astype(np.int32), X), leaves)
+    views = [table.view(r) for r in roots]
+    assert [table.view(i) for i in leaves] == [walk_to_leaf(views[t], X[r])
+                                               for t, r in zip(tree_of, rows)]
+
+
 def _assert_groups_hold_the_pairs(got, touched, rows):
     """Leaf group u of the router's result holds the loop reference's pairs
     of touched leaf u: each distinct row once, in increasing order, with its

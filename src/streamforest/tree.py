@@ -390,7 +390,9 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
     times each listed row is present: the result equals that of the search
     over ``np.repeat(indices, weights)``, exactly, as a bootstrap resample
     held as distinct rows with their counts needs. They must sum to less
-    than 2**31, which keeps the integer sums exact.
+    than 2**31, which keeps the integer sums exact. A call whose sort words
+    (see `_search`) would need more than 63 bits, which takes millions of
+    (row, feature) positions, raises ValueError.
 
     With `starts`, one call searches many nodes: `indices` holds their rows
     back to back, node u's from ``starts[u]`` up to the next start (or the
@@ -461,6 +463,17 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return bounds, np.repeat(starts - bounds[:-1], sizes) + np.arange(bounds[-1])
 
 
+def _position_bits(keys: int, positions: int) -> int:
+    """Bits of the position field of an int64 word ``key << bits |
+    position`` that packs a key below `keys` with a position below
+    `positions`; raises ValueError naming both sizes when such a word
+    needs more than 63 bits, as the sign bit would then reorder the words."""
+    bits = max(1, (positions - 1).bit_length())
+    if (keys - 1).bit_length() + bits > 63:
+        raise ValueError(f"cannot pack {keys} keys and {positions} positions into 63 bits")
+    return bits
+
+
 def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarray,
             cand: np.ndarray, bounds: np.ndarray) -> tuple:
     """`best_split` over nodes laid out back to back in `rows`, node u in
@@ -475,6 +488,12 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     segment by segment in value order. Split j's node holds the rows
     ``rows[order[win[j]:win[j] + size]]``, its ``n_left[j]`` left rows first.
 
+    Both sorts, by (segment, value) and by (segment, class), sort int64
+    words that pack the sort key above the position (`_position_bits`), so
+    one in-place sort yields the order and the sorted keys with no argsort
+    or gather; raises ValueError when the keys and positions of a call do
+    not fit 63 bits together.
+
     A full round's arrays sit on top of an almost full node table late in
     a fit, where the fit's memory peaks, so each is deleted once used."""
     X, y, k = data.features, data.labels, data.n_classes
@@ -482,27 +501,34 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
 
     # Segment s = u * m + j holds node u's rows under its j-th feature. One
-    # sort of the integer keys segment * n + rank orders the rows by
-    # segment, then value (ties in any order, as only the multiset of each
-    # block of equal values matters).
+    # sort of the int64 words (segment * n + rank) << bits | position orders
+    # the positions by segment, then value (equal values by position, though
+    # any order would do, as only the multiset of each block of equal values
+    # matters); the low bits of the sorted words are the positions in that
+    # order, and the high bits the keys.
     seg_size = np.repeat(sizes, m)
     seg_start, at = _ranges(np.repeat(starts, m), seg_size)
     first, e = seg_start[:-1], at.size
     seg = np.repeat(np.arange(seg_size.size), seg_size)
     seg_feature = cand.reshape(-1)
-    key = seg * rank.shape[0] + rank.reshape(-1).take(
+    position = np.arange(e)
+    bits = _position_bits(seg_size.size * rank.shape[0], e)
+    word = np.multiply(seg, rank.shape[0])
+    word += rank.reshape(-1).take(
         np.multiply(rows[at], rank.shape[1], dtype=np.intp) + seg_feature[seg])
-    order = np.argsort(key)
-    key = key[order]
+    word <<= bits
+    word |= position
+    word.sort()
+    at = at[word & ((1 << bits) - 1)]
+    word >>= bits
     # Position p is no value boundary where it starts its segment or holds
     # the value before it.
     inside = np.empty(e, dtype=bool)
-    np.equal(key[1:], key[:-1], out=inside[1:])
+    np.equal(word[1:], word[:-1], out=inside[1:])
     inside[first] = True
-    at = at[order]
+    del word
     lab = y[rows[at]]
     w = weights[at]
-    del key, order
 
     # Maximizing the weighted gini decrease is equivalent to maximizing
     # q = S_l/n_l + S_r/n_r, with S the sum of squared child class counts.
@@ -510,18 +536,26 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     # w at a time to the left: S_l grows by (2 * left_c + w) * w and S_r
     # shrinks by (2 * right_c - w) * w, with left_c and right_c counted
     # before the move. left_c is the weight of the segment's rows of class
-    # c before the row, found by sorting on (segment, class, position); the
-    # totals of the (segment, class) runs in each node's first segment are
-    # its class counts.
-    key = seg * k + lab
-    by_class = np.argsort(key * e + np.arange(e))
+    # c before the row, found by sorting the words (segment * k + class) <<
+    # bits | position, packed as above: the low bits give the positions in
+    # class order, the high bits their (segment, class) group. The totals
+    # of the groups in each node's first segment are its class counts.
+    bits = _position_bits(seg_size.size * k, e)
+    word = np.multiply(seg, k)
+    word += lab
+    word <<= bits
+    word |= position
+    word.sort()
+    by_class = word & ((1 << bits) - 1)
+    word >>= bits
+    del position
     group_start = np.zeros(seg_size.size * k + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=seg_size.size * k), out=group_start[1:])
+    np.cumsum(np.bincount(word, minlength=seg_size.size * k), out=group_start[1:])
     passed = np.zeros(e + 1, dtype=np.int64)  # weight before each position
     np.cumsum(w[by_class], out=passed[1:])
     before = np.empty(e, dtype=np.int64)
-    before[by_class] = passed[:-1] - passed[group_start[key[by_class]]]
-    del key, by_class
+    before[by_class] = passed[:-1] - passed[group_start[word]]
+    del word, by_class
     totals = passed[group_start]
     parent = np.ascontiguousarray((totals[1:] - totals[:-1]).reshape(-1, k)[::m])
     after = parent.reshape(-1).take(np.repeat(np.arange(sizes.size) * k, sizes * m)
@@ -630,8 +664,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
 
 
 # Largest number of (tree, row) pairs one routing block of an update
-# (`_route_and_count`) or of a prediction (`_votes`) holds, and the row
-# budget of one growth round: bounds their temporary arrays to a few MB.
+# (`_route_and_count`) or of a prediction (`_votes`) holds, and of (row,
+# feature) positions one growth round searches: bounds their temporary
+# arrays to a few MB at any feature count.
 _PAIRS_PER_PASS = 1 << 15
 
 
@@ -652,12 +687,12 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     split, in the listed order, then the children that can split of each
     node in queue order, left child first. A round is one batched
     `_search` over a prefix of the queue holding at most _PAIRS_PER_PASS
-    distinct rows (at least one node), whose weights must sum to less than
-    2**31 as in `best_split`; the features are ranked once per call. Each
-    searched node, in queue order, takes p doubles from `rng` and searches
-    the features of the m smallest; nothing is drawn when m = p. A double
-    is one 64-bit word of the generator, so neither the cut into rounds
-    nor node ids change the trees.
+    (row, feature) positions, m per distinct row (at least one node), whose
+    weights must sum to less than 2**31 as in `best_split`; the features
+    are ranked once per call. Each searched node, in queue order, takes p
+    doubles from `rng` and searches the features of the m smallest; nothing
+    is drawn when m = p. A double is one 64-bit word of the generator, so
+    neither the cut into rounds nor node ids change the trees.
     """
     X, y, k, p = data.features, data.labels, data.n_classes, data.n_features
     m = criteria.resolve_max_features(p)
@@ -679,8 +714,10 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
                      axis=1)[mixed & (weighted >= min_split)]
     rank = _ranks(X)
     while queue.size:
+        # The prefix of at most _PAIRS_PER_PASS positions: rows * m stays
+        # within it exactly when rows stays within _PAIRS_PER_PASS // m.
         take = max(1, int(np.searchsorted(np.cumsum(queue[:, 2] - queue[:, 1]),
-                                          _PAIRS_PER_PASS, side="right")))
+                                          _PAIRS_PER_PASS // m, side="right")))
         (node, start, stop, weighted), queue = queue[:take].T, queue[take:]
         if weighted.sum() >= _MAX_WEIGHT:
             raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
@@ -724,6 +761,14 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         queue = np.concatenate((queue, children[grows]))
 
 
+# The 0 that `_descend` compares child links with, as a 0-d intp array:
+# numpy resolves a Python int operand anew on every comparison, which on
+# the ~100 pairs of a `predict_one` level took about as long as the
+# comparison itself.
+_INTP_ZERO = np.zeros((), dtype=np.intp)
+_INTP_ZERO.flags.writeable = False
+
+
 def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndarray:
     """Route (start node, row) pairs to their leaves, all pairs one level
     per step; returns the leaf id of each pair.
@@ -743,7 +788,7 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndar
     node = np.array(start, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
     flat, base = X.reshape(-1), np.multiply(rows, X.shape[1], dtype=np.intp)
-    live = np.flatnonzero(left[node] >= 0)
+    live = np.flatnonzero(left[node] >= _INTP_ZERO)
     while live.size:
         cur = node[live]
         goes_right = flat[base[live] + feature[cur]] > threshold[cur]
@@ -752,7 +797,7 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndar
         node[live] = reached
         if path is not None:
             path.append((live, goes_right, reached))
-        live = live[left[reached] >= 0]
+        live = live[left[reached] >= _INTP_ZERO]
     return node
 
 

@@ -48,13 +48,15 @@ def _values(rng: np.random.Generator, shape) -> np.ndarray:
     return values
 
 
-def _case(seed: int):
+def _case(seed: int, wide: bool = False):
     """Random data and split rules: k 2-6, p 1-7, max_features "all", 1,
     "sqrt" or a fixed m > 1, min_samples_split 2-6, min_impurity_decrease 0
-    or positive."""
+    or positive. A `wide` case has p 3-7 and max_features "all", so each
+    row of a growth round is searched at p >= 3 positions."""
     rng = np.random.default_rng(seed)
-    k, p = int(rng.integers(2, 7)), int(rng.integers(1, 8))
-    rules = ["all", 1, "sqrt"] + ([int(rng.integers(2, p + 1))] if p > 1 else [])
+    k, p = int(rng.integers(2, 7)), int(rng.integers(3 if wide else 1, 8))
+    rules = ["all"] if wide else (
+        ["all", 1, "sqrt"] + ([int(rng.integers(2, p + 1))] if p > 1 else []))
     criteria = SplitCriteria(
         min_samples_split=int(rng.integers(2, 7)),
         max_features=rules[int(rng.integers(0, len(rules)))],
@@ -66,7 +68,7 @@ def _case(seed: int):
     return rng, criteria, data
 
 
-# Row budgets of a growth round; None keeps the library's.
+# Position budgets of a growth round; None keeps the library's.
 BUDGETS = st.sampled_from([None, None, 1, 7, 40])
 
 
@@ -87,10 +89,10 @@ def test_stream_forest_grows_like_the_loop_reference(seed, budget):
     _with_budget(budget, _check_stream_forest, seed)
 
 
-def _check_stream_forest(seed):
+def _check_stream_forest(seed, wide=False):
     """Construction, updates and forced, suppressed and free replacement
     coins: the whole draw order of an update, replacements included."""
-    rng, criteria, make = _case(seed)
+    rng, criteria, make = _case(seed, wide)
     first = make(int(rng.integers(10, 80)))
     k = first.n_classes
     n_trees = int(rng.integers(1, 5))
@@ -122,8 +124,8 @@ def test_batch_forest_and_tree_fit_like_the_loop_reference(seed, budget):
     _with_budget(budget, _check_batch_fits, seed)
 
 
-def _check_batch_fits(seed):
-    rng, criteria, make = _case(seed)
+def _check_batch_fits(seed, wide=False):
+    rng, criteria, make = _case(seed, wide)
     data = make(int(rng.integers(10, 150)))
     n = data.n_samples
     n_trees = int(rng.integers(1, 4))
@@ -144,8 +146,8 @@ def test_stream_tree_grows_like_the_loop_reference(seed, budget):
     _with_budget(budget, _check_stream_tree, seed)
 
 
-def _check_stream_tree(seed):
-    rng, criteria, make = _case(seed)
+def _check_stream_tree(seed, wide=False):
+    rng, criteria, make = _case(seed, wide)
     first = make(int(rng.integers(5, 80)))
     tree = StreamTree(first, first.n_classes, criteria, seed=seed)
     ref_rng = np.random.default_rng(seed)
@@ -157,6 +159,78 @@ def _check_stream_tree(seed):
         loop_update([root], batch, [np.arange(batch.n_samples)], criteria, ref_rng)
         assert preorder(tree.root) == preorder(root)
     assert tree.rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("check", [_check_stream_forest, _check_batch_fits,
+                                   _check_stream_tree])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 40]))
+def test_position_budget_grows_like_the_loop_reference(check, seed, budget):
+    """At max_features "all" and p >= 3 the position budget cuts a round at
+    fewer rows than a row budget of the same size would; the trees stay the
+    reference's."""
+    _with_budget(budget, lambda s: check(s, wide=True), seed)
+
+
+def test_rounds_hold_at_most_the_position_budget():
+    """A round searches at most the budget's (row, feature) positions, or
+    one node alone that holds more: here first the root, 60 rows at 4
+    features, then rounds of several nodes."""
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.integers(0, 4, (60, 4)).astype(np.float64), rng.integers(0, 3, 60), 3)
+    tree = streamforest.tree
+    search, rounds = tree._search, []
+
+    def recorded(data, rank, rows, weights, cand, bounds):
+        rounds.append((bounds.size - 1, rows.size * cand.shape[1]))
+        return search(data, rank, rows, weights, cand, bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_PAIRS_PER_PASS", 40)
+        mp.setattr(tree, "_search", recorded)
+        DecisionTree(SplitCriteria(max_features="all")).fit(data)
+    assert all(positions <= 40 or nodes == 1 for nodes, positions in rounds)
+    assert rounds[0] == (1, 240) and any(nodes > 1 for nodes, _ in rounds)
+
+
+@pytest.mark.parametrize("j", [1, 3, 6, 9])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_packed_sorts_match_the_oracle_at_the_position_mask_edge(j, extra):
+    """Calls of 2**j and 2**j + 1 positions, where the position field of the
+    packed sort words is exactly full or one bit wider, over tied values:
+    one node over one feature, and the same rows cut into nodes searched
+    in one batched call."""
+    e = 2**j + extra
+    rng = np.random.default_rng(j)
+    data = Dataset(_values(rng, (e, 2)), rng.integers(0, 3, e), 3)
+    rows = rng.permutation(e)
+    starts = np.unique(np.append(0, rng.integers(1, e, 3)))
+    cand = rng.integers(0, 2, (starts.size, 1))
+    nodes = [(rows, [0]), (rows, [1])] + list(zip(np.split(rows, starts[1:]), cand))
+    found = [best_split(data, rows, [0]), best_split(data, rows, [1])]
+    found += best_split(data, rows, cand, starts)
+    for got, (node, features) in zip(found, nodes):
+        oracle = brute_force_best_split(data, node, features)
+        if oracle is None:
+            assert got is None
+        else:
+            assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], abs=1e-12)
+
+
+def test_position_bits_cover_exactly_63_bits():
+    """A key field and a position field of 63 bits together pack; one bit
+    more raises ValueError naming the sizes."""
+    bits = streamforest.tree._position_bits
+    assert bits(1, 1) == 1 and bits(2**20, 2) == 1 and bits(5, 2**15) == 15
+    assert bits(5, 2**15 + 1) == 16
+    assert bits(2**48, 2**15) == 15  # 48 + 15 bits
+    assert bits(2**62, 2) == 1  # 62 + 1 bits
+    key, position = 2**48 - 1, 2**15 - 1
+    assert (key << 15 | position) < 2**63  # the largest word stays nonnegative
+    for keys, positions in ((2**48 + 1, 2**15), (2**48, 2**15 + 1), (2**62 + 1, 2),
+                            (2, 2**62 + 1)):
+        with pytest.raises(ValueError, match=f"{keys} keys and {positions} positions"):
+            bits(keys, positions)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -68,7 +68,8 @@ def _add_common(p: argparse.ArgumentParser, with_reps: bool) -> None:
 
 
 def _load_data(args, need_test: bool):
-    """Resolve --data into datasets; returns (train, test_or_none, dataset_id)."""
+    """Resolve --data into datasets; returns (train, test_or_none,
+    dataset_id, label_map), the label map None for synthetic data."""
     if args.data in SYNTH_KINDS:
         kind = args.data
         k = args.synth_classes if kind == "blobs" else 2
@@ -79,36 +80,35 @@ def _load_data(args, need_test: bool):
             test = gen_synthetic(kind, args.synth_test, args.synth_noise,
                                  args.seed + 1, n_classes=k,
                                  n_features=args.synth_features)
-        return train, test, kind
+        return train, test, kind, None
 
     path = Path(args.data)
     dataset, label_map = load_csv(path, _parse_label_col(args.label_col),
                                   n_classes=args.classes, header=args.header)
-    sidecar = Path(str(args.out) + ".labels.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({str(k): v for k, v in label_map.items()}, fh, sort_keys=True)
-
     if not need_test:
-        return dataset, None, path.stem
+        return dataset, None, path.stem, label_map
     if args.test is not None:
         test, _ = load_csv(args.test, _parse_label_col(args.label_col),
                            n_classes=dataset.n_classes, header=args.header)
-        return dataset, test, path.stem
+        return dataset, test, path.stem, label_map
     # Seeded holdout split when no separate test file is given.
+    if not 0.0 < args.test_frac < 1.0:  # nan fails too
+        raise ValueError(f"--test-frac must be a finite number in (0, 1), not {args.test_frac}")
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(dataset.n_samples)
     n_test = max(1, int(round(dataset.n_samples * args.test_frac)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
         raise SystemExit("error: --test-frac leaves no training data")
-    return dataset.subset(train_idx), dataset.subset(test_idx), path.stem
+    return dataset.subset(train_idx), dataset.subset(test_idx), path.stem, label_map
 
 
 def _cmd_experiment(args) -> int:
     """The stream and cv commands: one experiment config, whose repetitions
-    are --reps streaming orders or --folds folds."""
+    are --reps streaming orders or --folds folds. A CSV's label map goes
+    to <out>.labels.json once the results are written."""
     stream = args.command == "stream"
-    data, test, dataset_id = _load_data(args, need_test=stream)
+    data, test, dataset_id, label_map = _load_data(args, need_test=stream)
     config = ExperimentConfig(
         dataset=dataset_id,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
@@ -118,6 +118,9 @@ def _cmd_experiment(args) -> int:
     records = (run_stream_experiment(config, data, test) if stream
                else run_cv_experiment(config, data))
     emit_results(records, args.out, config)
+    if label_map is not None:
+        with open(str(args.out) + ".labels.json", "w", encoding="utf-8") as fh:
+            json.dump({str(k): v for k, v in label_map.items()}, fh, sort_keys=True)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_reps=True)
     p.add_argument("--test", default=None, help="separate test CSV")
     p.add_argument("--test-frac", type=float, default=0.25,
-                   help="holdout fraction when no test CSV is given")
+                   help="holdout fraction in (0, 1) when no test CSV is given")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("cv", help="k-fold cross-validated streaming")

@@ -137,8 +137,8 @@ class StreamForest(_Forest):
         held = self._roots.copy()
         held[indices] = roots
         self._batches[indices] = 1
-        table = NodeTable(self.n_classes, capacity=0)
-        self._roots = table.copy_trees(self._table, held)
+        table = NodeTable(self.n_classes)
+        self._roots = table.append(self._table.export(held), held.size)
         self._table = table
 
 

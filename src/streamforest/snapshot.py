@@ -282,6 +282,6 @@ def load_forest(path) -> StreamForest | BatchForest:
     if starts is not None:
         columns = _breadth_first(columns, roots, columns["right"])
     forest.n_classes, forest.n_features = n_classes, n_features
-    forest._table = NodeTable(n_classes, capacity=0)
+    forest._table = NodeTable(n_classes)
     forest._roots = forest._table.append(columns, roots.size)
     return forest

@@ -49,6 +49,15 @@ def _check_integer(name: str, value, low: int):
     return value if isinstance(value, np.ndarray) else int(value)
 
 
+def _check_index(name: str, value, stop: int) -> np.ndarray:
+    """`value` as an intp array of indices in [0, `stop`); raises as
+    `_check_integer` does, and ValueError if an index reaches `stop`."""
+    value = _check_integer(name, np.asarray(value), 0)
+    if value.size and value.max() >= stop:
+        raise ValueError(f"{name} must be below {stop}, not {value.max()}")
+    return value.astype(np.intp)
+
+
 def _check_bool(name: str, value) -> bool:
     """`value` as a plain bool; raises TypeError unless it is True or False."""
     if not isinstance(value, (bool, np.bool_)):
@@ -169,20 +178,21 @@ class NodeTable:
     total must stay below ``_MAX_COUNT``: `_Model._extend` and snapshot
     loading check that, as int32 `np.add.at` would wrap silently.
 
-    Only ids below ``size`` are nodes. Capacity grows by doubling, and
-    `trim` cuts it to ``size``; both replace the column arrays: hold on to
-    the table, not to a column.
+    A table starts empty and is written only through `add_leaves`, `split`,
+    `append` and `trim`. Only ids below ``size`` are nodes. Capacity grows
+    by doubling, and `trim` cuts it to ``size``; both replace the column
+    arrays: hold on to the table, not to a column.
     """
 
     COLUMNS = ("feature", "threshold", "left", "counts")
 
-    def __init__(self, n_classes: int, capacity: int = 16):
+    def __init__(self, n_classes: int):
         self.n_classes = n_classes
         self.size = 0
-        self.feature = np.empty(capacity, dtype=np.int64)
-        self.threshold = np.empty(capacity, dtype=np.float64)
-        self.left = np.empty(capacity, dtype=np.int64)
-        self.counts = np.empty((capacity, n_classes), dtype=np.int32)
+        self.feature = np.empty(0, dtype=np.int64)
+        self.threshold = np.empty(0, dtype=np.float64)
+        self.left = np.empty(0, dtype=np.int64)
+        self.counts = np.empty((0, n_classes), dtype=np.int32)
 
     def _resize(self, capacity: int) -> None:
         """Move the nodes into columns of `capacity` slots."""
@@ -202,10 +212,6 @@ class NodeTable:
         if self.feature.shape[0] > self.size:
             self._resize(self.size)
 
-    def add_leaf(self, class_counts) -> int:
-        """Append a leaf with these class counts; returns its id."""
-        return int(self.add_leaves(np.asarray(class_counts)[None, :])[0])
-
     def add_leaves(self, class_counts) -> np.ndarray:
         """Append one leaf per row of the (n, k) `class_counts`; returns their ids."""
         n = len(class_counts)
@@ -217,19 +223,16 @@ class NodeTable:
         self.counts[new] = class_counts
         return np.arange(new.start, new.stop)
 
-    def split(self, ids, features, thresholds, left_counts,
-              right_counts) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, ids, features, thresholds, child_counts) -> np.ndarray:
         """Turn the leaves `ids` into internal nodes, leaf ``ids[i]`` over a
-        new leaf pair with the given class counts; returns the ids of the
-        left and of the right leaves."""
-        ids = np.asarray(ids, dtype=np.intp)
-        counts = np.empty((2 * ids.size, self.n_classes), dtype=self.counts.dtype)
-        counts[0::2], counts[1::2] = left_counts, right_counts
-        left = self.add_leaves(counts)[0::2]
+        new leaf pair whose class counts are rows 2i (left) and 2i + 1
+        (right) of the (2 len(ids), k) `child_counts`; returns the ids of
+        the left leaves, each right leaf's id being its left one's + 1."""
+        left = self.add_leaves(child_counts)[0::2]
         self.feature[ids] = features
         self.threshold[ids] = thresholds
         self.left[ids] = left
-        return left, left + 1
+        return left
 
     def view(self, i) -> "TreeNode":
         """The node view of id i."""
@@ -256,11 +259,6 @@ class NodeTable:
         left[left >= 0] += new.start
         self.size = new.stop
         return new.start + np.arange(n_trees)
-
-    def copy_trees(self, source: "NodeTable", roots) -> np.ndarray:
-        """Append the trees at `roots` of another table, laid out as
-        `export` lays them out; returns their new root ids."""
-        return self.append(source.export(roots), len(roots))
 
 
 def _levels(left, roots, right=None) -> list[np.ndarray]:
@@ -404,7 +402,7 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
     (feature, threshold, decrease) or None when no split yields a positive
     decrease (pure node, or all candidate features constant).
     """
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = _check_index("indices", indices, data.n_samples)
     if weights is None:
         weights = np.ones(idx.size, dtype=np.int32)
     else:
@@ -415,22 +413,17 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
         if weights.sum(dtype=np.float64) >= _MAX_WEIGHT:
             raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
         weights = weights.astype(np.int32, copy=False)  # lossless below the bound
+    cand = _check_index("candidate_features", candidate_features, data.n_features)
     if starts is None:
-        if idx.size == 0:
-            raise ValueError("indices must be nonempty")
-        feats = sorted({int(f) for f in candidate_features})
-        if not feats:
-            raise ValueError("candidate_features must be nonempty")
-        cand, bounds = np.array([feats]), np.array([0, idx.size])
+        if idx.size == 0 or cand.size == 0:
+            raise ValueError("indices and candidate_features must be nonempty")
+        cand, bounds = np.unique(cand)[None, :], np.array([0, idx.size])
     else:
-        cand = np.asarray(candidate_features)
-        bounds = np.append(np.asarray(starts, dtype=np.intp), idx.size)
+        bounds = np.append(_check_index("starts", starts, idx.size), idx.size)
         if cand.ndim != 2 or cand.shape[0] != bounds.size - 1 or cand.shape[1] == 0:
             raise ValueError("need one nonempty row of candidate features per node")
         if bounds[0] != 0 or (bounds[1:] <= bounds[:-1]).any():
             raise ValueError("starts must begin at 0 and leave every node nonempty")
-    if cand.min() < 0 or cand.max() >= data.n_features:
-        raise ValueError("candidate feature index out of range")
     given, rows = np.unique(idx, return_inverse=True)
     sub = data.subset(given)
     (node, feature, threshold, _, _, *sums), _ = _search(
@@ -744,20 +737,15 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         src, dst = order[_ranges(win, size)[1]], _ranges(start[splits], size)[1]
         rows[dst] = split_rows = node_rows[src]
         weights[dst] = split_weights = node_weights[src]
-        # The children's class counts, in the table's dtype; float sums of
-        # integers below the round's weight bound are exact.
-        child = np.repeat(np.arange(2 * splits.size),
-                          np.stack((n_left, size - n_left), axis=1).reshape(-1))
-        counts = np.bincount(child * k + y[split_rows], weights=split_weights,
-                             minlength=splits.size * 2 * k).astype(
-                                 table.counts.dtype).reshape(-1, 2, k)
-        del at, node_rows, node_weights, order, src, dst, split_rows, split_weights, child
-        left, right = table.split(node[splits], feature, threshold, counts[:, 0], counts[:, 1])
+        counts = _class_counts(y[split_rows], split_weights,
+                               np.stack((n_left, size - n_left), axis=1).reshape(-1), k)
+        del at, node_rows, node_weights, order, src, dst, split_rows, split_weights
+        left = table.split(node[splits], feature, threshold, counts)
         mid = start[splits] + n_left
         children = np.stack((
             np.stack((left, start[splits], mid, n_l), axis=1),
-            np.stack((right, mid, stop[splits], n_r), axis=1)), axis=1)
-        grows = ((counts > 0).sum(axis=2) > 1) & (children[..., 3] >= min_split)
+            np.stack((left + 1, mid, stop[splits], n_r), axis=1)), axis=1)
+        grows = ((counts > 0).sum(axis=1).reshape(-1, 2) > 1) & (children[..., 3] >= min_split)
         queue = np.concatenate((queue, children[grows]))
 
 
@@ -909,16 +897,24 @@ def _samples(rng: np.random.Generator, count: int, n: int,
     return rows, weights, np.searchsorted(drawn, bounds)
 
 
+def _class_counts(labels, weights, sizes, k: int) -> np.ndarray:
+    """The (len(sizes), k) int32 class counts of consecutive groups of rows,
+    group g the next ``sizes[g]``, row i of class ``labels[i]`` counted
+    ``weights[i]`` times. The float64 sums of `np.bincount` are exact: each
+    partial sum is a whole number below the int32 totals' 2**31 < 2**53."""
+    group = np.repeat(np.arange(len(sizes)) * k, sizes)
+    return np.bincount(group + labels, weights=weights, minlength=len(sizes) * k).astype(
+        np.int32).reshape(-1, k)
+
+
 def _planted(table: NodeTable, data: Dataset, count: int, criteria: SplitCriteria,
              bootstrap: bool, rng: np.random.Generator) -> np.ndarray:
     """The roots of `count` new trees grown together in `table` by one
     `_grow` call, each on a sample of `data` as `_samples` draws it, all
     drawing from `rng`."""
     rows, weights, bounds = _samples(rng, count, data.n_samples, bootstrap)
-    k = data.n_classes
-    counts = np.bincount(np.repeat(np.arange(count) * k, np.diff(bounds)) + data.labels[rows],
-                         weights=weights, minlength=count * k)
-    roots = table.add_leaves(counts.astype(table.counts.dtype).reshape(count, k))
+    roots = table.add_leaves(_class_counts(data.labels[rows], weights, np.diff(bounds),
+                                           data.n_classes))
     _grow(table, data, rows, weights, bounds, roots, criteria, rng)
     return roots
 
@@ -1058,8 +1054,6 @@ class _Model:
     def predict(self, X) -> np.ndarray:
         """Majority-class predictions for the rows of X."""
         X = _check_input(self, X, 2)
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
         votes = self._votes(X)
         return votes[0] if votes.shape[0] == 1 else _majority_vote(votes, self.n_classes)
 

@@ -214,12 +214,9 @@ def plant_constant_trees(forest, classes: dict) -> None:
     counts vote class ``classes[i]``, for each i in `classes`. The leaves are
     planted in the forest's own table and swapped in through `_replace`, as
     a replacement swaps trees."""
-    table, roots = forest._table, []
-    for predicted_class in classes.values():
-        counts = np.zeros(forest.n_classes, dtype=np.int64)
-        counts[predicted_class] = 1_000_000
-        roots.append(table.add_leaf(counts))
-    forest._replace(list(classes), roots)
+    counts = np.zeros((len(classes), forest.n_classes), dtype=np.int64)
+    counts[np.arange(len(classes)), list(classes.values())] = 1_000_000
+    forest._replace(list(classes), forest._table.add_leaves(counts))
 
 
 def kept_trees(before, after) -> list[int]:

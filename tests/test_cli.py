@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from streamforest import gen_synthetic, load_csv, load_results, save_csv
 from streamforest.cli import main
@@ -114,6 +115,25 @@ class TestErrors:
                          "--out", str(tmp_path / "r.jsonl"))
         assert result.returncode != 0
         assert "gradboost" in result.stderr and "choose from sdt,sdf,dt,df" in result.stderr
+
+    @pytest.mark.parametrize("frac", ["0", "-0.5", "1.0", "1.5", "nan", "inf"])
+    def test_test_frac_outside_the_open_unit_interval_writes_nothing(self, frac, tmp_path,
+                                                                     capsys):
+        csv_path = tmp_path / "train.csv"
+        save_csv(gen_synthetic("blobs", 40, noise=0.5, seed=6, n_classes=3), csv_path)
+        code = main(["stream", "--data", str(csv_path), "--header", "--test-frac", frac,
+                     "--out", str(tmp_path / "r.jsonl")])
+        assert code == 1 and "--test-frac must be a finite number in (0, 1)" in (
+            capsys.readouterr().err)
+        assert sorted(tmp_path.iterdir()) == [csv_path]
+
+    def test_failed_csv_run_leaves_no_label_sidecar(self, tmp_path, capsys):
+        csv_path = tmp_path / "train.csv"
+        save_csv(gen_synthetic("blobs", 40, noise=0.5, seed=6, n_classes=3), csv_path)
+        code = main(["stream", "--data", str(csv_path), "--header",
+                     "--test", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 1 and "absent.csv" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [csv_path]
 
     def test_missing_subcommand_exits_nonzero(self):
         assert run_cli().returncode != 0

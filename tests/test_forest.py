@@ -305,8 +305,15 @@ class TestVoting:
         assert f.predict_one([0.0, 0.0]) == 0
 
     def test_batch_predict_empty(self):
-        f = StreamForest(blobs(60, seed=28), 3, n_trees=2, seed=29)
-        assert f.predict(np.empty((0, 2))).shape == (0,)
+        """Every model predicts no rows as an empty array of the dtype it
+        predicts rows in."""
+        data = blobs(60, seed=28)
+        for model in (DecisionTree(seed=29).fit(data), StreamTree(data, 3, seed=29),
+                      BatchForest(2, seed=29).fit(data),
+                      StreamForest(data, 3, n_trees=2, seed=29)):
+            empty = model.predict(np.empty((0, 2)))
+            assert empty.shape == (0,)
+            assert empty.dtype == model.predict(data.features[:3]).dtype
 
     def test_batch_predict_single_row(self):
         f = StreamForest(blobs(60, seed=30), 3, n_trees=3, seed=31)

@@ -403,7 +403,7 @@ def test_grow_rejects_a_round_at_the_weight_bound():
 
     def grow(light):
         table = NodeTable(2)
-        root = table.add_leaf([2**30, light])
+        root = table.add_leaves([[2**30, light]])[0]
         streamforest.tree._grow(table, data, np.arange(2),
                                 np.array([2**30, light], dtype=np.int32), [0, 2], [root],
                                 SplitCriteria(), np.random.default_rng(0))
@@ -443,3 +443,27 @@ def test_batched_search_rejects_bad_layouts():
         best_split(data, [0, 1, 2], [0], [0])  # not one row of features per node
     with pytest.raises(ValueError):
         best_split(data, [0, 1, 2], [[1]], [0])  # no such feature
+    # Row, feature and start indices must be integers (or whole floats)
+    # within range, or a negative row would read from the end, a fraction or
+    # a bool would be cast to an index, and a row past the end would raise
+    # numpy's IndexError. The error names the argument.
+    for indices, features, starts, error, name in [
+            ([-1, 0], [0], None, ValueError, "indices"),
+            ([0, 3], [0], None, ValueError, "indices"),
+            ([0.5, 1], [0], None, ValueError, "indices"),
+            (["0", "1"], [0], None, TypeError, "indices"),
+            ([True, False], [0], None, TypeError, "indices"),
+            ([0, 1], ["0"], None, TypeError, "candidate_features"),
+            ([0, 1], [True], None, TypeError, "candidate_features"),
+            ([0, 1], [-1], None, ValueError, "candidate_features"),
+            ([0, 1], [0.5], None, ValueError, "candidate_features"),
+            ([0, 1, 2], [[0], [0]], [0, 1.9], ValueError, "starts"),
+            ([0, 1, 2], [[0], [0]], [0, -1], ValueError, "starts"),
+            ([0, 1, 2], [[0], [0]], [0, 3], ValueError, "starts"),
+            ([0, 1, 2], [[0], [0]], ["0", "1"], TypeError, "starts")]:
+        with pytest.raises(error, match=name):
+            best_split(data, indices, features, starts)
+    # Whole floats are integers, as `_check_integer` takes them.
+    found = best_split(data, [0, 1, 2], [0])
+    assert best_split(data, [0.0, 1.0, 2.0], [0.0]) == found
+    assert best_split(data, [0.0, 1.0, 2.0], [[0.0]], [0.0]) == [found]

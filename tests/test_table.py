@@ -147,12 +147,12 @@ def _check_deep_routing():
     table = NodeTable(k)
     roots = []
     for lean_left in (False, True):
-        node = table.add_leaf([0, 0])
+        node = int(table.add_leaves(np.zeros((1, k), dtype=np.int32))[0])
         roots.append(node)
         for level in range(depth):
             threshold = level if not lean_left else depth - 1 - level
-            left, right = table.split([node], [0], [threshold + 0.5], [[0, 0]], [[0, 0]])
-            node = int(right[0] if not lean_left else left[0])
+            left = table.split([node], [0], [threshold + 0.5], np.zeros((2, k), dtype=np.int32))
+            node = int(left[0]) + (not lean_left)
     rng = np.random.default_rng(12)
     X = rng.permutation(depth + 1).astype(np.float64)[:, None]
     y = rng.integers(0, k, depth + 1)
@@ -217,7 +217,28 @@ def test_columns_hold_exactly_the_nodes(case, tmp_path):
     assert table.counts.dtype == np.int32
 
 
-def test_copy_trees_keeps_structure():
+def test_split_writes_child_counts_as_sibling_pairs():
+    """Rows 2i and 2i + 1 of the counts `split` takes become the left and
+    the right child of ``ids[i]``, at ``left[i]`` and ``left[i] + 1``, and
+    the ids it returns are the left ones."""
+    table = NodeTable(3)
+    leaves = table.add_leaves(np.arange(12).reshape(4, 3))
+    ids = leaves[[2, 0, 3]]  # not in id order
+    child_counts = np.arange(100, 118, dtype=np.int32).reshape(6, 3)
+    left = table.split(ids, [0, 1, 2], [0.5, 1.5, 2.5], child_counts)
+    assert left.tolist() == [4, 6, 8] and table.size == 10
+    assert table.left[ids].tolist() == left.tolist()
+    for i, node in enumerate(ids):
+        view = table.view(node)
+        assert (view.feature, view.threshold) == (i, i + 0.5)
+        assert view.left == table.view(left[i]) and view.right == table.view(left[i] + 1)
+        assert view.left.class_counts.tolist() == child_counts[2 * i].tolist()
+        assert view.right.class_counts.tolist() == child_counts[2 * i + 1].tolist()
+        assert view.left.is_leaf and view.right.is_leaf
+    assert table.view(leaves[1]).is_leaf  # a leaf not listed stays one
+
+
+def test_append_of_an_export_keeps_structure():
     rng = np.random.default_rng(8)
     data = random_dataset(rng, n=150, p=3, k=3)
     forest = BatchForest(3, seed=9).fit(data)
@@ -225,8 +246,8 @@ def test_copy_trees_keeps_structure():
     originals = [t.root for t in forest.trees]
     leaf = forest.trees[1].apply(data.features[0])
     target = NodeTable(3)
-    target.add_leaf([1, 2, 3])  # ids need not start at 0
-    roots = target.copy_trees(source, forest._roots)
+    target.add_leaves([[1, 2, 3]])  # ids need not start at 0
+    roots = target.append(source.export(forest._roots), forest._roots.size)
     assert roots.tolist() == [1, 2, 3] and target.size == 1 + source.size
     assert all(trees_equal(target.view(r), o) for r, o in zip(roots, originals))
     # Views are values: those of the source keep reading it.

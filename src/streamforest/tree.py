@@ -656,10 +656,10 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     return np.sort(np.array(chosen, dtype=np.intp))
 
 
-# Largest number of (tree, row) pairs one routing block of an update
-# (`_route_and_count`) or of a prediction (`_votes`) holds, and of (row,
+# Largest number of (tree, row) pairs one routing block holds, in an
+# update (`_route_and_count`) or a prediction (`_votes`), and of (row,
 # feature) positions one growth round searches: bounds their temporary
-# arrays to a few MB at any feature count.
+# arrays to a few MB at any feature and tree count.
 _PAIRS_PER_PASS = 1 << 15
 
 
@@ -814,8 +814,8 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     ``rows[bounds[t]:bounds[t + 1]]`` of (X, y), distinct and in increasing
     order, row ``rows[i]`` counted ``weights[i]`` times: a bootstrap
     resample as `_samples` draws it, so each distinct pair is routed
-    once. Pairs are routed and counted in blocks of at most
-    _PAIRS_PER_PASS, so only one block's paths are held at a time.
+    once. Blocks of _PAIRS_PER_PASS consecutive pairs are routed and
+    counted, one `np.add.at` each, so only one block's paths are held.
     """
     tree = np.repeat(np.arange(len(roots)), np.diff(bounds))
     roots = np.asarray(roots, dtype=np.intp)
@@ -825,31 +825,29 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     # of the distinct pairs on (tree, branches taken), packed most
     # significant bit first into int64 words of 63 bits: the tree index,
     # then one bit per depth, 1 for right. No touched leaf lies on another's
-    # path, so padding short paths with "left", and a block's words with
-    # zero words, is safe; stability keeps each leaf's rows in increasing
-    # order.
+    # path, so padding short paths with "left", and with zero words, is
+    # safe; stability keeps each leaf's rows in increasing order.
     tree_bits = (len(roots) - 1).bit_length()
-    words = np.zeros((1, tree.size), dtype=np.int64)
-    words[0] = tree << (63 - tree_bits)
+    words = [tree << (63 - tree_bits)]
     for lo in range(0, tree.size, _PAIRS_PER_PASS):
         block = slice(lo, lo + _PAIRS_PER_PASS)
         start, block_rows = roots[tree[block]], rows[block]
         path = []
         leaf[block] = _descend(table, start, block_rows, X, path)
-        nodes = np.concatenate([start] + [reached for _, _, reached in path])
-        path_labels, path_weight = (np.concatenate([a] + [a[live] for live, _, _ in path])
-                                    for a in (y[block_rows], weights[block]))
-        # In the counts' own dtype: np.add.at leaves its fast path when it
-        # must cast, which once made it 20 times slower.
-        np.add.at(counts, nodes * table.n_classes + path_labels,
-                  path_weight.astype(counts.dtype, copy=False))
-        del nodes, path_labels, path_weight
-        extra = (tree_bits + len(path)) // 63 + 1 - words.shape[0]
-        if extra > 0:
-            words = np.concatenate((words, np.zeros((extra, tree.size), dtype=np.int64)))
-        for bit, (live, goes_right, _) in enumerate(path, start=tree_bits):
-            word = words[bit // 63, block]
-            word[live[goes_right]] |= 1 << (62 - bit % 63)
+        # Pair moved[i] of the block passes through nodes[i].
+        moved, nodes = [np.arange(start.size)], [start]
+        for bit, (live, goes_right, reached) in enumerate(path, start=tree_bits):
+            if bit // 63 == len(words):
+                words.append(np.zeros(tree.size, dtype=np.int64))
+            words[bit // 63][block][live[goes_right]] |= 1 << (62 - bit % 63)
+            moved.append(live)
+            nodes.append(reached)
+        moved = np.concatenate(moved)
+        # Labels by block, then by `moved`: y at a bootstrap's int32 rows per
+        # path position was 10% slower. Weights in the counts' dtype: np.add.at
+        # leaves its fast path to cast, which once made it 20 times slower.
+        np.add.at(counts, np.concatenate(nodes) * table.n_classes + y[block_rows][moved],
+                  weights[block][moved].astype(counts.dtype, copy=False))
     order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
     first = np.flatnonzero(_changes(pair_leaf))
@@ -1032,20 +1030,20 @@ class _Model:
     def _votes(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_rows) class predicted by each tree for each row of X.
 
-        Rows are routed in blocks of at most _PAIRS_PER_PASS (tree, row) pairs,
-        which bounds the routing arrays to a few MB however many rows come; the
-        leaves reached are labelled in one step at the end.
+        Pair t * n + r (tree t, row r) is routed in its block of
+        _PAIRS_PER_PASS pairs, which bounds the routing arrays to a few MB
+        however many rows and trees come; the leaves are labelled at the end.
         """
-        table, roots = self._table, self._roots
-        n, n_trees = X.shape[0], roots.size
-        leaves = np.empty((n_trees, n), dtype=np.intp)
-        step = max(1, _PAIRS_PER_PASS // n_trees)
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            rows = np.arange(lo, hi)
-            leaves[:, lo:hi] = _descend(table, np.repeat(roots, rows.size),
-                                        np.tile(rows, n_trees), X).reshape(n_trees, rows.size)
-        return _leaf_labels(table, leaves)
+        table, roots, n = self._table, self._roots, X.shape[0]
+        leaves = np.empty(roots.size * n, dtype=np.intp)
+        # Pair lo + i is pair lo % n + i of `span`, lo // n trees on.
+        span = np.arange(min(leaves.size, _PAIRS_PER_PASS) + n)
+        tree, row = span // n, span % n
+        for lo in range(0, leaves.size, _PAIRS_PER_PASS):
+            at = slice(lo % n, lo % n + min(leaves.size - lo, _PAIRS_PER_PASS))
+            start = roots[lo // n:][tree[at]]
+            leaves[lo:lo + start.size] = _descend(table, start, row[at], X)
+        return _leaf_labels(table, leaves.reshape(roots.size, n))
 
     def predict_one(self, x) -> int:
         x = _check_input(self, x, 1)

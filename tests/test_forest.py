@@ -325,16 +325,34 @@ class TestVoting:
         probes = np.random.default_rng(34).uniform(-4, 4, (100, 2))
         reference = [int(np.argmax(np.bincount([t.predict_one(x) for t in f.trees],
                                                minlength=3))) for x in probes]
-        # `_votes` routes _PAIRS_PER_PASS // 5 rows per block here: all at
-        # once unpatched, then blocks of one row, and of 7 rows, which do
-        # not divide the 100.
-        for budget in (None, 1, 7 * 5):
+        # `_votes` routes _PAIRS_PER_PASS (tree, row) pairs per block, tree
+        # by tree: all 500 at once unpatched, then one pair a block, blocks
+        # of 3, which cut one row's 5 trees apart, and blocks of 7 rows.
+        for budget in (None, 1, 3, 7 * 5):
             with pytest.MonkeyPatch.context() as mp:
                 if budget is not None:
                     mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
                 batch = f.predict(probes)
                 assert batch.tolist() == [f.predict_one(x) for x in probes]
             assert batch.tolist() == reference
+
+    def test_no_routing_block_exceeds_the_budget(self, monkeypatch):
+        """However many trees, `_descend` gets at most _PAIRS_PER_PASS pairs
+        a call, in `predict` and `predict_one`."""
+        f = StreamForest(blobs(60, seed=40), 3, n_trees=5, seed=41)
+        probes = np.random.default_rng(42).uniform(-4, 4, (4, 2))
+        expected = f.predict(probes).tolist(), [f.predict_one(x) for x in probes]
+        sizes = []
+
+        def spy(table, start, rows, X, path=None):
+            sizes.append(len(start))
+            return descend(table, start, rows, X, path)
+
+        descend = streamforest.tree._descend
+        monkeypatch.setattr(streamforest.tree, "_PAIRS_PER_PASS", 3)
+        monkeypatch.setattr(streamforest.tree, "_descend", spy)
+        assert (f.predict(probes).tolist(), [f.predict_one(x) for x in probes]) == expected
+        assert sizes and max(sizes) <= 3 and sum(sizes) == 5 * 4 * 2
 
     def test_winner_meets_vote_floor(self):
         f = StreamForest(blobs(150, seed=35, noise=0.8), 3, n_trees=7, seed=36)

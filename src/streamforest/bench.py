@@ -56,7 +56,6 @@ class ExperimentConfig:
     repetitions: int = 5
     seed: int = 0
     threads: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if not self.algorithms:
@@ -115,18 +114,13 @@ def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
         cumulative = train.subset(plan.ordering[:seen]) if refits else None
         for algo in algorithms:
             start = time.perf_counter()
-            if algo == "sdt":
-                if bi == 0:
-                    models[algo] = StreamTree(batch, train.n_classes, seed=seeds["tree"])
-                else:
-                    models[algo].update(batch)
+            if bi > 0 and algo in ("sdt", "sdf"):
+                models[algo].update(batch)
+            elif algo == "sdt":
+                models[algo] = StreamTree(batch, train.n_classes, seed=seeds["tree"])
             elif algo == "sdf":
-                if bi == 0:
-                    models[algo] = StreamForest(
-                        batch, train.n_classes, config.n_trees,
-                        config.replace_count, seed=seeds["forest"])
-                else:
-                    models[algo].update(batch)
+                models[algo] = StreamForest(batch, train.n_classes, config.n_trees,
+                                            config.replace_count, seed=seeds["forest"])
             elif algo == "dt":
                 models[algo] = DecisionTree(seed=seeds["tree"]).fit(cumulative)
             else:
@@ -239,9 +233,7 @@ def has_substantial_shift(effects, low: float = -0.01, high: float = 0.01) -> bo
     """Whether a sequence of effect values swings through both thresholds:
     minimum <= low and maximum >= high."""
     values = list(effects)
-    if not values:
-        return False
-    return min(values) <= low and max(values) >= high
+    return bool(values) and min(values) <= low and max(values) >= high
 
 
 def emit_results(records: list[BenchRecord], path,

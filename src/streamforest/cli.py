@@ -99,7 +99,7 @@ def _load_data(args, need_test: bool):
     n_test = max(1, int(round(dataset.n_samples * args.test_frac)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
-        raise SystemExit("error: --test-frac leaves no training data")
+        raise ValueError(f"--test-frac {args.test_frac} leaves no training data")
     return dataset.subset(train_idx), dataset.subset(test_idx), path.stem, label_map
 
 
@@ -114,7 +114,7 @@ def _cmd_experiment(args) -> int:
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
         batch_size=args.batch_size, n_trees=args.trees,
         replace_count=args.replace, repetitions=args.reps if stream else args.folds,
-        seed=args.seed, threads=args.threads, out=str(args.out))
+        seed=args.seed, threads=args.threads)
     records = (run_stream_experiment(config, data, test) if stream
                else run_cv_experiment(config, data))
     emit_results(records, args.out, config)

@@ -51,7 +51,11 @@ def _check_integer(name: str, value, low: int):
 
 def _check_index(name: str, value, stop: int) -> np.ndarray:
     """`value` as an intp array of indices in [0, `stop`); raises as
-    `_check_integer` does, and ValueError if an index reaches `stop`."""
+    `_check_integer` does, on a bool in a list too (numpy reads it as 0 or 1
+    beside integers), and ValueError if an index reaches `stop`."""
+    if not isinstance(value, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"{name} must be integers, not bools")
     value = _check_integer(name, np.asarray(value), 0)
     if value.size and value.max() >= stop:
         raise ValueError(f"{name} must be below {stop}, not {value.max()}")
@@ -214,6 +218,8 @@ class NodeTable:
 
     def add_leaves(self, class_counts) -> np.ndarray:
         """Append one leaf per row of the (n, k) `class_counts`; returns their ids."""
+        if np.shape(class_counts)[1:] != (self.n_classes,):
+            raise ValueError(f"class_counts must have shape (n, {self.n_classes})")
         n = len(class_counts)
         self._reserve(n)
         new = slice(self.size, self.size + n)
@@ -228,6 +234,8 @@ class NodeTable:
         new leaf pair whose class counts are rows 2i (left) and 2i + 1
         (right) of the (2 len(ids), k) `child_counts`; returns the ids of
         the left leaves, each right leaf's id being its left one's + 1."""
+        if np.shape(child_counts) != (2 * len(ids), self.n_classes):
+            raise ValueError(f"child_counts must have shape ({2 * len(ids)}, {self.n_classes})")
         left = self.add_leaves(child_counts)[0::2]
         self.feature[ids] = features
         self.threshold[ids] = thresholds
@@ -1036,7 +1044,7 @@ class _Model:
         """
         table, roots, n = self._table, self._roots, X.shape[0]
         leaves = np.empty(roots.size * n, dtype=np.intp)
-        # Pair lo + i is pair lo % n + i of `span`, lo // n trees on.
+        # Pair lo + i is tree lo // n + tree[j] and row row[j], j = lo % n + i.
         span = np.arange(min(leaves.size, _PAIRS_PER_PASS) + n)
         tree, row = span // n, span % n
         for lo in range(0, leaves.size, _PAIRS_PER_PASS):

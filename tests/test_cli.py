@@ -127,6 +127,16 @@ class TestErrors:
             capsys.readouterr().err)
         assert sorted(tmp_path.iterdir()) == [csv_path]
 
+    def test_test_frac_that_leaves_no_training_rows_writes_nothing(self, tmp_path, capsys):
+        """Of 2 rows, --test-frac 0.75 holds out both: an error, exit 1."""
+        csv_path = tmp_path / "train.csv"
+        csv_path.write_text("x,label\n0.0,a\n1.0,b\n", encoding="utf-8")
+        code = main(["stream", "--data", str(csv_path), "--header", "--test-frac", "0.75",
+                     "--out", str(tmp_path / "r.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "--test-frac" in err
+        assert sorted(tmp_path.iterdir()) == [csv_path]
+
     def test_failed_csv_run_leaves_no_label_sidecar(self, tmp_path, capsys):
         csv_path = tmp_path / "train.csv"
         save_csv(gen_synthetic("blobs", 40, noise=0.5, seed=6, n_classes=3), csv_path)

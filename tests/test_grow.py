@@ -460,7 +460,13 @@ def test_batched_search_rejects_bad_layouts():
             ([0, 1, 2], [[0], [0]], [0, 1.9], ValueError, "starts"),
             ([0, 1, 2], [[0], [0]], [0, -1], ValueError, "starts"),
             ([0, 1, 2], [[0], [0]], [0, 3], ValueError, "starts"),
-            ([0, 1, 2], [[0], [0]], ["0", "1"], TypeError, "starts")]:
+            ([0, 1, 2], [[0], [0]], ["0", "1"], TypeError, "starts"),
+            # A bool beside integers, which numpy would read as 0 or 1.
+            ([0, True, 2], [0], None, TypeError, "indices"),
+            ([0, np.True_, 2], [0], None, TypeError, "indices"),
+            ([0, 1], [0, True], None, TypeError, "candidate_features"),
+            ([0, 1, 2], [[0], [True]], [0, 1], TypeError, "candidate_features"),
+            ([0, 1, 2], [[0], [0]], [0, True], TypeError, "starts")]:
         with pytest.raises(error, match=name):
             best_split(data, indices, features, starts)
     # Whole floats are integers, as `_check_integer` takes them.

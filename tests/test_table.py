@@ -238,6 +238,27 @@ def test_split_writes_child_counts_as_sibling_pairs():
     assert table.view(leaves[1]).is_leaf  # a leaf not listed stays one
 
 
+def test_table_writes_are_all_or_nothing():
+    """`split` and `add_leaves` check the shape of the counts before they
+    write, so a bad call raises ValueError naming them and changes nothing:
+    not ``size``, not a column."""
+    table = NodeTable(2)
+    table.add_leaves(np.array([[3, 1]]))
+    before = {name: getattr(table, name)[: table.size].copy() for name in NodeTable.COLUMNS}
+    for call, name in [
+            (lambda: table.split([0], [0], [0.5], np.zeros((4, 2))), "child_counts"),
+            (lambda: table.split([0], [0], [0.5], np.zeros((2, 3))), "child_counts"),
+            (lambda: table.split([0], [0], [0.5], np.zeros(4)), "child_counts"),
+            (lambda: table.add_leaves(np.zeros((2, 3))), "class_counts"),
+            (lambda: table.add_leaves(np.zeros((2, 1))), "class_counts"),
+            (lambda: table.add_leaves(np.zeros(2)), "class_counts")]:
+        with pytest.raises(ValueError, match=name):
+            call()
+        assert table.size == 1
+        for column, values in before.items():
+            assert np.array_equal(getattr(table, column)[: table.size], values), column
+
+
 def test_append_of_an_export_keeps_structure():
     rng = np.random.default_rng(8)
     data = random_dataset(rng, n=150, p=3, k=3)

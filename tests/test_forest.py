@@ -325,9 +325,9 @@ class TestVoting:
         probes = np.random.default_rng(34).uniform(-4, 4, (100, 2))
         reference = [int(np.argmax(np.bincount([t.predict_one(x) for t in f.trees],
                                                minlength=3))) for x in probes]
-        # `_votes` routes _PAIRS_PER_PASS (tree, row) pairs per block, tree
-        # by tree: all 500 at once unpatched, then one pair a block, blocks
-        # of 3, which cut one row's 5 trees apart, and blocks of 7 rows.
+        # `_votes` routes _PAIRS_PER_PASS tree-major (tree, row) pairs per
+        # block: all 500 at once unpatched, then one pair a block, then
+        # blocks of 3 and 35, which straddle trees of 100 rows.
         for budget in (None, 1, 3, 7 * 5):
             with pytest.MonkeyPatch.context() as mp:
                 if budget is not None:

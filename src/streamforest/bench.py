@@ -236,17 +236,16 @@ def has_substantial_shift(effects, low: float = -0.01, high: float = 0.01) -> bo
     return bool(values) and min(values) <= low and max(values) >= high
 
 
-def emit_results(records: list[BenchRecord], path,
-                 config: ExperimentConfig | None = None) -> None:
-    """Write results as JSON lines: one metadata header object, then one
-    record per line. Numeric fields round-trip bit-exactly through load.
-    Like a snapshot, the file is replaced only once it is complete."""
+def emit_results(records: list[BenchRecord], path, config: ExperimentConfig) -> None:
+    """Write results as JSON lines: a metadata header that echoes `config`,
+    then one record per line. Numeric fields round-trip bit-exactly through
+    load. Like a snapshot, the file is replaced only once it is complete."""
     meta = {
         "format": RESULTS_FORMAT,
         "version": __version__,
         "bytes_per_node": BYTES_PER_NODE,
-        "seed": config.seed if config is not None else None,
-        "config": asdict(config) if config is not None else None,
+        "seed": config.seed,
+        "config": asdict(config),
         "columns": ["algorithm", "dataset", "rep", "n_samples",
                     "accuracy", "train_seconds", "nodes"],
     }

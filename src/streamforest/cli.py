@@ -60,9 +60,8 @@ def _add_common(p: argparse.ArgumentParser, with_reps: bool) -> None:
                    help="worker processes that run repetitions/folds side by side")
     p.add_argument("--synth-n", type=int, default=1000,
                    help="training samples for synthetic kinds")
-    p.add_argument("--synth-test", type=int, default=500,
-                   help="test samples for synthetic kinds (stream only)")
-    p.add_argument("--synth-classes", type=int, default=3)
+    p.add_argument("--synth-classes", type=int, default=None,
+                   help="synthetic class count (blobs: default 3; xor, concentric: 2 only)")
     p.add_argument("--synth-features", type=int, default=2)
     p.add_argument("--synth-noise", type=float, default=0.0)
 
@@ -72,13 +71,12 @@ def _load_data(args, need_test: bool):
     dataset_id, label_map), the label map None for synthetic data."""
     if args.data in SYNTH_KINDS:
         kind = args.data
-        k = args.synth_classes if kind == "blobs" else 2
         train = gen_synthetic(kind, args.synth_n, args.synth_noise, args.seed,
-                              n_classes=k, n_features=args.synth_features)
+                              n_classes=args.synth_classes, n_features=args.synth_features)
         test = None
         if need_test:
             test = gen_synthetic(kind, args.synth_test, args.synth_noise,
-                                 args.seed + 1, n_classes=k,
+                                 args.seed + 1, n_classes=args.synth_classes,
                                  n_features=args.synth_features)
         return train, test, kind, None
 
@@ -146,8 +144,7 @@ def _cmd_effect(args) -> int:
 
 def _cmd_synth(args) -> int:
     data = gen_synthetic(args.kind, args.n, args.noise, args.seed,
-                         n_classes=args.classes if args.kind == "blobs" else None,
-                         n_features=args.features)
+                         n_classes=args.classes, n_features=args.features)
     save_csv(data, args.out, header=True)
     print(f"wrote {data.n_samples} samples ({data.n_features} features, "
           f"{data.n_classes} classes) to {args.out}")
@@ -166,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", default=None, help="separate test CSV")
     p.add_argument("--test-frac", type=float, default=0.25,
                    help="holdout fraction in (0, 1) when no test CSV is given")
+    p.add_argument("--synth-test", type=int, default=500,
+                   help="test samples for synthetic kinds")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("cv", help="k-fold cross-validated streaming")
@@ -182,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic CSV")
     p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classes", type=int, default=3, help="blobs only")
+    p.add_argument("--classes", type=int, default=None,
+                   help="class count (blobs: default 3; xor and concentric: 2 only)")
     p.add_argument("--features", type=int, default=2)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)

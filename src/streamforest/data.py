@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import Dataset, _check_integer
+from .tree import Dataset, _check_integer, _check_real
 
 __all__ = [
     "DataLoadError",
@@ -262,6 +261,7 @@ def gen_synthetic(kind: str, n: int, noise: float = 0.0, seed=0,
                    two features; noise jitters the coordinates.
       concentric - 2-class radial rings (inner disc vs outer annulus);
                    noise jitters the radii.
+    The two-class kinds raise ValueError for an n_classes other than None or 2.
 
     Class sizes are balanced within one sample; rows are shuffled. Features
     beyond the first two are independent standard normal noise. The result
@@ -269,10 +269,7 @@ def gen_synthetic(kind: str, n: int, noise: float = 0.0, seed=0,
     """
     n = _check_integer("n", n, 4)
     n_features = _check_integer("n_features", n_features, 2)
-    if not isinstance(noise, numbers.Real) or isinstance(noise, bool):
-        raise TypeError(f"noise must be a real number, not {noise!r}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and nonnegative, not {noise!r}")
+    _check_real("noise", noise, 0.0)
     rng = np.random.default_rng(_check_integer("seed", seed, 0))
 
     if kind == "blobs":
@@ -281,7 +278,7 @@ def gen_synthetic(kind: str, n: int, noise: float = 0.0, seed=0,
         group_labels = range(k)
     elif kind in ("xor", "concentric"):
         if n_classes not in (None, 2):
-            raise ValueError(f"{kind} is a two-class dataset")
+            raise ValueError(f"n_classes must be None or 2: {kind} is a two-class dataset")
         k = 2
         group_labels = [1, 0, 1, 0] if kind == "xor" else range(2)
     else:

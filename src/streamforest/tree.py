@@ -50,16 +50,26 @@ def _check_integer(name: str, value, low: int):
 
 
 def _check_index(name: str, value, stop: int) -> np.ndarray:
-    """`value` as an intp array of indices in [0, `stop`); raises as
-    `_check_integer` does, on a bool in a list too (numpy reads it as 0 or 1
-    beside integers), and ValueError if an index reaches `stop`."""
+    """`value` as an intp array of indices in [0, `stop`), uncopied if it is
+    one; raises as `_check_integer` does, on a bool in a list too (numpy
+    reads it as 0 or 1 beside integers), and ValueError from `stop` on."""
     if not isinstance(value, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
         raise TypeError(f"{name} must be integers, not bools")
     value = _check_integer(name, np.asarray(value), 0)
     if value.size and value.max() >= stop:
         raise ValueError(f"{name} must be below {stop}, not {value.max()}")
-    return value.astype(np.intp)
+    return value.astype(np.intp, copy=False)
+
+
+def _check_real(name: str, value, low: float) -> float:
+    """`value` as a plain float; raises TypeError unless it is a real number
+    (bools are not), and ValueError unless it is finite and at least `low`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, not {value!r}")
+    if not (math.isfinite(value) and value >= low):
+        raise ValueError(f"{name} must be finite and at least {low}, not {value!r}")
+    return float(value)
 
 
 def _check_bool(name: str, value) -> bool:
@@ -87,21 +97,17 @@ class Dataset:
     def __post_init__(self):
         self.features = _as_features(self.features)
         self.n_classes = _check_integer("n_classes", self.n_classes, 2)
-        labels = np.asarray(self.labels)
-        _check_integer("labels", labels, 0)
-        self.labels = labels.astype(np.int64, copy=False)
+        self.labels = _check_index("labels", self.labels, self.n_classes)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ValueError(
                 f"features have {self.features.shape[0]} rows but "
-                f"labels have length {self.labels.shape[0]}"
+                f"labels have shape {self.labels.shape}"
             )
         if self.features.shape[1] < 1:
             raise ValueError("need at least one feature")
         _check_finite(self.features)
-        if self.labels.size and self.labels.max() >= self.n_classes:
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
 
     @property
     def n_samples(self) -> int:
@@ -135,12 +141,8 @@ class SplitCriteria:
     def __post_init__(self):
         object.__setattr__(self, "min_samples_split",
                            _check_integer("min_samples_split", self.min_samples_split, 2))
-        bound = self.min_impurity_decrease
-        if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
-            raise TypeError(f"min_impurity_decrease must be a real number, not {bound!r}")
-        if not (math.isfinite(bound) and bound >= 0.0):
-            raise ValueError(f"min_impurity_decrease must be finite and at least 0, not {bound!r}")
-        object.__setattr__(self, "min_impurity_decrease", float(bound))
+        object.__setattr__(self, "min_impurity_decrease",
+                           _check_real("min_impurity_decrease", self.min_impurity_decrease, 0.0))
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ValueError("max_features must be 'all', 'sqrt' or a positive int")
@@ -410,6 +412,7 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
     (feature, threshold, decrease) or None when no split yields a positive
     decrease (pure node, or all candidate features constant).
     """
+    _check_dataset("data", data)
     idx = _check_index("indices", indices, data.n_samples)
     if weights is None:
         weights = np.ones(idx.size, dtype=np.int32)

@@ -16,6 +16,16 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def records_without_time(path):
+    """The record lines of a results file, each without its train_seconds."""
+    rows = []
+    for line in path.read_text().splitlines()[1:]:
+        record = json.loads(line)
+        record.pop("train_seconds")
+        rows.append(json.dumps(record, sort_keys=True))
+    return rows
+
+
 class TestSynth:
     def test_writes_loadable_csv(self, tmp_path):
         out = tmp_path / "blobs.csv"
@@ -73,6 +83,24 @@ class TestStream:
         assert code == 0
         _, records = load_results(out)
         assert max(r.n_samples for r in records) == 150
+
+    def test_blobs_default_to_three_classes(self, tmp_path):
+        """Without --synth-classes, blobs is generated with 3 classes, the
+        count the flag used to default to."""
+        def run(path, *flags):
+            assert main(["stream", "--data", "blobs", "--synth-n", "120", "--synth-test",
+                         "60", "--synth-noise", "0.4", "--batch-size", "40", "--trees", "3",
+                         "--reps", "1", "--seed", "14", *flags, "--out", str(path)]) == 0
+            return records_without_time(path)
+
+        assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl", "--synth-classes", "3")
+
+    def test_xor_takes_two_classes(self, tmp_path):
+        out = tmp_path / "xor.jsonl"
+        assert main(["stream", "--data", "xor", "--synth-classes", "2", "--synth-n", "120",
+                     "--synth-test", "60", "--batch-size", "60", "--trees", "3",
+                     "--reps", "1", "--out", str(out)]) == 0
+        assert len(load_results(out)[1]) == 8
 
 
 class TestCv:
@@ -148,6 +176,23 @@ class TestErrors:
     def test_missing_subcommand_exits_nonzero(self):
         assert run_cli().returncode != 0
 
+    def test_synth_test_is_not_a_cv_flag(self, tmp_path, capsys):
+        """cv draws no test set, so it refuses --synth-test rather than drop it."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["cv", "--data", "blobs", "--synth-test", "7", "--out", str(tmp_path / "r")])
+        assert exit_.value.code == 2 and "--synth-test" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["stream", "--data", "xor", "--synth-classes", "3"],
+        ["stream", "--data", "concentric", "--synth-classes", "4"],
+        ["synth", "--kind", "xor", "--n", "40", "--classes", "3"],
+    ])
+    def test_two_class_kind_refuses_another_class_count(self, args, tmp_path, capsys):
+        assert main([*args, "--out", str(tmp_path / "r")]) == 1
+        assert "two-class" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_synth_kind_exits_nonzero(self, tmp_path):
         result = run_cli("synth", "--kind", "spirals", "--n", "10",
                          "--out", str(tmp_path / "s.csv"))
@@ -162,12 +207,7 @@ class TestDeterminism:
                          "--batch-size", "40", "--trees", "3", "--reps", "1",
                          "--threads", str(threads), "--seed", "13",
                          "--out", str(path)]) == 0
-            rows = []
-            for line in path.read_text().splitlines()[1:]:
-                record = json.loads(line)
-                record.pop("train_seconds")
-                rows.append(json.dumps(record, sort_keys=True))
-            return rows
+            return records_without_time(path)
 
         a = run(tmp_path / "a.jsonl", threads=1)
         b = run(tmp_path / "b.jsonl", threads=2)

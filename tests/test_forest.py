@@ -20,6 +20,7 @@ from streamforest import (
     SplitCriteria,
     StreamForest,
     StreamTree,
+    best_split,
     gen_synthetic,
     load_forest,
     make_batches,
@@ -438,6 +439,7 @@ def _three_rows(labels=(0, 1, 2), n_classes=3) -> Dataset:
     ("labels", lambda: _three_rows([0.5, 1.5, 2.5]), ValueError),
     ("labels", lambda: _three_rows([0.0, 1.0, np.nan]), ValueError),
     ("labels", lambda: _three_rows([True, False, True]), TypeError),
+    ("labels", lambda: Dataset(np.zeros((3, 2)), [0, True, 1], 3), TypeError),
     ("labels", lambda: _three_rows(["0", "1", "2"]), TypeError),
     ("labels", lambda: _three_rows([0, -1, 2]), ValueError),
     ("n_classes", lambda: _three_rows(n_classes=3.5), TypeError),
@@ -476,6 +478,8 @@ def test_whole_float_labels_are_accepted():
 _NOT_DATASETS = [np.zeros((5, 2)), [[0.0, 1.0]], None]
 _NOT_COUNTS = [2.5, "3", True, None, -1]
 _NOT_BOOLS = ["no", 1, 0.0]
+_NOT_REALS = [-0.5, math.nan, math.inf, "0.5", True, None]
+_NOT_INDICES = [[0, True], [-1], [0.5], [10**6], [], "0", None]
 _MALFORMED = {
     "first_batch": _NOT_DATASETS, "batch": _NOT_DATASETS, "data": _NOT_DATASETS,
     "n_classes": _NOT_COUNTS, "n_trees": _NOT_COUNTS, "replace_count": _NOT_COUNTS,
@@ -483,7 +487,9 @@ _MALFORMED = {
     "repetitions": _NOT_COUNTS, "threads": _NOT_COUNTS, "n_features": _NOT_COUNTS,
     "bootstrap": _NOT_BOOLS, "force_replacement": _NOT_BOOLS,
     "criteria": [3, "sqrt", {"max_features": 1}],
-    "noise": [-0.5, math.nan, math.inf, "0.5", True, None],
+    "noise": _NOT_REALS, "min_impurity_decrease": _NOT_REALS,
+    "labels": [[0, True, 1], [0, -1, 2], [0, 3, 1], [0.5, 1, 2], ["0", "1", "2"], 1, None],
+    "indices": _NOT_INDICES, "candidate_features": _NOT_INDICES,
 }
 
 
@@ -510,6 +516,10 @@ def _public_calls(data: Dataset, n_trees: int) -> list:
         (functools.partial(ExperimentConfig, "blobs"),
          dict(batch_size=10, n_trees=n_trees, replace_count=1, repetitions=2, seed=0,
               threads=1)),
+        (functools.partial(Dataset, data.features[:3]), dict(labels=[0, 2, 1], n_classes=3)),
+        (SplitCriteria, dict(min_impurity_decrease=0.0)),
+        (best_split, dict(data=data, indices=np.arange(data.n_samples),
+                          candidate_features=[0, 1])),
     ]
 
 

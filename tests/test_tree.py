@@ -137,6 +137,10 @@ class TestBestSplit:
         with pytest.raises(ValueError):
             best_split(one_dim_example(), [0, 1], [1])
 
+    def test_non_dataset_rejected(self):
+        with pytest.raises(TypeError, match=r"\bdata must be a Dataset"):
+            best_split(np.zeros((4, 1)), [0, 1], [0])
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

@@ -172,11 +172,12 @@ class NodeTable:
     """Struct-of-arrays storage for the nodes of one or more binary trees.
 
     Node i routes on ``feature[i]`` and ``threshold[i]``: a value <= the
-    threshold goes to its left child ``left[i]``, a larger one to its right
-    child, which is always ``left[i] + 1``; a leaf has left = feature = -1
-    and threshold 0.0. ``counts[i]`` accumulates the labels of every
-    training sample ever routed through or into node i; the samples that
-    arrived before node i split are those its children do not hold (see
+    threshold goes to its left child ``left[i]`` > i, a larger one to its
+    right child, which is always ``left[i] + 1``. A leaf is a self-loop,
+    with left = its id, feature 0 and threshold +inf, which no finite value
+    exceeds. ``counts[i]`` accumulates the labels of every training sample
+    ever routed through or into node i; the samples that arrived before
+    node i split are those its children do not hold (see
     `TreeNode.pre_split_total`). A tree is the id of its root; a forest
     keeps all of its trees in one table.
 
@@ -222,14 +223,13 @@ class NodeTable:
         """Append one leaf per row of the (n, k) `class_counts`; returns their ids."""
         if np.shape(class_counts)[1:] != (self.n_classes,):
             raise ValueError(f"class_counts must have shape (n, {self.n_classes})")
-        n = len(class_counts)
-        self._reserve(n)
-        new = slice(self.size, self.size + n)
-        self.size += n
-        self.feature[new] = self.left[new] = -1
-        self.threshold[new] = 0.0
+        ids = np.arange(self.size, self.size + len(class_counts))
+        self._reserve(ids.size)
+        new = slice(self.size, self.size + ids.size)
+        self.size += ids.size
+        self.left[new], self.feature[new], self.threshold[new] = ids, 0, np.inf
         self.counts[new] = class_counts
-        return np.arange(new.start, new.stop)
+        return ids
 
     def split(self, ids, features, thresholds, child_counts) -> np.ndarray:
         """Turn the leaves `ids` into internal nodes, leaf ``ids[i]`` over a
@@ -258,15 +258,16 @@ class NodeTable:
 
     def append(self, columns: dict, n_trees: int) -> np.ndarray:
         """Append `n_trees` trees laid out as `export` returns them: child
-        links count from the first node, and the roots come first. Returns
-        the roots' ids."""
+        links count from the first node, and the roots come first; the
+        leaves become self-loops. Returns the roots' ids."""
         n = len(columns["left"])
         self._reserve(n)
         new = slice(self.size, self.size + n)
         for name in self.COLUMNS:
             getattr(self, name)[new] = columns[name]
-        left = self.left[new]
-        left[left >= 0] += new.start
+        leaf = new.start + np.flatnonzero(columns["left"] <= np.arange(n))
+        self.left[new] += new.start
+        self.left[leaf], self.feature[leaf], self.threshold[leaf] = leaf, 0, np.inf
         self.size = new.stop
         return new.start + np.arange(n_trees)
 
@@ -275,12 +276,13 @@ def _levels(left, roots, right=None) -> list[np.ndarray]:
     """Node ids of the trees at `roots`, one array per depth: the roots in
     the given order, then, level by level, the children of each internal
     node, pair by pair. The right child of node i is ``right[i]``, or
-    ``left[i] + 1`` when `right` is None."""
+    ``left[i] + 1`` when `right` is None. Node i is internal when ``left[i]
+    > i``, with self-loop leaves or with the -1 leaves of exported columns."""
     out = []
     level = np.asarray(roots, dtype=np.intp).reshape(-1)
     while level.size:
         out.append(level)
-        inner = level[left[level] >= 0]
+        inner = level[left[level] > level]
         children = left[inner]
         level = np.stack((children, children + 1 if right is None else right[inner]),
                          axis=1).reshape(-1)
@@ -291,17 +293,20 @@ def _breadth_first(columns: dict, roots, right=None) -> dict:
     """The `NodeTable.COLUMNS` of the trees at `roots` of `columns`, laid
     out breadth-first over all the trees as `_levels` orders them, which is
     the order the grower appends nodes in. Internal node j of that order
-    gets left child ``len(roots) + 2 j``; `right` is as for `_levels`."""
+    gets left child ``len(roots) + 2 j``, and leaves left = feature = -1
+    and threshold 0.0; `right` is as for `_levels`."""
     ids = np.concatenate(_levels(columns["left"], roots, right))
     out = {name: columns[name][ids] for name in NodeTable.COLUMNS}
-    inner = out["left"] >= 0
-    out["left"][inner] = len(roots) + 2 * np.arange(np.count_nonzero(inner))
+    inner = out["left"] > ids
+    at, leaf = np.flatnonzero(inner), np.flatnonzero(~inner)
+    out["left"][at] = len(roots) + 2 * np.arange(at.size)
+    out["left"][leaf], out["feature"][leaf], out["threshold"][leaf] = -1, -1, 0.0
     return out
 
 
 class TreeNode:
-    """Read-only view of one node of a NodeTable: leaves predict, internal
-    nodes route on one feature.
+    """Read-only view of one node of a NodeTable: internal nodes route on
+    one feature; leaves predict, and read feature -1 and threshold 0.0.
 
     ``class_counts`` accumulates every training sample ever routed through
     or into the node; ``pre_split_total`` counts those that arrived before
@@ -328,7 +333,7 @@ class TreeNode:
 
     def _child(self, offset: int) -> "TreeNode | None":
         left = int(self._table.left[self._id])
-        return None if left < 0 else TreeNode(self._table, left + offset)
+        return None if left <= self._id else TreeNode(self._table, left + offset)
 
     @property
     def left(self) -> "TreeNode | None":
@@ -340,11 +345,11 @@ class TreeNode:
 
     @property
     def feature(self) -> int:
-        return int(self._table.feature[self._id])
+        return -1 if self.is_leaf else int(self._table.feature[self._id])
 
     @property
     def threshold(self) -> float:
-        return float(self._table.threshold[self._id])
+        return 0.0 if self.is_leaf else float(self._table.threshold[self._id])
 
     @property
     def class_counts(self) -> np.ndarray:
@@ -356,11 +361,11 @@ class TreeNode:
     def pre_split_total(self) -> int:
         """The node's total less its children's; 0 at a leaf."""
         counts, left = self._table.counts, int(self._table.left[self._id])
-        return 0 if left < 0 else int(counts[self._id].sum() - counts[left:left + 2].sum())
+        return 0 if left <= self._id else int(counts[self._id].sum() - counts[left:left + 2].sum())
 
     @property
     def is_leaf(self) -> bool:
-        return bool(self._table.left[self._id] < 0)
+        return bool(self._table.left[self._id] <= self._id)
 
 
 def gini_impurity(class_counts) -> float:
@@ -760,43 +765,39 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         queue = np.concatenate((queue, children[grows]))
 
 
-# The 0 that `_descend` compares child links with, as a 0-d intp array:
-# numpy resolves a Python int operand anew on every comparison, which on
-# the ~100 pairs of a `predict_one` level took about as long as the
-# comparison itself.
-_INTP_ZERO = np.zeros((), dtype=np.intp)
-_INTP_ZERO.flags.writeable = False
+# Levels `_descend` steps its pairs between two drops of the finished ones
+# when it records no path, by measurement: 1 was no faster, 4 to 6 alike.
+_LEVELS_PER_DROP = 4
 
 
 def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndarray:
-    """Route (start node, row) pairs to their leaves, all pairs one level
-    per step; returns the leaf id of each pair.
+    """Route (start node, row) pairs to their leaves; returns the leaf id
+    of each pair. Pair i starts at node ``start[i]`` with the features
+    ``X[rows[i]]``, which must be finite; a value <= the threshold goes
+    left, a larger one to the right child ``left + 1``.
 
-    Pair i starts at node ``start[i]`` with the features ``X[rows[i]]``,
-    which must be finite; a value <= the threshold goes left, a larger one
-    to the right child ``left + 1``. When `path` is a list, each step
-    appends (pairs moved, whether each went right, nodes reached).
-
-    A step reads each moved pair's feature with one gather from the flat
-    view of X, at ``rows[i] * p + feature``, the row offsets computed once
-    as intp; X should be C-contiguous, or the flat view is a copy. Every
-    gather is a ``[]`` index, which measured no slower than ``take`` at
-    both sizes that call this: 100 pairs (`predict_one`) and a `_votes`
-    block of ~32,700.
+    A step moves the unfinished pairs _LEVELS_PER_DROP levels, a pair at a
+    leaf staying on its self-loop, then drops the pairs at a leaf. When
+    `path` is a list, a step is one level and appends (pairs moved, whether
+    each went right, nodes reached). A level reads each pair's feature with
+    one ``[]`` gather (no slower than ``take`` at 100 or ~32,700 pairs) from
+    the flat view of X, at ``rows[i] * p + feature``, the row offsets intp;
+    X should be C-contiguous, or the flat view is a copy.
     """
     node = np.array(start, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
     flat, base = X.reshape(-1), np.multiply(rows, X.shape[1], dtype=np.intp)
-    live = np.flatnonzero(left[node] >= _INTP_ZERO)
+    live = np.flatnonzero(left[node] > node)
     while live.size:
-        cur = node[live]
-        goes_right = flat[base[live] + feature[cur]] > threshold[cur]
-        reached = left[cur]
-        reached += goes_right
-        node[live] = reached
+        cur, at = node[live], base[live]
+        for _ in range(_LEVELS_PER_DROP if path is None else 1):
+            goes_right = flat[at + feature[cur]] > threshold[cur]
+            cur = left[cur]
+            cur += goes_right
+        node[live] = cur
         if path is not None:
-            path.append((live, goes_right, reached))
-        live = live[left[reached] >= _INTP_ZERO]
+            path.append((live, goes_right, cur))
+        live = live[left[cur] > cur]
     return node
 
 
@@ -872,7 +873,7 @@ def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
     internal nodes, never reached, are not."""
     if leaves.size > table.size:
         labels = np.zeros(table.size, dtype=np.intp)
-        leaf = np.flatnonzero(table.left[: table.size] < 0)
+        leaf = np.flatnonzero(table.left[: table.size] <= np.arange(table.size))
         labels[leaf] = table.counts[leaf].argmax(axis=1)
         return labels[leaves]
     return table.counts[leaves].argmax(axis=-1)
@@ -1124,9 +1125,8 @@ class DecisionTree(_Model):
         # Callers read self._table only after this call: it first rejects an
         # unfitted tree, whose table is None.
         x = _check_input(self, x, 1)
-        t = self._table
-        i = self._roots[0]
-        while t.left[i] >= 0:
+        t, i = self._table, self._roots[0]
+        while t.left[i] > i:
             i = t.left[i] + (x[t.feature[i]] > t.threshold[i])
         return int(i)
 

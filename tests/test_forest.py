@@ -168,7 +168,7 @@ class TestUpdate:
         for headroom in (0, 1):
             f = StreamForest(first, 3, n_trees=3, seed=24)
             root = f._roots[1]
-            assert f._table.left[root] == -1  # a leaf, which only its counts describe
+            assert f._table.left[root] == root  # a leaf, which only its counts describe
             f._table.counts[root, 0] = 2**31 - batch.n_samples - headroom
             before = f._table.export(f._roots)
             state = f.rng.bit_generator.state

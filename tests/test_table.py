@@ -23,7 +23,7 @@ from streamforest import (
     save_forest,
 )
 import streamforest.tree
-from streamforest.tree import _descend, _route_and_count
+from streamforest.tree import _descend, _levels, _majority_vote, _route_and_count
 
 from helpers import (
     distinct_rows,
@@ -33,6 +33,7 @@ from helpers import (
     trees_equal,
     walk_to_leaf,
 )
+from test_snapshot import write_v2_document
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,17 +143,30 @@ def test_router_orders_leaves_deeper_than_one_word():
             _check_deep_routing()
 
 
-def _check_deep_routing():
-    depth, k = 150, 2
-    table = NodeTable(k)
+def _caterpillars(table, depth, features=(0, 0)) -> list[int]:
+    """Grow two caterpillar trees `depth` levels deep in `table`, one
+    leaning right on feature ``features[0]`` and one leaning left on
+    ``features[1]``, with zero counts: level l of either sends the values
+    0..l one way and the larger ones the other, so value v of 0..depth ends
+    at depth ``min(v + 1, depth)`` of the first tree and at ``min(depth -
+    v + 1, depth)`` of the second. Returns their roots."""
+    k = table.n_classes
     roots = []
-    for lean_left in (False, True):
+    for lean_left, feature in zip((False, True), features):
         node = int(table.add_leaves(np.zeros((1, k), dtype=np.int32))[0])
         roots.append(node)
         for level in range(depth):
             threshold = level if not lean_left else depth - 1 - level
-            left = table.split([node], [0], [threshold + 0.5], np.zeros((2, k), dtype=np.int32))
+            left = table.split([node], [feature], [threshold + 0.5],
+                               np.zeros((2, k), dtype=np.int32))
             node = int(left[0]) + (not lean_left)
+    return roots
+
+
+def _check_deep_routing():
+    depth, k = 150, 2
+    table = NodeTable(k)
+    roots = _caterpillars(table, depth)
     rng = np.random.default_rng(12)
     X = rng.permutation(depth + 1).astype(np.float64)[:, None]
     y = rng.integers(0, k, depth + 1)
@@ -168,6 +182,95 @@ def _check_deep_routing():
     assert np.array_equal(table.counts[: table.size], before)
     assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
     _assert_groups_hold_the_pairs(got, touched, rows)
+
+
+def test_deep_and_shallow_trees_descend_as_the_scalar_walk():
+    """Two caterpillar trees 150 levels deep, with a leaf at every depth
+    from 1 to 150 and so at every remainder of the levels a descent steps
+    between drops, beside two single-leaf roots, in one forest: its
+    `predict` and `predict_one`, and each tree's `predict`, label every row
+    as `DecisionTree._leaf_id`'s scalar walk does, also in blocks of 3
+    pairs. Every leaf has a class of its own within its tree, so a pair
+    stopped at the wrong depth changes its label."""
+    depth = 150
+    table = NodeTable(depth + 1)
+    roots = [*_caterpillars(table, depth, features=(0, 1))]
+    roots += table.add_leaves(np.eye(depth + 1, dtype=np.int32)[[3, 7]]).tolist()
+    for root in roots[:2]:
+        nodes = np.concatenate(_levels(table.left, [root]))
+        table.counts[nodes[table.left[nodes] == nodes]] = np.eye(depth + 1, dtype=np.int32)
+    forest = BatchForest(len(roots))
+    forest._table, forest._roots = table, np.array(roots)
+    forest.n_classes, forest.n_features = table.n_classes, 2
+    rng = np.random.default_rng(13)
+    X = np.stack((rng.permutation(depth + 1), rng.permutation(depth + 1)), axis=1)
+    X = np.concatenate((X, [[-1.0, depth + 1.0], [depth + 1.0, -1.0]]))
+    walked = np.array([[table.counts[tree._leaf_id(x)].argmax() for x in X]
+                       for tree in forest.trees])
+    assert [np.unique(labels).size for labels in walked] == [depth + 1, depth + 1, 1, 1]
+    expected = _majority_vote(walked, table.n_classes)
+    for budget in (None, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
+            assert np.array_equal(forest.predict(X), expected)
+            assert [forest.predict_one(x) for x in X] == expected.tolist()
+            for tree, labels in zip(forest.trees, walked):
+                assert np.array_equal(tree.predict(X), labels)
+
+
+def _self_loop_table(case, tmp_path):
+    """A table and its roots, last written as `case` says."""
+    data = gen_synthetic("blobs", 400, noise=0.8, seed=20, n_classes=3, n_features=3)
+    if case in ("add_leaves", "split"):
+        table = NodeTable(3)
+        table.add_leaves(np.arange(9).reshape(3, 3))
+        if case == "split":
+            table.split([1], [2], [0.5], np.ones((2, 3), dtype=np.int32))
+        return table, np.arange(3)
+    if case == "append":
+        source = BatchForest(4, seed=21).fit(data)
+        table = NodeTable(3)
+        table.add_leaves([[1, 2, 3]])
+        return table, table.append(source._table.export(source._roots), 4)
+    if case in ("v1 load", "v3 load", "v4 load"):
+        model = load_forest(DATA / {"v1 load": "v1_stream_forest.json",
+                                    "v3 load": "v3_stream_forest.npz",
+                                    "v4 load": "v4_stream_forest.npz"}[case])
+        return model._table, model._roots
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=5, replace_count=2, seed=22)
+    forest.update(data.subset(range(100, 200)), force_replacement=case == "replacement")
+    if case == "trim":
+        forest.update(data.subset(range(200, 300)), force_replacement=False)
+        forest._table.trim()
+    if case == "v2 load":
+        write_v2_document(forest, tmp_path / "forest.json")
+        forest = load_forest(tmp_path / "forest.json")
+    if case == "v5 load":
+        save_forest(forest, tmp_path / "forest.npz")
+        forest = load_forest(tmp_path / "forest.npz")
+    return forest._table, forest._roots
+
+
+@pytest.mark.parametrize("case", ["add_leaves", "split", "append", "trim", "replacement",
+                                  "v1 load", "v2 load", "v3 load", "v4 load", "v5 load"])
+def test_leaves_are_self_loops_and_export_as_minus_one(case, tmp_path):
+    """After every write, a leaf of the table links to itself with feature
+    0 and threshold +inf, and every other node links further on; `export`
+    writes each of those leaves as left = feature = -1, threshold 0.0."""
+    table, roots = _self_loop_table(case, tmp_path)
+    ids, n = np.arange(table.size), table.size
+    left, feature, threshold = table.left[:n], table.feature[:n], table.threshold[:n]
+    leaf = left == ids
+    assert leaf.any() and (left[~leaf] > ids[~leaf]).all()
+    assert (feature[leaf] == 0).all() and (threshold[leaf] == np.inf).all()
+    assert np.isfinite(threshold[~leaf]).all()
+    columns = table.export(roots)
+    exported = columns["left"] == -1
+    assert exported.sum() == leaf[np.concatenate(_levels(table.left, roots))].sum()
+    assert (columns["feature"][exported] == -1).all()
+    assert (columns["threshold"][exported] == 0.0).all()
+    assert (columns["left"][~exported] > np.flatnonzero(~exported)).all()
 
 
 def _assert_no_dead_nodes(forest):
@@ -305,18 +408,19 @@ def _model(case, tmp_path):
                                   "stream forest updates", "v1 load", "v3 load", "v4 load",
                                   "v5 load"])
 def test_right_child_is_the_left_childs_sibling(case, tmp_path):
-    """In every table an internal node's children are the pair (left,
-    left + 1), after it. `export` lays the trees out breadth-first, roots
-    first, which is the order a fit grows them in, and a copy of that
-    holds the same trees."""
+    """In every table a node is a leaf linking to itself, or an internal
+    node whose children are the pair (left, left + 1), after it. `export`
+    lays the trees out breadth-first, roots first, which is the order a fit
+    grows them in, with -1 at leaves, and a copy of that holds the same
+    trees."""
     model = _model(case, tmp_path)
     table, roots = model._table, model._roots
-    left = table.left[: table.size]
-    inner = np.flatnonzero(left >= 0)
-    assert (inner < left[inner]).all() and (left[inner] < table.size - 1).all()
+    left, ids = table.left[: table.size], np.arange(table.size)
+    inner = left != ids
+    assert (ids[inner] < left[inner]).all() and (left[inner] < table.size - 1).all()
     columns = table.export(roots)
     if case.endswith("fit"):
-        assert np.array_equal(columns["left"], left)
+        assert np.array_equal(columns["left"], np.where(inner, left, -1))
     copy = NodeTable(table.n_classes)
     assert copy.append(columns, len(roots)).tolist() == list(range(len(roots)))
     assert all(trees_equal(copy.view(i), table.view(r)) for i, r in enumerate(roots))

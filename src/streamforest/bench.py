@@ -8,7 +8,7 @@ import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from statistics import fmean
 
@@ -84,10 +84,6 @@ class BenchRecord:
     nodes: int
 
 
-def _accuracy(model, test: Dataset) -> float:
-    return float(np.mean(model.predict(test.features) == test.labels))
-
-
 def _rep_seeds(root_rng: np.random.Generator) -> dict[str, int]:
     """Per-repetition seeds, drawn in a fixed order regardless of which
     algorithms run so record values do not depend on the algorithm subset.
@@ -132,7 +128,7 @@ def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
                 dataset=config.dataset,
                 rep=rep,
                 n_samples=seen,
-                accuracy=_accuracy(models[algo], test),
+                accuracy=float(np.mean(models[algo].predict(test.features) == test.labels)),
                 train_seconds=cum_time[algo],
                 nodes=models[algo].node_count(),
             ))
@@ -256,13 +252,26 @@ def emit_results(records: list[BenchRecord], path, config: ExperimentConfig) -> 
 
 
 def load_results(path) -> tuple[dict, list[BenchRecord]]:
-    """Inverse of emit_results."""
+    """Inverse of emit_results. Raises ValueError naming the line when a
+    line is not JSON, the header not an object of the results format, or
+    a record not an object with exactly `BenchRecord`'s fields."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = [(number, line) for number, line in enumerate(fh.read().splitlines(), 1)
+                 if line.strip()]
     if not lines:
         raise ValueError("empty results file")
-    meta = json.loads(lines[0])
+    names = sorted(field.name for field in fields(BenchRecord))
+    objects = []
+    for number, line in lines:
+        try:
+            value = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: not JSON: {exc}") from None
+        if not isinstance(value, dict) or (objects and sorted(value) != names):
+            raise ValueError(f"line {number}: expected a JSON object" +
+                             (f" with exactly the fields {names}" if objects else ""))
+        objects.append(value)
+    meta, *records = objects
     if meta.get("format") != RESULTS_FORMAT:
-        raise ValueError(f"not a {RESULTS_FORMAT} file")
-    records = [BenchRecord(**json.loads(line)) for line in lines[1:]]
-    return meta, records
+        raise ValueError(f"line {lines[0][0]}: not a {RESULTS_FORMAT} header")
+    return meta, [BenchRecord(**record) for record in records]

@@ -34,7 +34,7 @@ def _parse_label_col(text: str | None) -> int | str:
         return text
 
 
-def _add_common(p: argparse.ArgumentParser, with_reps: bool) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="CSV path or synthetic kind (blobs, xor, concentric)")
     p.add_argument("--label-col", default=None,
@@ -49,11 +49,6 @@ def _add_common(p: argparse.ArgumentParser, with_reps: bool) -> None:
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--replace", type=int, default=1,
                    help="trees replaced per replacement event")
-    if with_reps:
-        p.add_argument("--reps", type=int, default=5,
-                       help="streaming repetitions, each with a new batch order")
-    else:
-        p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="results file to write")
     p.add_argument("--threads", type=int, default=1,
@@ -66,18 +61,18 @@ def _add_common(p: argparse.ArgumentParser, with_reps: bool) -> None:
     p.add_argument("--synth-noise", type=float, default=0.0)
 
 
-def _load_data(args, need_test: bool):
+def _load_data(args):
     """Resolve --data into datasets; returns (train, test_or_none,
-    dataset_id, label_map), the label map None for synthetic data."""
+    dataset_id, label_map), the label map None for synthetic data. Only
+    the stream command has a test set."""
+    need_test = args.command == "stream"
     if args.data in SYNTH_KINDS:
         kind = args.data
         train = gen_synthetic(kind, args.synth_n, args.synth_noise, args.seed,
                               n_classes=args.synth_classes, n_features=args.synth_features)
-        test = None
-        if need_test:
-            test = gen_synthetic(kind, args.synth_test, args.synth_noise,
-                                 args.seed + 1, n_classes=args.synth_classes,
-                                 n_features=args.synth_features)
+        test = (gen_synthetic(kind, args.synth_test, args.synth_noise, args.seed + 1,
+                              n_classes=args.synth_classes, n_features=args.synth_features)
+                if need_test else None)
         return train, test, kind, None
 
     path = Path(args.data)
@@ -106,7 +101,7 @@ def _cmd_experiment(args) -> int:
     are --reps streaming orders or --folds folds. A CSV's label map goes
     to <out>.labels.json once the results are written."""
     stream = args.command == "stream"
-    data, test, dataset_id, label_map = _load_data(args, need_test=stream)
+    data, test, dataset_id, label_map = _load_data(args)
     config = ExperimentConfig(
         dataset=dataset_id,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
@@ -159,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stream", help="stream batches against a fixed test set")
-    _add_common(p, with_reps=True)
+    _add_common(p)
+    p.add_argument("--reps", type=int, default=5,
+                   help="streaming repetitions, each with a new batch order")
     p.add_argument("--test", default=None, help="separate test CSV")
     p.add_argument("--test-frac", type=float, default=0.25,
                    help="holdout fraction in (0, 1) when no test CSV is given")
@@ -168,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("cv", help="k-fold cross-validated streaming")
-    _add_common(p, with_reps=False)
+    _add_common(p)
+    p.add_argument("--folds", type=int, default=5)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("effect", help="effect-size series from a results file")

@@ -93,8 +93,11 @@ class StreamForest(_Forest):
         """Views of the current trees, taken now: a view reads the table the
         forest holds now, which later updates grow in place until a
         replacement moves the forest to a new table."""
-        return tuple(StreamTree._at(self._table, root, self.n_features, self.criteria, batches)
-                     for root, batches in zip(self._roots.tolist(), self._batches.tolist()))
+        trees = tuple(StreamTree._at(self._table, root, self.n_features, self.criteria)
+                      for root in self._roots.tolist())
+        for tree, batches in zip(trees, self._batches.tolist()):
+            tree.batches_seen = batches
+        return trees
 
     def update(self, batch: Dataset, force_replacement: bool | None = None) -> "StreamForest":
         """Update every tree with a per-tree bootstrap of `batch`, then maybe

@@ -6,7 +6,6 @@ from __future__ import annotations
 from .tree import (
     Dataset,
     DecisionTree,
-    NodeTable,
     SplitCriteria,
     _check_dataset,
     _check_integer,
@@ -29,7 +28,9 @@ def _check_batch(name: str, batch: Dataset, n_classes: int,
         )
     if batch.labels.max() >= n_classes:
         raise ValueError(f"{name} labels must lie below n_classes={n_classes}")
-    return batch if batch.n_classes == n_classes else batch.with_classes(n_classes)
+    if batch.n_classes != n_classes:
+        batch = Dataset(batch.features, batch.labels, n_classes)
+    return batch
 
 
 class StreamTree(DecisionTree):
@@ -68,15 +69,6 @@ class StreamTree(DecisionTree):
         return self
 
     predict = DecisionTree.predict
-
-    @classmethod
-    def _at(cls, table: NodeTable, root_id: int, n_features: int, criteria: SplitCriteria,
-            batches_seen: int) -> "StreamTree":
-        """A read view of the tree rooted at node `root_id` of a forest's
-        `table`, which has taken in `batches_seen` batches."""
-        tree = super()._at(table, root_id, n_features, criteria)
-        tree.batches_seen = batches_seen
-        return tree
 
     def fit(self, data: Dataset) -> "StreamTree":
         """Restart the stream with `data` as its first batch, under the

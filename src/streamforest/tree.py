@@ -1,6 +1,12 @@
-"""Batch CART decision tree: Gini impurity, exhaustive midpoint threshold
-search, per-split feature subsampling, and one grower that grows many trees
-at once in rounds of batched split searches."""
+"""Trees and what every model is built from: the `Dataset` and
+`SplitCriteria` inputs; the `NodeTable` that holds the nodes of one or more
+trees as arrays, read through `TreeNode` views; the exact Gini split search
+(`best_split`, batched in `_search`) over midpoint thresholds; the grower
+`_grow`, which grows many trees at once in rounds of batched searches under
+per-split feature subsampling; the descent `_descend` and the router
+`_route_and_count`, which routes a batch and adds it to the counts; the
+sampler `_samples`; the model base `_Model`, which fits, extends and votes;
+and the batch CART tree `DecisionTree`."""
 
 from __future__ import annotations
 
@@ -120,10 +126,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.features[idx], self.labels[idx], self.n_classes)
-
-    def with_classes(self, n_classes: int) -> "Dataset":
-        """Same rows under a different declared class count."""
-        return Dataset(self.features, self.labels, n_classes)
 
 
 @dataclass(frozen=True)
@@ -247,10 +249,6 @@ class NodeTable:
     def view(self, i) -> "TreeNode":
         """The node view of id i."""
         return TreeNode(self, int(i))
-
-    def count_nodes(self, roots) -> int:
-        """Number of nodes in the trees at `roots`."""
-        return sum(level.size for level in _levels(self.left, roots))
 
     def export(self, roots) -> dict:
         """The columns of the trees at `roots`, laid out by `_breadth_first`."""
@@ -686,7 +684,10 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     Leaf ``nodes[u]`` holds the rows ``rows[bounds[u]:bounds[u + 1]]``,
     already in its counts, row ``rows[i]`` counted ``weights[i]`` times
     (positive integers); a bootstrap resample comes as its distinct rows and
-    how often each was drawn. `rows` and `weights` are one pair of buffers
+    how often each was drawn. Every listed leaf must hold at least one row:
+    `bounds` rises strictly from 0. Both callers keep to that: `_planted`
+    lists new roots, each over its nonempty sample, and `_extend` only the
+    leaves its batch reached. `rows` and `weights` are one pair of buffers
     for the whole call: a node is a range of them, and a split reorders its
     range of both in place, left rows first. Node sizes are weighted: only
     leaves whose weights sum to at least min_samples_split and that hold
@@ -707,16 +708,10 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     m = criteria.resolve_max_features(p)
     min_split = criteria.min_samples_split
     bounds = np.asarray(bounds, dtype=np.intp)
-    # The weight of each listed leaf, and whether it holds more than one
-    # label; reduceat gives an empty range the element after it, so empty
-    # leaves are left out of it.
-    full = np.diff(bounds) > 0
-    at = bounds[:-1][full]
-    weighted = np.zeros(full.size, dtype=np.int64)
-    weighted[full] = np.add.reduceat(weights[: bounds[-1]], at, dtype=np.int64)
+    # The weight of each listed leaf, and whether it holds more than one label.
+    weighted = np.add.reduceat(weights[: bounds[-1]], bounds[:-1], dtype=np.int64)
     labels = y[rows[: bounds[-1]]]
-    mixed = np.zeros(full.size, dtype=bool)
-    mixed[full] = np.minimum.reduceat(labels, at) < np.maximum.reduceat(labels, at)
+    mixed = np.minimum.reduceat(labels, bounds[:-1]) < np.maximum.reduceat(labels, bounds[:-1])
     del labels
     # One queue entry per node: its id, its range of the buffers, its weight.
     queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:], weighted),
@@ -1068,7 +1063,8 @@ class _Model:
         return votes[0] if votes.shape[0] == 1 else _majority_vote(votes, self.n_classes)
 
     def node_count(self) -> int:
-        return self._table.count_nodes(self._roots) if self._table is not None else 0
+        return 0 if self._table is None else sum(
+            level.size for level in _levels(self._table.left, self._roots))
 
 
 class DecisionTree(_Model):

@@ -1,5 +1,6 @@
 """Benchmark orchestration: record bookkeeping, effect sizes, results files."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,11 @@ from streamforest import (
 )
 from streamforest import snapshot
 from streamforest.bench import _rep_seeds
+
+
+# A results file's header and one record, as JSON lines.
+HEADER = '{"format": "streamforest-results-v1"}'
+RECORD = json.dumps(asdict(BenchRecord("sdf", "blobs", 0, 50, 0.5, 0.1, 7)))
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -110,7 +116,10 @@ class TestStreamExperiment:
     def test_mismatched_test_set_rejected(self):
         train, _ = small_data()
         bad_test = gen_synthetic("blobs", 50, seed=9, n_classes=3, n_features=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature count"):
+            run_stream_experiment(small_config(), train, bad_test)
+        bad_test = gen_synthetic("blobs", 50, seed=9, n_classes=4)
+        with pytest.raises(ValueError, match="class count"):
             run_stream_experiment(small_config(), train, bad_test)
 
     def test_repetitions_vary_batch_orderings(self):
@@ -297,6 +306,25 @@ class TestResultsFile:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "unrelated"}\n')
         with pytest.raises(ValueError):
+            load_results(path)
+
+    @pytest.mark.parametrize("lines, pattern", [
+        (["[1]"], "line 1: expected a JSON object"),
+        (["", HEADER, "not json"], "line 3: not JSON"),
+        ([HEADER, "[1]"], "line 2: expected a JSON object"),
+        ([HEADER, RECORD, '{"algorithm": "sdf"}'], "line 3: expected a JSON object with"),
+        ([HEADER, RECORD[:-1] + ', "extra": 1}'], "line 2: expected a JSON object with"),
+        (['{"format": "unrelated"}', RECORD], "line 1: not a streamforest-results-v1"),
+    ], ids=["header a list", "not JSON", "record a list", "record short of fields",
+            "record with an extra field", "another format"])
+    def test_malformed_file_raises_value_error_naming_the_line(self, tmp_path, lines,
+                                                               pattern):
+        """A header that is not an object, and a record that is not an
+        object with exactly the record's fields, raise ValueError, not the
+        AttributeError or TypeError that reading them would."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=pattern):
             load_results(path)
 
     def test_reruns_identical_up_to_wall_time(self, tmp_path):

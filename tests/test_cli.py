@@ -115,6 +115,20 @@ class TestCv:
         assert {r.rep for r in records} == {0, 1, 2}
 
 
+    def test_cv_on_a_csv_with_the_label_column_by_index(self, tmp_path):
+        """--label-col 2 names the label column of f0,f1,label by index; cv
+        writes the label map beside the results, as stream does."""
+        csv_path, out = tmp_path / "train.csv", tmp_path / "cv.jsonl"
+        save_csv(gen_synthetic("blobs", 90, noise=0.5, seed=6, n_classes=3), csv_path)
+        assert main(["cv", "--data", str(csv_path), "--header", "--label-col", "2",
+                     "--batch-size", "30", "--trees", "3", "--folds", "3", "--seed", "7",
+                     "--out", str(out)]) == 0
+        _, records = load_results(out)
+        assert len(records) == 3 * 2 * 4  # folds x batches x algorithms
+        labels = json.loads((tmp_path / "cv.jsonl.labels.json").read_text())
+        assert labels == {"0": 0, "1": 1, "2": 2}
+
+
 class TestEffect:
     def test_effect_report(self, tmp_path):
         results = tmp_path / "results.jsonl"
@@ -172,6 +186,22 @@ class TestErrors:
                      "--test", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r.jsonl")])
         assert code == 1 and "absent.csv" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [csv_path]
+
+    @pytest.mark.parametrize("text", [
+        "[1]\n",
+        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf"}\n',
+        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
+        '"rep": 0, "n_samples": 1, "accuracy": 1.0, "train_seconds": 0.0, "nodes": 1, '
+        '"extra": 0}\n',
+    ], ids=["header a list", "record short of fields", "record with an extra field"])
+    def test_malformed_results_file_is_an_error_not_a_traceback(self, text, tmp_path):
+        """effect on a header that is not an object, a record short of
+        fields or one with an extra field: exit 1 with an error line."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        result = run_cli("effect", "--results", str(path))
+        assert result.returncode == 1 and result.stderr.startswith("error: line ")
+        assert "Traceback" not in result.stderr
 
     def test_missing_subcommand_exits_nonzero(self):
         assert run_cli().returncode != 0

@@ -94,6 +94,19 @@ class TestLoadCsv:
         with pytest.raises(DataLoadError, match="no column named"):
             load_csv(path, label_column="target", header=True)
 
+    @pytest.mark.parametrize("text, kwargs, pattern", [
+        ("", {"header": True}, "file is empty"),
+        ("1.0,0\n", {"label_column": "label"}, "requires header=True"),
+        ("1.0,0\n", {"label_column": 2}, "label column 2 out of range"),
+        ("1.0,0\n", {"label_column": -3}, "label column -3 out of range"),
+        ("1.0,0\n2.0, \n", {}, "line 2, column 2: empty cell"),
+        ("1.0,0\n2.0,a\n", {"n_classes": 2}, "'a' is not an integer"),
+    ])
+    def test_malformed_input_is_named(self, tmp_path, text, kwargs, pattern):
+        path = write_csv(tmp_path / "t.csv", text)
+        with pytest.raises(DataLoadError, match=pattern):
+            load_csv(path, **kwargs)
+
     def test_empty_file_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "")
         with pytest.raises(DataLoadError):

@@ -416,21 +416,42 @@ def test_grow_rejects_a_round_at_the_weight_bound():
     assert table.counts[table.left[root]].tolist() == [2**30, 0]
 
 
-def test_grow_passes_over_listed_leaves_with_no_rows():
-    """Leaves listed with an empty range, in the middle and last, stay
-    leaves, and the others grow as they do without them."""
-    data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 1, 0]), 2)
+def test_every_grower_call_lists_one_nonempty_range_per_node():
+    """`_grow` takes each listed leaf to hold at least one row. Every caller
+    keeps to that: a tree fit, forest fits, stream tree updates and stream
+    forest updates with forced replacements, with bootstrap on and off, on
+    batches down to one row."""
+    tree, calls = streamforest.tree, []
+    grow = tree._grow
 
-    def grow(bounds):
-        table = NodeTable(2)
-        nodes = table.add_leaves(np.ones((len(bounds) - 1, 2), dtype=np.int64))
-        streamforest.tree._grow(table, data, np.arange(4), np.ones(4, dtype=np.int32),
-                                bounds, nodes, SplitCriteria(), np.random.default_rng(0))
-        return [preorder(table.view(node)) for node in nodes]
+    def spy(table, data, rows, weights, bounds, nodes, criteria, rng):
+        calls.append((np.array(bounds), len(nodes)))
+        return grow(table, data, rows, weights, bounds, nodes, criteria, rng)
 
-    with_empty = grow([0, 2, 2, 4, 4])
-    assert [with_empty[i] for i in (0, 2)] == grow([0, 2, 4])
-    assert with_empty[1] == with_empty[3] == grow([0, 0])[0]
+    rng = np.random.default_rng(8)
+
+    def make(n):
+        return Dataset(rng.integers(0, 3, (n, 2)).astype(np.float64), rng.integers(0, 3, n), 3)
+
+    expected = 5  # a fit, a stream tree's first batch and its three updates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_grow", spy)
+        DecisionTree().fit(make(40))
+        stream = StreamTree(make(1), 3, seed=3)
+        for n in (1, 20, 3):
+            stream.update(make(n))
+        for bootstrap in (True, False):
+            BatchForest(4, seed=1, bootstrap=bootstrap).fit(make(40))
+            forest = StreamForest(make(30), 3, n_trees=4, replace_count=2, seed=2,
+                                  bootstrap=bootstrap)
+            expected += 2
+            for n, coin in ((1, True), (20, None), (5, True), (1, False)):
+                forest.update(make(n), force_replacement=coin)
+                # The update's own call, and one more for its replacements.
+                expected += 1 + bool(forest.last_replacement["replaced"])
+    assert len(calls) == expected
+    for bounds, n_nodes in calls:
+        assert bounds.size == n_nodes + 1 and bounds[0] == 0 and (np.diff(bounds) > 0).all()
 
 
 def test_batched_search_rejects_bad_layouts():

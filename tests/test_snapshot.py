@@ -11,6 +11,7 @@ import pytest
 from streamforest import (
     BatchForest,
     Dataset,
+    DecisionTree,
     SplitCriteria,
     StreamForest,
     gen_synthetic,
@@ -402,6 +403,7 @@ _MISSING = object()
     ("batch_forest", "bootstrap", 1),
     ("batch_forest", "n_classes", 2.5),
     ("batch_forest", "master_seed", _MISSING),
+    ("stream_forest", "model", "stream_tree"),
 ])
 def test_malformed_header_is_rejected_by_name(tmp_path, model, key, value):
     data = gen_synthetic("blobs", 60, noise=0.6, seed=10, n_classes=3)
@@ -430,6 +432,38 @@ def test_unknown_format_rejected(tmp_path):
 def test_unfitted_batch_forest_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_forest(BatchForest(2), tmp_path / "nope.json")
+
+
+def test_only_forests_are_saved(tmp_path):
+    tree = DecisionTree().fit(gen_synthetic("blobs", 30, seed=1))
+    with pytest.raises(TypeError, match="cannot snapshot DecisionTree"):
+        save_forest(tree, tmp_path / "tree.npz")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault, pattern", [
+    ("no meta", "meta must be one string"),
+    ("meta not one string", "meta must be one string"),
+    ("another format", "not a streamforest-snapshot-v5"),
+    ("a column missing", r"snapshot lacks \['threshold'\]"),
+])
+def test_malformed_archive_is_rejected(tmp_path, fault, pattern):
+    path = tmp_path / "forest.npz"
+    save_forest(evolved_forest(), path)
+    meta, members = read_archive(path)
+    members["meta"] = np.array(json.dumps(meta))
+    if fault == "no meta":
+        del members["meta"]
+    elif fault == "meta not one string":
+        members["meta"] = np.array([json.dumps(meta)] * 2)
+    elif fault == "another format":
+        members["meta"] = np.array(json.dumps(meta | {"format": "streamforest-snapshot-v9"}))
+    else:
+        del members["threshold"]
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    with pytest.raises(ValueError, match=pattern):
+        load_forest(path)
 
 
 def _stream(data, forest, start, stop, coins):

@@ -500,6 +500,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 0]), 1)
 
+    @pytest.mark.parametrize("features, pattern", [
+        (np.zeros(3), "2-D"), (np.zeros((3, 2, 1)), "2-D"),
+        (np.zeros((3, 0)), "at least one feature")])
+    def test_features_must_be_a_matrix_with_a_column(self, features, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            Dataset(features, np.array([0, 1, 0]), 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

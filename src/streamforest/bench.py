@@ -213,23 +213,18 @@ def effect_series(records: list[BenchRecord], algo_a: str = "sdf",
         if r.algorithm in (algo_a, algo_b):
             acc.setdefault((r.dataset, r.algorithm, r.n_samples), []).append(r.accuracy)
     series: dict[str, list[tuple[int, float]]] = {}
-    datasets = sorted({d for d, _, _ in acc})
-    for dataset in datasets:
-        sizes = sorted({n for d, a, n in acc
-                        if d == dataset and (dataset, algo_a, n) in acc
-                        and (dataset, algo_b, n) in acc})
-        series[dataset] = [
-            (n, effect_size(acc[(dataset, algo_a, n)], acc[(dataset, algo_b, n)]))
-            for n in sizes
-        ]
+    for d, a, n in sorted(acc):
+        points = series.setdefault(d, [])
+        if a == algo_a and (d, algo_b, n) in acc:
+            points.append((n, effect_size(acc[(d, algo_a, n)], acc[(d, algo_b, n)])))
     return series
 
 
-def has_substantial_shift(effects, low: float = -0.01, high: float = 0.01) -> bool:
-    """Whether a sequence of effect values swings through both thresholds:
-    minimum <= low and maximum >= high."""
+def has_substantial_shift(effects) -> bool:
+    """Whether a sequence of effect values swings through both thresholds
+    of +-0.01: minimum <= -0.01 and maximum >= 0.01."""
     values = list(effects)
-    return bool(values) and min(values) <= low and max(values) >= high
+    return bool(values) and min(values) <= -0.01 and max(values) >= 0.01
 
 
 def emit_results(records: list[BenchRecord], path, config: ExperimentConfig) -> None:
@@ -242,8 +237,7 @@ def emit_results(records: list[BenchRecord], path, config: ExperimentConfig) -> 
         "bytes_per_node": BYTES_PER_NODE,
         "seed": config.seed,
         "config": asdict(config),
-        "columns": ["algorithm", "dataset", "rep", "n_samples",
-                    "accuracy", "train_seconds", "nodes"],
+        "columns": [field.name for field in fields(BenchRecord)],
     }
     with _write_atomically(path) as fh:
         fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
@@ -254,13 +248,14 @@ def emit_results(records: list[BenchRecord], path, config: ExperimentConfig) -> 
 def load_results(path) -> tuple[dict, list[BenchRecord]]:
     """Inverse of emit_results. Raises ValueError naming the line when a
     line is not JSON, the header not an object of the results format, or
-    a record not an object with exactly `BenchRecord`'s fields."""
+    a record not an object with exactly `BenchRecord`'s fields and types."""
     with open(path, encoding="utf-8") as fh:
         lines = [(number, line) for number, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
     if not lines:
         raise ValueError("empty results file")
     names = sorted(field.name for field in fields(BenchRecord))
+    kinds = {"str": (str,), "int": (int,), "float": (int, float)}  # JSON values, never a bool
     objects = []
     for number, line in lines:
         try:
@@ -270,6 +265,9 @@ def load_results(path) -> tuple[dict, list[BenchRecord]]:
         if not isinstance(value, dict) or (objects and sorted(value) != names):
             raise ValueError(f"line {number}: expected a JSON object" +
                              (f" with exactly the fields {names}" if objects else ""))
+        for field in fields(BenchRecord) if objects else ():
+            if type(value[field.name]) not in kinds[field.type]:
+                raise ValueError(f"line {number}: {field.name} must be {field.type}")
         objects.append(value)
     meta, *records = objects
     if meta.get("format") != RESULTS_FORMAT:

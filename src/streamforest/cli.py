@@ -25,9 +25,7 @@ from .data import gen_synthetic, load_csv, save_csv
 SYNTH_KINDS = ("blobs", "xor", "concentric")
 
 
-def _parse_label_col(text: str | None) -> int | str:
-    if text is None:
-        return -1
+def _parse_label_col(text: str) -> int | str:
     try:
         return int(text)
     except ValueError:
@@ -37,7 +35,7 @@ def _parse_label_col(text: str | None) -> int | str:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="CSV path or synthetic kind (blobs, xor, concentric)")
-    p.add_argument("--label-col", default=None,
+    p.add_argument("--label-col", type=_parse_label_col, default=-1,
                    help="label column index or name (default: last column)")
     p.add_argument("--header", action="store_true",
                    help="treat the first CSV row as a header")
@@ -76,13 +74,13 @@ def _load_data(args):
         return train, test, kind, None
 
     path = Path(args.data)
-    dataset, label_map = load_csv(path, _parse_label_col(args.label_col),
-                                  n_classes=args.classes, header=args.header)
+    dataset, label_map = load_csv(path, args.label_col, n_classes=args.classes,
+                                  header=args.header)
     if not need_test:
         return dataset, None, path.stem, label_map
     if args.test is not None:
-        test, _ = load_csv(args.test, _parse_label_col(args.label_col),
-                           n_classes=dataset.n_classes, header=args.header)
+        test, _ = load_csv(args.test, args.label_col, header=args.header, n_classes=args.classes,
+                           label_map=label_map if args.classes is None else None)
         return dataset, test, path.stem, label_map
     # Seeded holdout split when no separate test file is given.
     if not 0.0 < args.test_frac < 1.0:  # nan fails too

@@ -57,10 +57,6 @@ class BatchPlan:
         start, end = self.boundaries[i]
         return self.ordering[start:end]
 
-    def batches(self):
-        for i in range(self.n_batches):
-            yield self.batch(i)
-
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -118,7 +114,7 @@ def _parse_feature(cell: str, line: int, column: int) -> float:
 
 
 def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
-             header: bool = False) -> tuple[Dataset, dict]:
+             header: bool = False, label_map: dict | None = None) -> tuple[Dataset, dict]:
     """Load a dense numeric CSV into a Dataset.
 
     Parameters
@@ -131,15 +127,19 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         sorted dictionary of the distinct values seen and n_classes is the
         number of distinct labels.
     header : whether the first row is a header.
+    label_map : a map as returned here, say a training file's, to use in place
+        of a new one: its keys are the labels allowed. Not with n_classes.
 
     Returns
     -------
     (dataset, label_map) where label_map sends each original label cell to
     the class index used in the dataset.
 
-    Raises DataLoadError for missing or non-numeric cells, naming the line
-    and column, and for labels outside a declared class count.
+    Raises DataLoadError for missing or non-numeric cells or unmapped labels,
+    naming the line and column, and for labels outside a declared class count.
     """
+    if n_classes is not None and label_map is not None:
+        raise ValueError("give n_classes or label_map, not both")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader]
@@ -176,6 +176,8 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
                 text = cell.strip()
                 if not text:
                     raise DataLoadError(f"line {line}, column {c + 1}: empty cell")
+                if label_map is not None and text not in label_map:
+                    raise DataLoadError(f"line {line}, column {c + 1}: unknown label {text!r}")
                 raw_labels.append(text)
             else:
                 features[i, j] = _parse_feature(cell, line, c + 1)
@@ -198,10 +200,11 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         label_map = {v: v for v in sorted(set(labels.tolist()))}
         return Dataset(features, labels, n_classes), label_map
 
-    distinct = sorted(set(raw_labels), key=_label_sort_key)
-    label_map = {text: i for i, text in enumerate(distinct)}
+    if label_map is None:
+        distinct = sorted(set(raw_labels), key=_label_sort_key)
+        label_map = {text: i for i, text in enumerate(distinct)}
     labels = np.array([label_map[t] for t in raw_labels], dtype=np.int64)
-    return Dataset(features, labels, len(distinct)), label_map
+    return Dataset(features, labels, len(label_map)), label_map
 
 
 def _label_sort_key(text: str):
@@ -269,7 +272,7 @@ def gen_synthetic(kind: str, n: int, noise: float = 0.0, seed=0,
     """
     n = _check_integer("n", n, 4)
     n_features = _check_integer("n_features", n_features, 2)
-    _check_real("noise", noise, 0.0)
+    _check_real("noise", noise)
     rng = np.random.default_rng(_check_integer("seed", seed, 0))
 
     if kind == "blobs":

@@ -68,13 +68,13 @@ def _check_index(name: str, value, stop: int) -> np.ndarray:
     return value.astype(np.intp, copy=False)
 
 
-def _check_real(name: str, value, low: float) -> float:
+def _check_real(name: str, value) -> float:
     """`value` as a plain float; raises TypeError unless it is a real number
-    (bools are not), and ValueError unless it is finite and at least `low`."""
+    (bools are not), and ValueError unless it is finite and at least 0."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, not {value!r}")
-    if not (math.isfinite(value) and value >= low):
-        raise ValueError(f"{name} must be finite and at least {low}, not {value!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and at least 0.0, not {value!r}")
     return float(value)
 
 
@@ -85,7 +85,7 @@ def _check_bool(name: str, value) -> bool:
     return bool(value)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Dense numeric classification data with a declared class count.
 
@@ -124,7 +124,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = _check_index("indices", indices, self.n_samples)
         return Dataset(self.features[idx], self.labels[idx], self.n_classes)
 
 
@@ -144,7 +144,7 @@ class SplitCriteria:
         object.__setattr__(self, "min_samples_split",
                            _check_integer("min_samples_split", self.min_samples_split, 2))
         object.__setattr__(self, "min_impurity_decrease",
-                           _check_real("min_impurity_decrease", self.min_impurity_decrease, 0.0))
+                           _check_real("min_impurity_decrease", self.min_impurity_decrease))
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ValueError("max_features must be 'all', 'sqrt' or a positive int")

@@ -302,6 +302,15 @@ class TestResultsFile:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["results.jsonl"]
 
+    def test_integer_accuracy_and_time_load(self, tmp_path):
+        """A float field also takes a JSON integer: another tool may write
+        1.0 as 1."""
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join([HEADER, RECORD.replace('"accuracy": 0.5', '"accuracy": 1')
+                                  .replace('"train_seconds": 0.1', '"train_seconds": 0')]))
+        (record,) = load_results(path)[1]
+        assert record.accuracy == 1 and record.train_seconds == 0
+
     def test_non_results_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "unrelated"}\n')
@@ -315,13 +324,24 @@ class TestResultsFile:
         ([HEADER, RECORD, '{"algorithm": "sdf"}'], "line 3: expected a JSON object with"),
         ([HEADER, RECORD[:-1] + ', "extra": 1}'], "line 2: expected a JSON object with"),
         (['{"format": "unrelated"}', RECORD], "line 1: not a streamforest-results-v1"),
+        ([], "empty results file"),
+        ([HEADER, RECORD, RECORD.replace('"accuracy": 0.5', '"accuracy": null')],
+         "line 3: accuracy must be float"),
+        ([HEADER, RECORD.replace('"rep": 0', '"rep": true')], "line 2: rep must be int"),
+        ([HEADER, RECORD.replace('"nodes": 7', '"nodes": 7.0')], "line 2: nodes must be int"),
+        ([HEADER, RECORD.replace('"dataset": "blobs"', '"dataset": 3')],
+         "line 2: dataset must be str"),
+        ([HEADER, RECORD.replace('"train_seconds": 0.1', '"train_seconds": "x"')],
+         "line 2: train_seconds must be float"),
     ], ids=["header a list", "not JSON", "record a list", "record short of fields",
-            "record with an extra field", "another format"])
+            "record with an extra field", "another format", "empty", "null accuracy",
+            "bool rep", "float nodes", "int dataset", "string time"])
     def test_malformed_file_raises_value_error_naming_the_line(self, tmp_path, lines,
                                                                pattern):
         """A header that is not an object, and a record that is not an
-        object with exactly the record's fields, raise ValueError, not the
-        AttributeError or TypeError that reading them would."""
+        object with exactly the record's fields, each of its annotated type,
+        raise ValueError, not the AttributeError or TypeError that reading
+        them would."""
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=pattern):

@@ -84,6 +84,58 @@ class TestStream:
         _, records = load_results(out)
         assert max(r.n_samples for r in records) == 150
 
+    @staticmethod
+    def _write_relabelled(data, path, names):
+        """Write `data` as f0,f1,label rows with class i labelled names[i]."""
+        rows = ["f0,f1,label"] + [f"{x!r},{y!r},{names[c]}"
+                                  for (x, y), c in zip(data.features.tolist(), data.labels)]
+        path.write_text("\n".join(rows) + "\n")
+
+    def test_test_file_labels_go_through_the_training_label_map(self, tmp_path):
+        """The test file's labels are read through the training file's map
+        of sorted distinct labels, so relabelling the classes 1,2,3 or a,b,c
+        changes no record; the test file holds only the first two classes."""
+        train = gen_synthetic("blobs", 150, noise=0.3, seed=8, n_classes=3)
+        test = gen_synthetic("blobs", 90, noise=0.3, seed=9, n_classes=3)
+        test = test.subset(np.nonzero(test.labels < 2)[0])
+        runs = []
+        for names in (["0", "1", "2"], ["1", "2", "3"], ["a", "b", "c"]):
+            train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+            self._write_relabelled(train, train_path, names)
+            self._write_relabelled(test, test_path, names)
+            out = tmp_path / f"{names[0]}.jsonl"
+            assert main(["stream", "--data", str(train_path), "--test", str(test_path),
+                         "--header", "--batch-size", "75", "--trees", "3", "--reps", "1",
+                         "--seed", "10", "--out", str(out)]) == 0
+            runs.append(records_without_time(out))
+        assert runs[0] == runs[1] == runs[2]
+        assert min(r.accuracy for r in load_results(tmp_path / "a.jsonl")[1]
+                   if r.algorithm == "dt") > 0.9
+
+    def test_a_test_label_the_training_file_lacks_exits_1_naming_the_line(self, tmp_path,
+                                                                          capsys):
+        data = gen_synthetic("blobs", 60, noise=0.3, seed=8, n_classes=3)
+        train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+        self._write_relabelled(data, train_path, ["a", "b", "c"])
+        test_path.write_text("f0,f1,label\n0.0,0.0,a\n1.0,1.0,c\n2.0,2.0,d\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["stream", "--data", str(train_path), "--test", str(test_path),
+                     "--header", "--out", str(out)]) == 1
+        assert "line 4, column 3: unknown label 'd'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_named_label_column_reads_as_the_last_column(self, tmp_path):
+        csv_path = tmp_path / "train.csv"
+        save_csv(gen_synthetic("blobs", 120, noise=0.5, seed=6, n_classes=3), csv_path)
+
+        def run(path, *flags):
+            assert main(["stream", "--data", str(csv_path), "--header", *flags,
+                         "--batch-size", "40", "--trees", "3", "--reps", "1", "--seed", "7",
+                         "--out", str(path)]) == 0
+            return records_without_time(path)
+
+        assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl", "--label-col", "label")
+
     def test_blobs_default_to_three_classes(self, tmp_path):
         """Without --synth-classes, blobs is generated with 3 classes, the
         count the flag used to default to."""
@@ -144,6 +196,16 @@ class TestEffect:
         assert len(doc["blobs"]["series"]) == 3
         assert isinstance(doc["blobs"]["substantial_shift"], bool)
 
+    def test_effect_without_out_prints_the_report(self, tmp_path, capsys):
+        results, report = tmp_path / "results.jsonl", tmp_path / "effect.json"
+        assert main(["stream", "--data", "blobs", "--synth-n", "80", "--synth-test", "40",
+                     "--batch-size", "40", "--trees", "2", "--reps", "1", "--seed", "12",
+                     "--out", str(results)]) == 0
+        assert main(["effect", "--results", str(results), "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["effect", "--results", str(results)]) == 0
+        assert capsys.readouterr().out == report.read_text()
+
 
 class TestErrors:
     def test_missing_file_exits_nonzero(self, tmp_path):
@@ -193,10 +255,16 @@ class TestErrors:
         '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
         '"rep": 0, "n_samples": 1, "accuracy": 1.0, "train_seconds": 0.0, "nodes": 1, '
         '"extra": 0}\n',
-    ], ids=["header a list", "record short of fields", "record with an extra field"])
+        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
+        '"rep": 0, "n_samples": 1, "accuracy": null, "train_seconds": 0.0, "nodes": 1}\n',
+        '{"format": "streamforest-results-v1"}\n{"algorithm": "xyz", "dataset": 3, '
+        '"rep": true, "n_samples": -1, "accuracy": 7, "train_seconds": "x", "nodes": 1.5}\n',
+    ], ids=["header a list", "record short of fields", "record with an extra field",
+            "null accuracy", "fields of the wrong types"])
     def test_malformed_results_file_is_an_error_not_a_traceback(self, text, tmp_path):
         """effect on a header that is not an object, a record short of
-        fields or one with an extra field: exit 1 with an error line."""
+        fields, one with an extra field or one whose values are not of the
+        record's types: exit 1 with an error line."""
         path = tmp_path / "bad.jsonl"
         path.write_text(text)
         result = run_cli("effect", "--results", str(path))

@@ -57,6 +57,17 @@ class TestLoadCsv:
         data, _ = load_csv(path, n_classes=5)
         assert data.n_classes == 5
 
+    def test_a_given_label_map_sets_the_classes(self, tmp_path):
+        """A test file read through a training file's map takes its classes,
+        also where it lacks some of them."""
+        path = write_csv(tmp_path / "t.csv", "1.0,b\n2.0,b\n")
+        label_map = {"a": 0, "b": 1, "c": 2}
+        data, returned = load_csv(path, label_map=label_map)
+        assert data.labels.tolist() == [1, 1] and data.n_classes == 3
+        assert returned == label_map
+        with pytest.raises(ValueError, match="not both"):
+            load_csv(path, n_classes=3, label_map=label_map)
+
     def test_declared_class_count_rejects_unknown_label(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "1.0,0\n2.0,7\n")
         with pytest.raises(DataLoadError, match="outside declared range"):
@@ -101,6 +112,7 @@ class TestLoadCsv:
         ("1.0,0\n", {"label_column": -3}, "label column -3 out of range"),
         ("1.0,0\n2.0, \n", {}, "line 2, column 2: empty cell"),
         ("1.0,0\n2.0,a\n", {"n_classes": 2}, "'a' is not an integer"),
+        ("1.0,0\n2.0,2\n", {"label_map": {"0": 0, "1": 1}}, "line 2, column 2: unknown label"),
     ])
     def test_malformed_input_is_named(self, tmp_path, text, kwargs, pattern):
         path = write_csv(tmp_path / "t.csv", text)
@@ -159,7 +171,7 @@ class TestRoundTrip:
 class TestBatchPlan:
     def test_sizes_partition_with_remainder(self):
         plan = make_batches(250, 100, seed=0)
-        assert [len(b) for b in plan.batches()] == [100, 100, 50]
+        assert [len(plan.batch(i)) for i in range(plan.n_batches)] == [100, 100, 50]
 
     def test_single_full_batch_is_permutation(self):
         plan = make_batches(100, 100, seed=1)

@@ -445,6 +445,10 @@ def _three_rows(labels=(0, 1, 2), n_classes=3) -> Dataset:
     ("n_classes", lambda: _three_rows(n_classes=3.5), TypeError),
     ("n_classes", lambda: _three_rows(n_classes=True), TypeError),
     ("n_classes", lambda: _three_rows(n_classes=1), ValueError),
+    ("indices", lambda: _three_rows().subset([-1]), ValueError),
+    ("indices", lambda: _three_rows().subset([True, False]), TypeError),
+    ("indices", lambda: _three_rows().subset([1.7]), ValueError),
+    ("indices", lambda: _three_rows().subset([3]), ValueError),
     ("min_samples_split", lambda: SplitCriteria(min_samples_split=2.5), TypeError),
     ("min_samples_split", lambda: SplitCriteria(min_samples_split=True), TypeError),
     ("max_features", lambda: SplitCriteria(max_features=True), TypeError),

@@ -512,6 +512,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.array([[0.0], [bad], [1.0]]), np.array([0, 1, 0]), 2)
 
+    def test_datasets_compare_by_identity(self):
+        """Datasets compare by identity, as models do, so comparing two of
+        many rows raises no error."""
+        data = Dataset(np.zeros((2, 1)), np.array([0, 1]), 2)
+        assert data == data and data != Dataset(data.features, data.labels, 2)
+
     def test_subset_keeps_class_count(self):
         data = Dataset(np.arange(12.0).reshape(6, 2), np.array([0, 1, 2, 0, 1, 2]), 4)
         sub = data.subset([1, 3])

@@ -16,7 +16,6 @@ from .tree import (
     SplitCriteria,
     TreeNode,
     best_split,
-    gini_impurity,
 )
 from .stream import StreamTree
 from .forest import BatchForest, StreamForest, model_size
@@ -53,7 +52,6 @@ __all__ = [
     "SplitCriteria",
     "TreeNode",
     "best_split",
-    "gini_impurity",
     "StreamTree",
     "BatchForest",
     "StreamForest",

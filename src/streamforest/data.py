@@ -135,8 +135,9 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     (dataset, label_map) where label_map sends each original label cell to
     the class index used in the dataset.
 
-    Raises DataLoadError for missing or non-numeric cells or unmapped labels,
-    naming the line and column, and for labels outside a declared class count.
+    Raises DataLoadError, naming the line and column, for missing or
+    non-numeric cells, unmapped labels and labels that are not integers
+    below a declared class count.
     """
     if n_classes is not None and label_map is not None:
         raise ValueError("give n_classes or label_map, not both")
@@ -166,39 +167,35 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         raise DataLoadError(f"label column {label_column} out of range")
 
     features = np.empty((len(body), width - 1), dtype=np.float64)
-    raw_labels: list[str] = []
+    raw_labels: list = []  # label cells, as ints under n_classes
     for i, (line, row) in enumerate(body):
         if len(row) != width:
             raise DataLoadError(f"line {line}: expected {width} cells, got {len(row)}")
         j = 0
         for c, cell in enumerate(row):
             if c == label_idx:
-                text = cell.strip()
+                text, where = cell.strip(), f"line {line}, column {c + 1}"
                 if not text:
-                    raise DataLoadError(f"line {line}, column {c + 1}: empty cell")
+                    raise DataLoadError(f"{where}: empty cell")
                 if label_map is not None and text not in label_map:
-                    raise DataLoadError(f"line {line}, column {c + 1}: unknown label {text!r}")
+                    raise DataLoadError(f"{where}: unknown label {text!r}")
+                if n_classes is not None:
+                    try:
+                        text = int(text)
+                    except ValueError:
+                        raise DataLoadError(f"{where}: label {text!r} is not an integer "
+                                            "under declared n_classes") from None
+                    if not 0 <= text < n_classes:
+                        raise DataLoadError(
+                            f"{where}: label {text} outside declared range [0, {n_classes})")
                 raw_labels.append(text)
             else:
                 features[i, j] = _parse_feature(cell, line, c + 1)
                 j += 1
 
     if n_classes is not None:
-        labels = np.empty(len(raw_labels), dtype=np.int64)
-        for i, text in enumerate(raw_labels):
-            try:
-                value = int(text)
-            except ValueError:
-                raise DataLoadError(
-                    f"label {text!r} is not an integer under declared n_classes"
-                ) from None
-            if not 0 <= value < n_classes:
-                raise DataLoadError(
-                    f"label {value} outside declared range [0, {n_classes})"
-                )
-            labels[i] = value
-        label_map = {v: v for v in sorted(set(labels.tolist()))}
-        return Dataset(features, labels, n_classes), label_map
+        label_map = {v: v for v in sorted(set(raw_labels))}
+        return Dataset(features, np.array(raw_labels, dtype=np.int64), n_classes), label_map
 
     if label_map is None:
         distinct = sorted(set(raw_labels), key=_label_sort_key)

@@ -31,7 +31,7 @@ import contextlib
 import json
 import os
 import secrets
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -251,8 +251,9 @@ def load_forest(path) -> StreamForest | BatchForest:
     state, so they are deterministic but differ from a v1 run.
 
     The header is checked as the constructors check their arguments, batch
-    counts as integers of at least 1; a missing key raises ValueError
-    naming it.
+    counts as integers of at least 1; a missing key, a `criteria` that is
+    not an object of `SplitCriteria` fields and an `rng_state` the generator
+    refuses raise ValueError naming the key.
     """
     with open(path, "rb") as fh:
         is_archive = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
@@ -261,14 +262,20 @@ def load_forest(path) -> StreamForest | BatchForest:
     meta = _Header(meta)
     n_classes = _check_integer("n_classes", meta["n_classes"], 2)
     n_features = _check_integer("n_features", meta["n_features"], 1)
-    criteria = SplitCriteria(**meta["criteria"])
+    criteria = meta["criteria"]
+    if not isinstance(criteria, dict) or criteria.keys() - {f.name for f in fields(SplitCriteria)}:
+        raise ValueError(f"criteria must map SplitCriteria fields to values, not {criteria!r}")
+    criteria = SplitCriteria(**criteria)
     bootstrap = meta.get("bootstrap", True)
     if meta["model"] == "stream_forest":
         forest = StreamForest.__new__(StreamForest)
         forest._configure(n_classes, meta["n_trees"], meta["replace_count"], criteria,
                           meta["master_seed"], bootstrap)
         if "rng_state" in meta:
-            forest.rng.bit_generator.state = meta["rng_state"]
+            try:
+                forest.rng.bit_generator.state = meta["rng_state"]
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise ValueError(f"rng_state {meta['rng_state']!r} is not a PCG64 state") from exc
         forest.batches_seen = _check_integer("batches_seen", meta["batches_seen"], 1)
         forest._batches = _check_integer("tree_batches_seen",
                                          _integers(meta["tree_batches_seen"]), 1)

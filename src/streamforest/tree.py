@@ -1,12 +1,12 @@
 """Trees and what every model is built from: the `Dataset` and
 `SplitCriteria` inputs; the `NodeTable` that holds the nodes of one or more
 trees as arrays, read through `TreeNode` views; the exact Gini split search
-(`best_split`, batched in `_search`) over midpoint thresholds; the grower
-`_grow`, which grows many trees at once in rounds of batched searches under
-per-split feature subsampling; the descent `_descend` and the router
-`_route_and_count`, which routes a batch and adds it to the counts; the
-sampler `_samples`; the model base `_Model`, which fits, extends and votes;
-and the batch CART tree `DecisionTree`."""
+over midpoint thresholds, `_search` over many nodes and `best_split` over
+one; the grower `_grow`, which grows many trees at once in rounds of batched
+searches under per-split feature subsampling; the descent `_descend` and the
+router `_route_and_count`, which routes a batch and adds it to the counts;
+the sampler `_samples`; the model base `_Model`, which fits, extends and
+votes; and the batch CART tree `DecisionTree`."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "NodeTable",
     "TreeNode",
     "DecisionTree",
-    "gini_impurity",
     "best_split",
 ]
 
@@ -366,49 +365,24 @@ class TreeNode:
         return bool(self._table.left[self._id] <= self._id)
 
 
-def gini_impurity(class_counts) -> float:
-    """Gini impurity 1 - sum_k (count_k / total)^2 of a class-count vector.
-
-    Raises ValueError when the counts are all zero (undefined impurity) or
-    any count is negative.
-    """
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.size == 0 or (counts < 0).any():
-        raise ValueError("class counts must be a nonempty nonnegative vector")
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("gini impurity is undefined for all-zero counts")
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
-
-
-# Bound on the total weight `best_split` accepts: a node of weight W sums
-# squared class counts up to W**2, and steps of up to 2 * W**2, in int64.
+# Bound on the weight of one growth round of `_grow`: a node of weight W
+# sums squared class counts up to W**2, and steps of up to 2 * W**2, in
+# int64, so a round at the bound raises ValueError.
 _MAX_WEIGHT = 1 << 31
 
 
-def best_split(data: Dataset, indices, candidate_features, starts=None, weights=None):
-    """Exhaustive split search over the given features.
+def best_split(data: Dataset, indices, candidate_features):
+    """Exhaustive, unweighted split search of one node over the given
+    features: the reference that tests hold the grower's `_search` to.
 
     Considers every midpoint between consecutive distinct sorted values of
     each candidate feature (or the lower value, where the midpoint does not
     lie strictly below the upper one) and maximizes the weighted Gini
     decrease over the samples in `indices`. Ties break toward the lowest
     feature index, then the lowest threshold. Only the multiset of rows
-    matters, not their order.
-
-    `weights`, positive integers (all ones by default), counts how many
-    times each listed row is present: the result equals that of the search
-    over ``np.repeat(indices, weights)``, exactly, as a bootstrap resample
-    held as distinct rows with their counts needs. They must sum to less
-    than 2**31, which keeps the integer sums exact. A call whose sort words
-    (see `_search`) would need more than 63 bits, which takes millions of
-    (row, feature) positions, raises ValueError.
-
-    With `starts`, one call searches many nodes: `indices` holds their rows
-    back to back, node u's from ``starts[u]`` up to the next start (or the
-    end), and row u of the 2-D `candidate_features` lists node u's
-    features. The result is then a list with one entry per node.
+    matters, not their order. A call whose sort words (see `_search`) would
+    need more than 63 bits, which takes millions of (row, feature)
+    positions, raises ValueError.
 
     Returns
     -------
@@ -417,36 +391,18 @@ def best_split(data: Dataset, indices, candidate_features, starts=None, weights=
     """
     _check_dataset("data", data)
     idx = _check_index("indices", indices, data.n_samples)
-    if weights is None:
-        weights = np.ones(idx.size, dtype=np.int32)
-    else:
-        weights = np.asarray(weights)
-        if weights.shape != idx.shape or weights.dtype.kind not in "iu" or (
-                weights.size and weights.min() < 1):
-            raise ValueError("weights must be positive integers, one per index")
-        if weights.sum(dtype=np.float64) >= _MAX_WEIGHT:
-            raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
-        weights = weights.astype(np.int32, copy=False)  # lossless below the bound
     cand = _check_index("candidate_features", candidate_features, data.n_features)
-    if starts is None:
-        if idx.size == 0 or cand.size == 0:
-            raise ValueError("indices and candidate_features must be nonempty")
-        cand, bounds = np.unique(cand)[None, :], np.array([0, idx.size])
-    else:
-        bounds = np.append(_check_index("starts", starts, idx.size), idx.size)
-        if cand.ndim != 2 or cand.shape[0] != bounds.size - 1 or cand.shape[1] == 0:
-            raise ValueError("need one nonempty row of candidate features per node")
-        if bounds[0] != 0 or (bounds[1:] <= bounds[:-1]).any():
-            raise ValueError("starts must begin at 0 and leave every node nonempty")
+    if idx.ndim != 1 or cand.ndim != 1 or idx.size == 0 or cand.size == 0:
+        raise ValueError("indices and candidate_features must be nonempty 1-D lists, "
+                         f"not of shapes {idx.shape} and {cand.shape}")
     given, rows = np.unique(idx, return_inverse=True)
     sub = data.subset(given)
     (node, feature, threshold, _, _, *sums), _ = _search(
-        sub, _ranks(sub.features), rows, weights, np.sort(cand, axis=1), bounds)
-    found = [None] * (bounds.size - 1)
-    for u, f, t, d in zip(node.tolist(), feature.tolist(), threshold.tolist(),
-                          _decreases(*sums)):
-        found[u] = (f, t, d)
-    return found if starts is not None else found[0]
+        sub, _ranks(sub.features), rows, np.ones(idx.size, dtype=np.int32),
+        np.unique(cand)[None, :], np.array([0, idx.size]))
+    if node.size == 0:
+        return None
+    return int(feature[0]), float(threshold[0]), _decreases(*sums)[0]
 
 
 def _ranks(X: np.ndarray) -> np.ndarray:
@@ -485,7 +441,8 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
             cand: np.ndarray, bounds: np.ndarray) -> tuple:
     """`best_split` over nodes laid out back to back in `rows`, node u in
     ``rows[bounds[u]:bounds[u + 1]]`` with the features ``cand[u]``
-    (sorted), row ``rows[i]`` counted ``weights[i]`` times; `rank` is
+    (sorted), row ``rows[i]`` counted ``weights[i]`` times, exactly while
+    the weights sum to less than _MAX_WEIGHT; `rank` is
     ``_ranks(data.features)``.
 
     Returns the split of each node that has one, in node order, as arrays:
@@ -697,11 +654,12 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     split, in the listed order, then the children that can split of each
     node in queue order, left child first. A round is one batched
     `_search` over a prefix of the queue holding at most _PAIRS_PER_PASS
-    (row, feature) positions, m per distinct row (at least one node), whose
-    weights must sum to less than 2**31 as in `best_split`; the features
-    are ranked once per call. Each searched node, in queue order, takes p
-    doubles from `rng` and searches the features of the m smallest; nothing
-    is drawn when m = p. A double is one 64-bit word of the generator, so
+    (row, feature) positions, m per distinct row (at least one node); a
+    round whose weights sum to _MAX_WEIGHT (2**31) or more raises
+    ValueError, as `_search`'s integer sums would then overflow. The
+    features are ranked once per call. Each searched node, in queue order,
+    takes p doubles from `rng` and searches the features of the m smallest;
+    nothing is drawn when m = p. A double is one 64-bit word of the generator, so
     neither the cut into rounds nor node ids change the trees.
     """
     X, y, k, p = data.features, data.labels, data.n_classes, data.n_features

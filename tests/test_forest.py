@@ -286,6 +286,24 @@ def test_trees_hold_the_forest_table_and_criteria(tmp_path):
     check(loaded)
 
 
+def test_tree_views_and_class_bodies_keep_what_the_benchmark_reads():
+    """perfbench reads ``forest.trees[t].tree.root`` and requires its counts
+    to add up to the rows the tree has taken in, which a bootstrap keeps;
+    its tracer wraps ``predict`` and ``predict_one`` only where a class body
+    binds them (see `_Model`)."""
+    data = blobs(300, seed=31, noise=0.5)
+    forest = StreamForest(data.subset(range(100)), 3, n_trees=4, seed=32)
+    for rows in (range(100, 150), range(150, 157)):
+        forest.update(data.subset(rows), force_replacement=False)
+    for tree in forest.trees:
+        assert tree.tree is tree
+        assert int(tree.tree.root.class_counts.sum()) == 157
+    for model in (DecisionTree, StreamTree, StreamForest, BatchForest):
+        assert "predict" in vars(model)
+    for model in (StreamForest, BatchForest):
+        assert "predict_one" in vars(model)
+
+
 class TestVoting:
     def _forest_with_trees(self, classes, n_classes):
         """A forest of one constant tree per entry of `classes`, voting it."""

@@ -193,6 +193,25 @@ def test_rounds_hold_at_most_the_position_budget():
     assert rounds[0] == (1, 240) and any(nodes > 1 for nodes, _ in rounds)
 
 
+def _search_nodes(data: Dataset, nodes, cand, weights=None) -> list:
+    """`best_split`'s result for each node of one batched `tree._search`,
+    as the grower runs it: node u holds the rows ``nodes[u]``, each counted
+    ``weights[u][i]`` times (once by default), over the features
+    ``cand[u]``."""
+    tree = streamforest.tree
+    rows = np.concatenate(nodes)
+    weights = np.ones(rows.size) if weights is None else np.concatenate(weights)
+    bounds = np.cumsum([0] + [len(node) for node in nodes])
+    (node, feature, threshold, _, _, *sums), _ = tree._search(
+        data, tree._ranks(data.features), rows, weights.astype(np.int32),
+        np.sort(cand, axis=1), bounds)
+    found = [None] * len(nodes)
+    for u, f, t, d in zip(node.tolist(), feature.tolist(), threshold.tolist(),
+                          tree._decreases(*sums)):
+        found[u] = (f, t, d)
+    return found
+
+
 @pytest.mark.parametrize("j", [1, 3, 6, 9])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_packed_sorts_match_the_oracle_at_the_position_mask_edge(j, extra):
@@ -208,7 +227,7 @@ def test_packed_sorts_match_the_oracle_at_the_position_mask_edge(j, extra):
     cand = rng.integers(0, 2, (starts.size, 1))
     nodes = [(rows, [0]), (rows, [1])] + list(zip(np.split(rows, starts[1:]), cand))
     found = [best_split(data, rows, [0]), best_split(data, rows, [1])]
-    found += best_split(data, rows, cand, starts)
+    found += _search_nodes(data, np.split(rows, starts[1:]), cand)
     for got, (node, features) in zip(found, nodes):
         oracle = brute_force_best_split(data, node, features)
         if oracle is None:
@@ -256,8 +275,7 @@ def test_batched_search_matches_single_node_search_and_oracle(seed):
     nodes = [nodes[i] for i in order]
     m = int(rng.integers(1, p + 1))
     cand = np.array([rng.choice(p, m, replace=False) for _ in nodes])
-    starts = np.cumsum([0] + [node.size for node in nodes[:-1]])
-    batched = best_split(data, np.concatenate(nodes), cand, starts)
+    batched = _search_nodes(data, nodes, cand)
     assert len(batched) == len(nodes)
     for got, rows, features in zip(batched, nodes, cand):
         assert got == best_split(data, rows, features)
@@ -301,7 +319,7 @@ def test_search_cut_is_the_routed_partition(seed):
 def _weighted_nodes(rng: np.random.Generator):
     """A dataset and nodes of distinct rows: heavy duplicate values, one
     constant feature, one label, a single distinct row and all rows, in
-    random order; with each node's candidate features and its starts."""
+    random order; with each node's candidate features."""
     n, p, k = int(rng.integers(8, 60)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
     features = _values(rng, (n, p))
     features[:, int(rng.integers(0, p))] = 1.0  # one constant feature
@@ -316,8 +334,7 @@ def _weighted_nodes(rng: np.random.Generator):
     nodes = [nodes[i] for i in rng.permutation(len(nodes))]
     m = int(rng.integers(1, p + 1))
     cand = np.array([rng.choice(p, m, replace=False) for _ in nodes])
-    starts = np.cumsum([0] + [node.size for node in nodes[:-1]])
-    return data, nodes, cand, starts
+    return data, nodes, cand
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -329,15 +346,13 @@ def test_weighted_search_equals_search_over_repeated_rows(seed):
     unchanged too, as the integer sums stay exact: the counts, the sums of
     squares and the decrease all scale by one factor."""
     rng = np.random.default_rng(seed)
-    data, nodes, cand, starts = _weighted_nodes(rng)
+    data, nodes, cand = _weighted_nodes(rng)
     top = int(rng.choice([2, 5, 40]))
     weights = [rng.integers(1, top + 1, node.size) for node in nodes]
-    batched = best_split(data, np.concatenate(nodes), cand, starts,
-                         weights=np.concatenate(weights))
+    batched = _search_nodes(data, nodes, cand, weights)
     assert len(batched) == len(nodes)
     scale = [int(rng.integers(1, 10**6 // top + 1)) for _ in nodes]
-    scaled = best_split(data, np.concatenate(nodes), cand, starts,
-                        weights=np.concatenate([c * w for c, w in zip(scale, weights)]))
+    scaled = _search_nodes(data, nodes, cand, [c * w for c, w in zip(scale, weights)])
     for got, heavy, rows, w, features in zip(batched, scaled, nodes, weights, cand):
         assert got == best_split(data, np.repeat(rows, w), features)
         assert heavy == got
@@ -349,14 +364,13 @@ def test_weighted_search_matches_the_exact_oracle_at_large_weights(seed):
     """Unequal weights up to 1e6: each node's split is the exact rational
     oracle's, with the decrease to rounding."""
     rng = np.random.default_rng(seed)
-    data, nodes, cand, starts = _weighted_nodes(rng)
+    data, nodes, cand = _weighted_nodes(rng)
     weights = [rng.integers(1, 10**6 + 1, node.size) for node in nodes]
     for node, w in zip(nodes, weights):  # some light rows among the heavy ones
         w[rng.random(node.size) < 0.3] = 1
-    batched = best_split(data, np.concatenate(nodes), cand, starts,
-                         weights=np.concatenate(weights).astype(np.int32))
+    batched = _search_nodes(data, nodes, cand, weights)
     for got, rows, w, features in zip(batched, nodes, weights, cand):
-        assert got == best_split(data, rows, features, weights=w)
+        assert got == _search_nodes(data, [rows], [features], [w])[0]
         oracle = brute_force_best_split(data, rows, features, weights=w)
         if oracle is None:
             assert got is None
@@ -365,9 +379,8 @@ def test_weighted_search_matches_the_exact_oracle_at_large_weights(seed):
 
 
 def test_weighted_search_is_exact_up_to_the_weight_bound():
-    """Weights summing to just under 2**31, searched over several features
-    at once: the int64 sums stay exact, and unsigned weights give the same
-    result as signed ones."""
+    """Weights summing to 2**31 - 1, the most a growth round takes, searched
+    over several features at once: the int64 sums stay exact."""
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(2, 9))
@@ -376,9 +389,7 @@ def test_weighted_search_is_exact_up_to_the_weight_bound():
         weights = rng.integers(1, 2**31 // n, n)
         weights[0] += 2**31 - 1 - weights.sum()
         features = range(5)
-        got = best_split(data, np.arange(n), features, weights=weights)
-        assert best_split(data, np.arange(n), features,
-                          weights=weights.astype(np.uint64)) == got
+        got = _search_nodes(data, [np.arange(n)], [features], [weights])[0]
         oracle = brute_force_best_split(data, np.arange(n), features, weights=weights)
         if oracle is None:
             assert got is None
@@ -386,19 +397,10 @@ def test_weighted_search_is_exact_up_to_the_weight_bound():
             assert got[:2] == oracle[:2] and got[2] == pytest.approx(oracle[2], rel=1e-12)
 
 
-def test_search_rejects_bad_weights():
-    data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]), 2)
-    for weights in ([1, 0, 2], [1, -1, 2], [1.0, 2.0, 1.0], [1, 2], [True, True, True],
-                    [2**30, 2**30, 1], [1, 2**31, 1], np.array([1, 2**63, 1], dtype=np.uint64),
-                    np.array([2**30, 2**30, 1], dtype=np.uint32)):
-        with pytest.raises(ValueError):
-            best_split(data, [0, 1, 2], [0], weights=np.array(weights))
-
-
 def test_grow_rejects_a_round_at_the_weight_bound():
-    """The grower bounds each round's weight as `best_split` bounds its
-    weights: a node of two rows of weight 2**30 and different labels
-    raises, and one a unit lighter splits."""
+    """The grower bounds each round's weight below 2**31, which keeps
+    `_search`'s integer sums exact: a node of two rows of weight 2**30 and
+    different labels raises, and one a unit lighter splits."""
     data = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), 2)
 
     def grow(light):
@@ -457,40 +459,31 @@ def test_every_grower_call_lists_one_nonempty_range_per_node():
 def test_batched_search_rejects_bad_layouts():
     data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]), 2)
     with pytest.raises(ValueError):
-        best_split(data, [0, 1, 2], [[0], [0]], [0, 0])  # an empty node
-    with pytest.raises(ValueError):
-        best_split(data, [0, 1, 2], [[0]], [1])  # rows before the first node
-    with pytest.raises(ValueError):
-        best_split(data, [0, 1, 2], [0], [0])  # not one row of features per node
-    with pytest.raises(ValueError):
-        best_split(data, [0, 1, 2], [[1]], [0])  # no such feature
-    # Row, feature and start indices must be integers (or whole floats)
-    # within range, or a negative row would read from the end, a fraction or
-    # a bool would be cast to an index, and a row past the end would raise
-    # numpy's IndexError. The error names the argument.
-    for indices, features, starts, error, name in [
-            ([-1, 0], [0], None, ValueError, "indices"),
-            ([0, 3], [0], None, ValueError, "indices"),
-            ([0.5, 1], [0], None, ValueError, "indices"),
-            (["0", "1"], [0], None, TypeError, "indices"),
-            ([True, False], [0], None, TypeError, "indices"),
-            ([0, 1], ["0"], None, TypeError, "candidate_features"),
-            ([0, 1], [True], None, TypeError, "candidate_features"),
-            ([0, 1], [-1], None, ValueError, "candidate_features"),
-            ([0, 1], [0.5], None, ValueError, "candidate_features"),
-            ([0, 1, 2], [[0], [0]], [0, 1.9], ValueError, "starts"),
-            ([0, 1, 2], [[0], [0]], [0, -1], ValueError, "starts"),
-            ([0, 1, 2], [[0], [0]], [0, 3], ValueError, "starts"),
-            ([0, 1, 2], [[0], [0]], ["0", "1"], TypeError, "starts"),
+        best_split(data, [0, 1, 2], [1])  # no such feature
+    # Row and feature indices must be integers (or whole floats) within
+    # range, or a negative row would read from the end, a fraction or a bool
+    # would be cast to an index, and a row past the end would raise numpy's
+    # IndexError. The error names the argument.
+    for indices, features, error, name in [
+            ([-1, 0], [0], ValueError, "indices"),
+            ([0, 3], [0], ValueError, "indices"),
+            ([0.5, 1], [0], ValueError, "indices"),
+            (["0", "1"], [0], TypeError, "indices"),
+            ([True, False], [0], TypeError, "indices"),
+            ([0, 1], ["0"], TypeError, "candidate_features"),
+            ([0, 1], [True], TypeError, "candidate_features"),
+            ([0, 1], [-1], ValueError, "candidate_features"),
+            ([0, 1], [0.5], ValueError, "candidate_features"),
             # A bool beside integers, which numpy would read as 0 or 1.
-            ([0, True, 2], [0], None, TypeError, "indices"),
-            ([0, np.True_, 2], [0], None, TypeError, "indices"),
-            ([0, 1], [0, True], None, TypeError, "candidate_features"),
-            ([0, 1, 2], [[0], [True]], [0, 1], TypeError, "candidate_features"),
-            ([0, 1, 2], [[0], [0]], [0, True], TypeError, "starts")]:
+            ([0, True, 2], [0], TypeError, "indices"),
+            ([0, np.True_, 2], [0], TypeError, "indices"),
+            ([0, 1], [0, True], TypeError, "candidate_features"),
+            # Not one list, which numpy would index by or fail on.
+            ([[0, 1], [2, 2]], [0], ValueError, r"1-D lists, not of shapes \(2, 2\)"),
+            (2, [0], ValueError, r"1-D lists, not of shapes \(\)"),
+            ([0, 1], [[0], [0]], ValueError, r"\(2,\) and \(2, 1\)")]:
         with pytest.raises(error, match=name):
-            best_split(data, indices, features, starts)
+            best_split(data, indices, features)
     # Whole floats are integers, as `_check_integer` takes them.
     found = best_split(data, [0, 1, 2], [0])
     assert best_split(data, [0.0, 1.0, 2.0], [0.0]) == found
-    assert best_split(data, [0.0, 1.0, 2.0], [[0.0]], [0.0]) == [found]

@@ -398,6 +398,10 @@ _MISSING = object()
     ("stream_forest", "tree_batches_seen", [1, True, 1]),
     ("stream_forest", "tree_batches_seen", [[1], [1], [1]]),
     ("stream_forest", "criteria", _MISSING),
+    ("stream_forest", "criteria", [1]),
+    ("stream_forest", "criteria", {"min_samples_split": 2, "foo": 1}),
+    ("stream_forest", "rng_state", "x"),
+    ("stream_forest", "rng_state", {"a": 1}),
     ("stream_forest", "n_classes", _MISSING),
     ("stream_forest", "tree_batches_seen", _MISSING),
     ("batch_forest", "bootstrap", 1),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamforest import Dataset, DecisionTree, SplitCriteria, best_split, gini_impurity
+from streamforest import Dataset, DecisionTree, SplitCriteria, best_split
 from streamforest.tree import _NEAR_TIE, _best_candidates
 
 from helpers import (
@@ -77,36 +77,6 @@ def adversarial_datasets(draw):
     values = [-v if v == 0.0 and minus else v for v, minus in zip(values, negate)]
     labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return Dataset(np.array(values).reshape(n, p), np.array(labels), 3)
-
-
-class TestGiniImpurity:
-    def test_pure_node(self):
-        assert gini_impurity([10, 0, 0]) == 0.0
-
-    def test_symmetric_two_class(self):
-        assert gini_impurity([5, 5]) == 0.5
-
-    def test_three_class(self):
-        # 1 - (4 + 1 + 1) / 16
-        assert gini_impurity([2, 1, 1]) == 0.625
-
-    def test_all_zero_counts_rejected(self):
-        with pytest.raises(ValueError):
-            gini_impurity([0, 0, 0])
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            gini_impurity([3, -1])
-
-    def test_invariant_under_count_scaling(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            k = int(rng.integers(2, 6))
-            counts = rng.integers(0, 20, k)
-            if counts.sum() == 0:
-                counts[0] = 1
-            scale = int(rng.integers(1, 10))
-            assert gini_impurity(counts * scale) == gini_impurity(counts)
 
 
 class TestBestSplit:

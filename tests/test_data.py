@@ -74,6 +74,12 @@ class TestLoadCsv:
                            match="line 2, column 2: label 7 outside declared range"):
             load_csv(path, n_classes=3)
 
+    def test_non_integer_label_names_position(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "1.0,0\n2.0,a\n")
+        with pytest.raises(DataLoadError,
+                           match="line 2, column 2: label 'a' is not an integer"):
+            load_csv(path, n_classes=2)
+
     def test_blank_cell_names_position(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "1.0,2.0,0\n1.5,,1\n")
         with pytest.raises(DataLoadError, match="line 2, column 2"):
@@ -112,7 +118,7 @@ class TestLoadCsv:
         ("1.0,0\n", {"label_column": 2}, "label column 2 out of range"),
         ("1.0,0\n", {"label_column": -3}, "label column -3 out of range"),
         ("1.0,0\n2.0, \n", {}, "line 2, column 2: empty cell"),
-        ("1.0,0\n2.0,a\n", {"n_classes": 2}, "line 2, column 2: label 'a' is not an integer"),
+        ("1.0,0\n2.0,a\n", {"n_classes": 2}, "'a' is not an integer"),
         ("1.0,0\n2.0,2\n", {"label_map": {"0": 0, "1": 1}}, "line 2, column 2: unknown label"),
     ])
     def test_malformed_input_is_named(self, tmp_path, text, kwargs, pattern):

@@ -398,16 +398,16 @@ _MISSING = object()
     ("stream_forest", "tree_batches_seen", [1, True, 1]),
     ("stream_forest", "tree_batches_seen", [[1], [1], [1]]),
     ("stream_forest", "criteria", _MISSING),
-    ("stream_forest", "criteria", [1]),
-    ("stream_forest", "criteria", {"min_samples_split": 2, "foo": 1}),
-    ("stream_forest", "rng_state", "x"),
-    ("stream_forest", "rng_state", {"a": 1}),
     ("stream_forest", "n_classes", _MISSING),
     ("stream_forest", "tree_batches_seen", _MISSING),
     ("batch_forest", "bootstrap", 1),
     ("batch_forest", "n_classes", 2.5),
     ("batch_forest", "master_seed", _MISSING),
     ("stream_forest", "model", "stream_tree"),
+    ("stream_forest", "criteria", [1]),
+    ("stream_forest", "criteria", {"min_samples_split": 2, "foo": 1}),
+    ("stream_forest", "rng_state", "x"),
+    ("stream_forest", "rng_state", {"a": 1}),
 ])
 def test_malformed_header_is_rejected_by_name(tmp_path, model, key, value):
     data = gen_synthetic("blobs", 60, noise=0.6, seed=10, n_classes=3)

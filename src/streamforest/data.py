@@ -119,7 +119,8 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
 
     Parameters
     ----------
-    path : CSV file, comma-separated, UTF-8.
+    path : CSV file, comma-separated, UTF-8; a leading byte-order mark, as
+        Excel and PowerShell write, is skipped.
     label_column : column index (may be negative) or, with header=True, a
         column name.
     n_classes : declared class count. When given, label cells must be
@@ -137,23 +138,28 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
 
     Raises DataLoadError, naming the line and column, for missing or
     non-numeric cells, unmapped labels and labels that are not integers
-    below a declared class count.
+    below a declared class count; naming the line, for a row or header
+    whose cell count differs from the first row's.
     """
     if n_classes is not None and label_map is not None:
         raise ValueError("give n_classes or label_map, not both")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader]
     names: list[str] | None = None
     if header:
         if not rows:
             raise DataLoadError("file is empty")
-        names = [c.strip() for c in rows.pop(0)[1]]
+        header_line, names = rows.pop(0)
+        names = [c.strip() for c in names]
     body = [(line, row) for line, row in rows if row]
     if not body:
         raise DataLoadError("no data rows")
 
     width = len(body[0][1])
+    if names is not None and len(names) != width:
+        raise DataLoadError(f"line {header_line}: header has {len(names)} cells, "
+                            f"line {body[0][0]} has {width}")
     if isinstance(label_column, str):
         if names is None:
             raise DataLoadError("a named label column requires header=True")

@@ -31,6 +31,7 @@ import contextlib
 import json
 import os
 import secrets
+import zipfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -117,21 +118,30 @@ def save_forest(forest: StreamForest | BatchForest, path) -> None:
         np.savez(fh, meta=np.array(json.dumps(meta)), **columns)
 
 
+# What zipfile raises on a damaged archive: a bad CRC, magic number or
+# header, a file cut short, a flag or version it cannot read, or a seek to
+# an offset before the start of the file.
+_DAMAGED = (zipfile.BadZipFile, EOFError, NotImplementedError, OSError)
+
+
 def _read_archive(fh) -> tuple[dict, dict, np.ndarray | None]:
     """(meta, columns, starts) of a v5, v4 or v3 archive, starts None for v5
-    and v4; nothing is unpickled."""
-    with np.load(fh, allow_pickle=False) as archive:
-        meta = archive["meta"] if "meta" in archive.files else np.array(None)
-        if meta.shape or meta.dtype.kind != "U":
-            raise ValueError("snapshot meta must be one string")
-        meta = json.loads(meta.item())
-        if not isinstance(meta, dict) or meta.get("format") not in (FORMAT, _V4, _V3):
-            raise ValueError(f"not a {FORMAT}, {_V4} or {_V3} archive")
-        names = NodeTable.COLUMNS + (("right", "starts") if meta["format"] == _V3 else ())
-        missing = set(names) - set(archive.files)
-        if missing:
-            raise ValueError(f"snapshot lacks {sorted(missing)}")
-        columns = {name: archive[name] for name in names}
+    and v4; nothing is unpickled. A damaged archive raises ValueError."""
+    try:
+        with np.load(fh, allow_pickle=False) as archive:
+            meta = archive["meta"] if "meta" in archive.files else np.array(None)
+            if meta.shape or meta.dtype.kind != "U":
+                raise ValueError("snapshot meta must be one string")
+            meta = json.loads(meta.item())
+            if not isinstance(meta, dict) or meta.get("format") not in (FORMAT, _V4, _V3):
+                raise ValueError(f"not a {FORMAT}, {_V4} or {_V3} archive")
+            names = NodeTable.COLUMNS + (("right", "starts") if meta["format"] == _V3 else ())
+            missing = set(names) - set(archive.files)
+            if missing:
+                raise ValueError(f"snapshot lacks {sorted(missing)}")
+            columns = {name: archive[name] for name in names}
+    except _DAMAGED as err:
+        raise ValueError(f"not a readable snapshot archive: {err}") from err
     return meta, columns, columns.pop("starts", None)
 
 
@@ -253,7 +263,9 @@ def load_forest(path) -> StreamForest | BatchForest:
     The header is checked as the constructors check their arguments, batch
     counts as integers of at least 1; a missing key, a `criteria` that is
     not an object of `SplitCriteria` fields and an `rng_state` the generator
-    refuses raise ValueError naming the key.
+    refuses raise ValueError naming the key. Damage that the zip reader
+    finds, such as a file cut short or a bad checksum or header, raises
+    ValueError too, with the zip reader's error as its cause.
     """
     with open(path, "rb") as fh:
         is_archive = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC

@@ -73,7 +73,9 @@ class StreamTree(DecisionTree):
     def fit(self, data: Dataset) -> "StreamTree":
         """Restart the stream with `data` as its first batch, under the
         tree's class count: the tree becomes ``StreamTree(data, n_classes,
-        criteria, seed)``. The tree is unchanged on error."""
+        criteria, seed)``. The tree is unchanged on error. A tree view
+        refuses first, naming ``update``, the forest's own method."""
+        self._check_own("update")
         super().fit(_check_batch("data", data, self.n_classes))
         self.batches_seen = 1
         return self

@@ -698,8 +698,6 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
             keep = np.array(_decreases(*found[5:])) >= criteria.min_impurity_decrease
             found = [x[keep] for x in found]
         splits, feature, threshold, win, n_left, n_l, n_r = found[:7]
-        if not splits.size:
-            continue
         # A split node's range takes its rows in the search's value order,
         # left rows first; an unsplit node's range is left as is.
         size = size[splits]
@@ -822,13 +820,10 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
 
 def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
     """Majority class of each leaf id, ties to the lowest class. When there
-    are more leaf ids than nodes, each leaf of the table is labelled once;
-    internal nodes, never reached, are not."""
+    are more leaf ids than nodes, every row of the table is labelled once;
+    internal rows get a label that nothing reads."""
     if leaves.size > table.size:
-        labels = np.zeros(table.size, dtype=np.intp)
-        leaf = np.flatnonzero(table.left[: table.size] <= np.arange(table.size))
-        labels[leaf] = table.counts[leaf].argmax(axis=1)
-        return labels[leaves]
+        return table.counts[: table.size].argmax(axis=1)[leaves]
     return table.counts[leaves].argmax(axis=-1)
 
 

@@ -107,6 +107,18 @@ class TestLoadCsv:
         with pytest.raises(DataLoadError, match="line 5: expected 3 cells, got 2"):
             load_csv(path, header=True)
 
+    @pytest.mark.parametrize("text, kwargs", [
+        ("label,x,y\nb,1.5,2.0\na,3.0,4.5\n", {"header": True, "label_column": "label"}),
+        ("1.5,2.0,b\n3.0,4.5,a\n", {}),
+    ], ids=["header", "no header"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, text, kwargs):
+        """Excel's "CSV UTF-8" export and PowerShell begin the file with one."""
+        plain = load_csv(write_csv(tmp_path / "plain.csv", text), **kwargs)
+        marked = load_csv(write_csv(tmp_path / "marked.csv", "\ufeff" + text), **kwargs)
+        assert marked[1] == plain[1] == {"a": 0, "b": 1}
+        assert np.array_equal(marked[0].features, plain[0].features)
+        assert np.array_equal(marked[0].labels, plain[0].labels)
+
     def test_missing_named_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "a,b\n1.0,0\n")
         with pytest.raises(DataLoadError, match="no column named"):
@@ -120,6 +132,14 @@ class TestLoadCsv:
         ("1.0,0\n2.0, \n", {}, "line 2, column 2: empty cell"),
         ("1.0,0\n2.0,a\n", {"n_classes": 2}, "'a' is not an integer"),
         ("1.0,0\n2.0,2\n", {"label_map": {"0": 0, "1": 1}}, "line 2, column 2: unknown label"),
+        # A header of another width than the rows, the label named or indexed.
+        ("x,label\n1.0,2.0,a\n", {"header": True, "label_column": "label"},
+         "line 1: header has 2 cells, line 2 has 3"),
+        ("x,label\n1.0,2.0,a\n", {"header": True}, "line 1: header has 2 cells, line 2 has 3"),
+        ("x,y,z,label\n1.0,2.0,a\n", {"header": True, "label_column": "label"},
+         "line 1: header has 4 cells, line 2 has 3"),
+        ("x,y,z,label\n1.0,2.0,a\n", {"header": True},
+         "line 1: header has 4 cells, line 2 has 3"),
     ])
     def test_malformed_input_is_named(self, tmp_path, text, kwargs, pattern):
         path = write_csv(tmp_path / "t.csv", text)

@@ -188,10 +188,13 @@ class TestUpdate:
         data = blobs(100, seed=21)
         stream = StreamForest(data, 3, n_trees=3, seed=22)
         batch = BatchForest(3, seed=22).fit(data)
-        for f, call in ((stream, "update"), (stream, "fit"), (batch, "fit")):
+        # A view names the forest's own method: a stream forest has no fit.
+        for f, call, named in ((stream, "update", "update"), (stream, "fit", "update"),
+                               (batch, "fit", "fit")):
+            assert callable(getattr(f, named))
             before = f._table.export(f._roots)
             state = f.rng.bit_generator.state if f is stream else None
-            with pytest.raises(TypeError, match=f"{call} the forest"):
+            with pytest.raises(TypeError, match=f"{named} the forest"):
                 getattr(f.trees[0], call)(blobs(100, seed=23))
             if f is stream:
                 assert f._batches.tolist() == [1, 1, 1]

@@ -470,6 +470,29 @@ def test_malformed_archive_is_rejected(tmp_path, fault, pattern):
         load_forest(path)
 
 
+def test_a_damaged_archive_loads_as_saved_or_raises_value_error(tmp_path):
+    data = gen_synthetic("blobs", 120, noise=0.6, seed=4, n_classes=3)
+    f = StreamForest(data.subset(range(60)), 3, n_trees=2, seed=5)
+    f.update(data.subset(range(60, 120)))
+    path = tmp_path / "forest.npz"
+    save_forest(f, path)
+    raw = path.read_bytes()
+    probes = np.random.default_rng(6).uniform(-6, 6, (50, 2))
+    expected = f.predict(probes)
+    # Cuts and single-byte flips spread evenly over the whole file.
+    points = np.unique(np.linspace(0, len(raw) - 1, 150).astype(int)).tolist()
+    damaged = [raw[:i] for i in points]
+    damaged += [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:] for i in points]
+    assert len(points) >= 100
+    for content in damaged:
+        path.write_bytes(content)
+        try:
+            restored = load_forest(path)
+        except ValueError:
+            continue
+        assert np.array_equal(restored.predict(probes), expected)
+
+
 def _stream(data, forest, start, stop, coins):
     for i, coin in zip(range(start, stop), coins):
         forest.update(data.subset(range(60 * i, 60 * (i + 1))), force_replacement=coin)

@@ -146,18 +146,42 @@ def _read_archive(fh) -> tuple[dict, dict, np.ndarray | None]:
 
 
 def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
-    """(meta, columns, starts) of a v1 or v2 JSON document."""
-    doc = json.load(fh)
+    """(meta, columns, starts) of a v1 or v2 JSON document. A file that is
+    no JSON document, and a document whose ``trees`` are not a list of
+    objects of list columns of one length, raise ValueError; the latter
+    names the key and the tree."""
+    try:
+        doc = json.load(fh)
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError among them
+        raise ValueError(f"not a streamforest snapshot: {err}") from err
     if not isinstance(doc, dict) or doc.get("format") not in _JSON_FORMATS:
         raise ValueError("not a streamforest snapshot")
-    trees = doc.pop("trees")
+    trees = doc.pop("trees", None)
+    if not isinstance(trees, list):
+        raise ValueError(f"snapshot 'trees' must be a list of trees, not "
+                         f"{type(trees).__name__}")
+    keys = {name: "class_counts" if name == "counts" else name
+            for name in (*NodeTable.COLUMNS, "right")}
+    values = {name: [] for name in keys}
+    for t, tree in enumerate(trees):
+        if not isinstance(tree, dict):
+            raise ValueError(f"snapshot tree {t} must be an object of columns, not "
+                             f"{type(tree).__name__}")
+        for name, key in keys.items():
+            if key not in tree:
+                raise ValueError(f"snapshot tree {t} lacks {key!r}")
+            column = tree[key]
+            if not isinstance(column, list) or len(column) != len(tree["feature"]):
+                raise ValueError(f"snapshot tree {t} must hold {key!r} as a list of one "
+                                 f"value per node")
+            values[name] += column
     starts = np.cumsum([0] + [len(tree["feature"]) for tree in trees])
-    columns = {}
-    for name in (*NodeTable.COLUMNS, "right"):
-        values = [v for tree in trees for v in tree["class_counts" if name == "counts" else name]]
-        columns[name] = (np.array(values, dtype=np.float64) if name == "threshold"
-                         else _integers(values))
-    return doc, columns, starts
+    try:
+        threshold = np.array(values["threshold"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"snapshot column 'threshold' must hold numbers: {err}") from err
+    return doc, {name: threshold if name == "threshold" else _integers(column)
+                 for name, column in values.items()}, starts
 
 
 def _integers(values: list) -> np.ndarray:

@@ -3,10 +3,11 @@
 trees as arrays, read through `TreeNode` views; the exact Gini split search
 over midpoint thresholds, `_search` over many nodes and `best_split` over
 one; the grower `_grow`, which grows many trees at once in rounds of batched
-searches under per-split feature subsampling; the descent `_descend` and the
-router `_route_and_count`, which routes a batch and adds it to the counts;
-the sampler `_samples`; the model base `_Model`, which fits, extends and
-votes; and the batch CART tree `DecisionTree`."""
+searches under per-split feature subsampling; the prediction descent
+`_descend`; the router `_route_and_count`, which routes a batch, adds it to
+the counts and orders the leaves it reached; the sampler `_samples`; the
+model base `_Model`, which fits, extends and votes; and the batch CART tree
+`DecisionTree`."""
 
 from __future__ import annotations
 
@@ -630,7 +631,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
 # Largest number of (tree, row) pairs one routing block holds, in an
 # update (`_route_and_count`) or a prediction (`_votes`), and of (row,
 # feature) positions one growth round searches: bounds their temporary
-# arrays to a few MB at any feature and tree count.
+# arrays at any feature and tree count: to a few MB, and to under 30 MB in
+# an update whose paths fill a key word, as a block then holds up to 64
+# levels between two flushes.
 _PAIRS_PER_PASS = 1 << 15
 
 
@@ -716,24 +719,23 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         queue = np.concatenate((queue, children[grows]))
 
 
-# Levels `_descend` steps its pairs between two drops of the finished ones
-# when it records no path, by measurement: 1 was no faster, 4 to 6 alike.
+# Levels `_descend` steps its pairs between two drops of the finished ones,
+# by measurement: 1 was no faster, 4 to 6 alike.
 _LEVELS_PER_DROP = 4
 
 
-def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndarray:
-    """Route (start node, row) pairs to their leaves; returns the leaf id
-    of each pair. Pair i starts at node ``start[i]`` with the features
-    ``X[rows[i]]``, which must be finite; a value <= the threshold goes
-    left, a larger one to the right child ``left + 1``.
+def _descend(table: NodeTable, start, rows, X: np.ndarray) -> np.ndarray:
+    """Route (start node, row) pairs to their leaves for prediction; returns
+    the leaf id of each pair. Pair i starts at node ``start[i]`` with the
+    features ``X[rows[i]]``, which must be finite; a value <= the threshold
+    goes left, a larger one to the right child ``left + 1``.
 
     A step moves the unfinished pairs _LEVELS_PER_DROP levels, a pair at a
-    leaf staying on its self-loop, then drops the pairs at a leaf. When
-    `path` is a list, a step is one level and appends (pairs moved, whether
-    each went right, nodes reached). A level reads each pair's feature with
-    one ``[]`` gather (no slower than ``take`` at 100 or ~32,700 pairs) from
-    the flat view of X, at ``rows[i] * p + feature``, the row offsets intp;
-    X should be C-contiguous, or the flat view is a copy.
+    leaf staying on its self-loop, then drops the pairs at a leaf. A level
+    reads each pair's feature with one ``[]`` gather (no slower than
+    ``take`` at 100 or ~32,700 pairs) from the flat view of X, at ``rows[i]
+    * p + feature``, the row offsets intp; X should be C-contiguous, or the
+    flat view is a copy.
     """
     node = np.array(start, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
@@ -741,13 +743,11 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray, path=None) -> np.ndar
     live = np.flatnonzero(left[node] > node)
     while live.size:
         cur, at = node[live], base[live]
-        for _ in range(_LEVELS_PER_DROP if path is None else 1):
+        for _ in range(_LEVELS_PER_DROP):
             goes_right = flat[at + feature[cur]] > threshold[cur]
             cur = left[cur]
             cur += goes_right
         node[live] = cur
-        if path is not None:
-            path.append((live, goes_right, cur))
         live = live[left[cur] > cur]
     return node
 
@@ -776,42 +776,86 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     Tree t, rooted at ``roots[t]``, takes the rows
     ``rows[bounds[t]:bounds[t + 1]]`` of (X, y), distinct and in increasing
     order, row ``rows[i]`` counted ``weights[i]`` times: a bootstrap
-    resample as `_samples` draws it, so each distinct pair is routed
-    once. Blocks of _PAIRS_PER_PASS consecutive pairs are routed and
-    counted, one `np.add.at` each, so only one block's paths are held.
+    resample as `_samples` draws it, so each distinct pair is routed once.
+
+    The pairs are routed in blocks of _PAIRS_PER_PASS consecutive ones. A
+    block steps every one of its pairs through every level, a pair at a
+    leaf staying on its self-loop, and ORs each level's branch bits into
+    its pairs' key words: the int64 words that pack, most significant bit
+    first, 63 bits each, the tree index and then one bit per depth, 1 for
+    right. A level also records the node each pair reached and whether it
+    moved there. Only when a key word is full, or no pair moves any more,
+    does the block add the labels of the recorded levels to the counts,
+    weighted by ``weight * moved``, with one `np.add.at`, store the word
+    and drop the pairs at a leaf; so it holds at most one word's levels,
+    however deep the trees.
     """
     tree = np.repeat(np.arange(len(roots)), np.diff(bounds))
     roots = np.asarray(roots, dtype=np.intp)
-    counts = table.counts.reshape(-1)
+    feature, threshold, left = table.feature, table.threshold, table.left
+    counts, k = table.counts.reshape(-1), table.n_classes
+    flat = X.reshape(-1)
     leaf = np.empty(tree.size, dtype=np.intp)
-    # Depth-first, left-first order of the touched leaves: one stable sort
-    # of the distinct pairs on (tree, branches taken), packed most
-    # significant bit first into int64 words of 63 bits: the tree index,
-    # then one bit per depth, 1 for right. No touched leaf lies on another's
-    # path, so padding short paths with "left", and with zero words, is
-    # safe; stability keeps each leaf's rows in increasing order.
     tree_bits = (len(roots) - 1).bit_length()
-    words = [tree << (63 - tree_bits)]
+    # words[j] holds every pair's j-th key word; a zero word is appended
+    # the first time a pair's path needs it. `spare` is the fewest low bits
+    # any pair left unused in its last word.
+    words, spare = [tree << (63 - tree_bits)], 63 - tree_bits
     for lo in range(0, tree.size, _PAIRS_PER_PASS):
-        block = slice(lo, lo + _PAIRS_PER_PASS)
-        start, block_rows = roots[tree[block]], rows[block]
-        path = []
-        leaf[block] = _descend(table, start, block_rows, X, path)
-        # Pair moved[i] of the block passes through nodes[i].
-        moved, nodes = [np.arange(start.size)], [start]
-        for bit, (live, goes_right, reached) in enumerate(path, start=tree_bits):
-            if bit // 63 == len(words):
+        pair = np.arange(lo, min(lo + _PAIRS_PER_PASS, tree.size))
+        cur = roots[tree[pair]]
+        at = np.multiply(rows[pair], X.shape[1], dtype=np.intp)
+        # Labels gathered once a block: y at a bootstrap's int32 rows per
+        # level was slower. Weights in the counts' dtype: np.add.at leaves
+        # its fast path to cast, which once made it 20 times slower.
+        label, weight = y[rows[pair]], weights[pair].astype(counts.dtype, copy=False)
+        key, shift, w = words[0][pair], 62 - tree_bits, 0
+        while True:
+            # Row 0 of (reached, moved) is each pair's node as the word
+            # starts, counted in the first word only (the roots); row i the
+            # node it reached at the word's i-th level, and whether it moved.
+            reached = np.empty((64, pair.size), dtype=np.intp)
+            moved = np.empty((64, pair.size), dtype=bool)
+            reached[0], moved[0], used = cur, w == 0, 1
+            while shift >= 0:
+                nxt, step = reached[used], moved[used]
+                np.take(left, cur, out=nxt, mode="clip")  # "raise" would buffer `out`
+                np.greater(nxt, cur, out=step)
+                if not step.any():
+                    break
+                goes_right = flat[at + feature[cur]] > threshold[cur]
+                key |= np.left_shift(goes_right, shift, dtype=np.int64)
+                nxt += goes_right
+                cur, shift, used = nxt, shift - 1, used + 1
+            if w == len(words):
                 words.append(np.zeros(tree.size, dtype=np.int64))
-            words[bit // 63][block][live[goes_right]] |= 1 << (62 - bit % 63)
-            moved.append(live)
-            nodes.append(reached)
-        moved = np.concatenate(moved)
-        # Labels by block, then by `moved`: y at a bootstrap's int32 rows per
-        # path position was 10% slower. Weights in the counts' dtype: np.add.at
-        # leaves its fast path to cast, which once made it 20 times slower.
-        np.add.at(counts, np.concatenate(nodes) * table.n_classes + y[block_rows][moved],
-                  weights[block][moved].astype(counts.dtype, copy=False))
-    order = np.lexsort(words[::-1])
+            words[w][pair] = key
+            leaf[pair] = cur
+            spare = min(spare, shift + 1)
+            live = left[cur] > cur
+            cur = cur[live]  # copied out of `reached` before its rows become count cells
+            index = reached[:used]
+            index *= k
+            index += label
+            np.add.at(counts, index.reshape(-1), np.multiply(moved[:used], weight).reshape(-1))
+            if not cur.size:
+                break
+            pair, at, label, weight = (a[live] for a in (pair, at, label, weight))
+            key, shift, w = np.zeros(pair.size, dtype=np.int64), 62, w + 1
+    # Depth-first, left-first order of the touched leaves: a stable sort of
+    # the pairs on their key words. No touched leaf lies on another's path,
+    # so padding short paths with "left", and with zero words, is safe.
+    # When the pair index fits the spare bits of one word, one in-place
+    # sort of key | index orders the pairs, the index breaking ties as a
+    # stable sort would; deeper keys take a lexsort of the words.
+    index_bits = max(1, (tree.size - 1).bit_length())
+    if len(words) == 1 and index_bits <= spare:
+        word = words[0]
+        word |= np.arange(tree.size)
+        word.sort()
+        order = word & ((1 << index_bits) - 1)
+    else:
+        order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
     first = np.flatnonzero(_changes(pair_leaf))
     return _Touched(pair_leaf[first], np.append(first, order.size), rows[order],

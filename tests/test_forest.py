@@ -366,9 +366,9 @@ class TestVoting:
         expected = f.predict(probes).tolist(), [f.predict_one(x) for x in probes]
         sizes = []
 
-        def spy(table, start, rows, X, path=None):
+        def spy(table, start, rows, X):
             sizes.append(len(start))
-            return descend(table, start, rows, X, path)
+            return descend(table, start, rows, X)
 
         descend = streamforest.tree._descend
         monkeypatch.setattr(streamforest.tree, "_PAIRS_PER_PASS", 3)

@@ -470,6 +470,57 @@ def test_malformed_archive_is_rejected(tmp_path, fault, pattern):
         load_forest(path)
 
 
+# Faults of a file read as a JSON document, and the error each raises.
+_NOT_A_DOCUMENT = {
+    "damaged first byte": "not a streamforest snapshot: .*codec can't decode",
+    "archive cut to 3 bytes": "not a streamforest snapshot: Expecting value",
+    "document cut to 3 bytes": "not a streamforest snapshot: Unterminated string",
+    "no trees": "snapshot 'trees' must be a list of trees, not NoneType",
+    "trees a number": "snapshot 'trees' must be a list of trees, not int",
+    "a tree a number": "snapshot tree 1 must be an object of columns, not int",
+    "a tree without threshold": "snapshot tree 2 lacks 'threshold'",
+    "a scalar column": "snapshot tree 0 must hold 'left' as a list",
+    "counts moved to the next tree": "snapshot tree 3 must hold 'class_counts' as a list",
+}
+
+
+@pytest.mark.parametrize("fault", list(_NOT_A_DOCUMENT))
+def test_a_file_that_is_no_snapshot_document_raises_value_error(tmp_path, fault):
+    """A file that does not start as a zip archive is read as a v1/v2 JSON
+    document: one that is no JSON names the decode error as its cause, and
+    a document whose trees are malformed names the key and the tree. Moving
+    a node's counts to the next tree keeps the column totals, which the
+    node checks see."""
+    path = tmp_path / "forest.json"
+    doc = write_v2_document(evolved_forest(), path)
+    trees = doc["trees"]
+    if fault == "damaged first byte":
+        path.write_bytes(b"\xff" + path.read_bytes()[1:])
+    elif fault == "archive cut to 3 bytes":
+        save_forest(evolved_forest(), path)
+        path.write_bytes(path.read_bytes()[:3])
+    elif fault == "document cut to 3 bytes":
+        path.write_bytes(path.read_bytes()[:3])
+    else:
+        if fault == "no trees":
+            del doc["trees"]
+        elif fault == "trees a number":
+            doc["trees"] = 5
+        elif fault == "a tree a number":
+            trees[1] = 1
+        elif fault == "a tree without threshold":
+            del trees[2]["threshold"]
+        elif fault == "a scalar column":
+            trees[0]["left"] = 3
+        else:
+            trees[4]["class_counts"].append(trees[3]["class_counts"].pop())
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=_NOT_A_DOCUMENT[fault]) as raised:
+        load_forest(path)
+    decoding = fault.startswith(("damaged", "archive", "document"))
+    assert isinstance(raised.value.__cause__, ValueError) == decoding
+
+
 def test_a_damaged_archive_loads_as_saved_or_raises_value_error(tmp_path):
     data = gen_synthetic("blobs", 120, noise=0.6, seed=4, n_classes=3)
     f = StreamForest(data.subset(range(60)), 3, n_trees=2, seed=5)

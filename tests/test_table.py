@@ -172,8 +172,14 @@ def _check_deep_routing():
     y = rng.integers(0, k, depth + 1)
     tree_of = np.repeat([0, 1], [2 * depth, depth])
     rows = rng.integers(0, depth + 1, tree_of.size)
+    _check_routing(table, roots, rows, tree_of, X, y)
+
+
+def _check_routing(table, roots, rows, tree_of, X, y):
+    """The router's counts, touched leaves and their groups match
+    `loop_route` for row ``rows[i]`` entering tree ``tree_of[i]``."""
     root_views = [table.view(r) for r in roots]
-    _, increments, touched = loop_route(root_views, rows, tree_of, X, y, k)
+    _, increments, touched = loop_route(root_views, rows, tree_of, X, y, table.n_classes)
     before = table.counts[: table.size].copy()
     pairs = distinct_rows([rows[tree_of == t] for t in range(len(roots))])
     got = _route_and_count(table, np.array(roots), *pairs, X, y)
@@ -182,6 +188,40 @@ def _check_deep_routing():
     assert np.array_equal(table.counts[: table.size], before)
     assert [table.view(i) for i in got.leaves] == [leaf for leaf, _ in touched]
     _assert_groups_hold_the_pairs(got, touched, rows)
+
+
+@pytest.mark.parametrize("depth, n_trees", [
+    (63, 1), (62, 2), (60, 5),     # the deepest pairs fill the first key word exactly
+    (126, 1), (125, 2), (123, 5),  # and the second one
+    (55, 2),  # keys and pair index fill one word exactly: one packed sort
+    (56, 2),  # keys fit one word, but the pair index is one bit short: lexsort
+])
+def test_router_at_the_key_word_boundaries(depth, n_trees):
+    """The first n_trees of two caterpillar trees `depth` levels deep and
+    three one-leaf roots, every tree taking every row, some rows several
+    times, so that the deepest pairs reach their leaves at `depth`. The
+    first key word holds the tree_bits bits of the tree index and the
+    branch bits of the first 63 - tree_bits levels, each later one 63
+    levels; the pair index, of (2 depth + 1).bit_length() bits at two
+    trees, fits the bits the first word leaves over at depth 55 but not at
+    56. Routed whole and in blocks of 3 pairs, where some blocks hold only
+    pairs that reach a leaf as their word fills."""
+    k = 2
+    rng = np.random.default_rng(depth)
+    X = rng.permutation(depth + 1).astype(np.float64)[:, None]
+    y = rng.integers(0, k, depth + 1)
+    tree_of = np.repeat(np.arange(n_trees), 2 * depth + 1)
+    rows = np.concatenate([np.concatenate((np.arange(depth + 1),
+                                           rng.integers(0, depth + 1, depth)))
+                           for _ in range(n_trees)])
+    for budget in (None, 3):
+        table = NodeTable(k)
+        roots = _caterpillars(table, depth)
+        roots += table.add_leaves(np.zeros((3, k), dtype=np.int32)).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
+            _check_routing(table, roots[:n_trees], rows, tree_of, X, y)
 
 
 def test_deep_and_shallow_trees_descend_as_the_scalar_walk():

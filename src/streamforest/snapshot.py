@@ -176,6 +176,9 @@ def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
                                  f"value per node")
             values[name] += column
     starts = np.cumsum([0] + [len(tree["feature"]) for tree in trees])
+    # numpy would read true and false as 1.0 and 0.0.
+    if any(type(v) is bool for v in values["threshold"]):
+        raise ValueError("snapshot column 'threshold' must hold numbers, not true or false")
     try:
         threshold = np.array(values["threshold"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as err:

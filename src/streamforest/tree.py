@@ -669,14 +669,26 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     m = criteria.resolve_max_features(p)
     min_split = criteria.min_samples_split
     bounds = np.asarray(bounds, dtype=np.intp)
-    # The weight of each listed leaf, and whether it holds more than one label.
-    weighted = np.add.reduceat(weights[: bounds[-1]], bounds[:-1], dtype=np.int64)
+    # A leaf of one row holds one label and never splits; the others' weights
+    # and label changes come from running sums over the buffers. passed[i]
+    # is the weight before position i, and changed[i] the count of positions
+    # 1..i whose label differs from the one before, so a leaf over [a, b)
+    # holds more than one label when changed[b - 1] > changed[a].
+    many = np.flatnonzero(bounds[1:] - bounds[:-1] > 1)
+    start, stop = bounds[many], bounds[many + 1]
+    passed = np.zeros(bounds[-1] + 1, dtype=np.int64)
+    np.cumsum(weights[: bounds[-1]], out=passed[1:])
     labels = y[rows[: bounds[-1]]]
-    mixed = np.minimum.reduceat(labels, bounds[:-1]) < np.maximum.reduceat(labels, bounds[:-1])
-    del labels
-    # One queue entry per node: its id, its range of the buffers, its weight.
-    queue = np.stack((np.asarray(nodes, dtype=np.intp), bounds[:-1], bounds[1:], weighted),
-                     axis=1)[mixed & (weighted >= min_split)]
+    changed = np.zeros(labels.size, dtype=np.intp)
+    np.cumsum(labels[1:] != labels[:-1], out=changed[1:])
+    weighted = passed[stop] - passed[start]
+    grows = np.flatnonzero((changed[stop - 1] > changed[start]) & (weighted >= min_split))
+    del passed, labels, changed
+    # One queue entry per node: its id, its range of the buffers, its weight,
+    # int64 as the weights are summed in int64.
+    queue = np.empty((grows.size, 4), dtype=np.int64)
+    queue[:, 0] = np.asarray(nodes, dtype=np.intp)[many[grows]]
+    queue[:, 1], queue[:, 2], queue[:, 3] = start[grows], stop[grows], weighted[grows]
     rank = _ranks(X)
     while queue.size:
         # The prefix of at most _PAIRS_PER_PASS positions: rows * m stays
@@ -711,10 +723,12 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
                                np.stack((n_left, size - n_left), axis=1).reshape(-1), k)
         del at, node_rows, node_weights, order, src, dst, split_rows, split_weights
         left = table.split(node[splits], feature, threshold, counts)
-        mid = start[splits] + n_left
-        children = np.stack((
-            np.stack((left, start[splits], mid, n_l), axis=1),
-            np.stack((left + 1, mid, stop[splits], n_r), axis=1)), axis=1)
+        # Each split's queue entries, left child then right.
+        children = np.empty((splits.size, 2, 4), dtype=np.int64)
+        children[:, 0, 0], children[:, 1, 0] = left, left + 1
+        children[:, 0, 1], children[:, 1, 2] = start[splits], stop[splits]
+        children[:, 0, 2] = children[:, 1, 1] = start[splits] + n_left
+        children[:, 0, 3], children[:, 1, 3] = n_l, n_r
         grows = ((counts > 0).sum(axis=1).reshape(-1, 2) > 1) & (children[..., 3] >= min_split)
         queue = np.concatenate((queue, children[grows]))
 
@@ -879,10 +893,13 @@ def _samples(rng: np.random.Generator, count: int, n: int,
 
     A bootstrap draws all trees' n rows in one call and keeps each tree's
     distinct rows, in increasing order, with the number of times each was
-    drawn; without one, every tree takes every row once. The weights are
-    32-bit, and so are a bootstrap's rows where n allows, as they stay
-    allocated while the trees grow; rows taken once each are intp, the
-    index type of the routing and growth steps they feed.
+    drawn: it counts the draws of each (tree, row) cell t * n + row, and a
+    drawn cell's row is the cell less its tree's offset t * n, found from
+    the bounds without a division. Without one, every tree takes every row
+    once. The weights are 32-bit, and so are a bootstrap's rows where n
+    allows, as they stay allocated while the trees grow; rows taken once
+    each are intp, the index type of the routing and growth steps they
+    feed.
     """
     bounds = np.arange(count + 1) * n
     if not bootstrap:
@@ -892,11 +909,13 @@ def _samples(rng: np.random.Generator, count: int, n: int,
     cells += bounds[:-1, None]  # (tree, row) cell t * n + row
     repeats = np.bincount(cells.reshape(-1), minlength=count * n)
     del cells
-    drawn = np.flatnonzero(repeats)
+    drawn = np.flatnonzero(repeats > 0)  # a bool mask scans faster than the int64 counts
     weights = repeats[drawn].astype(np.int32)
     del repeats
-    rows = np.remainder(drawn, n, out=np.empty(drawn.size, dtype=index))
-    return rows, weights, np.searchsorted(drawn, bounds)
+    at = np.searchsorted(drawn, bounds)
+    rows = np.subtract(drawn, np.repeat(bounds[:-1], np.diff(at)),
+                       out=np.empty(drawn.size, dtype=index))
+    return rows, weights, at
 
 
 def _class_counts(labels, weights, sizes, k: int) -> np.ndarray:

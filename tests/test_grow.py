@@ -23,6 +23,7 @@ from streamforest import (
 
 from helpers import (
     brute_force_best_split,
+    distinct_rows,
     loop_best_split,
     loop_fit,
     loop_forest_update,
@@ -454,6 +455,48 @@ def test_every_grower_call_lists_one_nonempty_range_per_node():
     assert len(calls) == expected
     for bounds, n_nodes in calls:
         assert bounds.size == n_nodes + 1 and bounds[0] == 0 and (np.diff(bounds) > 0).all()
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+@pytest.mark.parametrize("count", [1, 3, 100])
+def test_samples_are_the_loop_reference_rows(count, n, bootstrap):
+    """`_samples` gives each tree's rows of the loop reference's one draw as
+    distinct rows in increasing order with their repeat counts, in its
+    documented dtypes, and leaves the generator where the loop does."""
+    for seed in range(3):
+        ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = streamforest.tree._samples(ours, count, n, bootstrap)
+        for a, b in zip(got, distinct_rows(loop_samples(loop, count, n, bootstrap))):
+            assert np.array_equal(a, b)
+        rows, weights, bounds = got
+        assert rows.dtype == (np.int32 if bootstrap else np.intp)
+        assert weights.dtype == np.int32 and bounds.dtype == np.intp
+        assert ours.bit_generator.state == loop.bit_generator.state
+
+
+def test_grow_queues_exactly_the_leaves_that_can_split():
+    """Hand-built leaves back to back in the buffers, under
+    min_samples_split=3: two pure leaves of different labels that meet at a
+    range boundary, a leaf whose only label change is at its last row, a
+    one-row leaf of weight 5, a mixed leaf of two rows and weight 2, and one
+    of two rows and weight 3. Only the third and the last can split, and
+    only they are searched: each searched node draws p doubles."""
+    labels = [0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0]
+    weights = np.array([1] * 9 + [5, 1, 1, 1, 2], dtype=np.int32)
+    bounds = [0, 3, 6, 9, 10, 12, 14]
+    rows = np.arange(len(labels))
+    data = Dataset(np.repeat(rows[:, None], 2, axis=1).astype(np.float64), labels, 2)
+    table = NodeTable(2)
+    leaves = table.add_leaves([np.bincount(labels[a:b], weights[a:b], minlength=2)
+                               for a, b in zip(bounds[:-1], bounds[1:])])
+    rng = np.random.default_rng(0)
+    streamforest.tree._grow(table, data, rows, weights, bounds, leaves,
+                            SplitCriteria(min_samples_split=3, max_features=1), rng)
+    assert (table.left[leaves] > leaves).tolist() == [False, False, True, False, False, True]
+    searched = np.random.default_rng(0)
+    searched.random(2 * 2)
+    assert rng.bit_generator.state == searched.bit_generator.state
 
 
 def test_batched_search_rejects_bad_layouts():

@@ -481,6 +481,7 @@ _NOT_A_DOCUMENT = {
     "a tree without threshold": "snapshot tree 2 lacks 'threshold'",
     "a scalar column": "snapshot tree 0 must hold 'left' as a list",
     "counts moved to the next tree": "snapshot tree 3 must hold 'class_counts' as a list",
+    "a threshold true": "snapshot column 'threshold' must hold numbers",
 }
 
 
@@ -490,7 +491,8 @@ def test_a_file_that_is_no_snapshot_document_raises_value_error(tmp_path, fault)
     document: one that is no JSON names the decode error as its cause, and
     a document whose trees are malformed names the key and the tree. Moving
     a node's counts to the next tree keeps the column totals, which the
-    node checks see."""
+    node checks see. A threshold true, which numpy would read as 1.0, names
+    its column."""
     path = tmp_path / "forest.json"
     doc = write_v2_document(evolved_forest(), path)
     trees = doc["trees"]
@@ -512,6 +514,8 @@ def test_a_file_that_is_no_snapshot_document_raises_value_error(tmp_path, fault)
             del trees[2]["threshold"]
         elif fault == "a scalar column":
             trees[0]["left"] = 3
+        elif fault == "a threshold true":
+            trees[0]["threshold"][0] = True
         else:
             trees[4]["class_counts"].append(trees[3]["class_counts"].pop())
         path.write_text(json.dumps(doc))

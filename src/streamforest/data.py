@@ -139,7 +139,8 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     Raises DataLoadError, naming the line and column, for missing or
     non-numeric cells, unmapped labels and labels that are not integers
     below a declared class count; naming the line, for a row or header
-    whose cell count differs from the first row's.
+    whose cell count differs from the first row's, and for a header that
+    names the label column more than once.
     """
     if n_classes is not None and label_map is not None:
         raise ValueError("give n_classes or label_map, not both")
@@ -163,10 +164,12 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     if isinstance(label_column, str):
         if names is None:
             raise DataLoadError("a named label column requires header=True")
-        try:
-            label_idx = names.index(label_column)
-        except ValueError:
-            raise DataLoadError(f"no column named {label_column!r}") from None
+        if label_column not in names:
+            raise DataLoadError(f"no column named {label_column!r}")
+        if names.count(label_column) > 1:
+            raise DataLoadError(f"line {header_line}: the header names "
+                                f"{names.count(label_column)} columns {label_column!r}")
+        label_idx = names.index(label_column)
     else:
         label_idx = label_column if label_column >= 0 else width + label_column
     if not 0 <= label_idx < width:

@@ -17,12 +17,15 @@ It loads without unpickling anything. v4 archives, which also hold a
 ``pre_split_total`` column that the class counts determine, load alike,
 that column unread. v3 archives and v1 and v2 JSON documents, which hold
 the trees tree after tree in preorder with an explicit ``right`` column,
-still load, and are laid out breadth-first on load. Every snapshot
-passes one check before its trees are built: every child link points
-further on, so every descent ends, and every node but the roots is the
-child of exactly one node, so the columns are exactly the header's
-trees. save -> load -> predict round-trips bit-exactly, and
-save -> load -> update continues the original run.
+still load, and are laid out breadth-first on load. The numbers of a
+JSON document's columns, and of any header's ``tree_batches_seen``, pass
+one rule (`_numbers`): integers are JSON integers that fit int64,
+thresholds JSON integers or reals that fit float64, and anything else
+fails by its key. Every snapshot passes one check before its trees are
+built: every child link points further on, so every descent ends, and
+every node but the roots is the child of exactly one node, so the columns
+are exactly the header's trees. save -> load -> predict round-trips
+bit-exactly, and save -> load -> update continues the original run.
 """
 
 from __future__ import annotations
@@ -65,11 +68,17 @@ class _Header(dict):
 def _write_atomically(path):
     """A binary file to write in place of `path`: a temporary file in the
     same directory, renamed over `path` once the block ends. If the block
-    raises, the temporary file is removed and `path` keeps its old contents."""
+    raises, the temporary file is removed and `path` keeps its old contents.
+    If the temporary file cannot be made, say in a missing directory, the
+    OSError names `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        fh = open(tmp, "xb")
+    except OSError as err:  # name the file asked for, not the temporary one
+        raise type(err)(err.errno, err.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -149,7 +158,9 @@ def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
     """(meta, columns, starts) of a v1 or v2 JSON document. A file that is
     no JSON document, and a document whose ``trees`` are not a list of
     objects of list columns of one length, raise ValueError; the latter
-    names the key and the tree."""
+    names the key and the tree. Each column is converted by `_numbers`, so
+    one that holds anything but the numbers it takes is an object array,
+    which `_check_trees` refuses by name."""
     try:
         doc = json.load(fh)
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError among them
@@ -176,24 +187,19 @@ def _read_json(fh) -> tuple[dict, dict, np.ndarray]:
                                  f"value per node")
             values[name] += column
     starts = np.cumsum([0] + [len(tree["feature"]) for tree in trees])
-    # numpy would read true and false as 1.0 and 0.0.
-    if any(type(v) is bool for v in values["threshold"]):
-        raise ValueError("snapshot column 'threshold' must hold numbers, not true or false")
-    try:
-        threshold = np.array(values["threshold"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"snapshot column 'threshold' must hold numbers: {err}") from err
-    return doc, {name: threshold if name == "threshold" else _integers(column)
+    return doc, {name: _numbers(column, float if name == "threshold" else int)
                  for name, column in values.items()}, starts
 
 
-def _integers(values: list) -> np.ndarray:
-    """JSON numbers, or lists of them, as int64 if all are integers; else
-    as objects, which `_check_trees` and `_check_integer` reject by dtype
-    kind, so that 1.7, 1.0 or true never pass for an integer."""
+def _numbers(values: list, kind: type) -> np.ndarray:
+    """JSON numbers, or lists of them, as int64 if all are integers (`kind`
+    int) or as float64 if all are integers or reals (`kind` float); else,
+    or beyond int64 or float64, as objects, which `_check_trees` and
+    `_check_integer` reject by dtype kind: 1.0 or true is no integer."""
     column = np.array(values, dtype=object)
-    if all(type(v) is int for v in column.flat):
-        return column.astype(np.int64)
+    if all(type(v) in (int, kind) for v in column.flat):
+        with contextlib.suppress(OverflowError):
+            return column.astype(np.int64 if kind is int else np.float64)
     return column
 
 
@@ -317,9 +323,12 @@ def load_forest(path) -> StreamForest | BatchForest:
                 raise ValueError(f"rng_state {meta['rng_state']!r} is not a PCG64 state") from exc
         forest.batches_seen = _check_integer("batches_seen", meta["batches_seen"], 1)
         forest._batches = _check_integer("tree_batches_seen",
-                                         _integers(meta["tree_batches_seen"]), 1)
+                                         _numbers(meta["tree_batches_seen"], int), 1)
         if forest._batches.ndim != 1:
             raise ValueError("tree_batches_seen must be a list of integers")
+        if forest._batches.max(initial=0) > forest.batches_seen:
+            raise ValueError(f"tree_batches_seen holds {forest._batches.max()}, more than "
+                             f"batches_seen {forest.batches_seen}")
     elif meta["model"] == "batch_forest":
         forest = BatchForest(meta["n_trees"], criteria, meta["master_seed"], bootstrap)
     else:

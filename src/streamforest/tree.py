@@ -374,7 +374,9 @@ _MAX_WEIGHT = 1 << 31
 
 def best_split(data: Dataset, indices, candidate_features):
     """Exhaustive, unweighted split search of one node over the given
-    features: the reference that tests hold the grower's `_search` to.
+    features: the one-node entry to the grower's `_search`, which it runs.
+    The tests hold both to `brute_force_best_split` and `loop_best_split` in
+    `tests/helpers.py`.
 
     Considers every midpoint between consecutive distinct sorted values of
     each candidate feature (or the lower value, where the midpoint does not

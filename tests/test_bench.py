@@ -1,5 +1,6 @@
 """Benchmark orchestration: record bookkeeping, effect sizes, results files."""
 
+import errno
 import json
 import os
 import subprocess
@@ -301,6 +302,15 @@ class TestResultsFile:
             emit_results(records[:1], path, config)
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["results.jsonl"]
+
+    def test_a_write_into_a_missing_directory_names_the_path(self, tmp_path):
+        target = tmp_path / "missing" / "results.jsonl"
+        with pytest.raises(FileNotFoundError) as raised:
+            emit_results([], target, small_config())
+        assert raised.value.filename == str(target)
+        assert raised.value.errno == errno.ENOENT
+        assert ".tmp" not in str(raised.value)
+        assert os.listdir(tmp_path) == []
 
     def test_integer_accuracy_and_time_load(self, tmp_path):
         """A float field also takes a JSON integer: another tool may write

@@ -140,6 +140,8 @@ class TestLoadCsv:
          "line 1: header has 4 cells, line 2 has 3"),
         ("x,y,z,label\n1.0,2.0,a\n", {"header": True},
          "line 1: header has 4 cells, line 2 has 3"),
+        ("y,f,y\n0,1.0,1\n1,2.0,0\n", {"header": True, "label_column": "y"},
+         "line 1: the header names 2 columns 'y'"),
     ])
     def test_malformed_input_is_named(self, tmp_path, text, kwargs, pattern):
         path = write_csv(tmp_path / "t.csv", text)

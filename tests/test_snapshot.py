@@ -1,5 +1,6 @@
 """Forest snapshots: round trip with bit-exact predictions."""
 
+import errno
 import json
 import os
 import zipfile
@@ -408,6 +409,7 @@ _MISSING = object()
     ("stream_forest", "criteria", {"min_samples_split": 2, "foo": 1}),
     ("stream_forest", "rng_state", "x"),
     ("stream_forest", "rng_state", {"a": 1}),
+    ("stream_forest", "tree_batches_seen", [2**63, 1, 1]),
 ])
 def test_malformed_header_is_rejected_by_name(tmp_path, model, key, value):
     data = gen_synthetic("blobs", 60, noise=0.6, seed=10, n_classes=3)
@@ -423,6 +425,23 @@ def test_malformed_header_is_rejected_by_name(tmp_path, model, key, value):
     write_archive(path, meta, arrays)
     # master_seed is checked as the constructor's `seed`.
     with pytest.raises((TypeError, ValueError), match=key.removeprefix("master_")):
+        load_forest(path)
+
+
+def test_tree_batch_counts_above_the_forest_s_are_rejected(tmp_path):
+    """No tree of a stream forest has seen more batches than the forest
+    itself; a tree that has seen them all loads."""
+    path = tmp_path / "forest.npz"
+    save_forest(evolved_forest(), path)
+    meta, arrays = read_archive(path)
+    batches, n_trees = meta["batches_seen"], meta["n_trees"]
+    meta["tree_batches_seen"] = [batches] * n_trees
+    write_archive(path, meta, arrays)
+    assert load_forest(path)._batches.tolist() == [batches] * n_trees
+    meta["tree_batches_seen"][1] = batches + 1
+    write_archive(path, meta, arrays)
+    with pytest.raises(ValueError, match=f"tree_batches_seen holds {batches + 1}, more than "
+                                         f"batches_seen {batches}"):
         load_forest(path)
 
 
@@ -481,7 +500,12 @@ _NOT_A_DOCUMENT = {
     "a tree without threshold": "snapshot tree 2 lacks 'threshold'",
     "a scalar column": "snapshot tree 0 must hold 'left' as a list",
     "counts moved to the next tree": "snapshot tree 3 must hold 'class_counts' as a list",
-    "a threshold true": "snapshot column 'threshold' must hold numbers",
+    "a threshold true": "snapshot column 'threshold' is object",
+    "left beyond int64": "snapshot column 'left' is object",
+    "a class count beyond int64": "snapshot column 'counts' is object",
+    "a threshold string": "snapshot column 'threshold' is object",
+    "a leaf threshold null": "snapshot column 'threshold' is object",
+    "a threshold beyond float64": "snapshot column 'threshold' is object",
 }
 
 
@@ -491,8 +515,10 @@ def test_a_file_that_is_no_snapshot_document_raises_value_error(tmp_path, fault)
     document: one that is no JSON names the decode error as its cause, and
     a document whose trees are malformed names the key and the tree. Moving
     a node's counts to the next tree keeps the column totals, which the
-    node checks see. A threshold true, which numpy would read as 1.0, names
-    its column."""
+    node checks see. A number that no column takes names its column: a
+    threshold true or "1.5", which numpy would read as 1.0 or 1.5, a leaf
+    threshold null, which it would read as NaN, and an integer beyond int64
+    or a number beyond float64, which it cannot read."""
     path = tmp_path / "forest.json"
     doc = write_v2_document(evolved_forest(), path)
     trees = doc["trees"]
@@ -516,6 +542,16 @@ def test_a_file_that_is_no_snapshot_document_raises_value_error(tmp_path, fault)
             trees[0]["left"] = 3
         elif fault == "a threshold true":
             trees[0]["threshold"][0] = True
+        elif fault == "left beyond int64":
+            trees[0]["left"][0] = 2**63
+        elif fault == "a class count beyond int64":
+            trees[0]["class_counts"][0][1] = 2**63
+        elif fault == "a threshold string":
+            trees[0]["threshold"][0] = "1.5"
+        elif fault == "a leaf threshold null":
+            trees[0]["threshold"][trees[0]["left"].index(-1)] = None
+        elif fault == "a threshold beyond float64":
+            trees[0]["threshold"][0] = 10**400
         else:
             trees[4]["class_counts"].append(trees[3]["class_counts"].pop())
         path.write_text(json.dumps(doc))
@@ -632,6 +668,18 @@ def test_failed_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
         save_forest(evolved_forest(), path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["forest.json"]
+
+
+def test_a_write_into_a_missing_directory_names_the_path(tmp_path):
+    """The error names the file asked for, not the temporary file that
+    `save_forest` writes first."""
+    target = tmp_path / "missing" / "forest.npz"
+    with pytest.raises(FileNotFoundError) as raised:
+        save_forest(evolved_forest(), target)
+    assert raised.value.filename == str(target)
+    assert raised.value.errno == errno.ENOENT
+    assert ".tmp" not in str(raised.value)
+    assert os.listdir(tmp_path) == []
 
 
 def _v1_fixture():

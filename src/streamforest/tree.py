@@ -411,13 +411,15 @@ def best_split(data: Dataset, indices, candidate_features):
 def _ranks(X: np.ndarray) -> np.ndarray:
     """Dense ranks of the columns of X as int32: the smallest value of a
     column ranks 0 and each larger value one more than the one before it,
-    so equal values, -0.0 and 0.0 among them, share a rank."""
-    order = np.argsort(X, axis=0)
-    ordered = np.take_along_axis(X, order, axis=0)
+    so equal values, -0.0 and 0.0 among them, share a rank. ``flat[i, j]``
+    is the flat index of the i-th smallest value of column j, so one gather
+    orders every column and one scatter places every rank."""
+    flat = X.argsort(axis=0) * X.shape[1] + np.arange(X.shape[1])
+    ordered = X.reshape(-1)[flat]
     step = np.zeros(X.shape, dtype=np.int32)
     np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
     rank = np.empty_like(step)
-    np.put_along_axis(rank, order, np.cumsum(step, axis=0, out=step), axis=0)
+    rank.reshape(-1)[flat] = step.cumsum(axis=0, out=step)
     return rank
 
 
@@ -425,8 +427,8 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The ranges ``arange(starts[u], starts[u] + sizes[u])`` back to back,
     and the bounds of each in that concatenation, 0 first."""
     bounds = np.zeros(sizes.size + 1, dtype=np.intp)
-    np.cumsum(sizes, out=bounds[1:])
-    return bounds, np.repeat(starts - bounds[:-1], sizes) + np.arange(bounds[-1])
+    sizes.cumsum(out=bounds[1:])
+    return bounds, (starts - bounds[:-1]).repeat(sizes) + np.arange(bounds[-1])
 
 
 def _position_bits(keys: int, positions: int) -> int:
@@ -473,10 +475,10 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     # any order would do, as only the multiset of each block of equal values
     # matters); the low bits of the sorted words are the positions in that
     # order, and the high bits the keys.
-    seg_size = np.repeat(sizes, m)
-    seg_start, at = _ranges(np.repeat(starts, m), seg_size)
+    seg_size = sizes.repeat(m)
+    seg_start, at = _ranges(starts.repeat(m), seg_size)
     first, e = seg_start[:-1], at.size
-    seg = np.repeat(np.arange(seg_size.size), seg_size)
+    seg = np.arange(seg_size.size).repeat(seg_size)
     seg_feature = cand.reshape(-1)
     position = np.arange(e)
     bits = _position_bits(seg_size.size * rank.shape[0], e)
@@ -517,32 +519,32 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     word >>= bits
     del position
     group_start = np.zeros(seg_size.size * k + 1, dtype=np.intp)
-    np.cumsum(np.bincount(word, minlength=seg_size.size * k), out=group_start[1:])
+    np.bincount(word, minlength=seg_size.size * k).cumsum(out=group_start[1:])
     passed = np.zeros(e + 1, dtype=np.int64)  # weight before each position
-    np.cumsum(w[by_class], out=passed[1:])
+    w[by_class].cumsum(out=passed[1:])
     before = np.empty(e, dtype=np.int64)
     before[by_class] = passed[:-1] - passed[group_start[word]]
     del word, by_class
     totals = passed[group_start]
     parent = np.ascontiguousarray((totals[1:] - totals[:-1]).reshape(-1, k)[::m])
-    after = parent.reshape(-1).take(np.repeat(np.arange(sizes.size) * k, sizes * m)
+    after = parent.reshape(-1).take((np.arange(sizes.size) * k).repeat(sizes * m)
                                     + lab) - before
     del lab
     # The steps of S_l and S_r, computed in place to keep few arrays alive.
     grow_l = np.zeros(e + 1, dtype=np.int64)
-    np.cumsum(np.multiply(np.add(2 * before, w, out=before), w, out=before), out=grow_l[1:])
+    np.multiply(np.add(2 * before, w, out=before), w, out=before).cumsum(out=grow_l[1:])
     shrink_r = np.zeros(e + 1, dtype=np.int64)
-    np.cumsum(np.multiply(np.subtract(2 * after, w, out=after), w, out=after), out=shrink_r[1:])
+    np.multiply(np.subtract(2 * after, w, out=after), w, out=after).cumsum(out=shrink_r[1:])
     del before, after
-    np.cumsum(w, out=passed[1:])  # now the weight before each position in value order
+    w.cumsum(out=passed[1:])  # now the weight before each position in value order
 
     # The sums of the split before each position p: the left block is the
     # rows of p's segment before p, the right block the others.
     s_parent = (parent * parent).sum(axis=1)
-    n_l = passed[:-1] - np.repeat(passed[first], seg_size)
-    n_r = np.repeat(np.repeat(parent.sum(axis=1), m) + passed[first], seg_size) - passed[:-1]
-    s_l = grow_l[:-1] - np.repeat(grow_l[first], seg_size)
-    s_r = np.repeat(np.repeat(s_parent, m) + shrink_r[first], seg_size) - shrink_r[:-1]
+    n_l = passed[:-1] - passed[first].repeat(seg_size)
+    n_r = (parent.sum(axis=1).repeat(m) + passed[first]).repeat(seg_size) - passed[:-1]
+    s_l = grow_l[:-1] - grow_l[first].repeat(seg_size)
+    s_r = (s_parent.repeat(m) + shrink_r[first]).repeat(seg_size) - shrink_r[:-1]
     del passed, grow_l, shrink_r
     with np.errstate(divide="ignore", invalid="ignore"):  # n_l = 0 at segment starts
         q = s_l / n_l + s_r / n_r
@@ -551,7 +553,7 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
     q[inside] = -1.0
     del inside
     q_max = np.maximum.reduceat(q, first[::m])
-    near = np.flatnonzero(q >= np.repeat(q_max * (1.0 - _NEAR_TIE), sizes * m))
+    near = (q >= (q_max * (1.0 - _NEAR_TIE)).repeat(sizes * m)).nonzero()[0]
     del q
     s = seg[near]
     n_l, n_r, s_l, s_r = (x[near] for x in (n_l, n_r, s_l, s_r))
@@ -581,14 +583,6 @@ def _decreases(n_l, n_r, s_l, s_r, s_parent) -> list:
     return out
 
 
-def _changes(a: np.ndarray) -> np.ndarray:
-    """Mask of the positions of `a` that hold another value than the one
-    before them, position 0 included."""
-    change = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=change[1:])
-    return change
-
-
 # Width of `_search`'s float prefilter of split candidates, relative to a
 # node's best float q. The float error of q is a few ulps at any node size; the
 # band covers thousands of them and still admits only near-ties.
@@ -601,7 +595,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     Candidate i of node ``node[i]`` (candidates grouped by node, in tie-rule
     order within one) sends n_l[i] rows whose squared class counts sum to
     s_l[i] left, and n_r[i] rows with s_r[i] right; all are integer arrays,
-    and ``s_parent[u]`` is that sum over node u. The best candidate has the
+    and ``s_parent[u]`` is that sum over node u. Node ids index a count of
+    each node's candidates, so they are small and non-negative, as
+    `_search`'s node indices are. The best candidate has the
     largest q = s_l/n_l + s_r/n_r. Callers pass only the candidates within
     _NEAR_TIE of their node's best float q, as `_search` does, and these
     are compared by exact integer cross-multiplication, so ties resolve by
@@ -613,10 +609,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
     node order, for the nodes whose largest q beats the parent's
     s_parent / (n_l + n_r).
     """
-    group = np.cumsum(_changes(node)) - 1
-    lone = (np.bincount(group)[group] == 1) & (
+    lone = (np.bincount(node)[node] == 1) & (
         s_l / n_l + s_r / n_r > s_parent[node] / (n_l + n_r) * (1.0 + _NEAR_TIE))
-    exact = np.flatnonzero(~lone)
+    exact = (~lone).nonzero()[0]
     best = {}  # node: (index, q numerator, q denominator)
     for i, u, a, b, c, d, sp in zip(exact.tolist(), *(
             x[exact].tolist() for x in (node, n_l, n_r, s_l, s_r, s_parent[node]))):
@@ -626,8 +621,10 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
         old = best.get(u)
         if old is None or num * old[2] > old[1] * den:
             best[u] = (i, num, den)
-    chosen = np.flatnonzero(lone).tolist() + [i for i, _, _ in best.values()]
-    return np.sort(np.array(chosen, dtype=np.intp))
+    chosen = np.array(lone.nonzero()[0].tolist() + [i for i, _, _ in best.values()],
+                      dtype=np.intp)
+    chosen.sort()
+    return chosen
 
 
 # Largest number of (tree, row) pairs one routing block holds, in an
@@ -676,15 +673,15 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     # is the weight before position i, and changed[i] the count of positions
     # 1..i whose label differs from the one before, so a leaf over [a, b)
     # holds more than one label when changed[b - 1] > changed[a].
-    many = np.flatnonzero(bounds[1:] - bounds[:-1] > 1)
+    many = (bounds[1:] - bounds[:-1] > 1).nonzero()[0]
     start, stop = bounds[many], bounds[many + 1]
     passed = np.zeros(bounds[-1] + 1, dtype=np.int64)
-    np.cumsum(weights[: bounds[-1]], out=passed[1:])
+    weights[: bounds[-1]].cumsum(out=passed[1:])
     labels = y[rows[: bounds[-1]]]
     changed = np.zeros(labels.size, dtype=np.intp)
-    np.cumsum(labels[1:] != labels[:-1], out=changed[1:])
+    (labels[1:] != labels[:-1]).cumsum(out=changed[1:])
     weighted = passed[stop] - passed[start]
-    grows = np.flatnonzero((changed[stop - 1] > changed[start]) & (weighted >= min_split))
+    grows = ((changed[stop - 1] > changed[start]) & (weighted >= min_split)).nonzero()[0]
     del passed, labels, changed
     # One queue entry per node: its id, its range of the buffers, its weight,
     # int64 as the weights are summed in int64.
@@ -695,17 +692,17 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
     while queue.size:
         # The prefix of at most _PAIRS_PER_PASS positions: rows * m stays
         # within it exactly when rows stays within _PAIRS_PER_PASS // m.
-        take = max(1, int(np.searchsorted(np.cumsum(queue[:, 2] - queue[:, 1]),
-                                          _PAIRS_PER_PASS // m, side="right")))
+        take = max(1, int((queue[:, 2] - queue[:, 1]).cumsum().searchsorted(
+            _PAIRS_PER_PASS // m, side="right")))
         (node, start, stop, weighted), queue = queue[:take].T, queue[take:]
         if weighted.sum() >= _MAX_WEIGHT:
             raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
         size = stop - start
         if m == p:
-            cand = np.broadcast_to(np.arange(p), (take, p))
+            cand = np.arange(p)[None].repeat(take, axis=0)
         else:
-            cand = np.sort(np.argsort(rng.random((take, p)), axis=1, kind="stable")[:, :m],
-                           axis=1)
+            cand = rng.random((take, p)).argsort(axis=1, kind="stable")[:, :m]
+            cand.sort(axis=1)
         offset, at = _ranges(start, size)
         node_rows, node_weights = rows[at], weights[at]
         found, order = _search(data, rank, node_rows, node_weights, cand, offset)
@@ -721,16 +718,17 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         src, dst = order[_ranges(win, size)[1]], _ranges(start[splits], size)[1]
         rows[dst] = split_rows = node_rows[src]
         weights[dst] = split_weights = node_weights[src]
-        counts = _class_counts(y[split_rows], split_weights,
-                               np.stack((n_left, size - n_left), axis=1).reshape(-1), k)
-        del at, node_rows, node_weights, order, src, dst, split_rows, split_weights
-        left = table.split(node[splits], feature, threshold, counts)
-        # Each split's queue entries, left child then right.
+        # Each split's queue entries, left child then right; their ranges
+        # give the children's sizes.
         children = np.empty((splits.size, 2, 4), dtype=np.int64)
-        children[:, 0, 0], children[:, 1, 0] = left, left + 1
         children[:, 0, 1], children[:, 1, 2] = start[splits], stop[splits]
         children[:, 0, 2] = children[:, 1, 1] = start[splits] + n_left
         children[:, 0, 3], children[:, 1, 3] = n_l, n_r
+        counts = _class_counts(y[split_rows], split_weights,
+                               (children[..., 2] - children[..., 1]).reshape(-1), k)
+        del at, node_rows, node_weights, order, src, dst, split_rows, split_weights
+        left = table.split(node[splits], feature, threshold, counts)
+        children[:, 0, 0], children[:, 1, 0] = left, left + 1
         grows = ((counts > 0).sum(axis=1).reshape(-1, 2) > 1) & (children[..., 3] >= min_split)
         queue = np.concatenate((queue, children[grows]))
 
@@ -756,7 +754,7 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray) -> np.ndarray:
     node = np.array(start, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
     flat, base = X.reshape(-1), np.multiply(rows, X.shape[1], dtype=np.intp)
-    live = np.flatnonzero(left[node] > node)
+    live = (left[node] > node).nonzero()[0]
     while live.size:
         cur, at = node[live], base[live]
         for _ in range(_LEVELS_PER_DROP):
@@ -806,7 +804,7 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     and drop the pairs at a leaf; so it holds at most one word's levels,
     however deep the trees.
     """
-    tree = np.repeat(np.arange(len(roots)), np.diff(bounds))
+    tree = np.arange(len(roots)).repeat(bounds[1:] - bounds[:-1])
     roots = np.asarray(roots, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
     counts, k = table.counts.reshape(-1), table.n_classes
@@ -835,7 +833,7 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
             reached[0], moved[0], used = cur, w == 0, 1
             while shift >= 0:
                 nxt, step = reached[used], moved[used]
-                np.take(left, cur, out=nxt, mode="clip")  # "raise" would buffer `out`
+                left.take(cur, out=nxt, mode="clip")  # "raise" would buffer `out`
                 np.greater(nxt, cur, out=step)
                 if not step.any():
                     break
@@ -873,9 +871,12 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
     else:
         order = np.lexsort(words[::-1])
     pair_leaf = leaf[order]
-    first = np.flatnonzero(_changes(pair_leaf))
-    return _Touched(pair_leaf[first], np.append(first, order.size), rows[order],
-                    weights[order])
+    # A group starts where the leaf changes; `cut` holds the starts and the end.
+    change = np.empty(order.size + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(pair_leaf[1:], pair_leaf[:-1], out=change[1:-1])
+    cut = change.nonzero()[0]
+    return _Touched(pair_leaf[cut[:-1]], cut, rows[order], weights[order])
 
 
 def _leaf_labels(table: NodeTable, leaves: np.ndarray) -> np.ndarray:
@@ -905,17 +906,17 @@ def _samples(rng: np.random.Generator, count: int, n: int,
     """
     bounds = np.arange(count + 1) * n
     if not bootstrap:
-        return np.tile(np.arange(n), count), np.ones(count * n, np.int32), bounds
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        return np.arange(n)[None].repeat(count, 0).ravel(), np.ones(count * n, np.int32), bounds
+    index = np.int32 if n < 1 << 31 else np.intp
     cells = rng.integers(0, n, (count, n))
     cells += bounds[:-1, None]  # (tree, row) cell t * n + row
     repeats = np.bincount(cells.reshape(-1), minlength=count * n)
     del cells
-    drawn = np.flatnonzero(repeats > 0)  # a bool mask scans faster than the int64 counts
+    drawn = (repeats > 0).nonzero()[0]  # a bool mask scans faster than the int64 counts
     weights = repeats[drawn].astype(np.int32)
     del repeats
-    at = np.searchsorted(drawn, bounds)
-    rows = np.subtract(drawn, np.repeat(bounds[:-1], np.diff(at)),
+    at = drawn.searchsorted(bounds)
+    rows = np.subtract(drawn, bounds[:-1].repeat(at[1:] - at[:-1]),
                        out=np.empty(drawn.size, dtype=index))
     return rows, weights, at
 
@@ -925,7 +926,7 @@ def _class_counts(labels, weights, sizes, k: int) -> np.ndarray:
     group g the next ``sizes[g]``, row i of class ``labels[i]`` counted
     ``weights[i]`` times. The float64 sums of `np.bincount` are exact: each
     partial sum is a whole number below the int32 totals' 2**31 < 2**53."""
-    group = np.repeat(np.arange(len(sizes)) * k, sizes)
+    group = (np.arange(len(sizes)) * k).repeat(sizes)
     return np.bincount(group + labels, weights=weights, minlength=len(sizes) * k).astype(
         np.int32).reshape(-1, k)
 
@@ -936,7 +937,7 @@ def _planted(table: NodeTable, data: Dataset, count: int, criteria: SplitCriteri
     `_grow` call, each on a sample of `data` as `_samples` draws it, all
     drawing from `rng`."""
     rows, weights, bounds = _samples(rng, count, data.n_samples, bootstrap)
-    roots = table.add_leaves(_class_counts(data.labels[rows], weights, np.diff(bounds),
+    roots = table.add_leaves(_class_counts(data.labels[rows], weights, bounds[1:] - bounds[:-1],
                                            data.n_classes))
     _grow(table, data, rows, weights, bounds, roots, criteria, rng)
     return roots
@@ -946,7 +947,7 @@ def _as_features(X) -> np.ndarray:
     """X as a C-contiguous float64 array; raises ValueError naming the dtype
     when X is complex, whose imaginary part a cast would drop."""
     X = np.asarray(X)
-    if np.iscomplexobj(X):
+    if X.dtype.kind == "c":
         raise ValueError(f"features must be real numbers, not {X.dtype}")
     return np.asarray(X, dtype=np.float64, order="C")
 
@@ -1063,7 +1064,7 @@ class _Model:
         leaves = np.empty(roots.size * n, dtype=np.intp)
         # Pair lo + i is tree lo // n + tree[j] and row row[j], j = lo % n + i.
         span = np.arange(min(leaves.size, _PAIRS_PER_PASS) + n)
-        tree, row = span // n, span % n
+        tree, row = np.divmod(span, n)
         for lo in range(0, leaves.size, _PAIRS_PER_PASS):
             at = slice(lo % n, lo % n + min(leaves.size - lo, _PAIRS_PER_PASS))
             start = roots[lo // n:][tree[at]]
@@ -1151,4 +1152,4 @@ class DecisionTree(_Model):
 
     def predict_one(self, x) -> int:
         leaf = self._leaf_id(x)
-        return int(np.argmax(self._table.counts[leaf]))
+        return int(self._table.counts[leaf].argmax())

@@ -1,8 +1,14 @@
 """Tree growth against a per-node loop reference of the v2 draw rule:
 single trees, batch forests, stream trees, and stream forests built,
-updated and partly replaced batch by batch, at several round budgets."""
+updated and partly replaced batch by batch, at several round budgets; the
+grower's helpers against plain references; and a guard that keeps numpy's
+Python-level wrappers out of the code that runs once per round."""
 
+import ast
+import inspect
+import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -530,3 +536,56 @@ def test_batched_search_rejects_bad_layouts():
     # Whole floats are integers, as `_check_integer` takes them.
     found = best_split(data, [0, 1, 2], [0])
     assert best_split(data, [0.0, 1.0, 2.0], [0.0]) == found
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (9, 1), (40, 3), (100, 60)])
+@pytest.mark.parametrize("seed", range(3))
+def test_ranks_are_each_columns_dense_ranks(shape, seed):
+    """`_ranks` ranks each column as `np.unique`'s inverse does: over heavy
+    ties, -0.0 beside 0.0 (one value), +-1e308, adjacent floats, one row
+    and one column; and over distinct values, and for a Fortran-ordered
+    copy."""
+    rng = np.random.default_rng(seed)
+    pool = [-1e308, -2.5, -0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), 1e308]
+    for X in (rng.choice(pool, size=shape), rng.normal(size=shape)):
+        expected = np.empty(shape, dtype=np.int32)
+        for j, column in enumerate(X.T):
+            expected[:, j] = np.unique(column, return_inverse=True)[1]
+        for layout in (X, np.asfortranarray(X)):
+            got = streamforest.tree._ranks(layout)
+            assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+def test_ranges_are_the_ranges_back_to_back():
+    """`_ranges` against a list comprehension, over hand-picked layouts
+    with zero-length ranges and with no range at all, then random ones."""
+    rng = np.random.default_rng(0)
+    layouts = [([], []), ([4], [0]), ([3, 7, 0], [0, 0, 0]), ([5, 2, 9, 2], [3, 0, 1, 2])]
+    layouts += [(rng.integers(0, 50, n), rng.integers(0, 4, n)) for n in rng.integers(0, 12, 50)]
+    for starts, sizes in layouts:
+        starts, sizes = np.asarray(starts, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+        bounds, at = streamforest.tree._ranges(starts, sizes)
+        assert bounds.tolist() == [0, *itertools.accumulate(sizes.tolist())]
+        assert at.tolist() == [i for a, n in zip(starts.tolist(), sizes.tolist())
+                               for i in range(a, a + n)]
+
+
+# numpy functions written in Python over an ndarray method or a ufunc: each
+# costs 0.5-2 µs more per call than the direct form, which at update sizes
+# is a growth round's cost. None of them may return to the code that runs
+# once per round, routing block or bootstrap draw.
+NUMPY_WRAPPERS = {"repeat", "cumsum", "flatnonzero", "searchsorted", "stack", "diff", "append",
+                  "take_along_axis", "put_along_axis", "take", "sort", "argsort", "tile",
+                  "broadcast_to"}
+
+
+@pytest.mark.parametrize("name", ["_search", "_best_candidates", "_grow", "_ranges", "_ranks",
+                                  "_class_counts", "_samples", "_route_and_count",
+                                  "_descend"])
+def test_round_code_calls_no_numpy_wrapper(name):
+    source = textwrap.dedent(inspect.getsource(getattr(streamforest.tree, name)))
+    called = [node.func.attr for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert called, "the walk found no np call"
+    assert sorted(NUMPY_WRAPPERS.intersection(called)) == []

@@ -58,6 +58,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.dataset, str):
+            raise TypeError(f"dataset must be a str, not {self.dataset!r}")
+        if isinstance(self.algorithms, str):
+            raise TypeError(f"algorithms must be a sequence of names, not the str "
+                            f"{self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         unknown = set(self.algorithms) - set(ALGORITHMS)

@@ -22,8 +22,6 @@ from .bench import (
 )
 from .data import gen_synthetic, load_csv, save_csv
 
-SYNTH_KINDS = ("blobs", "xor", "concentric")
-
 
 def _parse_label_col(text: str) -> int | str:
     try:
@@ -34,7 +32,7 @@ def _parse_label_col(text: str) -> int | str:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
-                   help="CSV path or synthetic kind (blobs, xor, concentric)")
+                   help="CSV path (make synthetic data with the synth command)")
     p.add_argument("--label-col", type=_parse_label_col, default=-1,
                    help="label column index or name (default: last column)")
     p.add_argument("--header", action="store_true",
@@ -51,37 +49,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="results file to write")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes that run repetitions/folds side by side")
-    p.add_argument("--synth-n", type=int, default=1000,
-                   help="training samples for synthetic kinds")
-    p.add_argument("--synth-classes", type=int, default=None,
-                   help="synthetic class count (blobs: default 3; xor, concentric: 2 only)")
-    p.add_argument("--synth-features", type=int, default=2)
-    p.add_argument("--synth-noise", type=float, default=0.0)
 
 
 def _load_data(args):
-    """Resolve --data into datasets; returns (train, test_or_none,
-    dataset_id, label_map), the label map None for synthetic data. Only
+    """Read the --data CSV; returns (train, test_or_none, label_map). Only
     the stream command has a test set."""
-    need_test = args.command == "stream"
-    if args.data in SYNTH_KINDS:
-        kind = args.data
-        train = gen_synthetic(kind, args.synth_n, args.synth_noise, args.seed,
-                              n_classes=args.synth_classes, n_features=args.synth_features)
-        test = (gen_synthetic(kind, args.synth_test, args.synth_noise, args.seed + 1,
-                              n_classes=args.synth_classes, n_features=args.synth_features)
-                if need_test else None)
-        return train, test, kind, None
-
-    path = Path(args.data)
-    dataset, label_map = load_csv(path, args.label_col, n_classes=args.classes,
+    dataset, label_map = load_csv(args.data, args.label_col, n_classes=args.classes,
                                   header=args.header)
-    if not need_test:
-        return dataset, None, path.stem, label_map
+    if args.command != "stream":
+        return dataset, None, label_map
     if args.test is not None:
         test, _ = load_csv(args.test, args.label_col, header=args.header, n_classes=args.classes,
                            label_map=label_map if args.classes is None else None)
-        return dataset, test, path.stem, label_map
+        return dataset, test, label_map
     # Seeded holdout split when no separate test file is given.
     if not 0.0 < args.test_frac < 1.0:  # nan fails too
         raise ValueError(f"--test-frac must be a finite number in (0, 1), not {args.test_frac}")
@@ -91,17 +71,17 @@ def _load_data(args):
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
         raise ValueError(f"--test-frac {args.test_frac} leaves no training data")
-    return dataset.subset(train_idx), dataset.subset(test_idx), path.stem, label_map
+    return dataset.subset(train_idx), dataset.subset(test_idx), label_map
 
 
 def _cmd_experiment(args) -> int:
     """The stream and cv commands: one experiment config, whose repetitions
-    are --reps streaming orders or --folds folds. A CSV's label map goes
+    are --reps streaming orders or --folds folds. The CSV's label map goes
     to <out>.labels.json once the results are written."""
     stream = args.command == "stream"
-    data, test, dataset_id, label_map = _load_data(args)
+    data, test, label_map = _load_data(args)
     config = ExperimentConfig(
-        dataset=dataset_id,
+        dataset=Path(args.data).stem,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
         batch_size=args.batch_size, n_trees=args.trees,
         replace_count=args.replace, repetitions=args.reps if stream else args.folds,
@@ -109,9 +89,8 @@ def _cmd_experiment(args) -> int:
     records = (run_stream_experiment(config, data, test) if stream
                else run_cv_experiment(config, data))
     emit_results(records, args.out, config)
-    if label_map is not None:
-        with open(str(args.out) + ".labels.json", "w", encoding="utf-8") as fh:
-            json.dump({str(k): v for k, v in label_map.items()}, fh, sort_keys=True)
+    with open(str(args.out) + ".labels.json", "w", encoding="utf-8") as fh:
+        json.dump({str(k): v for k, v in label_map.items()}, fh, sort_keys=True)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -155,11 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--reps", type=int, default=5,
                    help="streaming repetitions, each with a new batch order")
-    p.add_argument("--test", default=None, help="separate test CSV")
-    p.add_argument("--test-frac", type=float, default=0.25,
-                   help="holdout fraction in (0, 1) when no test CSV is given")
-    p.add_argument("--synth-test", type=int, default=500,
-                   help="test samples for synthetic kinds")
+    held_out = p.add_mutually_exclusive_group()
+    held_out.add_argument("--test", default=None, help="separate test CSV")
+    held_out.add_argument("--test-frac", type=float, default=0.25,
+                          help="holdout fraction in (0, 1) when no test CSV is given")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("cv", help="k-fold cross-validated streaming")
@@ -175,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_effect)
 
     p = sub.add_parser("synth", help="generate a synthetic CSV")
-    p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
+    p.add_argument("--kind", required=True, choices=("blobs", "xor", "concentric"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", type=int, default=None,
                    help="class count (blobs: default 3; xor and concentric: 2 only)")

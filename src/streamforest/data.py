@@ -121,12 +121,12 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     ----------
     path : CSV file, comma-separated, UTF-8; a leading byte-order mark, as
         Excel and PowerShell write, is skipped.
-    label_column : column index (may be negative) or, with header=True, a
-        column name.
-    n_classes : declared class count. When given, label cells must be
-        integers below it. When omitted, labels are remapped through a
-        sorted dictionary of the distinct values seen and n_classes is the
-        number of distinct labels.
+    label_column : column index (an int, may be negative) or, with
+        header=True, a column name.
+    n_classes : declared class count, an int of at least 2. When given,
+        label cells must be integers below it. When omitted, labels are
+        remapped through a sorted dictionary of the distinct values seen
+        and n_classes is the number of distinct labels.
     header : whether the first row is a header.
     label_map : a map as returned here, say a training file's, to use in place
         of a new one: its keys are the labels allowed. Not with n_classes.
@@ -142,8 +142,12 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     whose cell count differs from the first row's, and for a header that
     names the label column more than once.
     """
-    if n_classes is not None and label_map is not None:
-        raise ValueError("give n_classes or label_map, not both")
+    if not isinstance(label_column, str):
+        label_column = _check_integer("label_column", label_column, -math.inf)
+    if n_classes is not None:
+        n_classes = _check_integer("n_classes", n_classes, 2)
+        if label_map is not None:
+            raise ValueError("give n_classes or label_map, not both")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader]

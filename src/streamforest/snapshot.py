@@ -69,18 +69,25 @@ def _write_atomically(path):
     """A binary file to write in place of `path`: a temporary file in the
     same directory, renamed over `path` once the block ends. If the block
     raises, the temporary file is removed and `path` keeps its old contents.
-    If the temporary file cannot be made, say in a missing directory, the
-    OSError names `path`."""
+    If the temporary file cannot be made, say in a missing directory, or
+    cannot be renamed, say over a directory, the OSError names `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+
+    def named(err: OSError) -> OSError:  # the file asked for, not the temporary one
+        return type(err)(err.errno, err.strerror, str(path))
+
     try:
         fh = open(tmp, "xb")
-    except OSError as err:  # name the file asked for, not the temporary one
-        raise type(err)(err.errno, err.strerror, str(path)) from None
+    except OSError as err:
+        raise named(err) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise named(err) from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -178,13 +178,16 @@ def test_criterion_6_benchmark_determinism(tmp_path):
     # Two full benchmark runs with the same config and seed are byte-identical
     # excluding the wall-time column, with threads 1 and 2. < 2 min.
     started = time.perf_counter()
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    for path, n, seed in ((train, "400", "13"), (test, "200", "14")):
+        assert cli_main(["synth", "--kind", "blobs", "--n", n, "--noise", "0.6",
+                         "--seed", seed, "--out", str(path)]) == 0
 
     def run(path, threads):
         code = cli_main([
-            "stream", "--data", "blobs", "--synth-n", "400", "--synth-test",
-            "200", "--synth-noise", "0.6", "--batch-size", "100", "--trees",
-            "20", "--reps", "2", "--threads", str(threads), "--seed", "13",
-            "--out", str(path)])
+            "stream", "--data", str(train), "--header", "--test", str(test),
+            "--batch-size", "100", "--trees", "20", "--reps", "2",
+            "--threads", str(threads), "--seed", "13", "--out", str(path)])
         assert code == 0
         rows = []
         for line in path.read_text().splitlines():

@@ -312,6 +312,18 @@ class TestResultsFile:
         assert ".tmp" not in str(raised.value)
         assert os.listdir(tmp_path) == []
 
+    def test_a_write_over_a_directory_names_the_path(self, tmp_path):
+        """The rename of the finished file fails; the error names the path
+        asked for, and the temporary file is gone."""
+        target = tmp_path / "results.jsonl"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            emit_results([], target, small_config())
+        assert raised.value.filename == str(target)
+        assert raised.value.errno == errno.EISDIR
+        assert ".tmp" not in str(raised.value)
+        assert os.listdir(tmp_path) == ["results.jsonl"] and os.listdir(target) == []
+
     def test_integer_accuracy_and_time_load(self, tmp_path):
         """A float field also takes a JSON integer: another tool may write
         1.0 as 1."""
@@ -418,6 +430,17 @@ class TestConfigValidation:
     def test_bad_count_is_named(self, name, value, error):
         """Checked at construction, so no worker process ever starts."""
         with pytest.raises(error, match=name):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value, pattern", [
+        ("dataset", 3, "dataset must be a str, not 3"),
+        ("algorithms", "sdf", "algorithms must be a sequence of names, not the str 'sdf'"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, name, value, pattern):
+        """A dataset that is not a str would write a results file that
+        load_results refuses; one algorithm name as a str would be read as
+        its letters."""
+        with pytest.raises(TypeError, match=pattern):
             small_config(**{name: value})
 
     def test_replace_copies_cleanly(self):

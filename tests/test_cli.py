@@ -3,17 +3,26 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from streamforest import gen_synthetic, load_csv, load_results, save_csv
+from streamforest import (ExperimentConfig, gen_synthetic, load_csv, load_results,
+                          run_cv_experiment, run_stream_experiment, save_csv)
 from streamforest.cli import main
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "streamforest.cli", *args],
                           capture_output=True, text=True)
+
+
+def synth(path, kind, *flags):
+    """Write a synthetic CSV at `path` with the synth command; returns the
+    path as a string, for --data or --test."""
+    assert main(["synth", "--kind", kind, *flags, "--out", str(path)]) == 0
+    return str(path)
 
 
 def records_without_time(path):
@@ -47,9 +56,12 @@ class TestSynth:
 
 class TestStream:
     def test_synthetic_stream_run(self, tmp_path):
+        train = synth(tmp_path / "blobs.csv", "blobs", "--n", "150", "--noise", "0.5",
+                      "--seed", "5")
+        test = synth(tmp_path / "test.csv", "blobs", "--n", "80", "--noise", "0.5",
+                     "--seed", "6")
         out = tmp_path / "results.jsonl"
-        code = main(["stream", "--data", "blobs", "--synth-n", "150",
-                     "--synth-test", "80", "--synth-noise", "0.5",
+        code = main(["stream", "--data", train, "--header", "--test", test,
                      "--batch-size", "50", "--trees", "4", "--reps", "1",
                      "--seed", "5", "--out", str(out)])
         assert code == 0
@@ -137,35 +149,73 @@ class TestStream:
         assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl", "--label-col", "label")
 
     def test_blobs_default_to_three_classes(self, tmp_path):
-        """Without --synth-classes, blobs is generated with 3 classes, the
-        count the flag used to default to."""
-        def run(path, *flags):
-            assert main(["stream", "--data", "blobs", "--synth-n", "120", "--synth-test",
-                         "60", "--synth-noise", "0.4", "--batch-size", "40", "--trees", "3",
-                         "--reps", "1", "--seed", "14", *flags, "--out", str(path)]) == 0
-            return records_without_time(path)
+        """Without --classes, synth writes blobs of 3 classes: a stream over
+        its files writes the records of one over files of --classes 3."""
+        def run(directory, *flags):
+            directory.mkdir()
+            train = synth(directory / "train.csv", "blobs", "--n", "120", "--noise", "0.4",
+                          "--seed", "14", *flags)
+            test = synth(directory / "test.csv", "blobs", "--n", "60", "--noise", "0.4",
+                         "--seed", "15", *flags)
+            out = directory / "r.jsonl"
+            assert main(["stream", "--data", train, "--header", "--test", test,
+                         "--batch-size", "40", "--trees", "3", "--reps", "1", "--seed", "14",
+                         "--out", str(out)]) == 0
+            return records_without_time(out)
 
-        assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl", "--synth-classes", "3")
+        assert run(tmp_path / "a") == run(tmp_path / "b", "--classes", "3")
 
     def test_xor_takes_two_classes(self, tmp_path):
+        train = synth(tmp_path / "train.csv", "xor", "--classes", "2", "--n", "120")
+        test = synth(tmp_path / "test.csv", "xor", "--classes", "2", "--n", "60",
+                     "--seed", "1")
         out = tmp_path / "xor.jsonl"
-        assert main(["stream", "--data", "xor", "--synth-classes", "2", "--synth-n", "120",
-                     "--synth-test", "60", "--batch-size", "60", "--trees", "3",
-                     "--reps", "1", "--out", str(out)]) == 0
+        assert main(["stream", "--data", train, "--header", "--test", test,
+                     "--batch-size", "60", "--trees", "3", "--reps", "1",
+                     "--out", str(out)]) == 0
         assert len(load_results(out)[1]) == 8
+
+
+class TestSynthThenCsv:
+    @pytest.mark.parametrize("kind", ["blobs", "xor", "concentric"])
+    def test_runs_over_synth_csvs_match_the_library(self, kind, tmp_path):
+        """stream over a train and a test CSV from synth, and cv over the
+        train CSV, write the records that the experiments give in-process
+        on the same generated datasets, apart from time and dataset."""
+        train = synth(tmp_path / "train.csv", kind, "--n", "120", "--noise", "0.3",
+                      "--seed", "21")
+        test = synth(tmp_path / "test.csv", kind, "--n", "60", "--noise", "0.3",
+                     "--seed", "22")
+        flags = ["--header", "--batch-size", "40", "--trees", "3", "--seed", "21"]
+        assert main(["stream", "--data", train, "--test", test, "--reps", "2", *flags,
+                     "--out", str(tmp_path / "stream.jsonl")]) == 0
+        assert main(["cv", "--data", train, "--folds", "2", *flags,
+                     "--out", str(tmp_path / "cv.jsonl")]) == 0
+
+        def rows(records):
+            return [(r.algorithm, r.rep, r.n_samples, r.accuracy, r.nodes) for r in records]
+
+        config = ExperimentConfig(dataset=kind, batch_size=40, n_trees=3, repetitions=2,
+                                  seed=21)
+        train_set = gen_synthetic(kind, 120, 0.3, seed=21)
+        test_set = gen_synthetic(kind, 60, 0.3, seed=22)
+        assert rows(load_results(tmp_path / "stream.jsonl")[1]) == rows(
+            run_stream_experiment(config, train_set, test_set))
+        assert rows(load_results(tmp_path / "cv.jsonl")[1]) == rows(
+            run_cv_experiment(config, train_set))
 
 
 class TestCv:
     def test_cv_run(self, tmp_path):
+        data = synth(tmp_path / "blobs.csv", "blobs", "--n", "150", "--noise", "0.5",
+                     "--seed", "11")
         out = tmp_path / "cv.jsonl"
-        code = main(["cv", "--data", "blobs", "--synth-n", "150",
-                     "--synth-noise", "0.5", "--batch-size", "60",
+        code = main(["cv", "--data", data, "--header", "--batch-size", "60",
                      "--trees", "3", "--folds", "3", "--seed", "11",
                      "--out", str(out)])
         assert code == 0
         _, records = load_results(out)
         assert {r.rep for r in records} == {0, 1, 2}
-
 
     def test_cv_on_a_csv_with_the_label_column_by_index(self, tmp_path):
         """--label-col 2 names the label column of f0,f1,label by index; cv
@@ -185,8 +235,11 @@ class TestEffect:
     def test_effect_report(self, tmp_path):
         results = tmp_path / "results.jsonl"
         report = tmp_path / "effect.json"
-        assert main(["stream", "--data", "blobs", "--synth-n", "150",
-                     "--synth-test", "80", "--synth-noise", "0.5",
+        train = synth(tmp_path / "blobs.csv", "blobs", "--n", "150", "--noise", "0.5",
+                      "--seed", "12")
+        test = synth(tmp_path / "test.csv", "blobs", "--n", "80", "--noise", "0.5",
+                     "--seed", "13")
+        assert main(["stream", "--data", train, "--header", "--test", test,
                      "--batch-size", "50", "--trees", "4", "--reps", "2",
                      "--seed", "12", "--out", str(results)]) == 0
         assert main(["effect", "--results", str(results),
@@ -198,7 +251,9 @@ class TestEffect:
 
     def test_effect_without_out_prints_the_report(self, tmp_path, capsys):
         results, report = tmp_path / "results.jsonl", tmp_path / "effect.json"
-        assert main(["stream", "--data", "blobs", "--synth-n", "80", "--synth-test", "40",
+        train = synth(tmp_path / "train.csv", "blobs", "--n", "80", "--seed", "12")
+        test = synth(tmp_path / "test.csv", "blobs", "--n", "40", "--seed", "13")
+        assert main(["stream", "--data", train, "--header", "--test", test,
                      "--batch-size", "40", "--trees", "2", "--reps", "1", "--seed", "12",
                      "--out", str(results)]) == 0
         assert main(["effect", "--results", str(results), "--out", str(report)]) == 0
@@ -215,7 +270,8 @@ class TestErrors:
         assert "error" in result.stderr.lower()
 
     def test_unknown_algorithm_exits_nonzero(self, tmp_path):
-        result = run_cli("stream", "--data", "blobs", "--algorithms", "gradboost",
+        data = synth(tmp_path / "train.csv", "blobs", "--n", "40")
+        result = run_cli("stream", "--data", data, "--header", "--algorithms", "gradboost",
                          "--out", str(tmp_path / "r.jsonl"))
         assert result.returncode != 0
         assert "gradboost" in result.stderr and "choose from sdt,sdf,dt,df" in result.stderr
@@ -274,6 +330,56 @@ class TestErrors:
     def test_missing_subcommand_exits_nonzero(self):
         assert run_cli().returncode != 0
 
+    @pytest.mark.parametrize("command", ["stream", "cv"])
+    @pytest.mark.parametrize("flag", ["--synth-n", "--synth-classes", "--synth-features",
+                                      "--synth-noise", "--synth-test"])
+    def test_synth_flags_are_usage_errors(self, command, flag, tmp_path, capsys):
+        """Synthetic data comes from the synth command alone: stream and cv
+        refuse each --synth-* flag by name rather than drop it."""
+        data = synth(tmp_path / "train.csv", "blobs", "--n", "40")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--data", data, "--header", flag, "3",
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exit_.value.code == 2 and flag in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["train.csv"]
+
+    def test_data_is_a_csv_path_whatever_its_name(self, tmp_path, monkeypatch, capsys):
+        """--data blobs names a file, not a synthetic kind: with no such
+        file it exits 1 naming it, and a CSV of that name is read."""
+        monkeypatch.chdir(tmp_path)
+        flags = ["--header", "--batch-size", "40", "--trees", "2", "--reps", "1",
+                 "--out", "r.jsonl"]
+        assert main(["stream", "--data", "blobs", *flags]) == 1
+        assert "No such file or directory: 'blobs'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        synth("blobs", "xor", "--n", "80")
+        assert main(["stream", "--data", "blobs", *flags]) == 0
+        meta, records = load_results("r.jsonl")
+        assert meta["config"]["dataset"] == "blobs" and len(records) == 4 * 2
+        assert json.loads(Path("r.jsonl.labels.json").read_text()) == {"0": 0, "1": 1}
+
+    def test_test_and_test_frac_are_exclusive(self, tmp_path, capsys):
+        """A test file leaves no holdout to size, so --test-frac beside
+        --test is a usage error, not a flag dropped."""
+        train = synth(tmp_path / "train.csv", "blobs", "--n", "40")
+        test = synth(tmp_path / "test.csv", "blobs", "--n", "40", "--seed", "1")
+        with pytest.raises(SystemExit) as exit_:
+            main(["stream", "--data", train, "--header", "--test", test, "--test-frac", "0.9",
+                  "--out", str(tmp_path / "r.jsonl")])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and "--test-frac" in err and "not allowed" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["test.csv", "train.csv"]
+
+    def test_results_over_a_directory_exit_1_naming_it(self, tmp_path, capsys):
+        data = synth(tmp_path / "train.csv", "blobs", "--n", "40")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["stream", "--data", data, "--header", "--batch-size", "20",
+                     "--trees", "2", "--reps", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(out)) in err and ".tmp" not in err
+        assert list(out.iterdir()) == [] and sorted(tmp_path.iterdir()) == [out, Path(data)]
+
     def test_synth_test_is_not_a_cv_flag(self, tmp_path, capsys):
         """cv draws no test set, so it refuses --synth-test rather than drop it."""
         with pytest.raises(SystemExit) as exit_:
@@ -282,9 +388,9 @@ class TestErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
-        ["stream", "--data", "xor", "--synth-classes", "3"],
-        ["stream", "--data", "concentric", "--synth-classes", "4"],
-        ["synth", "--kind", "xor", "--n", "40", "--classes", "3"],
+        pytest.param(["synth", "--kind", "concentric", "--n", "40", "--classes", "4"],
+                     id="args1"),
+        pytest.param(["synth", "--kind", "xor", "--n", "40", "--classes", "3"], id="args2"),
     ])
     def test_two_class_kind_refuses_another_class_count(self, args, tmp_path, capsys):
         assert main([*args, "--out", str(tmp_path / "r")]) == 1
@@ -299,9 +405,13 @@ class TestErrors:
 
 class TestDeterminism:
     def test_same_seed_same_rows_excluding_time(self, tmp_path):
+        train = synth(tmp_path / "train.csv", "blobs", "--n", "120", "--noise", "0.4",
+                      "--seed", "13")
+        test = synth(tmp_path / "test.csv", "blobs", "--n", "60", "--noise", "0.4",
+                     "--seed", "14")
+
         def run(path, threads):
-            assert main(["stream", "--data", "blobs", "--synth-n", "120",
-                         "--synth-test", "60", "--synth-noise", "0.4",
+            assert main(["stream", "--data", train, "--header", "--test", test,
                          "--batch-size", "40", "--trees", "3", "--reps", "1",
                          "--threads", str(threads), "--seed", "13",
                          "--out", str(path)]) == 0

@@ -148,6 +148,19 @@ class TestLoadCsv:
         with pytest.raises(DataLoadError, match=pattern):
             load_csv(path, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, error, pattern", [
+        ({"label_column": True}, TypeError, "label_column must be an integer, not True"),
+        ({"label_column": 1.0}, TypeError, "label_column must be an integer, not 1.0"),
+        ({"n_classes": True}, TypeError, "n_classes must be an integer, not True"),
+        ({"n_classes": 3.0}, TypeError, "n_classes must be an integer, not 3.0"),
+        ({"n_classes": 1}, ValueError, "n_classes must be at least 2, not 1"),
+    ])
+    def test_a_bad_label_column_or_class_count_is_named_before_reading(
+            self, tmp_path, kwargs, error, pattern):
+        """The file does not exist: the arguments are checked first."""
+        with pytest.raises(error, match=pattern):
+            load_csv(tmp_path / "absent.csv", **kwargs)
+
     def test_empty_file_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "")
         with pytest.raises(DataLoadError):

@@ -682,6 +682,19 @@ def test_a_write_into_a_missing_directory_names_the_path(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_write_over_a_directory_names_the_path(tmp_path):
+    """The rename of the finished file fails; the error names the path
+    asked for, and the temporary file is gone."""
+    target = tmp_path / "forest.npz"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        save_forest(evolved_forest(), target)
+    assert raised.value.filename == str(target)
+    assert raised.value.errno == errno.EISDIR
+    assert ".tmp" not in str(raised.value)
+    assert os.listdir(tmp_path) == ["forest.npz"] and os.listdir(target) == []
+
+
 def _v1_fixture():
     """A 4-tree stream forest saved in the v1 format by streamforest 0.1.0
     after five updates (one forced replacement), and its predictions on

@@ -250,10 +250,14 @@ def emit_results(records: list[BenchRecord], path, config: ExperimentConfig) -> 
             fh.write((json.dumps(asdict(r), sort_keys=True) + "\n").encode())
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a number in strict JSON")
+
+
 def load_results(path) -> tuple[dict, list[BenchRecord]]:
     """Inverse of emit_results. Raises ValueError naming the line when a
-    line is not JSON, the header not an object of the results format, or
-    a record not an object with exactly `BenchRecord`'s fields and types."""
+    line is not strict JSON, the header not an object of the results format,
+    or a record not an object with exactly `BenchRecord`'s fields and types."""
     with open(path, encoding="utf-8") as fh:
         lines = [(number, line) for number, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
@@ -264,7 +268,7 @@ def load_results(path) -> tuple[dict, list[BenchRecord]]:
     objects = []
     for number, line in lines:
         try:
-            value = json.loads(line)
+            value = json.loads(line, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise ValueError(f"line {number}: not JSON: {exc}") from None
         if not isinstance(value, dict) or (objects and sorted(value) != names):

@@ -30,6 +30,17 @@ def _parse_label_col(text: str) -> int | str:
         return text
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least `low`, else a usage error naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="CSV path (make synthetic data with the synth command)")
@@ -37,31 +48,30 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="label column index or name (default: last column)")
     p.add_argument("--header", action="store_true",
                    help="treat the first CSV row as a header")
-    p.add_argument("--classes", type=int, default=None,
-                   help="declared class count for CSV labels")
+    p.add_argument("--classes", type=_int_at_least(2), default=None,
+                   help="class count K: labels are the texts 0 to K-1")
     p.add_argument("--algorithms", default=",".join(ALGORITHMS),
                    help="comma-separated subset of sdt,sdf,dt,df")
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--replace", type=int, default=1,
+    p.add_argument("--batch-size", type=_int_at_least(1), default=100)
+    p.add_argument("--trees", type=_int_at_least(1), default=100)
+    p.add_argument("--replace", type=_int_at_least(0), default=1,
                    help="trees replaced per replacement event")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="results file to write")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker processes that run repetitions/folds side by side")
 
 
 def _load_data(args):
-    """Read the --data CSV; returns (train, test_or_none, label_map). Only
-    the stream command has a test set."""
+    """Read the --data CSV; returns (train, test_or_none). Only the stream
+    command has a test set, whose labels go through the training file's map."""
     dataset, label_map = load_csv(args.data, args.label_col, n_classes=args.classes,
                                   header=args.header)
     if args.command != "stream":
-        return dataset, None, label_map
+        return dataset, None
     if args.test is not None:
-        test, _ = load_csv(args.test, args.label_col, header=args.header, n_classes=args.classes,
-                           label_map=label_map if args.classes is None else None)
-        return dataset, test, label_map
+        return dataset, load_csv(args.test, args.label_col, header=args.header,
+                                 label_map=label_map)[0]
     # Seeded holdout split when no separate test file is given.
     if not 0.0 < args.test_frac < 1.0:  # nan fails too
         raise ValueError(f"--test-frac must be a finite number in (0, 1), not {args.test_frac}")
@@ -71,15 +81,14 @@ def _load_data(args):
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
         raise ValueError(f"--test-frac {args.test_frac} leaves no training data")
-    return dataset.subset(train_idx), dataset.subset(test_idx), label_map
+    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 def _cmd_experiment(args) -> int:
     """The stream and cv commands: one experiment config, whose repetitions
-    are --reps streaming orders or --folds folds. The CSV's label map goes
-    to <out>.labels.json once the results are written."""
+    are --reps streaming orders or --folds folds."""
     stream = args.command == "stream"
-    data, test, label_map = _load_data(args)
+    data, test = _load_data(args)
     config = ExperimentConfig(
         dataset=Path(args.data).stem,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
@@ -89,8 +98,6 @@ def _cmd_experiment(args) -> int:
     records = (run_stream_experiment(config, data, test) if stream
                else run_cv_experiment(config, data))
     emit_results(records, args.out, config)
-    with open(str(args.out) + ".labels.json", "w", encoding="utf-8") as fh:
-        json.dump({str(k): v for k, v in label_map.items()}, fh, sort_keys=True)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -132,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="stream batches against a fixed test set")
     _add_common(p)
-    p.add_argument("--reps", type=int, default=5,
+    p.add_argument("--reps", type=_int_at_least(1), default=5,
                    help="streaming repetitions, each with a new batch order")
     held_out = p.add_mutually_exclusive_group()
     held_out.add_argument("--test", default=None, help="separate test CSV")
@@ -142,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="k-fold cross-validated streaming")
     _add_common(p)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("effect", help="effect-size series from a results file")
     p.add_argument("--results", required=True)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p.add_argument("--algo-a", default="sdf")
-    p.add_argument("--algo-b", default="df")
+    p.add_argument("--algo-a", default="sdf", choices=ALGORITHMS)
+    p.add_argument("--algo-b", default="df", choices=ALGORITHMS)
     p.set_defaults(func=_cmd_effect)
 
     p = sub.add_parser("synth", help="generate a synthetic CSV")

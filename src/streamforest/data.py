@@ -123,24 +123,24 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         Excel and PowerShell write, is skipped.
     label_column : column index (an int, may be negative) or, with
         header=True, a column name.
-    n_classes : declared class count, an int of at least 2. When given,
-        label cells must be integers below it. When omitted, labels are
-        remapped through a sorted dictionary of the distinct values seen
-        and n_classes is the number of distinct labels.
+    n_classes : declared class count K, an int of at least 2; it gives the
+        label map {"0": 0, ..., "K-1": K-1}. Not with label_map.
     header : whether the first row is a header.
-    label_map : a map as returned here, say a training file's, to use in place
-        of a new one: its keys are the labels allowed. Not with n_classes.
+    label_map : a map as returned here, say a training file's.
+
+    One rule reads every label cell: a given map, from n_classes or
+    label_map, admits only its own keys; with neither, the sorted distinct
+    cells make the map, integer-looking labels in numeric order.
 
     Returns
     -------
-    (dataset, label_map) where label_map sends each original label cell to
-    the class index used in the dataset.
+    (dataset, label_map) where label_map sends each label text to its class
+    index in the dataset, which has len(label_map) classes.
 
     Raises DataLoadError, naming the line and column, for missing or
-    non-numeric cells, unmapped labels and labels that are not integers
-    below a declared class count; naming the line, for a row or header
-    whose cell count differs from the first row's, and for a header that
-    names the label column more than once.
+    non-numeric cells and labels the map lacks; naming the line, for a row
+    or header whose cell count differs from the first row's, and for a
+    header that names the label column more than once.
     """
     if not isinstance(label_column, str):
         label_column = _check_integer("label_column", label_column, -math.inf)
@@ -148,6 +148,7 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         n_classes = _check_integer("n_classes", n_classes, 2)
         if label_map is not None:
             raise ValueError("give n_classes or label_map, not both")
+        label_map = {str(k): k for k in range(n_classes)}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader]
@@ -180,7 +181,7 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         raise DataLoadError(f"label column {label_column} out of range")
 
     features = np.empty((len(body), width - 1), dtype=np.float64)
-    raw_labels: list = []  # label cells, as ints under n_classes
+    raw_labels: list[str] = []
     for i, (line, row) in enumerate(body):
         if len(row) != width:
             raise DataLoadError(f"line {line}: expected {width} cells, got {len(row)}")
@@ -192,23 +193,10 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
                     raise DataLoadError(f"{where}: empty cell")
                 if label_map is not None and text not in label_map:
                     raise DataLoadError(f"{where}: unknown label {text!r}")
-                if n_classes is not None:
-                    try:
-                        text = int(text)
-                    except ValueError:
-                        raise DataLoadError(f"{where}: label {text!r} is not an integer "
-                                            "under declared n_classes") from None
-                    if not 0 <= text < n_classes:
-                        raise DataLoadError(
-                            f"{where}: label {text} outside declared range [0, {n_classes})")
                 raw_labels.append(text)
             else:
                 features[i, j] = _parse_feature(cell, line, c + 1)
                 j += 1
-
-    if n_classes is not None:
-        label_map = {v: v for v in sorted(set(raw_labels))}
-        return Dataset(features, np.array(raw_labels, dtype=np.int64), n_classes), label_map
 
     if label_map is None:
         distinct = sorted(set(raw_labels), key=_label_sort_key)

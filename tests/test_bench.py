@@ -355,9 +355,16 @@ class TestResultsFile:
          "line 2: dataset must be str"),
         ([HEADER, RECORD.replace('"train_seconds": 0.1', '"train_seconds": "x"')],
          "line 2: train_seconds must be float"),
+        ([HEADER, RECORD, RECORD.replace('"accuracy": 0.5', '"accuracy": NaN')],
+         "line 3: not JSON: NaN is not a number in strict JSON"),
+        ([HEADER, RECORD.replace('"train_seconds": 0.1', '"train_seconds": Infinity')],
+         "line 2: not JSON: Infinity"),
+        ([HEADER, RECORD.replace('"accuracy": 0.5', '"accuracy": -Infinity')],
+         "line 2: not JSON: -Infinity"),
     ], ids=["header a list", "not JSON", "record a list", "record short of fields",
             "record with an extra field", "another format", "empty", "null accuracy",
-            "bool rep", "float nodes", "int dataset", "string time"])
+            "bool rep", "float nodes", "int dataset", "string time", "NaN accuracy",
+            "Infinity time", "-Infinity accuracy"])
     def test_malformed_file_raises_value_error_naming_the_line(self, tmp_path, lines,
                                                                pattern):
         """A header that is not an object, and a record that is not an

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,7 @@ class TestStream:
         assert code == 0
         _, records = load_results(out)
         assert {r.algorithm for r in records} == {"sdt", "dt"}
-        assert (tmp_path / "results.jsonl.labels.json").exists()
+        assert sorted(tmp_path.iterdir()) == [out, csv_path]  # no label-map sidecar
 
     def test_csv_stream_with_test_file(self, tmp_path):
         train = gen_synthetic("blobs", 150, noise=0.5, seed=8, n_classes=3)
@@ -123,6 +124,29 @@ class TestStream:
         assert runs[0] == runs[1] == runs[2]
         assert min(r.accuracy for r in load_results(tmp_path / "a.jsonl")[1]
                    if r.algorithm == "dt") > 0.9
+
+    def test_declared_classes_over_files_that_each_lack_some(self, tmp_path):
+        """Under --classes 5 the train file lacks class 4 and the test file
+        classes 0 and 1: both read through the map "0" ... "4", so the run
+        writes the records of the experiment in-process on the same rows as
+        5-class datasets."""
+        train = gen_synthetic("blobs", 160, noise=0.4, seed=31, n_classes=5)
+        test = gen_synthetic("blobs", 80, noise=0.4, seed=32, n_classes=5)
+        train = train.subset(np.nonzero(train.labels != 4)[0])
+        test = test.subset(np.nonzero(test.labels >= 2)[0])
+        train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+        out = tmp_path / "r.jsonl"
+        save_csv(train, train_path)
+        save_csv(test, test_path)
+        assert main(["stream", "--data", str(train_path), "--test", str(test_path), "--header",
+                     "--classes", "5", "--batch-size", "40", "--trees", "3", "--reps", "2",
+                     "--seed", "31", "--out", str(out)]) == 0
+        config = ExperimentConfig(dataset="train", batch_size=40, n_trees=3, repetitions=2,
+                                  seed=31)
+        in_process = [asdict(r) for r in run_stream_experiment(config, train, test)]
+        for record in in_process:
+            record.pop("train_seconds")
+        assert records_without_time(out) == [json.dumps(r, sort_keys=True) for r in in_process]
 
     def test_a_test_label_the_training_file_lacks_exits_1_naming_the_line(self, tmp_path,
                                                                           capsys):
@@ -218,17 +242,22 @@ class TestCv:
         assert {r.rep for r in records} == {0, 1, 2}
 
     def test_cv_on_a_csv_with_the_label_column_by_index(self, tmp_path):
-        """--label-col 2 names the label column of f0,f1,label by index; cv
-        writes the label map beside the results, as stream does."""
-        csv_path, out = tmp_path / "train.csv", tmp_path / "cv.jsonl"
+        """--label-col 2 names the label column of f0,f1,label by index, so
+        cv writes the records of the same run with the default last column,
+        and no file beside its results."""
+        csv_path = tmp_path / "train.csv"
         save_csv(gen_synthetic("blobs", 90, noise=0.5, seed=6, n_classes=3), csv_path)
-        assert main(["cv", "--data", str(csv_path), "--header", "--label-col", "2",
-                     "--batch-size", "30", "--trees", "3", "--folds", "3", "--seed", "7",
-                     "--out", str(out)]) == 0
-        _, records = load_results(out)
-        assert len(records) == 3 * 2 * 4  # folds x batches x algorithms
-        labels = json.loads((tmp_path / "cv.jsonl.labels.json").read_text())
-        assert labels == {"0": 0, "1": 1, "2": 2}
+
+        def run(path, *flags):
+            assert main(["cv", "--data", str(csv_path), "--header", *flags,
+                         "--batch-size", "30", "--trees", "3", "--folds", "3", "--seed", "7",
+                         "--out", str(path)]) == 0
+            return records_without_time(path)
+
+        by_index = run(tmp_path / "a.jsonl", "--label-col", "2")
+        assert len(by_index) == 3 * 2 * 4  # folds x batches x algorithms
+        assert by_index == run(tmp_path / "b.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl", "train.csv"]
 
 
 class TestEffect:
@@ -315,12 +344,15 @@ class TestErrors:
         '"rep": 0, "n_samples": 1, "accuracy": null, "train_seconds": 0.0, "nodes": 1}\n',
         '{"format": "streamforest-results-v1"}\n{"algorithm": "xyz", "dataset": 3, '
         '"rep": true, "n_samples": -1, "accuracy": 7, "train_seconds": "x", "nodes": 1.5}\n',
+        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
+        '"rep": 0, "n_samples": 1, "accuracy": NaN, "train_seconds": 0.0, "nodes": 1}\n',
     ], ids=["header a list", "record short of fields", "record with an extra field",
-            "null accuracy", "fields of the wrong types"])
+            "null accuracy", "fields of the wrong types", "NaN accuracy"])
     def test_malformed_results_file_is_an_error_not_a_traceback(self, text, tmp_path):
         """effect on a header that is not an object, a record short of
-        fields, one with an extra field or one whose values are not of the
-        record's types: exit 1 with an error line."""
+        fields, one with an extra field, one whose values are not of the
+        record's types or one with a NaN, which strict JSON lacks: exit 1
+        with an error line."""
         path = tmp_path / "bad.jsonl"
         path.write_text(text)
         result = run_cli("effect", "--results", str(path))
@@ -356,7 +388,40 @@ class TestErrors:
         assert main(["stream", "--data", "blobs", *flags]) == 0
         meta, records = load_results("r.jsonl")
         assert meta["config"]["dataset"] == "blobs" and len(records) == 4 * 2
-        assert json.loads(Path("r.jsonl.labels.json").read_text()) == {"0": 0, "1": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs", "r.jsonl"]
+
+    @pytest.mark.parametrize("command, flag, value, low", [
+        *[(command, flag, value, low) for command in ("stream", "cv")
+          for flag, value, low in [("--classes", "1", 2), ("--trees", "0", 1),
+                                   ("--batch-size", "0", 1), ("--threads", "0", 1),
+                                   ("--replace", "-1", 0), ("--seed", "-1", 0)]],
+        ("stream", "--reps", "0", 1), ("cv", "--folds", "1", 2),
+    ])
+    def test_a_flag_out_of_range_is_a_usage_error(self, command, flag, value, low,
+                                                   tmp_path, capsys):
+        """The flag is named, with its bound, before the --data file is
+        looked for: the file named here does not exist."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--data", str(tmp_path / "absent.csv"), flag, value,
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be at least {low}, not {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replace_above_trees_is_refused_by_the_config(self, tmp_path, capsys):
+        data = synth(tmp_path / "train.csv", "blobs", "--n", "40")
+        assert main(["cv", "--data", data, "--header", "--trees", "2", "--replace", "3",
+                     "--out", str(tmp_path / "r.jsonl")]) == 1
+        assert "replace_count" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["train.csv"]
+
+    @pytest.mark.parametrize("flag", ["--algo-a", "--algo-b"])
+    def test_effect_takes_only_the_algorithm_names(self, flag, tmp_path, capsys):
+        """effect --algo-a sdx would match no record and report nothing."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["effect", "--results", str(tmp_path / "r.jsonl"), flag, "sdx"])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: invalid choice: 'sdx'" in capsys.readouterr().err
 
     def test_test_and_test_frac_are_exclusive(self, tmp_path, capsys):
         """A test file leaves no holdout to size, so --test-frac beside

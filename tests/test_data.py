@@ -1,5 +1,7 @@
 """CSV loading, batch/fold planning, synthetic generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,17 +70,31 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not both"):
             load_csv(path, n_classes=3, label_map=label_map)
 
+    def test_declared_class_count_maps_the_texts_0_to_k_minus_1(self, tmp_path):
+        """The map of n_classes=3 holds class 2 too, though no row has it."""
+        path = write_csv(tmp_path / "t.csv", "1.0,1\n2.0,0\n3.0, 1 \n")
+        data, label_map = load_csv(path, n_classes=3)
+        assert label_map == {"0": 0, "1": 1, "2": 2}
+        assert data.labels.tolist() == [1, 0, 1] and data.n_classes == 3
+
     def test_declared_class_count_rejects_unknown_label(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "1.0,0\n2.0,7\n")
-        with pytest.raises(DataLoadError,
-                           match="line 2, column 2: label 7 outside declared range"):
+        with pytest.raises(DataLoadError, match="line 2, column 2: unknown label '7'"):
             load_csv(path, n_classes=3)
 
     def test_non_integer_label_names_position(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "1.0,0\n2.0,a\n")
-        with pytest.raises(DataLoadError,
-                           match="line 2, column 2: label 'a' is not an integer"):
+        with pytest.raises(DataLoadError, match="line 2, column 2: unknown label 'a'"):
             load_csv(path, n_classes=2)
+
+    @pytest.mark.parametrize("cell", ["01", "+1", "1.0"])
+    def test_declared_class_count_admits_only_its_texts(self, tmp_path, cell):
+        """Under n_classes a label is one of the texts 0 ... K-1, as synth
+        writes them, not any spelling of the integer."""
+        path = write_csv(tmp_path / "t.csv", f"1.0,1\n2.0,{cell}\n")
+        with pytest.raises(DataLoadError,
+                           match=re.escape(f"line 2, column 2: unknown label '{cell}'")):
+            load_csv(path, n_classes=3)
 
     def test_blank_cell_names_position(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "1.0,2.0,0\n1.5,,1\n")
@@ -130,7 +146,7 @@ class TestLoadCsv:
         ("1.0,0\n", {"label_column": 2}, "label column 2 out of range"),
         ("1.0,0\n", {"label_column": -3}, "label column -3 out of range"),
         ("1.0,0\n2.0, \n", {}, "line 2, column 2: empty cell"),
-        ("1.0,0\n2.0,a\n", {"n_classes": 2}, "'a' is not an integer"),
+        ("1.0,0\n2.0,a\n", {"n_classes": 2}, "unknown label 'a'"),
         ("1.0,0\n2.0,2\n", {"label_map": {"0": 0, "1": 1}}, "line 2, column 2: unknown label"),
         # A header of another width than the rows, the label named or indexed.
         ("x,label\n1.0,2.0,a\n", {"header": True, "label_column": "label"},

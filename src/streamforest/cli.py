@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +42,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(within, bound: str):
+    """An argparse type: a finite float for which `within` holds, else a
+    usage error naming the flag and the `bound`."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and within(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, not {text}")
+        return value
+    parse.__name__ = "float"  # argparse's "invalid float value: 'x'"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True,
                    help="CSV path (make synthetic data with the synth command)")
@@ -73,8 +86,6 @@ def _load_data(args):
         return dataset, load_csv(args.test, args.label_col, header=args.header,
                                  label_map=label_map)[0]
     # Seeded holdout split when no separate test file is given.
-    if not 0.0 < args.test_frac < 1.0:  # nan fails too
-        raise ValueError(f"--test-frac must be a finite number in (0, 1), not {args.test_frac}")
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(dataset.n_samples)
     n_test = max(1, int(round(dataset.n_samples * args.test_frac)))
@@ -143,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="streaming repetitions, each with a new batch order")
     held_out = p.add_mutually_exclusive_group()
     held_out.add_argument("--test", default=None, help="separate test CSV")
-    held_out.add_argument("--test-frac", type=float, default=0.25,
+    held_out.add_argument("--test-frac", type=_finite_float(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                          default=0.25,
                           help="holdout fraction in (0, 1) when no test CSV is given")
     p.set_defaults(func=_cmd_experiment)
 
@@ -161,12 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic CSV")
     p.add_argument("--kind", required=True, choices=("blobs", "xor", "concentric"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classes", type=int, default=None,
+    p.add_argument("--n", type=_int_at_least(4), required=True)
+    p.add_argument("--classes", type=_int_at_least(2), default=None,
                    help="class count (blobs: default 3; xor and concentric: 2 only)")
-    p.add_argument("--features", type=int, default=2)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--features", type=_int_at_least(2), default=2)
+    p.add_argument("--noise", type=_finite_float(lambda v: v >= 0.0, "of at least 0"),
+                   default=0.0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 

@@ -121,7 +121,8 @@ class StreamForest(_Forest):
         info = {"u": u, "threshold": threshold, "fired": fired,
                 "scores": None, "replaced": []}
         if fired and self.replace_count > 0:
-            scores = np.mean(self._votes(data.features) == data.labels, axis=1)
+            scores = np.add.reduce(self._votes(data.features) == data.labels, axis=1,
+                                   dtype=np.float64) / data.n_samples
             # Stable sort: equal scores keep index order, so the lowest
             # indices are replaced first on ties.
             worst = np.argsort(scores, kind="stable")[: self.replace_count]

@@ -540,9 +540,9 @@ def _search(data: Dataset, rank: np.ndarray, rows: np.ndarray, weights: np.ndarr
 
     # The sums of the split before each position p: the left block is the
     # rows of p's segment before p, the right block the others.
-    s_parent = (parent * parent).sum(axis=1)
+    s_parent = np.add.reduce(parent * parent, axis=1)
     n_l = passed[:-1] - passed[first].repeat(seg_size)
-    n_r = (parent.sum(axis=1).repeat(m) + passed[first]).repeat(seg_size) - passed[:-1]
+    n_r = (np.add.reduce(parent, axis=1).repeat(m) + passed[first]).repeat(seg_size) - passed[:-1]
     s_l = grow_l[:-1] - grow_l[first].repeat(seg_size)
     s_r = (s_parent.repeat(m) + shrink_r[first]).repeat(seg_size) - shrink_r[:-1]
     del passed, grow_l, shrink_r
@@ -628,8 +628,9 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
 
 
 # Largest number of (tree, row) pairs one routing block holds, in an
-# update (`_route_and_count`) or a prediction (`_votes`), and of (row,
-# feature) positions one growth round searches: bounds their temporary
+# update (`_route_and_count`) or a prediction (`_votes`, and `_vote` for
+# one row), and of (row, feature) positions one growth round searches:
+# bounds their temporary
 # arrays at any feature and tree count: to a few MB, and to under 30 MB in
 # an update whose paths fill a key word, as a block then holds up to 64
 # levels between two flushes.
@@ -695,7 +696,7 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         take = max(1, int((queue[:, 2] - queue[:, 1]).cumsum().searchsorted(
             _PAIRS_PER_PASS // m, side="right")))
         (node, start, stop, weighted), queue = queue[:take].T, queue[take:]
-        if weighted.sum() >= _MAX_WEIGHT:
+        if np.add.reduce(weighted) >= _MAX_WEIGHT:
             raise ValueError(f"weights must sum to less than {_MAX_WEIGHT}")
         size = stop - start
         if m == p:
@@ -729,7 +730,8 @@ def _grow(table: NodeTable, data: Dataset, rows: np.ndarray, weights: np.ndarray
         del at, node_rows, node_weights, order, src, dst, split_rows, split_weights
         left = table.split(node[splits], feature, threshold, counts)
         children[:, 0, 0], children[:, 1, 0] = left, left + 1
-        grows = ((counts > 0).sum(axis=1).reshape(-1, 2) > 1) & (children[..., 3] >= min_split)
+        grows = ((np.add.reduce(counts > 0, axis=1).reshape(-1, 2) > 1)
+                 & (children[..., 3] >= min_split))
         queue = np.concatenate((queue, children[grows]))
 
 
@@ -749,16 +751,19 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray) -> np.ndarray:
     reads each pair's feature with one ``[]`` gather (no slower than
     ``take`` at 100 or ~32,700 pairs) from the flat view of X, at ``rows[i]
     * p + feature``, the row offsets intp; X should be C-contiguous, or the
-    flat view is a copy.
+    flat view is a copy. When X holds one row, every offset is 0, so a
+    level gathers at ``feature`` alone.
     """
     node = np.array(start, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
-    flat, base = X.reshape(-1), np.multiply(rows, X.shape[1], dtype=np.intp)
+    flat = X.reshape(-1)
+    base = None if X.shape[0] == 1 else np.multiply(rows, X.shape[1], dtype=np.intp)
     live = (left[node] > node).nonzero()[0]
     while live.size:
-        cur, at = node[live], base[live]
+        cur, at = node[live], None if base is None else base[live]
         for _ in range(_LEVELS_PER_DROP):
-            goes_right = flat[at + feature[cur]] > threshold[cur]
+            index = feature[cur] if at is None else at + feature[cur]
+            goes_right = flat[index] > threshold[cur]
             cur = left[cur]
             cur += goes_right
         node[live] = cur
@@ -835,7 +840,7 @@ def _route_and_count(table: NodeTable, roots, rows, weights, bounds, X: np.ndarr
                 nxt, step = reached[used], moved[used]
                 left.take(cur, out=nxt, mode="clip")  # "raise" would buffer `out`
                 np.greater(nxt, cur, out=step)
-                if not step.any():
+                if not np.logical_or.reduce(step):
                     break
                 goes_right = flat[at + feature[cur]] > threshold[cur]
                 key |= np.left_shift(goes_right, shift, dtype=np.int64)
@@ -954,7 +959,7 @@ def _as_features(X) -> np.ndarray:
 
 def _check_finite(X: np.ndarray) -> None:
     """Raise ValueError naming the first non-finite value of the rows of X."""
-    if not np.isfinite(X).all():
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):
         row, col = np.argwhere(~np.isfinite(X.reshape(-1, X.shape[-1])))[0]
         raise ValueError(f"non-finite feature value at row {row}, column {col}")
 
@@ -1004,6 +1009,11 @@ class _Model:
     tree is the one-root case. Unfitted, as the class attributes set it,
     the table and the feature count are None and there are no roots.
 
+    Two or more rows vote through `_votes`, which routes tree-major (tree,
+    row) pairs, and `_majority_vote`. One row, from `predict_one` or a
+    one-row `predict`, votes through `_vote`, which descends that row alone
+    from every root, with no pair indexing or row offsets.
+
     Every model fits through `_fit`, and a stream model updates through
     `_extend`, which draws from its generator ``rng``; both grow under the
     model's ``criteria``.
@@ -1043,7 +1053,8 @@ class _Model:
         bounds every node of its tree, so the update raises ValueError,
         before it draws, if a root's total would reach ``_MAX_COUNT``."""
         table = self._table
-        most = int(table.counts[self._roots].sum(axis=1, dtype=np.int64).max())
+        most = int(np.maximum.reduce(np.add.reduce(table.counts[self._roots], axis=1,
+                                                   dtype=np.int64)))
         if most + data.n_samples >= _MAX_COUNT:
             raise ValueError(f"a tree holding {most} samples cannot take {data.n_samples} more: "
                              f"a node's total must stay below {_MAX_COUNT} (2**31)")
@@ -1071,13 +1082,29 @@ class _Model:
             leaves[lo:lo + start.size] = _descend(table, start, row[at], X)
         return _leaf_labels(table, leaves.reshape(roots.size, n))
 
+    def _vote(self, X: np.ndarray) -> np.intp:
+        """Majority class of the trees for the one row of X, ties to the
+        lowest class. The row descends from every root, _PAIRS_PER_PASS
+        roots a block, and one bincount counts its leaves' labels."""
+        table, roots = self._table, self._roots
+        leaves = np.empty(roots.size, dtype=np.intp)
+        rows = np.zeros(min(roots.size, _PAIRS_PER_PASS), dtype=np.intp)
+        for lo in range(0, roots.size, _PAIRS_PER_PASS):
+            start = roots[lo:lo + _PAIRS_PER_PASS]
+            leaves[lo:lo + start.size] = _descend(table, start, rows[:start.size], X)
+        labels = table.counts[leaves].argmax(axis=1)
+        return np.bincount(labels, minlength=self.n_classes).argmax()
+
     def predict_one(self, x) -> int:
+        """Majority-class prediction for the feature vector x."""
         x = _check_input(self, x, 1)
-        return int(_majority_vote(self._votes(x[None, :]), self.n_classes)[0])
+        return int(self._vote(x[None, :]))
 
     def predict(self, X) -> np.ndarray:
         """Majority-class predictions for the rows of X."""
         X = _check_input(self, X, 2)
+        if X.shape[0] == 1:
+            return np.array([self._vote(X)])
         votes = self._votes(X)
         return votes[0] if votes.shape[0] == 1 else _majority_vote(votes, self.n_classes)
 

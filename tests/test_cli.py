@@ -308,12 +308,15 @@ class TestErrors:
     @pytest.mark.parametrize("frac", ["0", "-0.5", "1.0", "1.5", "nan", "inf"])
     def test_test_frac_outside_the_open_unit_interval_writes_nothing(self, frac, tmp_path,
                                                                      capsys):
+        """A usage error when the arguments are parsed, before the CSV is read."""
         csv_path = tmp_path / "train.csv"
         save_csv(gen_synthetic("blobs", 40, noise=0.5, seed=6, n_classes=3), csv_path)
-        code = main(["stream", "--data", str(csv_path), "--header", "--test-frac", frac,
-                     "--out", str(tmp_path / "r.jsonl")])
-        assert code == 1 and "--test-frac must be a finite number in (0, 1)" in (
-            capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exit_:
+            main(["stream", "--data", str(csv_path), "--header", "--test-frac", frac,
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exit_.value.code == 2
+        assert (f"argument --test-frac: must be a finite number in (0, 1), not {frac}"
+                in capsys.readouterr().err)
         assert sorted(tmp_path.iterdir()) == [csv_path]
 
     def test_test_frac_that_leaves_no_training_rows_writes_nothing(self, tmp_path, capsys):
@@ -460,6 +463,23 @@ class TestErrors:
     def test_two_class_kind_refuses_another_class_count(self, args, tmp_path, capsys):
         assert main([*args, "--out", str(tmp_path / "r")]) == 1
         assert "two-class" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--n", "2", "at least 4"), ("--features", "1", "at least 2"),
+        ("--classes", "1", "at least 2"), ("--seed", "-1", "at least 0"),
+        *[("--noise", value, "a finite number of at least 0") for value in ("nan", "-1", "inf")],
+    ])
+    def test_synth_flag_out_of_range_is_a_usage_error(self, flag, value, bound, tmp_path,
+                                                      capsys):
+        """synth names the flag and its bound when the arguments are parsed,
+        not the library parameter after the data are drawn, and writes nothing."""
+        args = {"--n": "40", flag: value}
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", "--kind", "blobs", *[a for pair in args.items() for a in pair],
+                  "--out", str(tmp_path / "s.csv")])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be {bound}, not {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_synth_kind_exits_nonzero(self, tmp_path):

@@ -314,17 +314,24 @@ class TestVoting:
         plant_constant_trees(f, dict(enumerate(classes)))
         return f
 
+    def _one_row_reads(self, f):
+        """`predict_one` and a one-row `predict` of the same point."""
+        x = np.array([0.0, 0.0])
+        return f.predict_one(x), f.predict(x[None, :]).tolist()
+
     def test_unanimous_vote(self):
         f = self._forest_with_trees([2, 2, 2], 3)
-        assert f.predict_one([0.0, 0.0]) == 2
+        assert self._one_row_reads(f) == (2, [2])
 
     def test_plurality_wins(self):
         f = self._forest_with_trees([0, 1, 1], 3)
-        assert f.predict_one([0.0, 0.0]) == 1
+        assert self._one_row_reads(f) == (1, [1])
 
     def test_tie_goes_to_lowest_class(self):
         f = self._forest_with_trees([0, 0, 1, 1], 3)
-        assert f.predict_one([0.0, 0.0]) == 0
+        assert self._one_row_reads(f) == (0, [0])
+        f = self._forest_with_trees([2, 1, 2, 1], 3)
+        assert self._one_row_reads(f) == (1, [1])
 
     def test_batch_predict_empty(self):
         """Every model predicts no rows as an empty array of the dtype it
@@ -360,21 +367,46 @@ class TestVoting:
 
     def test_no_routing_block_exceeds_the_budget(self, monkeypatch):
         """However many trees, `_descend` gets at most _PAIRS_PER_PASS pairs
-        a call, in `predict` and `predict_one`."""
+        a call, in `predict`, `predict_one` and a one-row `predict`; each
+        one-row read descends its row from all 5 trees."""
         f = StreamForest(blobs(60, seed=40), 3, n_trees=5, seed=41)
         probes = np.random.default_rng(42).uniform(-4, 4, (4, 2))
-        expected = f.predict(probes).tolist(), [f.predict_one(x) for x in probes]
+        reads = [lambda: f.predict(probes).tolist()]
+        reads += [lambda x=x: f.predict_one(x) for x in probes]
+        reads += [lambda x=x: f.predict(x[None, :]).tolist() for x in probes]
+        expected = [read() for read in reads]
         sizes = []
 
         def spy(table, start, rows, X):
-            sizes.append(len(start))
+            sizes[-1].append(len(start))
             return descend(table, start, rows, X)
 
         descend = streamforest.tree._descend
         monkeypatch.setattr(streamforest.tree, "_PAIRS_PER_PASS", 3)
         monkeypatch.setattr(streamforest.tree, "_descend", spy)
-        assert (f.predict(probes).tolist(), [f.predict_one(x) for x in probes]) == expected
-        assert sizes and max(sizes) <= 3 and sum(sizes) == 5 * 4 * 2
+        for read, want in zip(reads, expected):
+            sizes.append([])
+            assert read() == want
+        assert max(map(max, sizes)) <= 3
+        assert [sum(s) for s in sizes] == [5 * 4] + [5] * 8
+
+    @pytest.mark.parametrize("budget", [None, 1, 3])
+    def test_one_row_reads_match_the_bulk_prediction(self, budget, monkeypatch):
+        """For every model kind, `predict_one` and a one-row `predict` give
+        the bulk prediction of the same rows, also when a budget of 1 or 3
+        pairs splits one row's trees across blocks."""
+        data = blobs(150, seed=43, noise=0.8)
+        probes = np.random.default_rng(44).uniform(-4, 4, (30, 2))
+        models = (DecisionTree(seed=45).fit(data), StreamTree(data, 3, seed=45),
+                  BatchForest(5, seed=45).fit(data), StreamForest(data, 3, n_trees=5, seed=45))
+        bulk = [model.predict(probes).tolist() for model in models]
+        if budget is not None:
+            monkeypatch.setattr(streamforest.tree, "_PAIRS_PER_PASS", budget)
+        for model, expected in zip(models, bulk):
+            assert [model.predict_one(x) for x in probes] == expected
+            rows = [model.predict(x[None, :]) for x in probes]
+            assert all(row.shape == (1,) and row.dtype == np.intp for row in rows)
+            assert [int(row[0]) for row in rows] == expected
 
     def test_winner_meets_vote_floor(self):
         f = StreamForest(blobs(150, seed=35, noise=0.8), 3, n_trees=7, seed=36)

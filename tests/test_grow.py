@@ -5,6 +5,7 @@ grower's helpers against plain references; and a guard that keeps numpy's
 Python-level wrappers out of the code that runs once per round."""
 
 import ast
+import functools
 import inspect
 import itertools
 import math
@@ -573,19 +574,27 @@ def test_ranges_are_the_ranges_back_to_back():
 # numpy functions written in Python over an ndarray method or a ufunc: each
 # costs 0.5-2 µs more per call than the direct form, which at update sizes
 # is a growth round's cost. None of them may return to the code that runs
-# once per round, routing block or bootstrap draw.
+# once per round, routing block, bootstrap draw or one-row read.
 NUMPY_WRAPPERS = {"repeat", "cumsum", "flatnonzero", "searchsorted", "stack", "diff", "append",
                   "take_along_axis", "put_along_axis", "take", "sort", "argsort", "tile",
                   "broadcast_to"}
+# ndarray reductions that run a Python frame in numpy's `_methods.py` before
+# their ufunc's reduce, as does `np.mean`: that code calls `np.add.reduce`,
+# `np.logical_or.reduce` and the like instead, as a method or as np.<name>.
+REDUCTION_METHODS = {"any", "all", "sum", "max", "min", "mean"}
 
 
 @pytest.mark.parametrize("name", ["_search", "_best_candidates", "_grow", "_ranges", "_ranks",
                                   "_class_counts", "_samples", "_route_and_count",
-                                  "_descend"])
+                                  "_descend", "_check_finite", "_Model._votes", "_Model._vote",
+                                  "_Model._extend"])
 def test_round_code_calls_no_numpy_wrapper(name):
-    source = textwrap.dedent(inspect.getsource(getattr(streamforest.tree, name)))
-    called = [node.func.attr for node in ast.walk(ast.parse(source))
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
-    assert called, "the walk found no np call"
+    code = functools.reduce(getattr, name.split("."), streamforest.tree)
+    source = textwrap.dedent(inspect.getsource(code))
+    attributes = [node.func for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert attributes, "the walk found no method call"
+    called = [func.attr for func in attributes
+              if isinstance(func.value, ast.Name) and func.value.id == "np"]
     assert sorted(NUMPY_WRAPPERS.intersection(called)) == []
+    assert sorted(REDUCTION_METHODS.intersection(func.attr for func in attributes)) == []

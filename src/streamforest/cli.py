@@ -9,8 +9,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     ALGORITHMS,
     ExperimentConfig,
@@ -21,7 +19,8 @@ from .bench import (
     run_cv_experiment,
     run_stream_experiment,
 )
-from .data import gen_synthetic, load_csv, save_csv
+from .data import gen_synthetic, load_csv, make_batches, save_csv
+from .snapshot import _write_atomically
 
 
 def _parse_label_col(text: str) -> int | str:
@@ -85,9 +84,9 @@ def _load_data(args):
     if args.test is not None:
         return dataset, load_csv(args.test, args.label_col, header=args.header,
                                  label_map=label_map)[0]
-    # Seeded holdout split when no separate test file is given.
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(dataset.n_samples)
+    # Seeded holdout split when no separate test file is given: the first
+    # n_test rows of the seed's batch ordering.
+    order = make_batches(dataset.n_samples, seed=args.seed).ordering
     n_test = max(1, int(round(dataset.n_samples * args.test_frac)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size == 0:
@@ -127,7 +126,8 @@ def _cmd_effect(args) -> int:
     if args.out is None:
         print(text)
     else:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with _write_atomically(args.out) as fh:
+            fh.write((text + "\n").encode("utf-8"))
         print(f"wrote effect sizes for {len(report)} dataset(s) to {args.out}")
     return 0
 

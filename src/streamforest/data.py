@@ -4,12 +4,14 @@ dataset generators for desk-scale experiments."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import Dataset, _check_integer, _check_real
+from .snapshot import _write_atomically
+from .tree import Dataset, _check_index, _check_integer, _check_real
 
 __all__ = [
     "DataLoadError",
@@ -33,7 +35,8 @@ class BatchPlan:
 
     All batches have batch_size samples except possibly the last; the final
     short batch is kept, not dropped. Pure function of (n, batch_size, seed),
-    using numpy's default PCG64 generator.
+    using numpy's default PCG64 generator. The ordering, an array or a list,
+    must be a permutation of 0..n-1.
     """
 
     ordering: np.ndarray
@@ -42,7 +45,11 @@ class BatchPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "batch_size", _check_integer("batch_size", self.batch_size, 1))
-        n = self.ordering.shape[0]
+        ordering = _check_index("ordering", self.ordering, np.size(self.ordering))
+        n = ordering.size
+        if ordering.ndim != 1 or not (np.bincount(ordering, minlength=n) == 1).all():
+            raise ValueError(f"ordering must be a permutation of 0..{n - 1}")
+        object.__setattr__(self, "ordering", ordering)
         cuts = list(range(0, n, self.batch_size)) + [n]
         object.__setattr__(
             self, "boundaries",
@@ -63,14 +70,22 @@ class FoldPlan:
     """Disjoint covering folds with sizes differing by at most one.
 
     Assignment is a seeded shuffle followed by round-robin fold labels, so
-    the plan is a pure function of (n, k, seed).
+    the plan is a pure function of (n, k, seed). The assignments, an array
+    or a list, give each sample's fold in 0..k-1, at least one to each.
     """
 
     assignments: np.ndarray
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _check_integer("k", self.k, 2))
+        k = _check_integer("k", self.k, 2)
+        assignments = _check_index("assignments", self.assignments, k)
+        sizes = np.bincount(assignments.ravel(), minlength=k)
+        if assignments.ndim != 1 or sizes.min() < 1 or sizes.max() - sizes.min() > 1:
+            raise ValueError(f"assignments must be 1-D and give the {k} folds sizes of "
+                             f"at least 1 that differ by at most 1, not {sizes.tolist()}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "assignments", assignments)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments == fold)[0]
@@ -215,8 +230,10 @@ def _label_sort_key(text: str):
 
 def save_csv(data: Dataset, path, header: bool = True) -> None:
     """Write a Dataset as f0..f{p-1},label rows; floats use repr so a reload
-    reproduces them bit-exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    reproduces them bit-exactly. Like a snapshot, the file is replaced only
+    once it is complete."""
+    with (_write_atomically(path) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh):
         writer = csv.writer(fh)
         if header:
             writer.writerow([f"f{j}" for j in range(data.n_features)] + ["label"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from streamforest import (ExperimentConfig, gen_synthetic, load_csv, load_results,
-                          run_cv_experiment, run_stream_experiment, save_csv)
+                          make_batches, run_cv_experiment, run_stream_experiment, save_csv)
 from streamforest.cli import main
 
 
@@ -31,6 +31,16 @@ def records_without_time(path):
     rows = []
     for line in path.read_text().splitlines()[1:]:
         record = json.loads(line)
+        record.pop("train_seconds")
+        rows.append(json.dumps(record, sort_keys=True))
+    return rows
+
+
+def experiment_records(config, train, test):
+    """The records of `run_stream_experiment`, as `records_without_time` reads them."""
+    rows = []
+    for record in run_stream_experiment(config, train, test):
+        record = asdict(record)
         record.pop("train_seconds")
         rows.append(json.dumps(record, sort_keys=True))
     return rows
@@ -143,10 +153,22 @@ class TestStream:
                      "--seed", "31", "--out", str(out)]) == 0
         config = ExperimentConfig(dataset="train", batch_size=40, n_trees=3, repetitions=2,
                                   seed=31)
-        in_process = [asdict(r) for r in run_stream_experiment(config, train, test)]
-        for record in in_process:
-            record.pop("train_seconds")
-        assert records_without_time(out) == [json.dumps(r, sort_keys=True) for r in in_process]
+        assert records_without_time(out) == experiment_records(config, train, test)
+
+    def test_the_holdout_heads_the_seeds_batch_ordering(self, tmp_path):
+        """Without --test, stream holds out the first round(n * frac) rows
+        of make_batches(n, seed=--seed).ordering and trains on the rest."""
+        data = gen_synthetic("blobs", 150, noise=0.5, seed=16, n_classes=3)
+        csv_path, out = tmp_path / "train.csv", tmp_path / "r.jsonl"
+        save_csv(data, csv_path)
+        assert main(["stream", "--data", str(csv_path), "--header", "--test-frac", "0.3",
+                     "--batch-size", "35", "--trees", "3", "--reps", "2", "--seed", "17",
+                     "--out", str(out)]) == 0
+        order = make_batches(150, seed=17).ordering
+        config = ExperimentConfig(dataset="train", batch_size=35, n_trees=3, repetitions=2,
+                                  seed=17)
+        assert records_without_time(out) == experiment_records(
+            config, data.subset(order[45:]), data.subset(order[:45]))
 
     def test_a_test_label_the_training_file_lacks_exits_1_naming_the_line(self, tmp_path,
                                                                           capsys):
@@ -201,16 +223,28 @@ class TestStream:
 
 
 class TestSynthThenCsv:
-    @pytest.mark.parametrize("kind", ["blobs", "xor", "concentric"])
-    def test_runs_over_synth_csvs_match_the_library(self, kind, tmp_path):
+    @pytest.mark.parametrize("kind, marked", [
+        pytest.param("blobs", False, id="blobs"),
+        pytest.param("xor", False, id="xor"),
+        pytest.param("concentric", False, id="concentric"),
+        pytest.param("blobs", True, id="blobs headerless with a byte-order mark"),
+    ])
+    def test_runs_over_synth_csvs_match_the_library(self, kind, marked, tmp_path):
         """stream over a train and a test CSV from synth, and cv over the
         train CSV, write the records that the experiments give in-process
-        on the same generated datasets, apart from time and dataset."""
+        on the same generated datasets, apart from time and dataset; also
+        when both files lose their header and begin with a byte-order mark,
+        as Excel's "CSV UTF-8" export writes them."""
         train = synth(tmp_path / "train.csv", kind, "--n", "120", "--noise", "0.3",
                       "--seed", "21")
         test = synth(tmp_path / "test.csv", kind, "--n", "60", "--noise", "0.3",
                      "--seed", "22")
-        flags = ["--header", "--batch-size", "40", "--trees", "3", "--seed", "21"]
+        flags = ["--batch-size", "40", "--trees", "3", "--seed", "21"]
+        if marked:
+            for path in (Path(train), Path(test)):
+                path.write_text("\ufeff" + path.read_text().split("\n", 1)[1], encoding="utf-8")
+        else:
+            flags.append("--header")
         assert main(["stream", "--data", train, "--test", test, "--reps", "2", *flags,
                      "--out", str(tmp_path / "stream.jsonl")]) == 0
         assert main(["cv", "--data", train, "--folds", "2", *flags,
@@ -337,30 +371,51 @@ class TestErrors:
         assert code == 1 and "absent.csv" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [csv_path]
 
-    @pytest.mark.parametrize("text", [
-        "[1]\n",
-        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf"}\n',
-        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
-        '"rep": 0, "n_samples": 1, "accuracy": 1.0, "train_seconds": 0.0, "nodes": 1, '
-        '"extra": 0}\n',
-        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
-        '"rep": 0, "n_samples": 1, "accuracy": null, "train_seconds": 0.0, "nodes": 1}\n',
-        '{"format": "streamforest-results-v1"}\n{"algorithm": "xyz", "dataset": 3, '
-        '"rep": true, "n_samples": -1, "accuracy": 7, "train_seconds": "x", "nodes": 1.5}\n',
-        '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
-        '"rep": 0, "n_samples": 1, "accuracy": NaN, "train_seconds": 0.0, "nodes": 1}\n',
+    _EFFECT = ["effect", "--results", "{dir}/input"]
+    _STREAM = ["stream", "--data", "{dir}/input", "--header", "--label-col", "label",
+               "--trees", "2", "--reps", "1", "--batch-size", "10"]
+    _CSV = "".join(f"{i % 5}.5,{i % 3}.25,{'ab'[i % 2]}\n" for i in range(20))
+
+    @pytest.mark.parametrize("args, text, error", [
+        (_EFFECT, "[1]\n", "line "),
+        (_EFFECT, '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf"}\n', "line "),
+        (_EFFECT, '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
+         '"rep": 0, "n_samples": 1, "accuracy": 1.0, "train_seconds": 0.0, "nodes": 1, '
+         '"extra": 0}\n', "line "),
+        (_EFFECT, '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
+         '"rep": 0, "n_samples": 1, "accuracy": null, "train_seconds": 0.0, "nodes": 1}\n',
+         "line "),
+        (_EFFECT, '{"format": "streamforest-results-v1"}\n{"algorithm": "xyz", "dataset": 3, '
+         '"rep": true, "n_samples": -1, "accuracy": 7, "train_seconds": "x", "nodes": 1.5}\n',
+         "line "),
+        (_EFFECT, '{"format": "streamforest-results-v1"}\n{"algorithm": "sdf", "dataset": "d", '
+         '"rep": 0, "n_samples": 1, "accuracy": NaN, "train_seconds": 0.0, "nodes": 1}\n',
+         "line "),
+        ([*_STREAM, "--out", "{dir}/r.jsonl"], "f1,label\n" + _CSV,
+         "line 1: header has 2 cells, line 2 has 3"),
+        ([*_STREAM, "--out", "{dir}/r.jsonl"], "label,f1,label\n" + _CSV,
+         "line 1: the header names 2 columns 'label'"),
+        ([*_STREAM, "--out", "{dir}/missing/r.jsonl"], "f0,f1,label\n" + _CSV,
+         "[Errno 2] No such file or directory: '{dir}/missing/r.jsonl'"),
     ], ids=["header a list", "record short of fields", "record with an extra field",
-            "null accuracy", "fields of the wrong types", "NaN accuracy"])
-    def test_malformed_results_file_is_an_error_not_a_traceback(self, text, tmp_path):
-        """effect on a header that is not an object, a record short of
-        fields, one with an extra field, one whose values are not of the
-        record's types or one with a NaN, which strict JSON lacks: exit 1
-        with an error line."""
-        path = tmp_path / "bad.jsonl"
-        path.write_text(text)
-        result = run_cli("effect", "--results", str(path))
-        assert result.returncode == 1 and result.stderr.startswith("error: line ")
-        assert "Traceback" not in result.stderr
+            "null accuracy", "fields of the wrong types", "NaN accuracy",
+            "csv header one cell short", "csv header naming the label column twice",
+            "results into a missing directory"])
+    def test_malformed_results_file_is_an_error_not_a_traceback(self, args, text, error,
+                                                                tmp_path):
+        """effect on a results file whose header is not an object, with a
+        record short of fields, one with an extra field, one whose values
+        are not of the record's types or one with a NaN, which strict JSON
+        lacks; stream on a CSV whose header is a cell short or names the
+        label column twice, or with --out in a missing directory: each
+        exits 1 in a child process with an error line that names the line
+        or the path asked for, no traceback, and writes nothing."""
+        (tmp_path / "input").write_text(text)
+        result = run_cli(*[arg.format(dir=tmp_path) for arg in args])
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: " + error.format(dir=tmp_path))
+        assert "Traceback" not in result.stderr and ".tmp" not in result.stderr
+        assert [path.name for path in tmp_path.iterdir()] == ["input"]
 
     def test_missing_subcommand_exits_nonzero(self):
         assert run_cli().returncode != 0
@@ -486,6 +541,18 @@ class TestErrors:
         result = run_cli("synth", "--kind", "spirals", "--n", "10",
                          "--out", str(tmp_path / "s.csv"))
         assert result.returncode != 0
+
+
+class TestEntryPoint:
+    def test_pyproject_installs_cli_main_as_the_streamforest_script(self):
+        """The console script that `pip install` puts on PATH is cli.main,
+        the function every test here runs; CI runs the installed script."""
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+            encoding="utf-8")
+        scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'streamforest = "streamforest.cli:main"'
+        result = run_cli("--help")
+        assert result.returncode == 0 and result.stdout.startswith("usage: streamforest ")
 
 
 class TestDeterminism:

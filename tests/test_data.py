@@ -1,14 +1,19 @@
 """CSV loading, batch/fold planning, synthetic generators."""
 
+import csv
+import errno
+import os
 import re
 
 import numpy as np
 import pytest
 
 from streamforest import (
+    BatchPlan,
     DataLoadError,
     Dataset,
     DecisionTree,
+    FoldPlan,
     SplitCriteria,
     gen_synthetic,
     load_csv,
@@ -225,6 +230,33 @@ class TestRoundTrip:
         loaded, _ = load_csv(path, header=False)
         assert np.array_equal(loaded.features, data.features)
 
+    @pytest.mark.parametrize("error", [
+        KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left on device"),
+    ], ids=["interrupt", "disk full"])
+    def test_a_write_cut_midway_keeps_the_old_file(self, tmp_path, monkeypatch, error):
+        """The file is replaced only once it is complete: a write cut after
+        99 rows leaves the old bytes and no temporary file."""
+        path = tmp_path / "data.csv"
+        save_csv(gen_synthetic("blobs", 20, seed=1), path)
+        old = path.read_bytes()
+        make_writer = csv.writer
+
+        class CutWriter:
+            def __init__(self, fh):
+                self.writer, self.rows = make_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 100:
+                    raise error
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", CutWriter)
+        with pytest.raises(type(error)):
+            save_csv(gen_synthetic("blobs", 500, seed=2), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["data.csv"]
+
 
 class TestBatchPlan:
     def test_sizes_partition_with_remainder(self):
@@ -282,6 +314,31 @@ class TestFoldPlan:
             make_folds(10, 1)
         with pytest.raises(ValueError):
             make_folds(3, 5)
+
+
+@pytest.mark.parametrize("make, result", [
+    (lambda: BatchPlan([3, 1, 0, 2], 2).batch(1), [0, 2]),
+    (lambda: FoldPlan([0, 1, 0, 1], 2).test_indices(0), [0, 2]),
+    (lambda: BatchPlan(np.array([0, 0, 7]), 2), (ValueError, "ordering must be below 3, not 7")),
+    (lambda: BatchPlan(np.array([0, 0, 2]), 2),
+     (ValueError, r"ordering must be a permutation of 0\.\.2")),
+    (lambda: FoldPlan(np.array([0, 5, 0, 5]), 2),
+     (ValueError, "assignments must be below 2, not 5")),
+    (lambda: FoldPlan(np.array([0, 0, 0, 1]), 2),
+     (ValueError, r"assignments must be 1-D .* differ by at most 1, not \[3, 1\]")),
+    (lambda: FoldPlan(np.array([2, 0, 2, 0]), 3), (ValueError, r"not \[2, 0, 2\]")),
+    (lambda: FoldPlan([0, 1, True, 1], 2), (TypeError, "assignments must be integers, not bools")),
+], ids=["ordering a list", "assignments a list", "ordering past n", "ordering repeating a row",
+        "assignments past k", "fold sizes 3 and 1", "an empty fold", "assignments with a bool"])
+def test_a_plan_checks_what_it_is_given(make, result):
+    """A list serves as an array does, and an ordering that is not a
+    permutation of 0..n-1, or assignments that are not k folds of sizes
+    at least 1 and within 1 of each other, are refused by name."""
+    if isinstance(result, tuple):
+        with pytest.raises(result[0], match=result[1]):
+            make()
+    else:
+        assert make().tolist() == result
 
 
 class TestSynthetic:

@@ -15,9 +15,9 @@ from statistics import fmean
 import numpy as np
 
 from . import __version__
+from ._io import _write_atomically
 from .data import make_batches, make_folds
 from .forest import BatchForest, StreamForest
-from .snapshot import _write_atomically
 from .stream import StreamTree
 from .tree import BYTES_PER_NODE, Dataset, DecisionTree, _check_integer
 
@@ -101,43 +101,38 @@ def _rep_seeds(root_rng: np.random.Generator) -> dict[str, int]:
     return dict(zip(("plan", "tree", "forest"), map(int, draws)))
 
 
+def _run_model(algo: str, config: ExperimentConfig, ordered: Dataset, test: Dataset,
+               boundaries, rep: int, seeds: dict[str, int]) -> list[BenchRecord]:
+    """One model's sequence, a record per (lo, hi) boundary of `ordered`: a
+    stream model is built on the first batch's rows [lo:hi] and updated with
+    each later batch's, a batch model refit on rows [:hi], all seen so far."""
+    k, stream = ordered.n_classes, algo in ("sdt", "sdf")
+    build = {"sdt": lambda rows: StreamTree(rows, k, seed=seeds["tree"]),
+             "sdf": lambda rows: StreamForest(rows, k, config.n_trees, config.replace_count,
+                                              seed=seeds["forest"]),
+             "dt": lambda rows: DecisionTree(seed=seeds["tree"]).fit(rows),
+             "df": lambda rows: BatchForest(config.n_trees, seed=seeds["forest"]).fit(rows)}[algo]
+    model, elapsed, records = None, 0.0, []
+    for lo, hi in boundaries:
+        span = slice(lo if stream else 0, hi)
+        rows = Dataset(ordered.features[span], ordered.labels[span], k)
+        start = time.perf_counter()
+        model = model.update(rows) if stream and model is not None else build(rows)
+        elapsed += time.perf_counter() - start
+        accuracy = float(np.mean(model.predict(test.features) == test.labels))
+        records.append(BenchRecord(algo, config.dataset, rep, hi, accuracy, elapsed,
+                                   model.node_count()))
+    return records
+
+
 def _stream_one_rep(config: ExperimentConfig, train: Dataset, test: Dataset,
                     rep: int, seeds: dict[str, int]) -> list[BenchRecord]:
+    """Each selected model's sequence over one copy of `train` in the plan's order."""
     plan = make_batches(train.n_samples, config.batch_size, seeds["plan"])
-    algorithms = tuple(a for a in ALGORITHMS if a in config.algorithms)
-    refits = not {"dt", "df"}.isdisjoint(algorithms)
-    models: dict[str, object] = {}
-    cum_time = {a: 0.0 for a in algorithms}
-    records = []
-    for bi in range(plan.n_batches):
-        batch = train.subset(plan.batch(bi))
-        seen = plan.boundaries[bi][1]
-        cumulative = train.subset(plan.ordering[:seen]) if refits else None
-        for algo in algorithms:
-            start = time.perf_counter()
-            if bi > 0 and algo in ("sdt", "sdf"):
-                models[algo].update(batch)
-            elif algo == "sdt":
-                models[algo] = StreamTree(batch, train.n_classes, seed=seeds["tree"])
-            elif algo == "sdf":
-                models[algo] = StreamForest(batch, train.n_classes, config.n_trees,
-                                            config.replace_count, seed=seeds["forest"])
-            elif algo == "dt":
-                models[algo] = DecisionTree(seed=seeds["tree"]).fit(cumulative)
-            else:
-                models[algo] = BatchForest(config.n_trees,
-                                           seed=seeds["forest"]).fit(cumulative)
-            cum_time[algo] += time.perf_counter() - start
-            records.append(BenchRecord(
-                algorithm=algo,
-                dataset=config.dataset,
-                rep=rep,
-                n_samples=seen,
-                accuracy=float(np.mean(models[algo].predict(test.features) == test.labels)),
-                train_seconds=cum_time[algo],
-                nodes=models[algo].node_count(),
-            ))
-    return records
+    ordered = train.subset(plan.ordering)
+    sequences = [_run_model(algo, config, ordered, test, plan.boundaries, rep, seeds)
+                 for algo in ALGORITHMS if algo in config.algorithms]
+    return [record for batch in zip(*sequences) for record in batch]
 
 
 def _run_reps(config: ExperimentConfig, splits: list[tuple[Dataset, Dataset]],
@@ -165,10 +160,11 @@ def run_stream_experiment(config: ExperimentConfig, train: Dataset,
     """Stream the training set into the configured models over several
     repetitions, each with a fresh batch ordering, against a fixed test set.
 
-    Streaming models accumulate their update durations; batch models
-    accumulate the duration of every refit. Only the fit/update calls are
-    timed, never data handling or evaluation. Excluding the time column,
-    the records are a pure function of (config, datasets).
+    A repetition copies the training rows once, in batch order; each model
+    runs as one sequence over slices of that copy, timing only its build
+    and updates, or every refit on all rows so far, never data handling or
+    evaluation. Excluding the time column, the records are a pure function
+    of (config, datasets).
     """
     if test.n_features != train.n_features:
         raise ValueError("train and test disagree on feature count")

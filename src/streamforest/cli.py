@@ -9,6 +9,7 @@ import math
 import sys
 from pathlib import Path
 
+from ._io import _write_atomically
 from .bench import (
     ALGORITHMS,
     ExperimentConfig,
@@ -20,7 +21,6 @@ from .bench import (
     run_stream_experiment,
 )
 from .data import gen_synthetic, load_csv, make_batches, save_csv
-from .snapshot import _write_atomically
 
 
 def _parse_label_col(text: str) -> int | str:
@@ -96,15 +96,15 @@ def _load_data(args):
 
 def _cmd_experiment(args) -> int:
     """The stream and cv commands: one experiment config, whose repetitions
-    are --reps streaming orders or --folds folds."""
+    are --reps streaming orders or --folds folds, checked before any CSV is read."""
     stream = args.command == "stream"
-    data, test = _load_data(args)
     config = ExperimentConfig(
         dataset=Path(args.data).stem,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
         batch_size=args.batch_size, n_trees=args.trees,
         replace_count=args.replace, repetitions=args.reps if stream else args.folds,
         seed=args.seed, threads=args.threads)
+    data, test = _load_data(args)
     records = (run_stream_experiment(config, data, test) if stream
                else run_cv_experiment(config, data))
     emit_results(records, args.out, config)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .snapshot import _write_atomically
+from ._io import _write_atomically
 from .tree import Dataset, _check_index, _check_integer, _check_real
 
 __all__ = [

@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
-import secrets
 import zipfile
 from dataclasses import asdict, fields
-from pathlib import Path
 
 import numpy as np
 
+from ._io import _write_atomically
 from .forest import BatchForest, StreamForest
 from .tree import _MAX_COUNT, NodeTable, SplitCriteria, _breadth_first, _check_integer
 
@@ -62,36 +60,6 @@ class _Header(dict):
 
     def __missing__(self, key):
         raise ValueError(f"snapshot header lacks {key!r}")
-
-
-@contextlib.contextmanager
-def _write_atomically(path):
-    """A binary file to write in place of `path`: a temporary file in the
-    same directory, renamed over `path` once the block ends. If the block
-    raises, the temporary file is removed and `path` keeps its old contents.
-    If the temporary file cannot be made, say in a missing directory, or
-    cannot be renamed, say over a directory, the OSError names `path`."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-
-    def named(err: OSError) -> OSError:  # the file asked for, not the temporary one
-        return type(err)(err.errno, err.strerror, str(path))
-
-    try:
-        fh = open(tmp, "xb")
-    except OSError as err:
-        raise named(err) from None
-    try:
-        with fh:
-            yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as err:
-            raise named(err) from None
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def _meta(forest: StreamForest | BatchForest) -> dict:

@@ -12,9 +12,12 @@ import pytest
 
 from streamforest import (
     BenchRecord,
+    Dataset,
     DecisionTree,
     ExperimentConfig,
     SplitCriteria,
+    StreamForest,
+    StreamTree,
     effect_series,
     effect_size,
     emit_results,
@@ -26,8 +29,8 @@ from streamforest import (
     run_cv_experiment,
     run_stream_experiment,
 )
-from streamforest import snapshot
-from streamforest.bench import _rep_seeds
+from streamforest import _io
+from streamforest.bench import _rep_seeds, _stream_one_rep
 
 
 # A results file's header and one record, as JSON lines.
@@ -113,6 +116,45 @@ class TestStreamExperiment:
                           if r.algorithm == "dt" and r.n_samples == seen)
             assert record.accuracy == accuracy
             assert record.nodes == refit.node_count()
+
+    def test_stream_record_semantics(self):
+        """A stream model is built on the first batch and updated with each
+        later one, in the plan's order, with the repetition's seeds."""
+        train, test = small_data()
+        config = small_config()
+        seeds = _rep_seeds(np.random.default_rng(config.seed))
+        records = _stream_one_rep(config, train, test, 0, seeds)
+        plan = make_batches(train.n_samples, config.batch_size, seeds["plan"])
+        first = train.subset(plan.batch(0))
+        replays = {"sdt": StreamTree(first, train.n_classes, seed=seeds["tree"]),
+                   "sdf": StreamForest(first, train.n_classes, config.n_trees,
+                                       config.replace_count, seed=seeds["forest"])}
+        for batch_index in range(plan.n_batches):
+            for algo, model in replays.items():
+                if batch_index > 0:
+                    model.update(train.subset(plan.batch(batch_index)))
+                accuracy = float(np.mean(model.predict(test.features) == test.labels))
+                record = next(r for r in records if r.algorithm == algo
+                              and r.n_samples == plan.boundaries[batch_index][1])
+                assert record.accuracy == accuracy
+                assert record.nodes == model.node_count()
+
+    def test_one_repetition_gathers_the_training_rows_once(self, monkeypatch):
+        train, test = small_data()
+        config = small_config()
+        gathers = []
+        original = Dataset.subset
+
+        def counting(self, indices):
+            gathers.append(len(indices))
+            return original(self, indices)
+
+        monkeypatch.setattr(Dataset, "subset", counting)
+        records = _stream_one_rep(config, train, test, 0,
+                                  _rep_seeds(np.random.default_rng(config.seed)))
+        assert gathers == [train.n_samples]
+        assert [(r.n_samples, r.algorithm) for r in records] == [
+            (n, algo) for n in (50, 100, 150) for algo in ("sdt", "sdf", "dt", "df")]
 
     def test_mismatched_test_set_rejected(self):
         train, _ = small_data()
@@ -297,7 +339,7 @@ class TestResultsFile:
             fh = open(file, mode, **kwargs)
             return FailingWriter(fh) if set(mode) & set("wxa") else fh
 
-        monkeypatch.setattr(snapshot, "open", failing_open, raising=False)
+        monkeypatch.setattr(_io, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             emit_results(records[:1], path, config)
         assert path.read_bytes() == old

@@ -339,6 +339,14 @@ class TestErrors:
         assert result.returncode != 0
         assert "gradboost" in result.stderr and "choose from sdt,sdf,dt,df" in result.stderr
 
+    def test_a_bad_algorithm_is_named_before_the_csv_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["stream", "--data", str(missing), "--algorithms", "bogus",
+                     "--out", str(tmp_path / "r.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert "bogus" in err and "missing.csv" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("frac", ["0", "-0.5", "1.0", "1.5", "nan", "inf"])
     def test_test_frac_outside_the_open_unit_interval_writes_nothing(self, frac, tmp_path,
                                                                      capsys):

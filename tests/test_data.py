@@ -1,13 +1,16 @@
 """CSV loading, batch/fold planning, synthetic generators."""
 
+import ast
 import csv
 import errno
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streamforest
 from streamforest import (
     BatchPlan,
     DataLoadError,
@@ -387,3 +390,23 @@ class TestSynthetic:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             gen_synthetic("blobs", 3)
+
+
+MODEL_MODULES = {"forest", "stream", "snapshot", "bench", "cli"}
+
+
+@pytest.mark.parametrize("module", ["data", "_io"])
+def test_file_modules_import_no_model_code(module):
+    """Reading and writing files needs at most `tree`'s Dataset and checks:
+    the import direction runs from the models to `data` and `_io`."""
+    source = Path(streamforest.__file__).with_name(f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            if node.module in (None, "streamforest"):  # from . import forest
+                imported.update(alias.name for alias in node.names)
+    assert imported, "the walk found no import"
+    assert sorted(MODEL_MODULES & imported) == []

@@ -19,7 +19,7 @@ from streamforest import (
     load_forest,
     save_forest,
 )
-from streamforest import snapshot
+from streamforest import _io
 from streamforest.tree import NodeTable, _levels
 
 from helpers import forest_documents, preorder_columns, trees_equal
@@ -663,7 +663,7 @@ def test_failed_write_keeps_the_old_snapshot(tmp_path, monkeypatch):
         fh = open(file, mode, **kwargs)
         return HalfWriter(fh) if set(mode) & set("wxa") else fh
 
-    monkeypatch.setattr(snapshot, "open", failing_open, raising=False)
+    monkeypatch.setattr(_io, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_forest(evolved_forest(), path)
     assert path.read_bytes() == old

@@ -180,6 +180,9 @@ def run_cv_experiment(config: ExperimentConfig, data: Dataset) -> list[BenchReco
     held-out fold; config.repetitions is the fold count k."""
     if config.repetitions < 2:
         raise ValueError("cross-validation needs at least two folds")
+    if data.n_samples < config.repetitions:
+        raise ValueError(f"{config.repetitions} folds need at least {config.repetitions} "
+                         f"rows, not {data.n_samples}")
     root_rng = np.random.default_rng(config.seed)
     folds = make_folds(data.n_samples, config.repetitions,
                        int(root_rng.integers(0, 2**63)))

@@ -135,7 +135,7 @@ def _cmd_effect(args) -> int:
 def _cmd_synth(args) -> int:
     data = gen_synthetic(args.kind, args.n, args.noise, args.seed,
                          n_classes=args.classes, n_features=args.features)
-    save_csv(data, args.out, header=True)
+    save_csv(data, args.out)
     print(f"wrote {data.n_samples} samples ({data.n_features} features, "
           f"{data.n_classes} classes) to {args.out}")
     return 0

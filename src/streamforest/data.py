@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,10 +153,12 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
     (dataset, label_map) where label_map sends each label text to its class
     index in the dataset, which has len(label_map) classes.
 
-    Raises DataLoadError, naming the line and column, for missing or
-    non-numeric cells and labels the map lacks; naming the line, for a row
-    or header whose cell count differs from the first row's, and for a
-    header that names the label column more than once.
+    One pass reads the file, parsing each row as it is read, so a load holds
+    one float64 per feature cell. It raises DataLoadError at the first fault
+    in file order: naming the line and column, for missing or non-numeric
+    cells and labels the map lacks; naming the line, for a row or header
+    whose cell count differs from the first row's, a header that names the
+    label column more than once, or a row the csv module refuses.
     """
     if not isinstance(label_column, str):
         label_column = _check_integer("label_column", label_column, -math.inf)
@@ -164,54 +167,57 @@ def load_csv(path, label_column: int | str = -1, n_classes: int | None = None,
         if label_map is not None:
             raise ValueError("give n_classes or label_map, not both")
         label_map = {str(k): k for k in range(n_classes)}
+    names = width = None
+    values = array("d")
+    raw_labels: list[str] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
-    names: list[str] | None = None
-    if header:
-        if not rows:
-            raise DataLoadError("file is empty")
-        header_line, names = rows.pop(0)
-        names = [c.strip() for c in names]
-    body = [(line, row) for line, row in rows if row]
-    if not body:
+        try:
+            for row in reader:
+                line = reader.line_num
+                if header and names is None:
+                    header_line, names = line, [c.strip() for c in row]
+                    continue
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                    if names is not None and len(names) != width:
+                        raise DataLoadError(f"line {header_line}: header has {len(names)} "
+                                            f"cells, line {line} has {width}")
+                    if isinstance(label_column, str):
+                        if names is None:
+                            raise DataLoadError("a named label column requires header=True")
+                        if label_column not in names:
+                            raise DataLoadError(f"no column named {label_column!r}")
+                        if names.count(label_column) > 1:
+                            raise DataLoadError(f"line {header_line}: the header names "
+                                                f"{names.count(label_column)} columns "
+                                                f"{label_column!r}")
+                        label_idx = names.index(label_column)
+                    else:
+                        label_idx = label_column if label_column >= 0 else width + label_column
+                    if not 0 <= label_idx < width:
+                        raise DataLoadError(f"label column {label_column} out of range")
+                if len(row) != width:
+                    raise DataLoadError(f"line {line}: expected {width} cells, got {len(row)}")
+                for c, cell in enumerate(row):
+                    if c == label_idx:
+                        text, where = cell.strip(), f"line {line}, column {c + 1}"
+                        if not text:
+                            raise DataLoadError(f"{where}: empty cell")
+                        if label_map is not None and text not in label_map:
+                            raise DataLoadError(f"{where}: unknown label {text!r}")
+                        raw_labels.append(text)
+                    else:
+                        values.append(_parse_feature(cell, line, c + 1))
+        except csv.Error as err:
+            raise DataLoadError(f"line {reader.line_num}: {err}") from None
+    if header and names is None:
+        raise DataLoadError("file is empty")
+    if width is None:
         raise DataLoadError("no data rows")
-
-    width = len(body[0][1])
-    if names is not None and len(names) != width:
-        raise DataLoadError(f"line {header_line}: header has {len(names)} cells, "
-                            f"line {body[0][0]} has {width}")
-    if isinstance(label_column, str):
-        if names is None:
-            raise DataLoadError("a named label column requires header=True")
-        if label_column not in names:
-            raise DataLoadError(f"no column named {label_column!r}")
-        if names.count(label_column) > 1:
-            raise DataLoadError(f"line {header_line}: the header names "
-                                f"{names.count(label_column)} columns {label_column!r}")
-        label_idx = names.index(label_column)
-    else:
-        label_idx = label_column if label_column >= 0 else width + label_column
-    if not 0 <= label_idx < width:
-        raise DataLoadError(f"label column {label_column} out of range")
-
-    features = np.empty((len(body), width - 1), dtype=np.float64)
-    raw_labels: list[str] = []
-    for i, (line, row) in enumerate(body):
-        if len(row) != width:
-            raise DataLoadError(f"line {line}: expected {width} cells, got {len(row)}")
-        j = 0
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                text, where = cell.strip(), f"line {line}, column {c + 1}"
-                if not text:
-                    raise DataLoadError(f"{where}: empty cell")
-                if label_map is not None and text not in label_map:
-                    raise DataLoadError(f"{where}: unknown label {text!r}")
-                raw_labels.append(text)
-            else:
-                features[i, j] = _parse_feature(cell, line, c + 1)
-                j += 1
+    features = np.frombuffer(values).reshape(len(raw_labels), width - 1)
 
     if label_map is None:
         distinct = sorted(set(raw_labels), key=_label_sort_key)
@@ -228,19 +234,16 @@ def _label_sort_key(text: str):
         return (1, 0, text)
 
 
-def save_csv(data: Dataset, path, header: bool = True) -> None:
-    """Write a Dataset as f0..f{p-1},label rows; floats use repr so a reload
-    reproduces them bit-exactly. Like a snapshot, the file is replaced only
-    once it is complete."""
+def save_csv(data: Dataset, path) -> None:
+    """Write a Dataset as a f0..f{p-1},label header and one row per sample;
+    floats use repr so a reload reproduces them bit-exactly. Like a
+    snapshot, the file is replaced only once it is complete."""
     with (_write_atomically(path) as raw,
           io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh):
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"f{j}" for j in range(data.n_features)] + ["label"])
-        for i in range(data.n_samples):
-            row = [repr(float(v)) for v in data.features[i]]
-            row.append(str(int(data.labels[i])))
-            writer.writerow(row)
+        writer.writerow([f"f{j}" for j in range(data.n_features)] + ["label"])
+        for x, label in zip(data.features, data.labels):
+            writer.writerow([*map(repr, x.tolist()), str(int(label))])
 
 
 def _blob_centers(n_classes: int, n_features: int) -> np.ndarray:

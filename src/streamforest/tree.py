@@ -628,9 +628,8 @@ def _best_candidates(node, n_l, n_r, s_l, s_r, s_parent) -> np.ndarray:
 
 
 # Largest number of (tree, row) pairs one routing block holds, in an
-# update (`_route_and_count`) or a prediction (`_votes`, and `_vote` for
-# one row), and of (row, feature) positions one growth round searches:
-# bounds their temporary
+# update (`_route_and_count`) or a bulk prediction (`_votes`), and of (row,
+# feature) positions one growth round searches: bounds their temporary
 # arrays at any feature and tree count: to a few MB, and to under 30 MB in
 # an update whose paths fill a key word, as a block then holds up to 64
 # levels between two flushes.
@@ -752,7 +751,7 @@ def _descend(table: NodeTable, start, rows, X: np.ndarray) -> np.ndarray:
     ``take`` at 100 or ~32,700 pairs) from the flat view of X, at ``rows[i]
     * p + feature``, the row offsets intp; X should be C-contiguous, or the
     flat view is a copy. When X holds one row, every offset is 0, so a
-    level gathers at ``feature`` alone.
+    level gathers at ``feature`` alone and ``rows`` is not read.
     """
     node = np.array(start, dtype=np.intp)
     feature, threshold, left = table.feature, table.threshold, table.left
@@ -1084,15 +1083,8 @@ class _Model:
 
     def _vote(self, X: np.ndarray) -> np.intp:
         """Majority class of the trees for the one row of X, ties to the
-        lowest class. The row descends from every root, _PAIRS_PER_PASS
-        roots a block, and one bincount counts its leaves' labels."""
-        table, roots = self._table, self._roots
-        leaves = np.empty(roots.size, dtype=np.intp)
-        rows = np.zeros(min(roots.size, _PAIRS_PER_PASS), dtype=np.intp)
-        for lo in range(0, roots.size, _PAIRS_PER_PASS):
-            start = roots[lo:lo + _PAIRS_PER_PASS]
-            leaves[lo:lo + start.size] = _descend(table, start, rows[:start.size], X)
-        labels = table.counts[leaves].argmax(axis=1)
+        lowest class; the row descends from every root in one call."""
+        labels = _leaf_labels(self._table, _descend(self._table, self._roots, None, X))
         return np.bincount(labels, minlength=self.n_classes).argmax()
 
     def predict_one(self, x) -> int:

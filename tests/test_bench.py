@@ -208,6 +208,11 @@ class TestCvExperiment:
         with pytest.raises(ValueError):
             run_cv_experiment(small_config(repetitions=1), data)
 
+    def test_more_folds_than_rows_names_both(self):
+        data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]), 2)
+        with pytest.raises(ValueError, match="^5 folds need at least 5 rows, not 3$"):
+            run_cv_experiment(small_config(repetitions=5), data)
+
 
 class TestEffectSize:
     def test_equal_means_give_zero(self):

@@ -405,19 +405,27 @@ class TestErrors:
          "line 1: the header names 2 columns 'label'"),
         ([*_STREAM, "--out", "{dir}/missing/r.jsonl"], "f0,f1,label\n" + _CSV,
          "[Errno 2] No such file or directory: '{dir}/missing/r.jsonl'"),
+        ([*_STREAM, "--out", "{dir}/r.jsonl"], "f0,f1,label\n1.5," + "2" * 131_073 + ",a\n",
+         "line 2: field larger than field limit (131072)"),
+        (["cv", "--data", "{dir}/input", "--header", "--folds", "5", "--trees", "2",
+          "--out", "{dir}/r.jsonl"], "f0,f1,label\n0.5,0.25,a\n1.5,1.25,b\n2.5,2.25,a\n",
+         "5 folds need at least 5 rows, not 3"),
     ], ids=["header a list", "record short of fields", "record with an extra field",
             "null accuracy", "fields of the wrong types", "NaN accuracy",
             "csv header one cell short", "csv header naming the label column twice",
-            "results into a missing directory"])
+            "results into a missing directory", "csv cell over the field limit",
+            "cv folds over the rows"])
     def test_malformed_results_file_is_an_error_not_a_traceback(self, args, text, error,
                                                                 tmp_path):
         """effect on a results file whose header is not an object, with a
         record short of fields, one with an extra field, one whose values
         are not of the record's types or one with a NaN, which strict JSON
         lacks; stream on a CSV whose header is a cell short or names the
-        label column twice, or with --out in a missing directory: each
-        exits 1 in a child process with an error line that names the line
-        or the path asked for, no traceback, and writes nothing."""
+        label column twice, or whose line 2 holds a cell longer than the
+        csv module reads, or with --out in a missing directory; cv with
+        more folds than rows: each exits 1 in a child process with an
+        error line that names the line, the path or the counts at fault,
+        no traceback, and writes nothing."""
         (tmp_path / "input").write_text(text)
         result = run_cli(*[arg.format(dir=tmp_path) for arg in args])
         assert result.returncode == 1

@@ -5,6 +5,7 @@ import csv
 import errno
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,10 @@ class TestLoadCsv:
          "line 1: header has 4 cells, line 2 has 3"),
         ("y,f,y\n0,1.0,1\n1,2.0,0\n", {"header": True, "label_column": "y"},
          "line 1: the header names 2 columns 'y'"),
+        # The csv module refuses a cell over its limit of 131,072 characters.
+        pytest.param("1.0,0\n" + "1" * 131_073 + ",0\n", {},
+                     r"^line 2: field larger than field limit \(131072\)$",
+                     id="a cell over the csv field limit"),
     ])
     def test_malformed_input_is_named(self, tmp_path, text, kwargs, pattern):
         path = write_csv(tmp_path / "t.csv", text)
@@ -184,6 +189,32 @@ class TestLoadCsv:
         """The file does not exist: the arguments are checked first."""
         with pytest.raises(error, match=pattern):
             load_csv(tmp_path / "absent.csv", **kwargs)
+
+    def test_a_load_holds_one_float_per_feature_cell(self, tmp_path):
+        """Rows are parsed as they are read: loading 300 x 1,000 features
+        traces at most twice the feature matrix, not the file's rows as
+        Python strings."""
+        data = Dataset(np.random.default_rng(3).standard_normal((300, 1000)),
+                       np.arange(300) % 3, 3)
+        path = tmp_path / "wide.csv"
+        save_csv(data, path)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_csv(path, header=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.features.tobytes() == data.features.tobytes()
+        assert peak <= 2 * loaded.features.nbytes
+
+    def test_the_first_fault_in_file_order_is_named(self, tmp_path):
+        """A bad cell on line 2 is named before the rest of the file is
+        read, here over 64 KB of good rows and then a byte that is not UTF-8."""
+        good = b"1.0,0\n" * 20_000
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"1.0,0\nx,1\n" + good + b"\xff,1\n")
+        with pytest.raises(DataLoadError, match="^line 2, column 1: 'x' is not numeric$"):
+            load_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "")
@@ -227,11 +258,15 @@ class TestRoundTrip:
         assert np.array_equal(loaded.labels, data.labels)
 
     def test_headerless_round_trip(self, tmp_path):
-        data = Dataset(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 1]), 2)
-        path = tmp_path / "nh.csv"
-        save_csv(data, path, header=False)
+        """save_csv always writes a header; a file without one, its floats
+        in repr, loads bit-exactly with header=False."""
+        data = Dataset(np.array([[0.1, 0.2], [0.3, 1 / 3]]), np.array([0, 1]), 2)
+        path = write_csv(tmp_path / "nh.csv", "".join(
+            f"{x!r},{y!r},{label}\n" for (x, y), label in zip(data.features.tolist(),
+                                                              data.labels.tolist())))
         loaded, _ = load_csv(path, header=False)
-        assert np.array_equal(loaded.features, data.features)
+        assert loaded.features.tobytes() == data.features.tobytes()
+        assert np.array_equal(loaded.labels, data.labels)
 
     @pytest.mark.parametrize("error", [
         KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left on device"),

@@ -366,9 +366,9 @@ class TestVoting:
             assert batch.tolist() == reference
 
     def test_no_routing_block_exceeds_the_budget(self, monkeypatch):
-        """However many trees, `_descend` gets at most _PAIRS_PER_PASS pairs
-        a call, in `predict`, `predict_one` and a one-row `predict`; each
-        one-row read descends its row from all 5 trees."""
+        """However many trees, a bulk `predict` gives `_descend` at most
+        _PAIRS_PER_PASS pairs a call; `predict_one` and a one-row `predict`
+        each descend their row from all 5 trees in one call."""
         f = StreamForest(blobs(60, seed=40), 3, n_trees=5, seed=41)
         probes = np.random.default_rng(42).uniform(-4, 4, (4, 2))
         reads = [lambda: f.predict(probes).tolist()]
@@ -387,14 +387,14 @@ class TestVoting:
         for read, want in zip(reads, expected):
             sizes.append([])
             assert read() == want
-        assert max(map(max, sizes)) <= 3
-        assert [sum(s) for s in sizes] == [5 * 4] + [5] * 8
+        assert max(sizes[0]) <= 3 and sum(sizes[0]) == 5 * 4
+        assert sizes[1:] == [[5]] * 8
 
     @pytest.mark.parametrize("budget", [None, 1, 3])
     def test_one_row_reads_match_the_bulk_prediction(self, budget, monkeypatch):
         """For every model kind, `predict_one` and a one-row `predict` give
         the bulk prediction of the same rows, also when a budget of 1 or 3
-        pairs splits one row's trees across blocks."""
+        pairs splits the bulk prediction's trees across blocks."""
         data = blobs(150, seed=43, noise=0.8)
         probes = np.random.default_rng(44).uniform(-4, 4, (30, 2))
         models = (DecisionTree(seed=45).fit(data), StreamTree(data, 3, seed=45),
